@@ -9,6 +9,8 @@ own tracing, response encoding) over a one-shard, thread-backed
 One client sends one request at a time and waits for the reply (a
 closed loop: each group waits for its package before acting), so a
 latency is service time and throughput is the inverse of mean latency.
+Each timed request is followed by slices of fixed reference work, and
+the gated figures are given at the reference speed (see ``reference``).
 Every response is checked; the first wrong one aborts the run.
 """
 
@@ -24,7 +26,7 @@ import statistics
 from pathlib import Path
 from time import perf_counter
 
-from perfbench import workloads
+from perfbench import reference, workloads
 from perfbench.ledger import Ledger, layer_metrics, setup_metrics
 from repro.obs import ObsConfig
 from repro.service.server import PackageServer
@@ -40,7 +42,7 @@ WARMUP_UNITS = {"cold_build": 8, "warm_hit": workloads.WARM_POOL,
                 "live_edit": 1}
 
 #: Units per throughput block: one period of the workload's cadence, so
-#: every block sends the same op mix.  ``throughput_rps`` is the median
+#: every block sends the same op mix.  Throughput is the median
 #: block rate, which a host hiccup in one block cannot move.
 BLOCK_UNITS = {"cold_build": 32, "warm_hit": workloads.WARM_POOL,
                "live_edit": 4}
@@ -137,6 +139,8 @@ class Client:
         self.epoch = 0
         self.samples: dict[str, list[float]] | None = None
         self.blocks: list[tuple[int, float]] = []  # timed units: (requests, ms)
+        # timed requests in order: (bucket, ms, the reference slice after it)
+        self.trail: list[tuple[str, float, float]] = []
         self._unit = [0, 0.0]
         self.mutate_kinds: list[str] = []
         self.ledger: Ledger | None = None
@@ -159,9 +163,11 @@ class Client:
         if root is not None:
             self.ledger.close(root)
         if self.samples is not None:
+            bucket = self.BUCKETS[envelope["op"]]
             self._unit[0] += 1
             self._unit[1] += ms
-            self.samples.setdefault(self.BUCKETS[envelope["op"]], []).append(ms)
+            self.samples.setdefault(bucket, []).append(ms)
+            self.trail.append((bucket, ms, reference.sample_ms(ms)))
             if envelope["op"] == "mutate":
                 self.mutate_kinds.append(
                     envelope["request"]["mutation"]["kind"])
@@ -318,39 +324,56 @@ def rss_mb() -> float:
     raise RuntimeError("no VmRSS in /proc/self/status")
 
 
-def throughput(client: Client) -> float:
+def throughput(client: Client, ms: list[float]) -> float:
     """Median over whole cadence blocks of requests per second of
-    service time (the inverse of the block's mean latency)."""
+    service time (the inverse of the block's mean latency); ``ms`` holds
+    the timed requests' latencies in the order they were sent."""
     size = BLOCK_UNITS[client.workload]
-    units = client.blocks
-    rates = []
-    for start in range(0, max(1, len(units) - size + 1), size):
-        block = units[start:start + size]
-        rates.append(sum(n for n, _ in block) * 1000.0
-                     / sum(ms for _, ms in block))
+    counts = [n for n, _ in client.blocks]
+    rates, at = [], 0
+    for start in range(0, max(1, len(counts) - size + 1), size):
+        n = sum(counts[start:start + size])
+        rates.append(n * 1000.0 / sum(ms[at:at + n]))
+        at += n
     return statistics.median(rates)
 
 
 def end_to_end(client: Client, setups: list[float], rss: float) -> dict:
     """Every end-to-end figure the workload has: ``{name: (value, unit)}``.
 
-    The gated subset (the metrics every workload has) comes first;
-    per-op percentiles follow for the workloads that have those ops.
+    The gated subset (the metrics every workload has) comes first, then
+    the per-op percentiles of the workloads that have those ops, request
+    times all at the reference speed (``_norm``); then the request
+    figures as the wall clock read them on this host, which are not
+    gated.  ``setup_s`` is the wall-clock median boot: a boot is one
+    long computation that reference slices cannot interleave with.
     """
-    samples = client.samples
+    raw = [ms for _, ms, _ in client.trail]
+    norm = reference.normalized(raw, [ref for _, _, ref in client.trail])
+    by_bucket: dict[str, list[float]] = {}
+    for (bucket, _, _), value in zip(client.trail, norm):
+        by_bucket.setdefault(bucket, []).append(value)
     out = {
         "setup_s": (statistics.median(setups), "s"),
-        "throughput_rps": (throughput(client), "1/s"),
-        "build_p50_ms": (statistics.median(samples["build"]), "ms"),
+        "throughput_norm_rps": (throughput(client, norm), "1/s"),
+        "build_p50_norm_ms": (statistics.median(by_bucket["build"]), "ms"),
         "rss_mb": (rss, "MB"),
     }
     if client.workload != "warm_hit":
-        out["build_p90_ms"] = (percentile(samples["build"], 0.9), "ms")
+        out["build_p90_norm_ms"] = (percentile(by_bucket["build"], 0.9), "ms")
     for bucket in ("edit", "mutate"):
-        if samples.get(bucket):
-            out[f"{bucket}_p50_ms"] = (statistics.median(samples[bucket]),
-                                       "ms")
-            out[f"{bucket}_p90_ms"] = (percentile(samples[bucket], 0.9), "ms")
+        if by_bucket.get(bucket):
+            out[f"{bucket}_p50_norm_ms"] = (
+                statistics.median(by_bucket[bucket]), "ms")
+            out[f"{bucket}_p90_norm_ms"] = (
+                percentile(by_bucket[bucket], 0.9), "ms")
+    out.update({
+        "wall.throughput_rps": (throughput(client, raw), "1/s"),
+        "wall.build_p50_ms": (statistics.median(client.samples["build"]),
+                              "ms"),
+        "reference.slice_ms": (statistics.median(
+            ref for _, _, ref in client.trail), "ms"),
+    })
     return out
 
 

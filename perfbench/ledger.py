@@ -409,43 +409,43 @@ def setup_metrics(spans: list[Span]) -> dict[str, tuple[float, str]]:
 
 #: The end-to-end figure each per-layer metric should move, and where.
 TARGETS = {
-    "server.self_ms": "build_p50_ms, throughput_rps on warm_hit",
-    "wire.encode_ms": "build_p50_ms on warm_hit",
-    "shard.self_ms": "build_p50_ms on warm_hit",
-    "engine.self_ms.build": "build_p50_ms on warm_hit and cold_build",
-    "engine.self_ms.open_session": "build_p50_ms on live_edit",
-    "engine.self_ms.customize": "edit_p50_ms on live_edit",
-    "engine.self_ms.mutate": "mutate_p50_ms on live_edit",
-    "cache.get_ms": "build_p50_ms on warm_hit",
+    "server.self_ms": "build_p50_norm_ms, throughput_norm_rps on warm_hit",
+    "wire.encode_ms": "build_p50_norm_ms on warm_hit",
+    "shard.self_ms": "build_p50_norm_ms on warm_hit",
+    "engine.self_ms.build": "build_p50_norm_ms on warm_hit and cold_build",
+    "engine.self_ms.open_session": "build_p50_norm_ms on live_edit",
+    "engine.self_ms.customize": "edit_p50_norm_ms on live_edit",
+    "engine.self_ms.mutate": "mutate_p50_norm_ms on live_edit",
+    "cache.get_ms": "build_p50_norm_ms on warm_hit",
     "cache.gets": "base of cache.hit_ratio",
-    "cache.hit_ratio": "build_p50_ms on warm_hit (~1) and live_edit (~0)",
+    "cache.hit_ratio": "build_p50_norm_ms on warm_hit (~1) and live_edit (~0)",
     "core.spans": "none on warm_hit (expected 0)",
-    "registry.group_profile_ms": "build_p50_ms on cold_build",
-    "registry.mutate.self_ms": "mutate_p50_ms on live_edit",
-    "kfc.self_ms": "build_p50_ms on cold_build",
-    "kfc.fcm_ms": "build_p90_ms / edit_p90_ms on live_edit",
-    "kfc.fcm_fits": "build_p90_ms / edit_p90_ms on live_edit",
+    "registry.group_profile_ms": "build_p50_norm_ms on cold_build",
+    "registry.mutate.self_ms": "mutate_p50_norm_ms on live_edit",
+    "kfc.self_ms": "build_p50_norm_ms on cold_build",
+    "kfc.fcm_ms": "build_p90_norm_ms / edit_p90_norm_ms on live_edit",
+    "kfc.fcm_fits": "build_p90_norm_ms / edit_p90_norm_ms on live_edit",
     "kfc_share.unbudgeted": "confirms cold_build's rationale (>= 0.5)",
-    "assembly.kernel_ms.unbudgeted": "build_p50_ms on cold_build",
-    "assembly.kernel_ms.budgeted": "build_p90_ms on cold_build",
+    "assembly.kernel_ms.unbudgeted": "build_p50_norm_ms on cold_build",
+    "assembly.kernel_ms.budgeted": "build_p90_norm_ms on cold_build",
     "assembly.calls.unbudgeted": "base of the kernel times",
     "assembly.calls.budgeted": "base of the kernel times",
     "assembly.rows_scored_frac": "explains cold_build moves",
     "assembly.rows_total": "base of assembly.rows_scored_frac",
-    "customize.op_ms.remove": "edit_p50_ms on live_edit",
-    "customize.op_ms.replace": "edit_p50_ms on live_edit",
-    "customize.op_ms.add": "edit_p50_ms on live_edit",
-    "live.patch_ms.reprice": "mutate_p50_ms on live_edit",
-    "live.patch_ms.close": "mutate_p90_ms on live_edit",
-    "live.patch_ms.add": "mutate_p90_ms on live_edit",
-    "live.full_rebuild_frac": "mutate_p90_ms on live_edit (expected 0)",
+    "customize.op_ms.remove": "edit_p50_norm_ms on live_edit",
+    "customize.op_ms.replace": "edit_p50_norm_ms on live_edit",
+    "customize.op_ms.add": "edit_p50_norm_ms on live_edit",
+    "live.patch_ms.reprice": "mutate_p50_norm_ms on live_edit",
+    "live.patch_ms.close": "mutate_p90_norm_ms on live_edit",
+    "live.patch_ms.add": "mutate_p90_norm_ms on live_edit",
+    "live.full_rebuild_frac": "mutate_p90_norm_ms on live_edit (expected 0)",
     "live.mutations": "base of live.full_rebuild_frac",
-    "live.replay_frac": "edit_p90_ms on live_edit",
+    "live.replay_frac": "edit_p90_norm_ms on live_edit",
     "live.edits": "base of live.replay_frac",
     "live.sessions_stale": "none (expected 0)",
-    "geo.max_pairwise_ms": "mutate_p90_ms on live_edit; setup_s",
+    "geo.max_pairwise_ms": "mutate_p90_norm_ms on live_edit; setup_s",
     "geo.max_pairwise_calls": "base of geo.max_pairwise_ms",
-    "store.save_ms": "mutate_p50_ms on live_edit; setup_s",
+    "store.save_ms": "mutate_p50_norm_ms on live_edit; setup_s",
     "store.save_bytes": "store.save_ms",
     "reprice.store_largest_frac": "confirms live_edit's rationale (~1)",
     "unattributed_ms": "none; shows ledger coverage",
@@ -456,5 +456,5 @@ TARGETS = {
     "setup.geo_max_pairwise_s": "setup_s",
     "setup.store_save_s": "setup_s",
     "setup.total_s": "setup_s (one traced boot)",
-    "obs.overhead_ms": "build_p50_ms on warm_hit",
+    "obs.overhead_ms": "build_p50_norm_ms on warm_hit",
 }

@@ -27,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The end-to-end metrics every workload reports (the gated set).
-GATED = ("setup_s", "throughput_rps", "build_p50_ms", "rss_mb")
+GATED = ("setup_s", "throughput_norm_rps", "build_p50_norm_ms", "rss_mb")
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
