@@ -2,316 +2,61 @@
 
 Not a paper table, but the numbers downstream users care about: how
 long one KFC package build takes, how fuzzy c-means scales, the
-throughput of CI assembly and consensus aggregation -- and, since the
-CityArrays compute layer landed, the cold-build speedup it buys.
-
-``test_cold_build_speedup_gate`` (and the standalone
-``python benchmarks/bench_core.py``) time a cache-miss package build
-through the precomputed-array path against the object-path reference
-(``use_arrays=False``) on the same city/profile/query, report p50/p95
-for both, verify the packages are byte-identical, and **gate** the
-ratio at >= MIN_SPEEDUP (3x).
-
-``test_assembly_batch_speedup_gate`` does the same for the batched
-assembly kernel: one ``assemble_composite_items`` call over all k
-centroids against k per-centroid calls on the same arrays bundle,
-byte-identity checked, gated at >= MIN_BATCH_SPEEDUP (2x), with the
-grid-pruning effectiveness counters recorded alongside.
+throughput of CI assembly and consensus aggregation.  Run with
+``PYTHONPATH=src python -m pytest benchmarks/bench_core.py -q
+-o python_files="bench_*.py"``.  End-to-end serving numbers come from
+``perfbench/run.py``.
 """
 
-import argparse
-import sys
-import time
-
 import numpy as np
+import pytest
 
-import telemetry
+from repro.clustering.fuzzy_cmeans import FuzzyCMeans
 from repro.core.assembly import assemble_composite_item
-from repro.core.kfc import KFCBuilder
 from repro.core.query import DEFAULT_QUERY
-
-#: The cold-build gate: the array path must beat the object path by at
-#: least this factor on the bench workload.
-MIN_SPEEDUP = 3.0
-
-#: The batched-kernel gate: one ``assemble_composite_items`` call over
-#: all k centroids must beat k per-centroid ``assemble_composite_item``
-#: calls (the former arrays path) by at least this factor.
-MIN_BATCH_SPEEDUP = 2.0
+from repro.profiles.consensus import ConsensusMethod, consensus_scores
 
 
-def _build_times(builder, profile, repeats: int) -> np.ndarray:
-    """Wall-clock seconds for ``repeats`` cache-miss package builds.
-
-    The FCM centroid seeds are warmed first (they are cached per
-    ``(k, seed)`` inside the builder and shared by every serving
-    request), so the loop times what a cold ``PackageService.build``
-    pays per request: CI assembly and the refine iterations.
-    """
-    builder.build(profile, DEFAULT_QUERY)
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        builder.build(profile, DEFAULT_QUERY)
-        samples.append(time.perf_counter() - start)
-    return np.array(samples)
+@pytest.fixture(scope="module")
+def paris_app(bench_ctx):
+    return bench_ctx.app("paris")
 
 
-def _package_ids(package) -> list[list[int]]:
-    return [[p.id for p in ci.pois] for ci in package.composite_items]
+@pytest.fixture(scope="module")
+def group_profile(bench_ctx, paris_app):
+    group = bench_ctx.generator(salt=99).uniform_group(5)
+    return group.profile(ConsensusMethod.PAIRWISE_DISAGREEMENT)
 
 
-def compare_cold_build(dataset, item_index, profile,
-                       repeats: int = 15) -> dict:
-    """Time arrays-path vs object-path cold builds; return the report."""
-    fast = KFCBuilder(dataset, item_index, seed=2019)
-    slow = KFCBuilder(dataset, item_index, seed=2019, use_arrays=False)
-    identical = (_package_ids(fast.build(profile, DEFAULT_QUERY))
-                 == _package_ids(slow.build(profile, DEFAULT_QUERY)))
-    t_fast = _build_times(fast, profile, repeats)
-    t_slow = _build_times(slow, profile, repeats)
-    report = {
-        "n_pois": len(dataset),
-        "identical": identical,
-        "arrays_p50_ms": float(np.percentile(t_fast, 50) * 1e3),
-        "arrays_p95_ms": float(np.percentile(t_fast, 95) * 1e3),
-        "object_p50_ms": float(np.percentile(t_slow, 50) * 1e3),
-        "object_p95_ms": float(np.percentile(t_slow, 95) * 1e3),
-    }
-    report["speedup"] = report["object_p50_ms"] / report["arrays_p50_ms"]
-    return report
+def test_kfc_build(benchmark, paris_app, group_profile):
+    benchmark(paris_app.kfc.build, group_profile, DEFAULT_QUERY)
 
 
-def compare_assembly_batch(dataset, item_index, profile,
-                           repeats: int = 15) -> dict:
-    """Time the batched assembly kernel against the per-centroid loop.
-
-    Both paths run on the same :class:`CityArrays` bundle, the same
-    FCM centroids and the same profile, so the ratio isolates exactly
-    what the batch kernel amortizes: one profile mat-vec and one
-    stacked distance pass per category instead of k of each.  Pruning
-    is disabled on the loop side (the reference semantics) and left on
-    auto for the batch side (the serving configuration); a forced-prune
-    pass afterwards reports grid effectiveness counters.  The composite
-    items are verified identical before anything is timed.
-    """
-    from repro.clustering.fuzzy_cmeans import FuzzyCMeans
-    from repro.core.arrays import CityArrays
-    from repro.core.assembly import (assemble_composite_item,
-                                     assemble_composite_items,
-                                     collect_assembly_counters)
-
-    arrays = CityArrays.of(dataset, item_index)
-    cents = FuzzyCMeans(n_clusters=5, seed=3).fit(
-        dataset.coordinates()).centroids
-
-    def loop():
-        return [assemble_composite_item(
-                    dataset, (float(lat), float(lon)), DEFAULT_QUERY,
-                    profile, item_index, arrays=arrays, prune=False)
-                for lat, lon in cents]
-
-    def batch(prune=None):
-        return assemble_composite_items(dataset, cents, DEFAULT_QUERY,
-                                        profile, item_index, arrays=arrays,
-                                        prune=prune)
-
-    def cis_key(cis):
-        return [([p.id for p in ci.pois], ci.centroid) for ci in cis]
-
-    identical = (cis_key(loop()) == cis_key(batch())
-                 == cis_key(batch(prune=True)))
-
-    def times(fn):
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        return np.array(samples)
-
-    t_loop = times(loop)
-    t_batch = times(batch)
-    with collect_assembly_counters() as scans:
-        batch(prune=True)
-    report = {
-        "n_pois": len(dataset),
-        "k_centroids": int(cents.shape[0]),
-        "identical": identical,
-        "loop_p50_ms": float(np.percentile(t_loop, 50) * 1e3),
-        "batch_p50_ms": float(np.percentile(t_batch, 50) * 1e3),
-        "pruned_rows_scored": scans.rows_scored,
-        "pruned_rows_total": scans.rows_total,
-        "pruned_cells_pruned": scans.cells_pruned,
-        "pruned_cells_total": scans.cells_total,
-    }
-    report["speedup"] = report["loop_p50_ms"] / report["batch_p50_ms"]
-    return report
+def test_ci_assembly_arrays(benchmark, paris_app, group_profile):
+    center = paris_app.dataset.coordinates().mean(axis=0)
+    benchmark(
+        assemble_composite_item,
+        paris_app.dataset, (float(center[0]), float(center[1])),
+        DEFAULT_QUERY, group_profile, paris_app.item_index,
+        arrays=paris_app.arrays,
+    )
 
 
-def _print_report(report: dict) -> None:
-    print(f"cold build over {report['n_pois']} POIs "
-          f"({'byte-identical' if report['identical'] else 'MISMATCH'}):")
-    print(f"  arrays path  p50 {report['arrays_p50_ms']:8.2f} ms   "
-          f"p95 {report['arrays_p95_ms']:8.2f} ms")
-    print(f"  object path  p50 {report['object_p50_ms']:8.2f} ms   "
-          f"p95 {report['object_p95_ms']:8.2f} ms")
-    print(f"  speedup {report['speedup']:.2f}x (gate >= {MIN_SPEEDUP:.1f}x)")
+def test_fuzzy_cmeans(benchmark, paris_app):
+    coords = paris_app.dataset.coordinates()
+    fcm = FuzzyCMeans(n_clusters=5, seed=3)
+    benchmark(fcm.fit, coords)
 
 
-def _print_batch_report(report: dict) -> None:
-    scanned = report["pruned_rows_scored"]
-    total = report["pruned_rows_total"]
-    skipped = 100.0 * (1.0 - scanned / total) if total else 0.0
-    print(f"batched assembly over {report['n_pois']} POIs x "
-          f"{report['k_centroids']} centroids "
-          f"({'byte-identical' if report['identical'] else 'MISMATCH'}):")
-    print(f"  per-centroid loop  p50 {report['loop_p50_ms']:8.2f} ms")
-    print(f"  batched kernel     p50 {report['batch_p50_ms']:8.2f} ms")
-    print(f"  speedup {report['speedup']:.2f}x "
-          f"(gate >= {MIN_BATCH_SPEEDUP:.1f}x)")
-    print(f"  forced-prune scan: {scanned}/{total} rows scored "
-          f"({skipped:.0f}% skipped), "
-          f"{report['pruned_cells_pruned']}/{report['pruned_cells_total']} "
-          f"cells pruned")
+def test_consensus_aggregation(benchmark):
+    rng = np.random.default_rng(0)
+    members = rng.uniform(size=(100, 8))
+    benchmark(consensus_scores, members,
+              ConsensusMethod.PAIRWISE_DISAGREEMENT)
 
 
-# -- pytest-benchmark timings -------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone script mode
-    pytest = None
-
-if pytest is not None:
-    from repro.clustering.fuzzy_cmeans import FuzzyCMeans
-    from repro.profiles.consensus import ConsensusMethod, consensus_scores
-
-    @pytest.fixture(scope="module")
-    def paris_app(bench_ctx):
-        return bench_ctx.app("paris")
-
-    @pytest.fixture(scope="module")
-    def group_profile(bench_ctx, paris_app):
-        group = bench_ctx.generator(salt=99).uniform_group(5)
-        return group.profile(ConsensusMethod.PAIRWISE_DISAGREEMENT)
-
-    def test_kfc_build(benchmark, paris_app, group_profile):
-        benchmark(paris_app.kfc.build, group_profile, DEFAULT_QUERY)
-
-    def test_ci_assembly_arrays(benchmark, paris_app, group_profile):
-        center = paris_app.dataset.coordinates().mean(axis=0)
-        benchmark(
-            assemble_composite_item,
-            paris_app.dataset, (float(center[0]), float(center[1])),
-            DEFAULT_QUERY, group_profile, paris_app.item_index,
-            arrays=paris_app.arrays,
-        )
-
-    def test_ci_assembly_objects(benchmark, paris_app, group_profile):
-        center = paris_app.dataset.coordinates().mean(axis=0)
-        benchmark(
-            assemble_composite_item,
-            paris_app.dataset, (float(center[0]), float(center[1])),
-            DEFAULT_QUERY, group_profile, paris_app.item_index,
-        )
-
-    def test_fuzzy_cmeans(benchmark, paris_app):
-        coords = paris_app.dataset.coordinates()
-        fcm = FuzzyCMeans(n_clusters=5, seed=3)
-        benchmark(fcm.fit, coords)
-
-    def test_consensus_aggregation(benchmark):
-        rng = np.random.default_rng(0)
-        members = rng.uniform(size=(100, 8))
-        benchmark(consensus_scores, members,
-                  ConsensusMethod.PAIRWISE_DISAGREEMENT)
-
-    def test_spatial_grid_nearest(benchmark, paris_app):
-        dataset = paris_app.dataset
-        grid = dataset.grid
-        lat, lon = dataset.coordinates().mean(axis=0)
-        benchmark(grid.nearest, float(lat), float(lon), 10)
-
-    def test_cold_build_speedup_gate(paris_app, group_profile):
-        """The compute layer must buy >= MIN_SPEEDUP on cold builds."""
-        report = compare_cold_build(paris_app.dataset,
-                                    paris_app.item_index, group_profile)
-        _print_report(report)
-        telemetry.emit("core", telemetry.record("cold_build_speedup",
-                                                **report))
-        assert report["identical"], "array and object paths diverged"
-        assert report["speedup"] >= MIN_SPEEDUP, (
-            f"cold-build speedup {report['speedup']:.2f}x is below the "
-            f"{MIN_SPEEDUP:.1f}x gate"
-        )
-
-    def test_assembly_batch_speedup_gate(paris_app, group_profile):
-        """The batched kernel must beat the per-centroid loop >= 2x."""
-        report = compare_assembly_batch(paris_app.dataset,
-                                        paris_app.item_index, group_profile)
-        _print_batch_report(report)
-        telemetry.emit("core", telemetry.record("assembly_batch_vs_loop",
-                                                **report))
-        assert report["identical"], "batched and loop assembly diverged"
-        assert report["speedup"] >= MIN_BATCH_SPEEDUP, (
-            f"batched-assembly speedup {report['speedup']:.2f}x is below "
-            f"the {MIN_BATCH_SPEEDUP:.1f}x gate"
-        )
-
-
-# -- standalone gate (CI bench-smoke) -----------------------------------------
-
-def main(argv=None) -> int:
-    """Run the cold-vs-arrays comparison without pytest."""
-    from repro.data.synthetic import generate_city
-    from repro.profiles.consensus import ConsensusMethod
-    from repro.profiles.generator import GroupGenerator
-    from repro.profiles.vectors import ItemVectorIndex
-
-    parser = argparse.ArgumentParser(
-        description="Cold-build speedup gate: CityArrays vs object path")
-    parser.add_argument("--city", default="paris")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--lda-iterations", type=int, default=60)
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP)
-    parser.add_argument("--min-batch-speedup", type=float,
-                        default=MIN_BATCH_SPEEDUP)
-    args = parser.parse_args(argv)
-
-    dataset = generate_city(args.city, seed=2019, scale=args.scale)
-    item_index = ItemVectorIndex.fit(dataset, seed=2019,
-                                     lda_iterations=args.lda_iterations)
-    group = GroupGenerator(item_index.schema, seed=2019 + 99).uniform_group(5)
-    profile = group.profile(ConsensusMethod.PAIRWISE_DISAGREEMENT)
-
-    report = compare_cold_build(dataset, item_index, profile,
-                                repeats=args.repeats)
-    _print_report(report)
-    telemetry.emit("core", telemetry.record("cold_build_speedup_cli",
-                                            scale=args.scale, **report))
-    batch_report = compare_assembly_batch(dataset, item_index, profile,
-                                          repeats=args.repeats)
-    _print_batch_report(batch_report)
-    telemetry.emit("core", telemetry.record("assembly_batch_vs_loop_cli",
-                                            scale=args.scale, **batch_report))
-    if not report["identical"]:
-        print("FAIL: array and object paths diverged", file=sys.stderr)
-        return 1
-    if report["speedup"] < args.min_speedup:
-        print(f"FAIL: speedup below the {args.min_speedup:.1f}x gate",
-              file=sys.stderr)
-        return 1
-    if not batch_report["identical"]:
-        print("FAIL: batched and loop assembly diverged", file=sys.stderr)
-        return 1
-    if batch_report["speedup"] < args.min_batch_speedup:
-        print(f"FAIL: batched-assembly speedup below the "
-              f"{args.min_batch_speedup:.1f}x gate", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def test_spatial_grid_nearest(benchmark, paris_app):
+    dataset = paris_app.dataset
+    grid = dataset.grid
+    lat, lon = dataset.coordinates().mean(axis=0)
+    benchmark(grid.nearest, float(lat), float(lon), 10)

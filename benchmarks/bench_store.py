@@ -19,12 +19,8 @@ server restarts, shard-worker forks, autoscaled replicas.
 report p50/p95 for both, verify the hydrated entry builds a
 byte-identical package, and **gate** the ratio at >= MIN_SPEEDUP (10x).
 
-Two further gates cover the v2 binary segment format:
+A second gate covers the mmap'd binary segment format:
 
-* **Segment vs npz hydration** (``compare_hydration``): the mmap'd
-  segment load is timed against a faithful replica of the v1 layout
-  (``dataset.json`` + two ``.npz`` files + sha256 manifest) and must
-  not be slower (p50 ratio <= MAX_HYDRATION_RATIO).
 * **Page-cache sharing** (``measure_shared_residency``, Linux): N
   forked workers hydrate the same city and report the Pss of their
   ``segment.bin`` mapping from ``/proc/self/smaps``.  Pss divides
@@ -34,8 +30,6 @@ Two further gates cover the v2 binary segment format:
 """
 
 import argparse
-import hashlib
-import json
 import multiprocessing
 import shutil
 import sys
@@ -46,23 +40,14 @@ from pathlib import Path
 import numpy as np
 
 import telemetry
-from repro.core.arrays import CityArrays
 from repro.core.query import DEFAULT_QUERY
-from repro.data.dataset import POIDataset
-from repro.data.poi import CATEGORIES, Category
 from repro.profiles.generator import GroupGenerator
-from repro.profiles.schema import ProfileSchema
-from repro.profiles.vectors import ItemVectorIndex
 from repro.service.registry import CityRegistry
-from repro.store import AssetStore, CityAssets
+from repro.store import AssetStore
 
 #: The warm-start gate: store hydration must beat the cold fit by at
 #: least this factor.
 MIN_SPEEDUP = 10.0
-
-#: Segment hydration must not be slower than the replicated v1 npz
-#: path: p50(segment) / p50(npz) must stay at or under this.
-MAX_HYDRATION_RATIO = 1.10
 
 #: N workers' combined segment-mapping Pss vs one worker's.
 MAX_RESIDENCY_RATIO = 1.5
@@ -134,133 +119,6 @@ def _print_report(report: dict) -> None:
     print(f"  store hydrate  p50 {report['warm_p50_ms']:9.2f} ms   "
           f"p95 {report['warm_p95_ms']:9.2f} ms")
     print(f"  speedup {report['speedup']:.1f}x (gate >= {MIN_SPEEDUP:.0f}x)")
-
-
-# -- segment vs npz hydration -------------------------------------------------
-#
-# A faithful replica of the v1 on-disk layout (dataset.json, meta.json,
-# index.npz, arrays.npz, sha256 manifest verified on load) so the v2
-# segment's hydration cost is compared against what it replaced, not
-# against a strawman.
-
-_LDA_ARRAY_KEYS = ("doc_topic", "topic_word", "topic_totals")
-_NPZ_FILES = ("dataset.json", "meta.json", "index.npz", "arrays.npz")
-
-
-def _npz_entry_meta(assets: CityAssets) -> tuple[dict, dict]:
-    index_arrays: dict[str, np.ndarray] = {}
-    lda_meta: dict[str, dict] = {}
-    for cat, (ids, matrix) in assets.item_index.category_vectors(
-            assets.dataset).items():
-        index_arrays[f"ids__{cat.value}"] = ids
-        index_arrays[f"vectors__{cat.value}"] = matrix
-    for cat, state in assets.item_index.topic_model_states().items():
-        for name in _LDA_ARRAY_KEYS:
-            index_arrays[f"lda__{cat.value}__{name}"] = state[name]
-        lda_meta[cat.value] = {k: state[k] for k in ("n_topics", "alpha",
-                                                     "beta", "n_iterations")}
-    meta = {"schema": assets.item_index.schema.to_dict(), "lda": lda_meta,
-            "arrays": assets.arrays.export_meta()}
-    return index_arrays, meta
-
-
-def write_npz_entry(into: Path, assets: CityAssets) -> None:
-    """Persist ``assets`` in the v1 layout the segment format replaced."""
-    into.mkdir(parents=True, exist_ok=True)
-    index_arrays, meta = _npz_entry_meta(assets)
-    (into / "dataset.json").write_text(assets.dataset.to_json())
-    (into / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-    np.savez(into / "index.npz", **index_arrays)
-    np.savez(into / "arrays.npz", **assets.arrays.export_arrays())
-    manifest = {name: hashlib.sha256((into / name).read_bytes()).hexdigest()
-                for name in _NPZ_FILES}
-    (into / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-
-
-def load_npz_entry(entry: Path) -> CityAssets:
-    """The v1 load path: verify every sha256, then decode (``np.load``
-    copies every array out of the zip -- the cost the mmap'd segment
-    avoids)."""
-    manifest = json.loads((entry / "manifest.json").read_text())
-    for name, digest in manifest.items():
-        actual = hashlib.sha256((entry / name).read_bytes()).hexdigest()
-        if actual != digest:
-            raise ValueError(f"digest mismatch on {name}")
-    meta = json.loads((entry / "meta.json").read_text())
-    dataset = POIDataset.from_json((entry / "dataset.json").read_text())
-    schema = ProfileSchema.from_dict(meta["schema"])
-    with np.load(entry / "index.npz") as npz:
-        index_arrays = {name: npz[name] for name in npz.files}
-    category_vectors = {
-        cat: (index_arrays[f"ids__{cat.value}"].astype(np.int64),
-              index_arrays[f"vectors__{cat.value}"].astype(float))
-        for cat in CATEGORIES
-    }
-    topic_states = {}
-    for cat_value, params in meta["lda"].items():
-        cat = Category.parse(cat_value)
-        state = dict(params)
-        for name in _LDA_ARRAY_KEYS:
-            state[name] = index_arrays[f"lda__{cat.value}__{name}"]
-        topic_states[cat] = state
-    item_index = ItemVectorIndex.restore(dataset, schema, category_vectors,
-                                         topic_states)
-    with np.load(entry / "arrays.npz") as npz:
-        arrays = CityArrays.from_export({name: npz[name]
-                                         for name in npz.files},
-                                        meta["arrays"])
-    return CityAssets(dataset, item_index, arrays)
-
-
-def compare_hydration(work_root: str | Path, city: str = "paris",
-                      seed: int = 2019, scale: float = 0.35,
-                      lda_iterations: int = 50, repeats: int = 5) -> dict:
-    """Time segment hydration against the replicated v1 npz path."""
-    work_root = Path(work_root)
-    knobs = dict(seed=seed, scale=scale, lda_iterations=lda_iterations)
-    entry = CityRegistry(**knobs).entry(city)
-    assets = CityAssets(entry.dataset, entry.item_index, entry.arrays)
-
-    store = AssetStore(work_root / "segment-store")
-    published = store.save(assets, city=city, **knobs)
-    npz_dir = work_root / "npz-entry"
-    write_npz_entry(npz_dir, assets)
-
-    t_segment, t_npz = [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        loaded = store.load(city, **knobs)
-        t_segment.append(time.perf_counter() - start)
-        assert loaded is not None
-
-        start = time.perf_counter()
-        load_npz_entry(npz_dir)
-        t_npz.append(time.perf_counter() - start)
-
-    report = {
-        "city": city,
-        "n_pois": len(assets.dataset),
-        "segment_p50_ms": float(np.percentile(t_segment, 50) * 1e3),
-        "segment_p95_ms": float(np.percentile(t_segment, 95) * 1e3),
-        "npz_p50_ms": float(np.percentile(t_npz, 50) * 1e3),
-        "npz_p95_ms": float(np.percentile(t_npz, 95) * 1e3),
-        "segment_bytes": sum(f.stat().st_size for f in published.glob("*")),
-        "npz_bytes": sum(f.stat().st_size for f in npz_dir.glob("*")),
-    }
-    report["ratio"] = report["segment_p50_ms"] / report["npz_p50_ms"]
-    return report
-
-
-def _print_hydration(report: dict) -> None:
-    print(f"hydration over {report['n_pois']} POIs:")
-    print(f"  segment (mmap) p50 {report['segment_p50_ms']:9.2f} ms   "
-          f"p95 {report['segment_p95_ms']:9.2f} ms   "
-          f"{report['segment_bytes']:>10,} B")
-    print(f"  npz (v1)       p50 {report['npz_p50_ms']:9.2f} ms   "
-          f"p95 {report['npz_p95_ms']:9.2f} ms   "
-          f"{report['npz_bytes']:>10,} B")
-    print(f"  ratio {report['ratio']:.2f}x "
-          f"(gate <= {MAX_HYDRATION_RATIO:.2f}x)")
 
 
 # -- page-cache sharing across forked workers ---------------------------------
@@ -369,17 +227,6 @@ if pytest is not None:
             f"cold fit (gate {MIN_SPEEDUP:.0f}x)"
         )
 
-    def test_segment_hydration_not_slower_than_npz(tmp_path):
-        report = compare_hydration(tmp_path, scale=0.25,
-                                   lda_iterations=25, repeats=5)
-        _print_hydration(report)
-        telemetry.emit("store", telemetry.record("hydration_segment_vs_npz",
-                                                 **report))
-        assert report["ratio"] <= MAX_HYDRATION_RATIO, (
-            f"segment hydration {report['ratio']:.2f}x the npz path "
-            f"(gate {MAX_HYDRATION_RATIO:.2f}x)"
-        )
-
     @pytest.mark.skipif(not _smaps_available(),
                         reason="needs Linux /proc/self/smaps")
     def test_page_cache_sharing_gate(tmp_path):
@@ -427,22 +274,6 @@ def main(argv=None) -> int:
         if report["speedup"] < MIN_SPEEDUP:
             print(f"FAIL: speedup {report['speedup']:.1f}x below the "
                   f"{MIN_SPEEDUP:.0f}x gate", file=sys.stderr)
-            status = 1
-
-        hydration_root = Path(root) / "hydration"
-        hydration = compare_hydration(
-            hydration_root, city=args.city, seed=args.seed,
-            scale=args.scale, lda_iterations=args.lda_iterations,
-            repeats=max(args.repeats, 5),
-        )
-        _print_hydration(hydration)
-        telemetry.emit("store",
-                       telemetry.record("hydration_segment_vs_npz",
-                                        scale=args.scale, **hydration))
-        if hydration["ratio"] > MAX_HYDRATION_RATIO:
-            print(f"FAIL: segment hydration {hydration['ratio']:.2f}x the "
-                  f"npz path (gate {MAX_HYDRATION_RATIO:.2f}x)",
-                  file=sys.stderr)
             status = 1
 
         if _smaps_available():

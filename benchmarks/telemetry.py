@@ -21,7 +21,7 @@ The schema is deliberately small and shared by every producer::
 
 Producers call :func:`emit` -- a load-merge-write: records append to
 the existing file, so a pytest run and a standalone ``python
-benchmarks/bench_core.py`` run accumulate into the same trajectory.
+benchmarks/bench_store.py`` run accumulate into the same trajectory.
 Writes are atomic (temp file + ``os.replace``), so a crashed bench
 never leaves a half-written file for CI to choke on.
 

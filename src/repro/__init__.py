@@ -25,7 +25,7 @@ architecture overview; ``repro.experiments`` reproduces the paper's
 tables and figures.
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from repro.core import (
     CityArrays,

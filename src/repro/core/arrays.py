@@ -11,10 +11,11 @@ registration time, serve every request from contiguous arrays.
 
 The bundle is frozen and picklable, so shard workers can receive (or
 rebuild) it intact, and it is *purely a representation*: every array is
-built with exactly the operations the object-path code performs per
-call, so scoring against the bundle is bit-for-bit identical to scoring
-against the ``POI`` objects (the golden determinism tests in
-``tests/test_core_arrays.py`` pin this).
+built with exactly the operations a per-call scorer over the ``POI``
+objects performs, so scoring against the bundle is bit-for-bit
+identical to the object-path oracle in ``tests/assembly_oracle.py``
+(the golden determinism tests in ``tests/test_core_arrays.py`` pin
+this).  It is the only representation assembly scores against.
 
 Contents, all row-aligned with the dataset's iteration order:
 
@@ -25,13 +26,7 @@ Contents, all row-aligned with the dataset's iteration order:
 * per-category :class:`CategoryArrays` -- the same columns restricted
   to one category (in ``dataset.by_category`` order) plus the stacked
   item-vector matrix, precomputed row norms and the cost-sorted
-  candidate order the budget-repair phase needs;
-* ``cell_buckets`` -- :class:`~repro.geo.grid.SpatialGrid`-derived
-  candidate buckets (grid cell -> row indices) for spatial prefilters;
-* per-category **cell CSR layout** (``cell_cells`` / ``cell_start`` /
-  ``cell_rows`` / ``cell_bounds``) -- the same grid restricted to one
-  category's rows plus per-cell coordinate bounding boxes, which the
-  batched assembly kernel's provably-safe grid pruning reads.
+  candidate order the budget-repair phase needs.
 """
 
 from __future__ import annotations
@@ -48,11 +43,6 @@ from repro.profiles.vectors import ItemVectorIndex
 #: Kilometres per degree of latitude (constant over the sphere); shared
 #: with :mod:`repro.geo.grid` and the KFC builder.
 _KM_PER_DEG_LAT = 111.195
-
-#: Grid cell edge used for the candidate buckets; matches
-#: :class:`~repro.geo.grid.SpatialGrid`'s default so bucket membership
-#: agrees with ``dataset.grid``.
-_CELL_KM = 0.5
 
 
 # -- the local equirectangular projection -------------------------------------
@@ -107,18 +97,6 @@ class CategoryArrays:
         vector_norms: ``(n,)`` precomputed row norms of ``vectors``.
         cost_order: ``(n,)`` row order sorted by ``(cost, id)`` -- the
             cheapest-first candidate order the budget paths use.
-        cell_cells: ``(m, 2)`` distinct grid cells occupied by this
-            category's rows, lexicographically sorted -- the same cell
-            geometry as ``CityArrays.cell_buckets``, restricted to one
-            category.
-        cell_start: ``(m + 1,)`` CSR offsets into ``cell_rows``: cell
-            ``j`` holds ``cell_rows[cell_start[j]:cell_start[j + 1]]``.
-        cell_rows: ``(n,)`` category-row indices grouped by cell (rows
-            ascending within each cell).
-        cell_bounds: ``(m, 4)`` per-cell ``(lat_lo, lat_hi, lon_lo,
-            lon_hi)`` bounding boxes of the *actual rows* in the cell
-            -- what the assembly pruner's distance lower bounds are
-            computed from.
     """
 
     category: Category
@@ -130,18 +108,9 @@ class CategoryArrays:
     vectors: np.ndarray
     vector_norms: np.ndarray
     cost_order: np.ndarray
-    cell_cells: np.ndarray
-    cell_start: np.ndarray
-    cell_rows: np.ndarray
-    cell_bounds: np.ndarray
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    @property
-    def n_cells(self) -> int:
-        """How many grid cells this category's rows occupy."""
-        return int(self.cell_cells.shape[0])
 
 
 @dataclass(frozen=True)
@@ -162,8 +131,6 @@ class CityArrays:
     max_distance_km: float
     categories: dict[Category, CategoryArrays]
     row_of: dict[int, int]
-    cell_km: float
-    cell_buckets: dict[tuple[int, int], np.ndarray]
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -210,9 +177,6 @@ class CityArrays:
             cat_lats = np.array([p.lat for p in cat_pois], dtype=float)
             cat_lons = np.array([p.lon for p in cat_pois], dtype=float)
             cat_costs = np.array([p.cost for p in cat_pois], dtype=float)
-            cell_cells, cell_start, cell_rows, cell_bounds = _category_cells(
-                cat_lats, cat_lons, _CELL_KM
-            )
             categories[cat] = CategoryArrays(
                 category=cat,
                 ids=cat_ids,
@@ -223,10 +187,6 @@ class CityArrays:
                 vectors=vectors,
                 vector_norms=np.linalg.norm(vectors, axis=1),
                 cost_order=np.lexsort((cat_ids, cat_costs)),
-                cell_cells=cell_cells,
-                cell_start=cell_start,
-                cell_rows=cell_rows,
-                cell_bounds=cell_bounds,
             )
 
         return cls(
@@ -240,8 +200,6 @@ class CityArrays:
             max_distance_km=dataset.max_distance_km,
             categories=categories,
             row_of=row_of,
-            cell_km=_CELL_KM,
-            cell_buckets=_cell_buckets(lats, lons, _CELL_KM),
         )
 
     @classmethod
@@ -267,14 +225,12 @@ class CityArrays:
 
     #: Per-category array fields, in the order they are exported.
     _CATEGORY_FIELDS = ("ids", "rows", "lats", "lons", "costs", "vectors",
-                        "vector_norms", "cost_order", "cell_cells",
-                        "cell_start", "cell_rows", "cell_bounds")
+                        "vector_norms", "cost_order")
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         """Every array of the bundle under a flat string key -- the
-        payload an ``npz`` asset store writes.  Cell buckets are
-        flattened to ``(cells, rows, lens)`` triplets; ``row_of`` is
-        derivable from ``ids`` and not exported."""
+        payload an asset store writes; ``row_of`` is derivable from
+        ``ids`` and not exported."""
         payload: dict[str, np.ndarray] = {
             "ids": self.ids, "lats": self.lats, "lons": self.lons,
             "costs": self.costs, "xy": self.xy,
@@ -282,17 +238,6 @@ class CityArrays:
         for cat, ca in self.categories.items():
             for name in self._CATEGORY_FIELDS:
                 payload[f"cat__{cat.value}__{name}"] = getattr(ca, name)
-        cells = sorted(self.cell_buckets)
-        payload["bucket_cells"] = np.array(cells, dtype=np.int64).reshape(
-            len(cells), 2
-        )
-        payload["bucket_lens"] = np.array(
-            [len(self.cell_buckets[c]) for c in cells], dtype=np.int64
-        )
-        payload["bucket_rows"] = (
-            np.concatenate([self.cell_buckets[c] for c in cells])
-            if cells else np.empty(0, dtype=np.int64)
-        )
         return payload
 
     def export_meta(self) -> dict:
@@ -301,7 +246,6 @@ class CityArrays:
             "city": self.city,
             "origin": list(self.origin),
             "max_distance_km": self.max_distance_km,
-            "cell_km": self.cell_km,
         }
 
     @classmethod
@@ -328,16 +272,6 @@ class CityArrays:
             fields = {name: np.asarray(payload[f"cat__{cat.value}__{name}"])
                       for name in cls._CATEGORY_FIELDS}
             categories[cat] = CategoryArrays(category=cat, **fields)
-        cells = np.asarray(payload["bucket_cells"], dtype=np.int64)
-        lens = np.asarray(payload["bucket_lens"], dtype=np.int64)
-        rows = np.asarray(payload["bucket_rows"], dtype=np.int64)
-        if int(lens.sum()) != rows.shape[0] or cells.shape[0] != lens.shape[0]:
-            raise ValueError("cell-bucket arrays are inconsistent")
-        buckets: dict[tuple[int, int], np.ndarray] = {}
-        offset = 0
-        for (r, c), length in zip(cells, lens):
-            buckets[(int(r), int(c))] = rows[offset:offset + int(length)]
-            offset += int(length)
         origin = meta["origin"]
         return cls(
             city=str(meta["city"]),
@@ -350,8 +284,6 @@ class CityArrays:
             max_distance_km=float(meta["max_distance_km"]),
             categories=categories,
             row_of={int(poi_id): row for row, poi_id in enumerate(ids)},
-            cell_km=float(meta["cell_km"]),
-            cell_buckets=buckets,
         )
 
     @property
@@ -363,7 +295,6 @@ class CityArrays:
         for ca in self.categories.values():
             total += sum(getattr(ca, name).nbytes
                          for name in self._CATEGORY_FIELDS)
-        total += sum(rows.nbytes for rows in self.cell_buckets.values())
         return total
 
     # -- views -------------------------------------------------------------
@@ -379,91 +310,6 @@ class CityArrays:
         """
         return np.array([self.row_of[int(i)] for i in poi_ids],
                         dtype=np.int64)
-
-    # -- grid-derived candidate buckets ------------------------------------
-
-    def bucket_of(self, lat: float, lon: float) -> tuple[int, int]:
-        """The grid cell a point falls in (same cell geometry as
-        :class:`~repro.geo.grid.SpatialGrid`)."""
-        row = int(np.floor(lat * _KM_PER_DEG_LAT / self.cell_km))
-        km_per_deg_lon = _KM_PER_DEG_LAT * max(
-            np.cos(np.radians(lat)), 1e-9
-        )
-        col = int(np.floor(lon * km_per_deg_lon / self.cell_km))
-        return (row, col)
-
-    def rows_near(self, lat: float, lon: float, rings: int = 1) -> np.ndarray:
-        """Row indices of POIs within ``rings`` grid cells (Chebyshev)
-        of a point -- a cheap spatial prefilter for neighbourhood
-        queries that do not need exact k-NN semantics."""
-        row0, col0 = self.bucket_of(lat, lon)
-        chunks = [
-            self.cell_buckets[(r, c)]
-            for r in range(row0 - rings, row0 + rings + 1)
-            for c in range(col0 - rings, col0 + rings + 1)
-            if (r, c) in self.cell_buckets
-        ]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-
-def _cell_buckets(lats: np.ndarray, lons: np.ndarray,
-                  cell_km: float) -> dict[tuple[int, int], np.ndarray]:
-    """Bucket every row by its SpatialGrid cell, vectorized."""
-    if lats.size == 0:
-        return {}
-    cell_rows = np.floor(lats * _KM_PER_DEG_LAT / cell_km).astype(np.int64)
-    km_per_deg_lon = _KM_PER_DEG_LAT * np.maximum(
-        np.cos(np.radians(lats)), 1e-9
-    )
-    cell_cols = np.floor(lons * km_per_deg_lon / cell_km).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for row, (r, c) in enumerate(zip(cell_rows, cell_cols)):
-        buckets.setdefault((int(r), int(c)), []).append(row)
-    return {cell: np.array(rows, dtype=np.int64)
-            for cell, rows in buckets.items()}
-
-
-def _category_cells(lats: np.ndarray, lons: np.ndarray, cell_km: float
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One category's rows grouped by SpatialGrid cell, in CSR layout.
-
-    Returns ``(cell_cells, cell_start, cell_rows, cell_bounds)`` as
-    documented on :class:`CategoryArrays`.  Uses the exact cell formula
-    of :func:`_cell_buckets` (per-row latitude for the east-west cell
-    size), so a category cell is the city bucket restricted to that
-    category's rows.  Cells are lexicographically sorted and rows stay
-    ascending within a cell, making the layout deterministic.
-    """
-    n = lats.shape[0]
-    if n == 0:
-        return (np.empty((0, 2), dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, 4), dtype=float))
-    cell_r = np.floor(lats * _KM_PER_DEG_LAT / cell_km).astype(np.int64)
-    km_per_deg_lon = _KM_PER_DEG_LAT * np.maximum(
-        np.cos(np.radians(lats)), 1e-9
-    )
-    cell_c = np.floor(lons * km_per_deg_lon / cell_km).astype(np.int64)
-    # lexsort is stable, so rows stay ascending inside each cell.
-    order = np.lexsort((cell_c, cell_r)).astype(np.int64)
-    sr, sc = cell_r[order], cell_c[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
-    starts = np.flatnonzero(boundary)
-    cell_cells = np.column_stack([sr[starts], sc[starts]])
-    cell_start = np.append(starts, n).astype(np.int64)
-    slat, slon = lats[order], lons[order]
-    cell_bounds = np.column_stack([
-        np.minimum.reduceat(slat, starts),
-        np.maximum.reduceat(slat, starts),
-        np.minimum.reduceat(slon, starts),
-        np.maximum.reduceat(slon, starts),
-    ])
-    return cell_cells, cell_start, order, cell_bounds
 
 
 #: Process-wide bundle pool: item_index -> dataset -> CityArrays, all

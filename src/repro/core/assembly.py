@@ -18,41 +18,20 @@ experiments run with an infinite budget) and a strong heuristic when it
 binds; a final cheapest-fill fallback guarantees we find *a* valid CI
 whenever one exists.
 
-Two scoring back-ends share that strategy:
+Scoring runs against the city's :class:`~repro.core.arrays.CityArrays`
+bundle (the pooled ``CityArrays.of(dataset, item_index)`` when none is
+passed), batched across the whole package: per category, the profile
+mat-vec is computed *once* and shared by every centroid, the distance
+pass is one broadcast ``(k_centroids, n)`` matrix, the candidate pool is
+cut with a partition + lexsort (preserving the exact ``(-score, id)``
+order), and POI objects are materialized only for the members of the
+final :class:`~repro.core.composite.CompositeItem`.
 
-* the **array path** -- when a :class:`~repro.core.arrays.CityArrays`
-  bundle is supplied, :func:`assemble_composite_items` scores a whole
-  package at once: per category, the profile mat-vec is computed *once*
-  and shared by every centroid, the distance pass is either one
-  broadcast ``(k_centroids, n)`` matrix or -- on large categories -- a
-  grid-pruned subset scan (see below); the candidate pool is cut with a
-  partition + lexsort (preserving the exact ``(-score, id)`` order),
-  and POI objects are materialized only for the members of the final
-  :class:`~repro.core.composite.CompositeItem`;
-* the **object path** -- :func:`score_candidates` over the ``POI``
-  objects, kept as the reference implementation.  Both paths produce
-  bit-identical CIs (pinned by the golden tests, the property tests in
-  ``tests/test_core_assembly_batch.py`` and the speedup gate in
-  ``benchmarks/bench_core.py``).
-
-**Provably-safe grid pruning.**  The score is monotone decreasing in
-distance-to-centroid (the ``beta`` term; the ``gamma`` term is
-centroid-independent), so a cell whose *best possible* score is below
-the pool's worst admitted score cannot contribute a candidate.  Per
-``(category, centroid)`` scan the pruner (a) lower-bounds each grid
-cell's distance from the per-cell bounding boxes in
-``CategoryArrays.cell_bounds``, (b) scores the nearest cells until the
-pool target is covered, taking the target-th best score ``S_min`` as
-the admission bar, and (c) drops every cell whose score upper bound
-``beta * max(1 - L/maxd, 0) + max(gamma * sims in cell)`` sits below
-``S_min`` minus a float-slack.  Exclusion is strict, so boundary ties
-(which win on the id tie-break) always stay in; when nothing can be
-excluded the scan falls back to the full pass.  The surviving superset
-therefore contains every row the full scan's pool would admit, and the
-same partition + lexsort over it returns the identical pool.
-:func:`collect_assembly_counters` exposes scan counters
-(``rows_scored`` / ``cells_pruned`` / ...) so serving stacks can report
-pruning effectiveness.
+The per-``POI`` object-path scorer lives in ``tests/assembly_oracle.py``
+as the reference the property tests compare this kernel against bit for
+bit; the golden package fixtures pin the bytes of both.
+:func:`collect_assembly_counters` exposes how many candidate rows the
+scans scored so serving stacks can report assembly work.
 """
 
 from __future__ import annotations
@@ -69,7 +48,7 @@ from repro.core.composite import CompositeItem
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
 from repro.data.poi import POI, Category
-from repro.geo.distance import EARTH_RADIUS_KM, equirectangular_km
+from repro.geo.distance import equirectangular_km
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
 
@@ -83,30 +62,19 @@ class InfeasibleQueryError(ValueError):
 
 @dataclass
 class AssemblyCounters:
-    """Work counters for the array-path scans inside one collection scope.
+    """Work counters for the scans inside one collection scope.
 
-    One *scan* is one ``(category, centroid)`` scoring pass.
-    ``rows_scored`` vs ``rows_total`` is the effectiveness headline:
-    how many candidate rows were actually scored against how many a
-    full scan would have touched.
+    One *scan* is one ``(category, centroid)`` scoring pass over every
+    row of the category, so ``rows_scored`` always equals
+    ``rows_total``; both are kept because dashboards and the benchmark
+    ledger read them as a pair.
     """
 
     rows_scored: int = 0
     rows_total: int = 0
-    cells_pruned: int = 0
-    cells_total: int = 0
-    pruned_scans: int = 0
-    full_scans: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "rows_scored": self.rows_scored,
-            "rows_total": self.rows_total,
-            "cells_pruned": self.cells_pruned,
-            "cells_total": self.cells_total,
-            "pruned_scans": self.pruned_scans,
-            "full_scans": self.full_scans,
-        }
+        return {"rows_scored": self.rows_scored, "rows_total": self.rows_total}
 
 
 _COUNTERS: ContextVar[AssemblyCounters | None] = ContextVar(
@@ -134,19 +102,12 @@ def collect_assembly_counters() -> Iterator[AssemblyCounters]:
         _COUNTERS.reset(token)
 
 
-def _record_scan(rows_scored: int, rows_total: int,
-                 cells_pruned: int, cells_total: int) -> None:
+def _record_scans(rows: int) -> None:
     counters = _COUNTERS.get()
     if counters is None:
         return
-    counters.rows_scored += rows_scored
-    counters.rows_total += rows_total
-    counters.cells_pruned += cells_pruned
-    counters.cells_total += cells_total
-    if cells_pruned:
-        counters.pruned_scans += 1
-    else:
-        counters.full_scans += 1
+    counters.rows_scored += rows
+    counters.rows_total += rows
 
 
 @dataclass(frozen=True)
@@ -161,64 +122,14 @@ class _Candidate:
         return self.poi.cost
 
 
-def score_candidates(pois: tuple[POI, ...], centroid: tuple[float, float],
-                     profile: GroupProfile, item_index: ItemVectorIndex,
-                     beta: float, gamma: float,
-                     max_distance_km: float) -> list[_Candidate]:
-    """Score same-category POIs against a centroid and profile.
-
-    ``score = beta * (1 - dist_norm) + gamma * cos(item, g_cat)`` --
-    exactly the per-item contribution of Equation 1's CI term.
-
-    This is the object-path reference implementation; the array path
-    computes the same totals from a precomputed
-    :class:`~repro.core.arrays.CityArrays` bundle.
-    """
-    if not pois:
-        return []
-    lats = np.array([p.lat for p in pois])
-    lons = np.array([p.lon for p in pois])
-    dist = equirectangular_km(lats, lons, centroid[0], centroid[1])
-    if max_distance_km > 0:
-        dist = dist / max_distance_km
-    closeness = 1.0 - np.clip(dist, 0.0, 1.0)
-
-    profile_vec = profile.vector(pois[0].cat)
-    norm_g = float(np.linalg.norm(profile_vec))
-    vectors = item_index.matrix(list(pois))
-    norms = np.linalg.norm(vectors, axis=1)
-    if norm_g == 0.0:
-        sims = np.zeros(len(pois))
-    else:
-        safe = np.where(norms == 0.0, 1.0, norms)
-        sims = (vectors @ profile_vec) / (safe * norm_g)
-        sims[norms == 0.0] = 0.0
-    total = beta * closeness + gamma * sims
-    return [_Candidate(poi=poi, score=float(s)) for poi, s in zip(pois, total)]
-
-
-# -- the array scoring path ---------------------------------------------------
-
-#: Below this many category rows the broadcast matrix path is already
-#: cheaper than per-centroid subset bookkeeping, so auto-pruning stays
-#: off (``prune=True`` forces it on for tests and benchmarks).
-_PRUNE_MIN_ROWS = 256
-
-#: Absolute float slack on the cell-exclusion comparison.  Scores and
-#: bounds are O(|beta| + |gamma|) with ~1e-16 relative rounding per
-#: operation, so 1e-9 * that scale is orders of magnitude more than any
-#: accumulated difference between a row's score and its cell's bound --
-#: and pruning one borderline cell less costs only speed, never
-#: correctness.
-_PRUNE_SLACK = 1e-9
-
+# -- scoring -------------------------------------------------------------------
 
 def _gamma_sims(ca: CategoryArrays, profile_vec: np.ndarray,
                 gamma: float) -> np.ndarray:
     """``gamma * cos(item, g)`` per category row -- the
     centroid-independent half of the score, computed once per
     ``(category, profile)`` and shared by every centroid.  Operation
-    for operation the same arithmetic as :func:`score_candidates`
+    for operation the same arithmetic as the object-path oracle
     (``gamma * sims`` is rounded per element there too), so totals
     built from it are bit-identical."""
     norm_g = float(np.linalg.norm(profile_vec))
@@ -246,155 +157,20 @@ def _totals_matrix(ca: CategoryArrays, cents: np.ndarray, gsims: np.ndarray,
     return beta * closeness + gsims[None, :]
 
 
-def _score_rows(ca: CategoryArrays, centroid: tuple[float, float],
-                gsims: np.ndarray, beta: float, max_distance_km: float,
-                idx: np.ndarray | None) -> np.ndarray:
-    """Scores for one centroid over ``idx`` rows (all rows when
-    ``None``).  Elementwise, so scoring a subset yields the same values
-    those rows get from a full pass."""
-    if idx is None:
-        lats, lons, gs = ca.lats, ca.lons, gsims
-    else:
-        lats, lons, gs = ca.lats[idx], ca.lons[idx], gsims[idx]
-    dist = equirectangular_km(lats, lons, centroid[0], centroid[1])
-    if max_distance_km > 0:
-        dist = dist / max_distance_km
-    closeness = 1.0 - np.clip(dist, 0.0, 1.0)
-    return beta * closeness + gs
-
-
-# -- grid pruning --------------------------------------------------------------
-
-def _cell_lower_bounds(bounds: np.ndarray, lat_c: float,
-                       lon_c: float) -> np.ndarray:
-    """Per-cell lower bounds on the equirectangular distance from the
-    centroid to *any* row in the cell.
-
-    Mirrors :func:`~repro.geo.distance.equirectangular_km` term by
-    term: the latitude delta is lower-bounded by the distance to the
-    cell's lat interval, the longitude delta by the distance to its lon
-    interval, and the mean-latitude cosine by the smaller endpoint
-    cosine (cos is concave and non-negative on [-90, 90] degrees, so
-    its minimum over the mean-latitude interval sits at an endpoint;
-    the clip keeps the bound sound for degenerate inputs).  Each factor
-    bounds its true counterpart from below in absolute value, so
-    ``L <= dist(centroid, row)`` for every row of the cell.
-    """
-    lat_lo, lat_hi = bounds[:, 0], bounds[:, 1]
-    lon_lo, lon_hi = bounds[:, 2], bounds[:, 3]
-    dlat = np.maximum(np.maximum(lat_lo - lat_c, lat_c - lat_hi), 0.0)
-    dlon = np.maximum(np.maximum(lon_lo - lon_c, lon_c - lon_hi), 0.0)
-    cos_lo = np.minimum(
-        np.cos(np.radians((lat_c + lat_lo) / 2.0)),
-        np.cos(np.radians((lat_c + lat_hi) / 2.0)),
-    )
-    cos_lo = np.clip(cos_lo, 0.0, None)
-    x = np.radians(dlon) * cos_lo
-    y = np.radians(dlat)
-    return EARTH_RADIUS_KM * np.sqrt(x * x + y * y)
-
-
-def _prune_applies(prune: bool | None, beta: float, max_distance_km: float,
-                   n: int, m: int, target: int) -> bool:
-    """Whether the grid pruner can run soundly (and is worth running).
-
-    Fallbacks to the full scan: ``beta <= 0`` (score not decreasing in
-    distance), no distance normalizer, a single occupied cell (nothing
-    to exclude), or a pool target covering the whole category.  With
-    ``prune=None`` (auto) small categories also stay on the broadcast
-    path, where the matrix pass is cheaper than subset bookkeeping.
-    """
-    if prune is False:
-        return False
-    if beta <= 0.0 or max_distance_km <= 0.0 or m <= 1 or target >= n:
-        return False
-    return prune is True or n >= _PRUNE_MIN_ROWS
-
-
-def _pruned_scan(ca: CategoryArrays, centroid: tuple[float, float],
-                 gsims: np.ndarray, cell_gs_max: np.ndarray, beta: float,
-                 gamma: float, max_distance_km: float, target: int,
-                 forced: np.ndarray | None
-                 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """One grid-pruned scoring scan for one ``(category, centroid)``.
-
-    Returns ``(idx, totals)`` where ``idx`` is a sorted row subset
-    provably containing every row of the full scan's top ``target``
-    (plus all ``forced`` rows), and ``totals`` its scores -- or
-    ``(None, full_totals)`` when the bound excludes nothing.
-
-    Safety argument: the seed (nearest cells by lower-bound distance,
-    grown until ``target`` rows are covered) is scored exactly, and
-    ``S_min`` is its ``target``-th best score, hence a lower bound on
-    the full scan's ``target``-th best.  A cell is dropped only when
-    its score *upper* bound sits strictly below ``S_min`` (minus the
-    float slack), so every dropped row scores strictly below the full
-    scan's admission bar and can never enter the pool, regardless of
-    the ``(-score, id)`` tie-break.
-    """
-    n = len(ca)
-    m = ca.n_cells
-    counts = np.diff(ca.cell_start)
-    bound = _cell_lower_bounds(ca.cell_bounds, centroid[0], centroid[1])
-
-    order = np.argsort(bound, kind="stable")
-    covered = np.cumsum(counts[order])
-    n_seed = int(np.searchsorted(covered, target, side="left")) + 1
-    seed_cells = order[:n_seed]
-    seed_mask = np.zeros(m, dtype=bool)
-    seed_mask[seed_cells] = True
-    seed_rows = ca.cell_rows[np.repeat(seed_mask, counts)]
-    seed_idx = (np.union1d(seed_rows, forced) if forced is not None
-                else np.sort(seed_rows))
-    seed_tot = _score_rows(ca, centroid, gsims, beta, max_distance_km,
-                           seed_idx)
-    cut = seed_idx.size - target
-    s_min = np.partition(seed_tot, cut)[cut]
-
-    slack = _PRUNE_SLACK * (abs(beta) + abs(gamma) + 1.0)
-    upper = beta * np.maximum(1.0 - bound / max_distance_km, 0.0) + cell_gs_max
-    excluded = (upper + slack) < s_min
-    excluded[seed_cells] = False
-    n_excluded = int(excluded.sum())
-    if n_excluded == 0:
-        _record_scan(n, n, 0, m)
-        return None, _score_rows(ca, centroid, gsims, beta,
-                                 max_distance_km, None)
-
-    keep_rows = ca.cell_rows[np.repeat(~excluded, counts)]
-    idx = (np.union1d(keep_rows, forced) if forced is not None
-           else np.sort(keep_rows))
-    _record_scan(int(idx.size), n, n_excluded, m)
-    return idx, _score_rows(ca, centroid, gsims, beta, max_distance_km, idx)
-
-
 def _pool_from_scores(dataset: POIDataset, ca: CategoryArrays,
-                      idx: np.ndarray | None, total: np.ndarray,
-                      candidate_pool: int, needed: int,
+                      total: np.ndarray, candidate_pool: int, needed: int,
                       has_budget: bool) -> list[_Candidate]:
-    """One category's candidate pool from an already-scored row (sub)set.
+    """One category's candidate pool from its scored rows.
 
     Without a budget only the ``needed`` greedy winners are ever used,
     so only those POI objects are materialized; under a budget the full
-    pool (top scorers plus the precomputed cheapest rows, always part
-    of a pruned subset) is built for the repair phase.
+    pool (top scorers plus the precomputed cheapest rows) is built for
+    the repair phase.
     """
-    if idx is None:
-        top = _top_rows(total, ca.ids, candidate_pool)
-
-        def score_at(r: int) -> float:
-            return float(total[r])
-    else:
-        top_local = _top_rows(total, ca.ids[idx], candidate_pool)
-        top = idx[top_local]
-
-        def score_at(r: int) -> float:
-            # idx is sorted and provably contains every row read here.
-            return float(total[int(np.searchsorted(idx, r))])
-
+    top = _top_rows(total, ca.ids, candidate_pool)
     if not has_budget:
         top = top[:needed]
-    pool = [_Candidate(poi=dataset[int(ca.ids[int(r)])], score=score_at(int(r)))
+    pool = [_Candidate(poi=dataset[int(ca.ids[int(r)])], score=float(total[r]))
             for r in top]
     if has_budget:
         # Keep cheap candidates reachable for the repair phase, in the
@@ -404,48 +180,22 @@ def _pool_from_scores(dataset: POIDataset, ca: CategoryArrays,
             poi_id = int(ca.ids[int(r)])
             if poi_id not in seen:
                 pool.append(_Candidate(poi=dataset[poi_id],
-                                       score=score_at(int(r))))
+                                       score=float(total[r])))
     return pool
 
 
 def _pools_batched(dataset: POIDataset, ca: CategoryArrays, cents: np.ndarray,
                    profile_vec: np.ndarray, beta: float, gamma: float,
                    max_distance_km: float, candidate_pool: int, needed: int,
-                   has_budget: bool,
-                   prune: bool | None) -> list[list[_Candidate]]:
-    """Candidate pools for one category across *all* centroids.
-
-    The profile mat-vec runs once; the distance work is either one
-    broadcast ``(k, n)`` matrix or ``k`` grid-pruned subset scans.
-    """
-    k = cents.shape[0]
-    n = len(ca)
-    m = ca.n_cells
+                   has_budget: bool) -> list[list[_Candidate]]:
+    """Candidate pools for one category across *all* centroids: one
+    profile mat-vec and one broadcast ``(k, n)`` distance matrix."""
     gsims = _gamma_sims(ca, profile_vec, gamma)
-    # Only the top `needed` rows are consumed without a budget; with
-    # one, the repair phase reads the full candidate pool.
-    target = min(candidate_pool if has_budget else needed, n)
-    use_prune = _prune_applies(prune, beta, max_distance_km, n, m, target)
-    forced = ca.cost_order[:candidate_pool] if has_budget else None
-    cell_gs_max = (
-        np.maximum.reduceat(gsims[ca.cell_rows], ca.cell_start[:-1])
-        if use_prune else None
-    )
-    totals = (None if use_prune
-              else _totals_matrix(ca, cents, gsims, beta, max_distance_km))
-
-    pools = []
-    for i in range(k):
-        centroid = (float(cents[i, 0]), float(cents[i, 1]))
-        if use_prune:
-            idx, tot = _pruned_scan(ca, centroid, gsims, cell_gs_max, beta,
-                                    gamma, max_distance_km, target, forced)
-        else:
-            idx, tot = None, totals[i]
-            _record_scan(n, n, 0, m)
-        pools.append(_pool_from_scores(dataset, ca, idx, tot, candidate_pool,
-                                       needed, has_budget))
-    return pools
+    totals = _totals_matrix(ca, cents, gsims, beta, max_distance_km)
+    _record_scans(totals.size)
+    return [_pool_from_scores(dataset, ca, row, candidate_pool, needed,
+                              has_budget)
+            for row in totals]
 
 
 def _top_rows(total: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:
@@ -469,35 +219,15 @@ def _top_rows(total: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:
     return order[:pool]
 
 
-def _pool_from_objects(dataset: POIDataset, cat: Category,
-                       centroid: tuple[float, float], profile: GroupProfile,
-                       item_index: ItemVectorIndex, beta: float, gamma: float,
-                       candidate_pool: int,
-                       has_budget: bool) -> list[_Candidate]:
-    """One category's candidate pool via the object-path reference."""
-    pois = dataset.by_category(cat)
-    scored = score_candidates(pois, centroid, profile, item_index,
-                              beta, gamma, dataset.max_distance_km)
-    scored.sort(key=lambda c: (-c.score, c.poi.id))
-    pool = scored[:candidate_pool]
-    if has_budget:
-        # Keep cheap candidates reachable for the repair phase.
-        cheapest = sorted(scored, key=lambda c: (c.cost, c.poi.id))[:candidate_pool]
-        seen = {c.poi.id for c in pool}
-        pool += [c for c in cheapest if c.poi.id not in seen]
-    return pool
-
-
-def _check_feasible_categories(dataset: POIDataset,
-                               arrays: CityArrays | None, query: GroupQuery,
+def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
                                requested: tuple[Category, ...]) -> None:
     """Validate every requested category up front: an empty or
     undersized category must raise before *any* scoring work (no
-    profile-vector reads, no distance passes for earlier categories)."""
+    arrays resolution, no profile-vector reads, no distance passes for
+    earlier categories)."""
     for cat in requested:
         needed = query.count(cat)
-        have = (len(arrays.categories[cat]) if arrays is not None
-                else len(dataset.by_category(cat)))
+        have = len(dataset.by_category(cat))
         if have < needed:
             raise InfeasibleQueryError(
                 f"query needs {needed} {cat.value} POIs but the dataset "
@@ -538,25 +268,21 @@ def assemble_composite_items(dataset: POIDataset, centroids,
                              item_index: ItemVectorIndex,
                              beta: float = 1.0, gamma: float = 1.0,
                              candidate_pool: int = 60,
-                             arrays: CityArrays | None = None,
-                             prune: bool | None = None
+                             arrays: CityArrays | None = None
                              ) -> list[CompositeItem]:
     """Build one valid CI around each of ``centroids`` -- the batched
     kernel behind a whole-package assembly pass.
 
-    With an ``arrays`` bundle, each category's profile mat-vec runs
-    once for the whole batch and the distance work is one broadcast
-    ``(k, n)`` matrix -- or grid-pruned subset scans on large
-    categories -- instead of ``k`` independent passes.  Results are
-    bit-identical to calling :func:`assemble_composite_item` once per
-    centroid (pinned by golden fixtures and property tests).
+    Each category's profile mat-vec runs once for the whole batch and
+    the distance work is one broadcast ``(k, n)`` matrix instead of
+    ``k`` independent passes.  Results are bit-identical to calling
+    :func:`assemble_composite_item` once per centroid (pinned by golden
+    fixtures and property tests).
 
     Args:
         centroids: ``(k, 2)`` array (or sequence) of ``(lat, lon)``.
-        prune: ``None`` (auto) prunes only categories with at least
-            ``_PRUNE_MIN_ROWS`` rows; ``True`` forces pruning wherever
-            it is sound; ``False`` disables it.  Purely a performance
-            knob -- the result is identical either way.
+        arrays: The city bundle to score against; defaults to the
+            pooled ``CityArrays.of(dataset, item_index)``.
 
     Raises:
         InfeasibleQueryError: If no valid CI exists for this query.
@@ -565,28 +291,22 @@ def assemble_composite_items(dataset: POIDataset, centroids,
     if cents.ndim != 2 or (cents.size and cents.shape[1] != 2):
         raise ValueError("centroids must be a (k, 2) array of (lat, lon)")
     requested = query.requested_categories()
-    _check_feasible_categories(dataset, arrays, query, requested)
+    _check_feasible_categories(dataset, query, requested)
     k = cents.shape[0]
     if k == 0:
         return []
+    if arrays is None:
+        arrays = CityArrays.of(dataset, item_index)
 
     pools_per_centroid: list[dict[Category, list[_Candidate]]] = [
         {} for _ in range(k)
     ]
     for cat in requested:
-        if arrays is not None:
-            pools = _pools_batched(
-                dataset, arrays.categories[cat], cents, profile.vector(cat),
-                beta, gamma, arrays.max_distance_km, candidate_pool,
-                query.count(cat), query.has_budget, prune,
-            )
-        else:
-            pools = [
-                _pool_from_objects(dataset, cat, (float(lat), float(lon)),
-                                   profile, item_index, beta, gamma,
-                                   candidate_pool, query.has_budget)
-                for lat, lon in cents
-            ]
+        pools = _pools_batched(
+            dataset, arrays.categories[cat], cents, profile.vector(cat),
+            beta, gamma, arrays.max_distance_km, candidate_pool,
+            query.count(cat), query.has_budget,
+        )
         for per_cat, pool in zip(pools_per_centroid, pools):
             per_cat[cat] = pool
 
@@ -602,8 +322,7 @@ def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
                             item_index: ItemVectorIndex,
                             beta: float = 1.0, gamma: float = 1.0,
                             candidate_pool: int = 60,
-                            arrays: CityArrays | None = None,
-                            prune: bool | None = None) -> CompositeItem:
+                            arrays: CityArrays | None = None) -> CompositeItem:
     """Build the best valid CI around ``centroid``.
 
     Args:
@@ -616,11 +335,8 @@ def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
         candidate_pool: Per category, only the top-scoring (and, under a
             finite budget, the cheapest) candidates of this many are
             considered -- a large pool at city scale, bounded for speed.
-        arrays: Optional precomputed per-city bundle; when given, every
-            category is scored against its contiguous arrays instead of
-            the POI objects (bit-identical results, several times
-            faster).
-        prune: Grid-pruning knob, see :func:`assemble_composite_items`.
+        arrays: The city bundle to score against; defaults to the
+            pooled ``CityArrays.of(dataset, item_index)``.
 
     Raises:
         InfeasibleQueryError: If no valid CI exists for this query.
@@ -628,7 +344,7 @@ def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
     return assemble_composite_items(
         dataset, np.asarray([centroid], dtype=float), query, profile,
         item_index, beta=beta, gamma=gamma, candidate_pool=candidate_pool,
-        arrays=arrays, prune=prune,
+        arrays=arrays,
     )[0]
 
 

@@ -11,9 +11,10 @@ the Composite Items:
    museum) participate in several Composite Items.
 
 2. **CI assembly** (the beta + gamma terms).  Around each centroid,
-   :func:`repro.core.assembly.assemble_composite_item` picks the valid
+   :func:`repro.core.assembly.assemble_composite_items` picks the valid
    POI set maximizing proximity-to-centroid plus profile/item-vector
-   cosine, under the query's category counts and budget.
+   cosine, under the query's category counts and budget -- one batched
+   kernel call for all ``k`` centroids per round.
 
 3. **Centroid update.**  Holding the CIs fixed, each centroid moves to
    the maximizer of its Equation 1 terms -- approximated by the
@@ -31,9 +32,7 @@ east/north of the city centre) so Euclidean geometry inside FCM matches
 the distance function used everywhere else.  The projection -- along
 with every other query-independent structure the build needs -- lives
 in the shared :class:`~repro.core.arrays.CityArrays` bundle, built once
-per city instead of once per builder; pass ``use_arrays=False`` to fall
-back to the per-call object path (the reference implementation the
-benchmarks compare against).
+per city instead of once per builder.
 """
 
 from __future__ import annotations
@@ -41,16 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.fuzzy_cmeans import FuzzyCMeans
-from repro.core.arrays import (
-    CityArrays,
-    project_coords,
-    project_points,
-    unproject_points,
-)
-from repro.core.assembly import (
-    assemble_composite_item,
-    assemble_composite_items,
-)
+from repro.core.arrays import CityArrays, project_points, unproject_points
+from repro.core.assembly import assemble_composite_items
 from repro.core.composite import CompositeItem
 from repro.core.objective import ObjectiveWeights, fuzzy_memberships
 from repro.core.package import TravelPackage
@@ -76,30 +67,13 @@ class KFCBuilder:
             omitted (the common path) the process-wide pooled bundle
             for ``(dataset, item_index)`` is used, so several builders
             over one city share one precompute.
-        use_arrays: Set to ``False`` to skip the bundle entirely and
-            score POI objects per call -- the seed behaviour, kept as
-            the reference implementation for equivalence tests and the
-            cold-build speedup benchmark.
-        batch_assembly: When ``True`` (default) each assembly round
-            runs the batched kernel
-            (:func:`~repro.core.assembly.assemble_composite_items`):
-            one profile mat-vec and one broadcast distance pass per
-            category for all ``k`` centroids -- including every refine
-            round.  ``False`` keeps the per-centroid loop, the
-            reference the ``assembly_batch_vs_loop`` benchmark gate
-            compares against.  Results are bit-identical either way.
-        prune: Grid-pruning knob forwarded to assembly (``None`` =
-            auto by category size; purely a performance choice).
     """
 
     def __init__(self, dataset: POIDataset, item_index: ItemVectorIndex,
                  weights: ObjectiveWeights = ObjectiveWeights(),
                  k: int = 5, seed: int = 0, candidate_pool: int = 60,
                  refine_iterations: int = 2,
-                 arrays: CityArrays | None = None,
-                 use_arrays: bool = True,
-                 batch_assembly: bool = True,
-                 prune: bool | None = None) -> None:
+                 arrays: CityArrays | None = None) -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
         if refine_iterations < 0:
@@ -111,18 +85,11 @@ class KFCBuilder:
         self.seed = seed
         self.candidate_pool = candidate_pool
         self.refine_iterations = refine_iterations
-        self.batch_assembly = batch_assembly
-        self.prune = prune
-        if arrays is None and use_arrays:
+        if arrays is None:
             arrays = CityArrays.of(dataset, item_index)
         self.arrays = arrays
-        if arrays is not None:
-            self._projected = arrays.xy
-            self._origin = arrays.origin
-        else:
-            self._projected, self._origin = project_coords(
-                dataset.coordinates()
-            )
+        self._projected = arrays.xy
+        self._origin = arrays.origin
         # FCM seeding depends only on (k, seed), never on the profile or
         # query, so sweeps building thousands of packages over one city
         # reuse the solution.
@@ -165,26 +132,13 @@ class KFCBuilder:
         The batched kernel amortizes each category's profile mat-vec
         and distance pass across all ``k`` centroids at once; since
         every refine round re-enters here, the refine loop is
-        vectorized on the same kernel.  The per-centroid loop below it
-        is the reference path (bit-identical output) kept for the
-        ``assembly_batch_vs_loop`` benchmark gate.
+        vectorized on the same kernel.
         """
-        if self.batch_assembly:
-            return assemble_composite_items(
-                self.dataset, centroids, query, profile, self.item_index,
-                beta=weights.beta, gamma=weights.gamma,
-                candidate_pool=self.candidate_pool, arrays=self.arrays,
-                prune=self.prune,
-            )
-        return [
-            assemble_composite_item(
-                self.dataset, (float(lat), float(lon)), query, profile,
-                self.item_index, beta=weights.beta, gamma=weights.gamma,
-                candidate_pool=self.candidate_pool, arrays=self.arrays,
-                prune=self.prune,
-            )
-            for lat, lon in centroids
-        ]
+        return assemble_composite_items(
+            self.dataset, centroids, query, profile, self.item_index,
+            beta=weights.beta, gamma=weights.gamma,
+            candidate_pool=self.candidate_pool, arrays=self.arrays,
+        )
 
     def _ci_xy_sum(self, ci: CompositeItem) -> np.ndarray:
         """Summed projected coordinates of a CI's members.
@@ -194,13 +148,12 @@ class KFCBuilder:
         member coordinates directly (e.g. a customization session that
         introduced out-of-dataset POIs).
         """
-        if self.arrays is not None:
-            try:
-                rows = self.arrays.rows_for(p.id for p in ci.pois)
-            except KeyError:
-                rows = None
-            if rows is not None:
-                return self.arrays.xy[rows].sum(axis=0)
+        try:
+            rows = self.arrays.rows_for(p.id for p in ci.pois)
+        except KeyError:
+            pass
+        else:
+            return self.arrays.xy[rows].sum(axis=0)
         return self._project_points(
             np.array([[p.lat, p.lon] for p in ci.pois])
         ).sum(axis=0)

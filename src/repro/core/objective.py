@@ -95,7 +95,12 @@ def fuzzy_memberships(distances: np.ndarray, fuzzifier: float = 2.0) -> np.ndarr
     memberships = np.empty_like(safe)
     for j in range(safe.shape[1]):
         ratio = safe[:, j, None] / safe
-        memberships[:, j] = 1.0 / (ratio ** exponent).sum(axis=1)
+        # The power overflows only when d_ij / d_il > 1e154 (at m = 2),
+        # which needs d_il far below isclose's 1e-8 tolerance: such
+        # rows are exactly the ones np.isclose(d, 0) flags and
+        # overwrites below, and inf -> 0 membership is the right limit.
+        with np.errstate(over="ignore"):
+            memberships[:, j] = 1.0 / (ratio ** exponent).sum(axis=1)
     if zero_rows.any():
         for i in np.flatnonzero(zero_rows):
             hits = np.isclose(d[i], 0.0)

@@ -1,12 +1,12 @@
 """Incremental :class:`~repro.core.arrays.CityArrays` patching.
 
 ``CityArrays.build`` is the dominant cost of re-registering a city
-(stacking every category's columns, vectors, norms, cost orders and
-cell CSR layouts).  A single-POI mutation invalidates only a sliver of
-that: the affected category's columns, the city-wide column holding the
-POI, and -- for geometry-changing mutations -- the shared projection
-and distance normalizer.  :func:`patch_arrays` rewrites exactly that
-sliver and reuses every other array object unchanged.
+(stacking every category's columns, vectors, norms and cost orders).
+A single-POI mutation invalidates only a sliver of that: the affected
+category's columns, the city-wide column holding the POI, and -- for
+geometry-changing mutations -- the shared projection and distance
+normalizer.  :func:`patch_arrays` rewrites exactly that sliver and
+reuses every other array object unchanged.
 
 The contract is strict **byte identity**: the patched bundle must be
 indistinguishable from ``CityArrays.build(mutated_dataset, item_index)``
@@ -15,10 +15,10 @@ achievable because ``build`` is deterministic and every derived array
 is a pure function of its source columns: value-equal float64 inputs
 put through the same numpy operations yield byte-equal outputs.  The
 patcher therefore re-runs the *same* operations (``np.lexsort`` with
-the same keys, ``_category_cells`` on the same column values, the same
-projection formulas) over patched columns, and the hypothesis property
-test in ``tests/test_live_patch.py`` pins the equivalence over random
-mutation sequences.
+the same keys, the same norms, the same projection formulas) over
+patched columns, and the hypothesis property test in
+``tests/test_live_patch.py`` pins the equivalence over random mutation
+sequences.
 
 Per-kind cost profile:
 
@@ -46,7 +46,6 @@ import numpy as np
 from repro.core.arrays import (
     CategoryArrays,
     CityArrays,
-    _category_cells,
     project_coords,
 )
 from repro.data.dataset import POIDataset
@@ -112,8 +111,7 @@ def _patch_close(arrays: CityArrays, mutation: ClosePoi,
                  before: POIDataset) -> CityArrays:
     """Row removal: delete one row city-wide and from its category,
     shift row indices above it, and re-derive the geometry that depends
-    on the full coordinate set (projection, distance normalizer,
-    buckets)."""
+    on the full coordinate set (projection, distance normalizer)."""
     poi_id = mutation.poi_id
     row = arrays.row_of[poi_id]
     cat = before[poi_id].cat
@@ -141,18 +139,11 @@ def _patch_close(arrays: CityArrays, mutation: ClosePoi,
                 lons=np.delete(ca.lons, ci),
                 costs=np.delete(ca.costs, ci),
                 vectors=np.delete(ca.vectors, ci, axis=0),
-                cell_km=arrays.cell_km,
             )
         elif np.any(ca.rows > row):
             categories[c] = _replace(ca, rows=_shift_down(ca.rows, row))
         else:
             categories[c] = ca
-
-    buckets: dict[tuple[int, int], np.ndarray] = {}
-    for cell, bucket in arrays.cell_buckets.items():
-        kept = bucket[bucket != row]
-        if kept.size:
-            buckets[cell] = _shift_down(kept, row)
 
     return _replace(
         arrays,
@@ -160,15 +151,14 @@ def _patch_close(arrays: CityArrays, mutation: ClosePoi,
         xy=xy, origin=origin, max_distance_km=max_distance_km,
         categories=categories,
         row_of={int(i): r for r, i in enumerate(ids)},
-        cell_buckets=buckets,
     )
 
 
 def _patch_add(arrays: CityArrays, mutation: AddPoi,
                item_index: ItemVectorIndex) -> CityArrays:
     """Row append: new last row city-wide and in its category; the
-    projection/normalizer re-derive, but no existing row moves, so the
-    bucket update is O(1) and ``row_of`` extends in place."""
+    projection/normalizer re-derive, but no existing row moves, so
+    ``row_of`` extends in place."""
     poi = mutation.poi
     new_row = len(arrays)
 
@@ -195,17 +185,7 @@ def _patch_add(arrays: CityArrays, mutation: AddPoi,
         lons=np.concatenate([ca.lons, np.array([poi.lon], dtype=float)]),
         costs=np.concatenate([ca.costs, np.array([poi.cost], dtype=float)]),
         vectors=np.vstack([ca.vectors, vector]),
-        cell_km=arrays.cell_km,
     )
-
-    # The appended row lands in exactly one bucket; compute its cell
-    # with the same scalar form of the _cell_buckets formulas.
-    cell = arrays.bucket_of(poi.lat, poi.lon)
-    buckets = dict(arrays.cell_buckets)
-    existing = buckets.get(cell)
-    appended = np.array([new_row], dtype=np.int64)
-    buckets[cell] = (np.concatenate([existing, appended])
-                     if existing is not None else appended)
 
     return _replace(
         arrays,
@@ -213,19 +193,14 @@ def _patch_add(arrays: CityArrays, mutation: AddPoi,
         xy=xy, origin=origin, max_distance_km=max_distance_km,
         categories=categories,
         row_of=row_of,
-        cell_buckets=buckets,
     )
 
 
 def _rebuild_category(category: Category, *, ids: np.ndarray,
                       rows: np.ndarray, lats: np.ndarray, lons: np.ndarray,
-                      costs: np.ndarray, vectors: np.ndarray,
-                      cell_km: float) -> CategoryArrays:
+                      costs: np.ndarray, vectors: np.ndarray) -> CategoryArrays:
     """Assemble one category from patched columns, re-deriving exactly
-    the arrays ``build`` derives (norms, cost order, cell CSR)."""
-    cell_cells, cell_start, cell_rows, cell_bounds = _category_cells(
-        lats, lons, cell_km
-    )
+    the arrays ``build`` derives (norms, cost order)."""
     return CategoryArrays(
         category=category,
         ids=ids,
@@ -236,10 +211,6 @@ def _rebuild_category(category: Category, *, ids: np.ndarray,
         vectors=vectors,
         vector_norms=np.linalg.norm(vectors, axis=1),
         cost_order=np.lexsort((ids, costs)),
-        cell_cells=cell_cells,
-        cell_start=cell_start,
-        cell_rows=cell_rows,
-        cell_bounds=cell_bounds,
     )
 
 

@@ -165,8 +165,8 @@ class PackageService:
         self._sessions: dict[str, _Session] = {}
         self._sessions_lock = Lock()
         self._session_ids = itertools.count(1)
-        # Cumulative assembly-scan work (grid-pruning effectiveness);
-        # windowed rates live in self.metrics.windows alongside it.
+        # Cumulative assembly-scan work; windowed rates live in
+        # self.metrics.windows alongside it.
         self._assembly_totals = AssemblyCounters()
         self._assembly_lock = Lock()
         # Cumulative live-mutation counters (windowed rates live in
@@ -756,23 +756,16 @@ class PackageService:
 
     def _record_assembly(self, scans: AssemblyCounters) -> None:
         """Publish one build/customize call's assembly-scan counters:
-        windowed rates (``assembly.rows_scored`` /
-        ``assembly.cells_pruned``) for dashboards and SLO horizons,
-        cumulative totals for :meth:`stats` -- pruning effectiveness is
-        observable in production, not just in the bench."""
-        if not (scans.pruned_scans or scans.full_scans):
-            return  # cache hit or object-path build: no array scans ran
-        windows = self.metrics.windows
-        windows.counter_inc("assembly.rows_scored", scans.rows_scored)
-        windows.counter_inc("assembly.cells_pruned", scans.cells_pruned)
+        the windowed ``assembly.rows_scored`` rate for dashboards and
+        SLO horizons, cumulative totals for :meth:`stats`."""
+        if not scans.rows_total:
+            return  # cache hit or scan-free edit: no assembly ran
+        self.metrics.windows.counter_inc("assembly.rows_scored",
+                                         scans.rows_scored)
         with self._assembly_lock:
             totals = self._assembly_totals
             totals.rows_scored += scans.rows_scored
             totals.rows_total += scans.rows_total
-            totals.cells_pruned += scans.cells_pruned
-            totals.cells_total += scans.cells_total
-            totals.pruned_scans += scans.pruned_scans
-            totals.full_scans += scans.full_scans
 
     def assembly_stats(self) -> dict:
         """Cumulative assembly-scan counters (JSON-ready copy)."""

@@ -16,7 +16,7 @@ LDA for seconds.
 Layout (one directory per content key)::
 
     <root>/
-      paris-seed2019-scale0.35-lda50-c90ff4c1-v3/
+      paris-seed2019-scale0.35-lda50-c90ff4c1-v4/
         manifest.json   # format version, key, sha256 + size per file
         segment.bin     # page-structured binary segment (see below)
 
@@ -85,7 +85,10 @@ from repro.store.segment import Segment, SegmentError, write_segment
 #: v3: keys carry an optional dataset content hash so wire-registered
 #: (non-template) cities can persist; ``CityArrays`` exports gained the
 #: per-category grid-cell CSR layout used by pruned assembly.
-FORMAT_VERSION = 3
+#: v4: ``CityArrays`` exports dropped the per-category grid cells and
+#: the city-wide cell buckets; only the columns assembly scores against
+#: remain.
+FORMAT_VERSION = 4
 
 _MANIFEST = "manifest.json"
 _SEGMENT = "segment.bin"

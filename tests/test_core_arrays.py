@@ -3,12 +3,13 @@
 Three guarantees matter:
 
 1. the bundle is a faithful columnar view of the dataset + item index
-   (alignment, projection, cost order, grid buckets);
+   (alignment, projection, cost order);
 2. it survives pickling intact (shard workers receive it across a
    process boundary);
-3. building against it is **byte-identical** to the object path -- the
-   golden fixtures in ``tests/data/golden_packages.json`` were captured
-   from the pre-refactor implementation and pin package POI ids, per-CI
+3. building against it is **byte-identical** to the object-path oracle
+   in ``tests/assembly_oracle.py`` -- the golden fixtures in
+   ``tests/data/golden_packages.json`` were captured from the
+   pre-refactor implementation and pin package POI ids, per-CI
    ordering, centroids and quality metrics bit-for-bit (``float.hex``)
    across 3 cities x 3 seeds plus one budgeted (repair-path) build per
    city.
@@ -23,6 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import assembly_oracle as oracle
+import repro.core.kfc as kfc
 from repro.core.arrays import CityArrays, project_coords
 from repro.core.assembly import InfeasibleQueryError, assemble_composite_item
 from repro.core.baselines import random_package
@@ -57,6 +60,14 @@ def arrays(app):
 @pytest.fixture()
 def profile(uniform_group):
     return uniform_group.profile()
+
+
+def _use_object_path(monkeypatch) -> None:
+    """Run KFC builds with the object-path oracle in place of the
+    batched kernel (the builder looks the kernel up as a module
+    global on every assembly round)."""
+    monkeypatch.setattr(kfc, "assemble_composite_items",
+                        oracle.assemble_composite_items)
 
 
 @pytest.fixture()
@@ -105,21 +116,6 @@ class TestBundle:
     def test_pooled_per_dataset_index_pair(self, app, arrays):
         assert CityArrays.of(app.dataset, app.item_index) is arrays
 
-    def test_cell_buckets_match_spatial_grid(self, app, arrays):
-        grid = app.dataset.grid
-        rows_seen = []
-        for cell, rows in arrays.cell_buckets.items():
-            rows_seen.extend(int(r) for r in rows)
-            for r in rows:
-                lat, lon = arrays.lats[r], arrays.lons[r]
-                assert grid._cell_of(float(lat), float(lon)) == cell
-        assert sorted(rows_seen) == list(range(len(arrays)))
-
-    def test_rows_near_contains_nearest(self, app, arrays, center):
-        nearest = app.dataset.nearest(center[0], center[1], k=1)[0]
-        rows = arrays.rows_near(center[0], center[1], rings=2)
-        assert arrays.row_of[nearest.id] in set(int(r) for r in rows)
-
     def test_rows_for_unknown_id_raises(self, arrays):
         with pytest.raises(KeyError):
             arrays.rows_for([10**9])
@@ -134,15 +130,10 @@ class TestPickle:
         assert np.array_equal(clone.ids, arrays.ids)
         assert np.array_equal(clone.xy, arrays.xy)
         assert clone.row_of == arrays.row_of
-        assert set(clone.cell_buckets) == set(arrays.cell_buckets)
-        for cell, rows in arrays.cell_buckets.items():
-            assert np.array_equal(clone.cell_buckets[cell], rows)
         for cat in CATEGORIES:
             ca, cb = arrays.categories[cat], clone.categories[cat]
             for field in ("ids", "rows", "lats", "lons", "costs",
-                          "vectors", "vector_norms", "cost_order",
-                          "cell_cells", "cell_start", "cell_rows",
-                          "cell_bounds"):
+                          "vectors", "vector_norms", "cost_order"):
                 assert np.array_equal(getattr(ca, field), getattr(cb, field))
 
     def test_unpickled_bundle_builds_identical_packages(self, app, profile):
@@ -164,7 +155,7 @@ class TestEquivalence:
         with_arrays = assemble_composite_item(
             app.dataset, center, default_query, profile, app.item_index,
             arrays=arrays)
-        without = assemble_composite_item(
+        without = oracle.assemble_composite_item(
             app.dataset, center, default_query, profile, app.item_index)
         assert [p.id for p in with_arrays.pois] == [p.id for p in without.pois]
         assert with_arrays.centroid == without.centroid
@@ -175,7 +166,7 @@ class TestEquivalence:
         with_arrays = assemble_composite_item(
             app.dataset, center, query, profile, app.item_index,
             arrays=arrays)
-        without = assemble_composite_item(
+        without = oracle.assemble_composite_item(
             app.dataset, center, query, profile, app.item_index)
         assert [p.id for p in with_arrays.pois] == [p.id for p in without.pois]
         assert with_arrays.is_valid(query)
@@ -190,17 +181,16 @@ class TestEquivalence:
             a = assemble_composite_item(app.dataset, (lat, lon),
                                         default_query, profile,
                                         app.item_index, arrays=arrays)
-            b = assemble_composite_item(app.dataset, (lat, lon),
-                                        default_query, profile,
-                                        app.item_index)
+            b = oracle.assemble_composite_item(app.dataset, (lat, lon),
+                                               default_query, profile,
+                                               app.item_index)
             assert [p.id for p in a.pois] == [p.id for p in b.pois]
 
-    def test_kfc_build_identical(self, app, profile, default_query):
-        legacy = KFCBuilder(app.dataset, app.item_index, seed=7,
-                            use_arrays=False)
-        assert legacy.arrays is None
+    def test_kfc_build_identical(self, app, profile, default_query,
+                                 monkeypatch):
         a = app.kfc.build(profile, default_query)
-        b = legacy.build(profile, default_query)
+        _use_object_path(monkeypatch)
+        b = app.kfc.build(profile, default_query)
         assert ([[p.id for p in ci.pois] for ci in a.composite_items]
                 == [[p.id for p in ci.pois] for ci in b.composite_items])
         assert [ci.centroid for ci in a.composite_items] \
@@ -245,9 +235,7 @@ class TestGoldenDeterminism:
             group = GroupGenerator(
                 app.schema, seed=cfg["group_seed"]
             ).uniform_group(cfg["group_size"])
-            legacy = KFCBuilder(dataset, app.item_index, k=5,
-                                seed=cfg["app_seed"], use_arrays=False)
-            out[city] = (app, group.profile(), legacy)
+            out[city] = (app, group.profile())
         return out
 
     def _check(self, pkg, profile, item_index, build):
@@ -269,23 +257,23 @@ class TestGoldenDeterminism:
         assert len({b["seed"] for b in builds}) >= 3
         assert sum(1 for b in builds if b["budget"] is not None) >= 3
 
-    def test_array_path_matches_golden(self, golden, systems):
+    def _check_all(self, golden, systems):
         for build in golden["builds"]:
-            app, profile, _ = systems[build["city"]]
+            app, profile = systems[build["city"]]
             query = (DEFAULT_QUERY if build["budget"] is None else
                      GroupQuery.of(acco=1, trans=1, rest=1, attr=3,
                                    budget=build["budget"]))
             pkg = app.kfc.build(profile, query, seed=build["seed"])
             self._check(pkg, profile, app.item_index, build)
 
-    def test_object_path_matches_golden(self, golden, systems):
-        for build in golden["builds"]:
-            app, profile, legacy = systems[build["city"]]
-            query = (DEFAULT_QUERY if build["budget"] is None else
-                     GroupQuery.of(acco=1, trans=1, rest=1, attr=3,
-                                   budget=build["budget"]))
-            pkg = legacy.build(profile, query, seed=build["seed"])
-            self._check(pkg, profile, app.item_index, build)
+    def test_array_path_matches_golden(self, golden, systems):
+        self._check_all(golden, systems)
+
+    def test_object_path_matches_golden(self, golden, systems, monkeypatch):
+        """The oracle itself reproduces the fixtures, so the property
+        tests compare the kernel against a pinned reference."""
+        _use_object_path(monkeypatch)
+        self._check_all(golden, systems)
 
 
 class _ExplodingProfile:
@@ -335,15 +323,15 @@ class TestEmptyCategoryGuard:
 
 
 class TestRepairBudget:
-    def test_budgeted_builds_identical_and_valid(self, app, profile):
+    def test_budgeted_builds_identical_and_valid(self, app, profile,
+                                                 monkeypatch):
         base = app.kfc.build(profile, DEFAULT_QUERY)
         budget = round(
             0.85 * max(ci.total_cost() for ci in base.composite_items), 2)
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=budget)
-        legacy = KFCBuilder(app.dataset, app.item_index, seed=7,
-                            use_arrays=False)
         a = app.kfc.build(profile, query)
-        b = legacy.build(profile, query)
+        _use_object_path(monkeypatch)
+        b = app.kfc.build(profile, query)
         assert a.is_valid(query)
         assert all(ci.total_cost() <= budget for ci in a.composite_items)
         assert ([[p.id for p in ci.pois] for ci in a.composite_items]
@@ -363,8 +351,8 @@ class TestRepairBudget:
         ci = assemble_composite_item(app.dataset, center, tight, profile,
                                      app.item_index, arrays=arrays)
         assert ci.is_valid(tight)
-        legacy_ci = assemble_composite_item(app.dataset, center, tight,
-                                            profile, app.item_index)
+        legacy_ci = oracle.assemble_composite_item(app.dataset, center, tight,
+                                                   profile, app.item_index)
         assert [p.id for p in ci.pois] == [p.id for p in legacy_ci.pois]
 
 

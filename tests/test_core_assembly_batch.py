@@ -1,19 +1,19 @@
-"""The batched assembly kernel vs the per-centroid reference.
+"""The batched assembly kernel vs the object-path oracle.
 
 Three guarantees:
 
-1. ``assemble_composite_items`` (batched, with or without grid pruning)
-   is **bit-identical** to calling the per-centroid kernel once per
-   centroid -- same POI ids, same in-CI order (the ``(-score, id)``
-   tie-break), same centroids -- across random centroids, weights and
-   pool sizes (property-based);
-2. the pruner's degenerate cases are safe: a single occupied cell, a
-   pool target covering the whole category, and a geometry where the
-   radius bound excludes nothing all fall back to the full scan;
-   separated clusters actually prune;
-3. the scan counters flow end to end: ``collect_assembly_counters``
-   around a build, and the serving engine's ``stats()["assembly"]`` /
-   windowed ``assembly.*`` metrics.
+1. ``assemble_composite_items`` is **bit-identical** to the object-path
+   oracle (``tests/assembly_oracle.py``) run once per centroid -- same
+   POI ids, same in-CI order (the ``(-score, id)`` tie-break), same
+   centroids -- across random centroids, weights, pool sizes and
+   budgets (property-based);
+2. the same holds on tiny, tie-heavy geometries: coincident POIs,
+   clusters equidistant from the centroid, distant clusters, a pool
+   larger than the category, and cheap rows far from the centroid that
+   only the budget repair can reach;
+3. the scan counters are exact and flow end to end:
+   ``collect_assembly_counters`` around a build, and the serving
+   engine's ``stats()["assembly"]`` / windowed ``assembly.rows_scored``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import assembly_oracle as oracle
 from conftest import make_poi
 from repro.core.arrays import CityArrays
 from repro.core.assembly import (
     InfeasibleQueryError,
-    assemble_composite_item,
     assemble_composite_items,
     collect_assembly_counters,
 )
@@ -55,43 +55,46 @@ def _keys(cis):
     return [([p.id for p in ci.pois], ci.centroid) for ci in cis]
 
 
-def _tiny_city(lat_offsets, lon_offsets, *, cat="rest",
+def _rows_per_build(dataset, query, k: int, rounds: int) -> int:
+    """Rows a full scan touches: every requested category's rows, for
+    every centroid, in every assembly round."""
+    return rounds * k * sum(len(dataset.by_category(cat))
+                            for cat in query.requested_categories())
+
+
+def _tiny_city(lat_offsets, lon_offsets, *, costs=None,
                base=(48.85, 2.35)):
-    """A one-category dataset with POIs at base + per-POI offsets,
-    its fitted index, arrays bundle and a matching profile."""
-    pois = [make_poi(i, cat=cat, lat=base[0] + dlat, lon=base[1] + dlon,
-                     cost=1.0 + (i % 3))
-            for i, (dlat, dlon) in enumerate(zip(lat_offsets, lon_offsets))]
+    """A one-category (``rest``) dataset with POIs at base + per-POI
+    offsets, its fitted index and a matching profile."""
+    costs = costs or [1.0 + (i % 3) for i in range(len(lat_offsets))]
+    pois = [make_poi(i, cat="rest", lat=base[0] + dlat, lon=base[1] + dlon,
+                     cost=cost)
+            for i, (dlat, dlon, cost) in enumerate(zip(lat_offsets,
+                                                       lon_offsets, costs))]
     dataset = POIDataset(pois, city="tiny")
     index = ItemVectorIndex.fit(dataset, lda_iterations=5, seed=3)
-    arrays = CityArrays.of(dataset, index)
     prof = GroupGenerator(index.schema, seed=5).uniform_group(3).profile()
-    return dataset, index, arrays, prof
+    return dataset, index, prof
 
 
-def _compare(dataset, index, arrays, prof, cents, query, *,
-             beta=1.0, gamma=1.0, pool=60):
-    """Batched (forced-prune and auto) vs the per-centroid reference;
-    returns the forced-prune counters for the caller to assert on."""
-    ref = [assemble_composite_item(dataset, (float(la), float(lo)), query,
-                                   prof, index, beta=beta, gamma=gamma,
-                                   candidate_pool=pool, arrays=arrays,
-                                   prune=False)
-           for la, lo in cents]
-    with collect_assembly_counters() as scans:
-        pruned = assemble_composite_items(dataset, cents, query, prof, index,
+def _compare(dataset, index, prof, cents, query, *, beta=1.0, gamma=1.0,
+             pool=60):
+    """Kernel vs oracle on the same inputs; the counters must show a
+    full scan of every requested row for every centroid."""
+    ref = oracle.assemble_composite_items(dataset, cents, query, prof, index,
                                           beta=beta, gamma=gamma,
-                                          candidate_pool=pool, arrays=arrays,
-                                          prune=True)
-    auto = assemble_composite_items(dataset, cents, query, prof, index,
-                                    beta=beta, gamma=gamma,
-                                    candidate_pool=pool, arrays=arrays)
-    assert _keys(pruned) == _keys(ref) == _keys(auto)
-    return scans
+                                          candidate_pool=pool)
+    with collect_assembly_counters() as scans:
+        got = assemble_composite_items(dataset, cents, query, prof, index,
+                                       beta=beta, gamma=gamma,
+                                       candidate_pool=pool)
+    assert _keys(got) == _keys(ref)
+    expected = _rows_per_build(dataset, query, len(cents), 1)
+    assert scans.rows_scored == scans.rows_total == expected
 
 
 class TestBatchedEqualsReference:
-    """Property: batched + pruned output is bit-for-bit the reference."""
+    """Property: batched output is bit-for-bit the object-path oracle."""
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None,
@@ -117,34 +120,31 @@ class TestBatchedEqualsReference:
                               budget=budget)
 
         try:
-            ref = [assemble_composite_item(
+            ref = [oracle.assemble_composite_item(
                        app.dataset, (float(la), float(lo)), query, profile,
                        app.item_index, beta=beta, gamma=gamma,
-                       candidate_pool=pool, arrays=arrays, prune=False)
+                       candidate_pool=pool)
                    for la, lo in cents]
         except InfeasibleQueryError:
-            for prune in (True, None):
-                with pytest.raises(InfeasibleQueryError):
-                    assemble_composite_items(
-                        app.dataset, cents, query, profile, app.item_index,
-                        beta=beta, gamma=gamma, candidate_pool=pool,
-                        arrays=arrays, prune=prune)
+            with pytest.raises(InfeasibleQueryError):
+                assemble_composite_items(
+                    app.dataset, cents, query, profile, app.item_index,
+                    beta=beta, gamma=gamma, candidate_pool=pool,
+                    arrays=arrays)
             return
 
-        for prune in (True, None):
-            batched = assemble_composite_items(
-                app.dataset, cents, query, profile, app.item_index,
-                beta=beta, gamma=gamma, candidate_pool=pool, arrays=arrays,
-                prune=prune)
-            assert _keys(batched) == _keys(ref)
+        batched = assemble_composite_items(
+            app.dataset, cents, query, profile, app.item_index,
+            beta=beta, gamma=gamma, candidate_pool=pool, arrays=arrays)
+        assert _keys(batched) == _keys(ref)
 
     def test_object_path_plural_matches_loop(self, app, profile):
-        """Without arrays the plural form must equal the object-path
-        loop too (no batching, same reference semantics)."""
+        """Without an explicit bundle the kernel scores against the
+        pooled one and still equals the object-path loop."""
         cents = np.asarray(app.dataset.coordinates()[:3], dtype=float)
-        loop = [assemble_composite_item(app.dataset, (float(la), float(lo)),
-                                        DEFAULT_QUERY, profile,
-                                        app.item_index)
+        loop = [oracle.assemble_composite_item(
+                    app.dataset, (float(la), float(lo)), DEFAULT_QUERY,
+                    profile, app.item_index)
                 for la, lo in cents]
         plural = assemble_composite_items(app.dataset, cents, DEFAULT_QUERY,
                                           profile, app.item_index)
@@ -161,77 +161,51 @@ class TestBatchedEqualsReference:
             app.item_index) == []
 
 
-class TestPruningDegenerateCases:
-    def test_all_pois_in_one_cell_full_scan(self):
-        """m == 1: nothing to exclude, forced pruning must fall back."""
-        offs = [i * 1e-5 for i in range(12)]  # ~1 m apart, one grid cell
-        dataset, index, arrays, prof = _tiny_city(offs, offs)
-        ca = next(c for c in arrays.categories.values() if len(c))
-        assert ca.n_cells == 1
-        scans = _compare(dataset, index, arrays, prof,
-                         np.array([[48.85, 2.35]]), GroupQuery.of(rest=2))
-        assert scans.pruned_scans == 0 and scans.full_scans > 0
-        assert scans.cells_pruned == 0
+class TestTieHeavyGeometries:
+    def test_coincident_pois_match_oracle(self):
+        """Twelve POIs ~1 m apart: near-equal distances everywhere."""
+        offs = [i * 1e-5 for i in range(12)]
+        dataset, index, prof = _tiny_city(offs, offs)
+        _compare(dataset, index, prof, np.array([[48.85, 2.35]]),
+                 GroupQuery.of(rest=2))
 
-    def test_pool_covering_category_full_scan(self, app, arrays, profile):
-        """target >= n: under a budget the repair phase reads the whole
-        candidate pool, so a pool larger than the category leaves
-        nothing to exclude and pruning must stand down."""
-        scans = _compare(app.dataset, app.item_index, arrays, profile,
-                         np.asarray([app.dataset.coordinates().mean(axis=0)]),
-                         GroupQuery.of(rest=1, budget=50.0), pool=10_000)
-        assert scans.pruned_scans == 0 and scans.full_scans > 0
-        assert scans.rows_scored == scans.rows_total
+    def test_pool_larger_than_category_matches_oracle(self, app, profile):
+        """Under a budget the repair phase reads the whole candidate
+        pool; a pool larger than the category takes every row."""
+        _compare(app.dataset, app.item_index, profile,
+                 np.asarray([app.dataset.coordinates().mean(axis=0)]),
+                 GroupQuery.of(rest=1, budget=50.0), pool=10_000)
 
-    def test_bound_excluding_nothing_full_scan(self):
-        """Two clusters equidistant from the centroid: every cell's
-        upper bound reaches the admission bar, so the scan must detect
-        zero exclusions and run the full pass."""
+    def test_equidistant_clusters_match_oracle(self):
+        """Two clusters mirrored about the centroid: exact score ties
+        that only the id tie-break orders."""
         n = 8
-        offs = [0.01] * n + [-0.01] * n  # symmetric about the centroid
-        dataset, index, arrays, prof = _tiny_city(
+        offs = [0.01] * n + [-0.01] * n
+        dataset, index, prof = _tiny_city(
             offs, [j * 1e-5 for j in range(n)] * 2)
-        ca = next(c for c in arrays.categories.values() if len(c))
-        assert ca.n_cells >= 2
-        scans = _compare(dataset, index, arrays, prof,
-                         np.array([[48.85, 2.35]]), GroupQuery.of(rest=2),
-                         gamma=0.0)
-        assert scans.pruned_scans == 0 and scans.full_scans > 0
-        assert scans.rows_scored == scans.rows_total
+        _compare(dataset, index, prof, np.array([[48.85, 2.35]]),
+                 GroupQuery.of(rest=2), gamma=0.0)
 
-    def test_distant_clusters_are_pruned(self):
-        """Cluster A at the centroid, cluster B ~11 km away (beyond many
-        empty cells): B's cells must be excluded and never scored."""
+    def test_distant_clusters_match_oracle(self):
+        """Cluster A at the centroid, cluster B ~11 km away."""
         n = 8
         offs = [j * 1e-5 for j in range(n)] + [0.1 + j * 1e-5
                                                for j in range(n)]
-        dataset, index, arrays, prof = _tiny_city(offs, [0.0] * (2 * n))
-        scans = _compare(dataset, index, arrays, prof,
-                         np.array([[48.85, 2.35]]), GroupQuery.of(rest=2),
-                         gamma=0.0)
-        assert scans.pruned_scans > 0 and scans.cells_pruned > 0
-        assert scans.rows_scored < scans.rows_total
+        dataset, index, prof = _tiny_city(offs, [0.0] * (2 * n))
+        _compare(dataset, index, prof, np.array([[48.85, 2.35]]),
+                 GroupQuery.of(rest=2), gamma=0.0)
 
-    def test_budget_keeps_cheap_rows_reachable(self):
-        """Under a budget the pruned subset must still carry the
-        cost-ordered repair candidates (identity already asserted by
-        _compare; this pins the scenario where the cheap rows live in
-        the far, otherwise-pruned cluster)."""
+    def test_cheap_far_rows_reach_repair(self):
+        """Under a budget the cost-ordered repair candidates must be in
+        the pool even when they all sit in the far cluster."""
         n = 10
         offs = [j * 1e-5 for j in range(n)] + [0.1 + j * 1e-5
                                                for j in range(n)]
-        lat_offs = offs
-        pois = [make_poi(i, cat="rest", lat=48.85 + dlat, lon=2.35,
-                         cost=(0.5 if i >= n else 9.0))  # far rows cheap
-                for i, dlat in enumerate(lat_offs)]
-        dataset = POIDataset(pois, city="tiny")
-        index = ItemVectorIndex.fit(dataset, lda_iterations=5, seed=3)
-        arrays = CityArrays.of(dataset, index)
-        prof = GroupGenerator(index.schema, seed=5).uniform_group(3).profile()
-        scans = _compare(dataset, index, arrays, prof,
-                         np.array([[48.85, 2.35]]),
-                         GroupQuery.of(rest=2, budget=2.0), gamma=0.0)
-        assert scans.pruned_scans + scans.full_scans > 0
+        costs = [9.0] * n + [0.5] * n  # far rows cheap
+        dataset, index, prof = _tiny_city(offs, [0.0] * (2 * n),
+                                          costs=costs)
+        _compare(dataset, index, prof, np.array([[48.85, 2.35]]),
+                 GroupQuery.of(rest=2, budget=2.0), gamma=0.0)
 
 
 class TestCounterPlumbing:
@@ -254,10 +228,9 @@ class TestCounterPlumbing:
     def test_builder_build_records_scans(self, app, profile):
         with collect_assembly_counters() as scans:
             app.kfc.build(profile, DEFAULT_QUERY)
-        # k centroids x 4 categories x (1 + refine rounds) scans.
-        assert scans.full_scans + scans.pruned_scans >= 20
-        assert scans.rows_scored > 0
-        assert scans.rows_total >= scans.rows_scored
+        expected = _rows_per_build(app.dataset, DEFAULT_QUERY, app.kfc.k,
+                                   1 + app.kfc.refine_iterations)
+        assert scans.rows_scored == scans.rows_total == expected
 
     def test_engine_surfaces_assembly_stats(self, app):
         from repro.service import (BuildRequest, CityRegistry, GroupSpec,
@@ -269,10 +242,12 @@ class TestCounterPlumbing:
                                group_spec=GroupSpec(size=3, uniform=True,
                                                     seed=5))
         service.build(request)
-        assembly = service.stats()["assembly"]
-        assert assembly["rows_scored"] > 0
-        assert assembly["rows_total"] >= assembly["rows_scored"]
-        assert assembly["full_scans"] + assembly["pruned_scans"] > 0
-        series = service.stats()["metrics"]["windows"]["series"]
+        builder = registry.entry("paris").builder
+        expected = _rows_per_build(app.dataset, request.query, builder.k,
+                                   1 + builder.refine_iterations)
+        stats = service.stats()
+        assembly = stats["assembly"]
+        assert assembly["rows_scored"] == assembly["rows_total"] == expected
+        series = stats["metrics"]["windows"]["series"]
         assert "assembly.rows_scored" in series
-        assert "assembly.cells_pruned" in series
+        assert "assembly.cells_pruned" not in series
