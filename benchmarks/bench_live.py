@@ -166,7 +166,7 @@ def measure_zero_stale_reads(city: str = "paris", seed: int = 2019,
                                 ("session", 0.2), ("mutate", 0.2)))
     burst = run_sync(service.dispatch, build_workload(config))
 
-    live = service.live_stats()
+    live = service.stats()["live"]
     return {
         "city": city,
         "rounds": rounds,

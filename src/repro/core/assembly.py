@@ -73,9 +73,6 @@ class AssemblyCounters:
     rows_scored: int = 0
     rows_total: int = 0
 
-    def to_dict(self) -> dict:
-        return {"rows_scored": self.rows_scored, "rows_total": self.rows_total}
-
 
 _COUNTERS: ContextVar[AssemblyCounters | None] = ContextVar(
     "assembly_counters", default=None

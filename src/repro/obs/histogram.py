@@ -7,8 +7,9 @@ bounded sample window, two histograms recorded in different processes
 **merge exactly**: summing bucket counts yields the same histogram the
 union of observations would have produced, so cluster-wide p50/p90/p99
 computed after a merge are as accurate as single-process ones -- the
-property the shard layer's ``merge_snapshots`` needs and a percentile
-average can never give.
+property :func:`~repro.obs.metrics.merge_metrics_snapshots` needs to
+merge the shards' registries exactly, and a percentile average can
+never give.
 
 Quantiles are reported as the upper edge of the bucket holding the
 requested rank: deterministic, monotone in ``q``, and never an
@@ -151,13 +152,14 @@ def snapshot_dict(buckets: Mapping[int, int], count: int, total_s: float,
 def merge_snapshot_dicts(snapshots: Iterable[Mapping]) -> dict:
     """Exactly merge histogram snapshot dicts (see :func:`snapshot_dict`).
 
-    Sums are exact, extremes exact, and the merged buckets are the
-    bucket-wise sum -- so percentiles of the merge equal percentiles of
-    the union of the original observations, independent of merge order.
+    Counts are exact, extremes exact, the duration sum is correctly
+    rounded (``math.fsum``), and the merged buckets are the bucket-wise
+    sum -- so the merge, percentiles included, equals the union of the
+    original observations' and is independent of merge order.
     """
     buckets: dict[int, int] = {}
     count = 0
-    total_s = 0.0
+    parts_s: list[float] = []
     min_s = math.inf
     max_s = 0.0
     for snapshot in snapshots:
@@ -165,8 +167,8 @@ def merge_snapshot_dicts(snapshots: Iterable[Mapping]) -> dict:
             buckets[index] = buckets.get(index, 0) + n
         part = int(snapshot.get("count", 0))
         count += part
-        total_s += float(snapshot.get("total_ms", 0.0)) / 1000.0
+        parts_s.append(float(snapshot.get("total_ms", 0.0)) / 1000.0)
         if part:
             min_s = min(min_s, float(snapshot.get("min_ms", 0.0)) / 1000.0)
         max_s = max(max_s, float(snapshot.get("max_ms", 0.0)) / 1000.0)
-    return snapshot_dict(buckets, count, total_s, min_s, max_s)
+    return snapshot_dict(buckets, count, math.fsum(parts_s), min_s, max_s)

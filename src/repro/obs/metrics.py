@@ -1,36 +1,38 @@
-"""Windowed time-series telemetry: counters, gauges and histograms
-sampled into fixed-interval ring-buffer windows.
+"""Service telemetry: counters, gauges and histograms sampled into
+fixed-interval ring-buffer windows, plus an all-time slot per series.
 
-The cumulative snapshots of :mod:`repro.obs.trace` and
-:mod:`repro.service.metrics` answer "what happened since boot"; this
-module answers "what is happening *right now*" -- the p99 of the last
-30 seconds, the shed rate of the last window, whether a shard's RSS is
-still climbing.  A :class:`MetricsRegistry` holds named series of three
-kinds:
+This module is the one place service-level counts live.  Each series
+answers two questions: "what is happening *right now*" -- the p99 of
+the last 30 seconds, the shed rate of the last window, whether a
+shard's RSS is still climbing -- from its window ring, and "what
+happened since boot" from its **all-time total**.  A
+:class:`MetricsRegistry` holds named series of three kinds:
 
 * **counter** -- monotone event counts per window (requests, errors,
-  sheds, cache hits);
+  sheds, cache hits), plus an all-time ``total`` count;
 * **gauge**   -- sampled instantaneous values per window (RSS, CPU
   seconds, open sessions, queue depth), kept as last/min/max/sum/n so
-  merged views can report both totals and extremes;
+  merged views can report both totals and extremes (no all-time slot:
+  the newest window already carries ``last``);
 * **histogram** -- one :class:`~repro.obs.histogram.LogHistogram` per
-  window, so windowed percentiles inherit the histogram layer's
-  **exact-merge** guarantee: cluster-wide windowed p99 equals the p99
-  of the union of the shards' observations for that window.
+  window plus an all-time one, so windowed and since-boot percentiles
+  inherit the histogram layer's **exact-merge** guarantee: cluster-wide
+  p99 equals the p99 of the union of the shards' observations.
 
 Windows are **epoch-aligned**: a sample at time ``t`` lands in the
 window starting at ``floor(t / interval) * interval``.  Every process
 therefore agrees on window boundaries without any coordination -- the
 same trick the tracer uses for sampling election -- which is what makes
 per-shard windows mergeable front-side by plain start-key alignment
-(:func:`merge_metrics_snapshots`).
+(:func:`merge_metrics_snapshots`, which also sums the all-time slots).
 
 The ring keeps the most recent ``slots`` windows per series.  Rotation
 is lazy (no background thread): recording into a new window retires
 older slots.  A **late** sample whose window still lives in the ring is
 recorded into that window -- out-of-order arrival does not corrupt
-alignment -- while a sample older than the whole ring is dropped and
-counted in ``dropped_late``.
+alignment -- while a sample older than the whole ring is dropped from
+the windows and counted in ``dropped_late``.  Every sample, late or
+not, counts in its series' all-time total.
 
 When the registry is given an :class:`~repro.obs.events.EventLog`, each
 series emits one ``kind="metrics"`` NDJSON record as its current window
@@ -86,28 +88,30 @@ class WindowConfig:
 
 
 class _Series:
-    """One named series: a bounded ``{window_start: slot}`` ring."""
+    """One named series: a bounded ``{window_start: slot}`` ring plus the
+    all-time ``total`` slot (``None`` for gauges)."""
 
-    __slots__ = ("name", "kind", "windows", "latest_start")
+    __slots__ = ("name", "kind", "windows", "latest_start", "total")
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
         self.kind = kind
         self.windows: dict[float, object] = {}
         self.latest_start = -math.inf
+        self.total = (0 if kind == "counter" else
+                      LogHistogram() if kind == "histogram" else None)
 
-    def slot_payload(self, start: float) -> dict:
-        """The JSON-ready record for one window (no ``start_s`` key)."""
-        slot = self.windows[start]
+    def payload(self, slot) -> dict:
+        """The JSON-ready record for one slot (no ``start_s`` key)."""
         if self.kind == "counter":
             return {"value": slot}
         if self.kind == "gauge":
-            return dict(slot)  # type: ignore[call-overload]
-        return slot.snapshot()  # type: ignore[union-attr]
+            return dict(slot)
+        return slot.snapshot()
 
 
 class MetricsRegistry:
-    """A thread-safe registry of windowed series.
+    """A thread-safe registry of windowed series with all-time totals.
 
     Args:
         window: Ring shape shared by every series.
@@ -127,41 +131,33 @@ class MetricsRegistry:
         self.dropped_late = 0
         self._series: dict[str, _Series] = {}
         self._lock = Lock()
+        self._started = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
 
-    def _slot(self, name: str, kind: str, ts: float | None):
-        """The slot a sample at ``ts`` belongs to, rotating the ring.
+    def _locate(self, name: str, kind: str,
+                ts: float | None) -> tuple[_Series, float | None]:
+        """The series a sample belongs to and its window start, rotating
+        the ring.
 
-        Returns ``None`` for samples older than the whole ring (counted
-        in ``dropped_late``); a late sample whose window is still
-        resident records into that window.  Caller holds the lock.
+        The start is ``None`` for samples older than the whole ring
+        (counted in ``dropped_late``); a late sample whose window is
+        still resident records into that window.  Caller holds the lock.
         """
         now = time.time() if ts is None else ts
         start = self.window.start_for(now)
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = _Series(name, kind)
-        horizon = series.latest_start - (self.window.slots - 1) * \
-            self.window.interval_s
-        if start < horizon:
-            self.dropped_late += 1
-            return None
-        slot = series.windows.get(start)
-        if slot is None:
-            if start > series.latest_start:
-                self._emit_closed(series)
-                series.latest_start = start
-            if kind == "counter":
-                slot = 0
-            elif kind == "gauge":
-                slot = None  # created by the caller with the first value
-            else:
-                slot = LogHistogram()
-            if kind != "gauge":
-                series.windows[start] = slot
+        if start > series.latest_start:
+            self._emit_closed(series)
+            series.latest_start = start
             self._retire(series)
-        return series, start, slot
+        elif start < series.latest_start - (self.window.slots - 1) * \
+                self.window.interval_s:
+            self.dropped_late += 1
+            return series, None
+        return series, start
 
     def _retire(self, series: _Series) -> None:
         """Drop windows that fell off the ring (anything older than
@@ -176,9 +172,8 @@ class MetricsRegistry:
         """Emit the (about to be superseded) current window to the
         event log.  Late samples arriving after emission still count in
         the registry; they are simply absent from the emitted record."""
-        if self.log is None or series.latest_start == -math.inf:
-            return
-        if series.latest_start not in series.windows:
+        slot = series.windows.get(series.latest_start)
+        if self.log is None or slot is None:
             return
         record = {
             "series": series.name,
@@ -188,28 +183,28 @@ class MetricsRegistry:
             "pid": os.getpid(),
         }
         record.update(self.meta)
-        record.update(series.slot_payload(series.latest_start))
+        record.update(series.payload(slot))
         self.log.write("metrics", record)
 
     def counter_inc(self, name: str, n: int = 1,
                     ts: float | None = None) -> None:
-        """Add ``n`` events to a counter's current (or late) window."""
+        """Add ``n`` events to a counter's total and its current (or
+        late) window."""
         with self._lock:
-            located = self._slot(name, "counter", ts)
-            if located is None:
-                return
-            series, start, slot = located
-            series.windows[start] = slot + n
+            series, start = self._locate(name, "counter", ts)
+            series.total += n
+            if start is not None:
+                series.windows[start] = series.windows.get(start, 0) + n
 
     def gauge_set(self, name: str, value: float,
                   ts: float | None = None) -> None:
         """Record one sampled value of a gauge."""
         value = float(value)
         with self._lock:
-            located = self._slot(name, "gauge", ts)
-            if located is None:
+            series, start = self._locate(name, "gauge", ts)
+            if start is None:
                 return
-            series, start, slot = located
+            slot = series.windows.get(start)
             if slot is None:
                 series.windows[start] = {"last": value, "min": value,
                                          "max": value, "sum": value, "n": 1}
@@ -224,34 +219,44 @@ class MetricsRegistry:
                 ts: float | None = None) -> None:
         """Record one duration into a histogram series."""
         with self._lock:
-            located = self._slot(name, "histogram", ts)
-            if located is None:
-                return
-            slot = located[2]
-        slot.record(seconds)  # LogHistogram carries its own lock
+            series, start = self._locate(name, "histogram", ts)
+            slot = None
+            if start is not None:
+                slot = series.windows.get(start)
+                if slot is None:
+                    slot = series.windows[start] = LogHistogram()
+        # LogHistogram carries its own lock.
+        series.total.record(seconds)
+        if slot is not None:
+            slot.record(seconds)
 
     # -- views -------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Every series' resident windows, JSON-ready and mergeable.
+        """Every series' resident windows and all-time total, JSON-ready
+        and mergeable.
 
-        Histogram windows carry their raw buckets, so cross-process
-        merges of this snapshot are exact per window.
+        Histogram slots carry their raw buckets, so cross-process merges
+        of this snapshot are exact per window and for the totals.
+        ``uptime_s`` is the registry's age.
         """
         with self._lock:
-            series_view = {
-                name: {
+            series_view = {}
+            for name, series in sorted(self._series.items()):
+                view = {
                     "type": series.kind,
                     "windows": [
-                        dict(series.slot_payload(start), start_s=start)
-                        for start in sorted(series.windows)
+                        dict(series.payload(slot), start_s=start)
+                        for start, slot in sorted(series.windows.items())
                     ],
                 }
-                for name, series in sorted(self._series.items())
-            }
+                if series.total is not None:
+                    view["total"] = series.payload(series.total)
+                series_view[name] = view
             return {
                 "interval_s": self.window.interval_s,
                 "slots": self.window.slots,
+                "uptime_s": time.perf_counter() - self._started,
                 "dropped_late": self.dropped_late,
                 "series": series_view,
             }
@@ -308,42 +313,55 @@ _MERGERS = {
 }
 
 
+def _merge_totals(kind: str, parts: list[Mapping]) -> dict:
+    if kind == "counter":
+        return {"value": sum(int(part.get("value", 0)) for part in parts)}
+    return merge_snapshot_dicts(parts)
+
+
 def merge_metrics_snapshots(snapshots: Iterable[Mapping | None]) -> dict:
-    """One cluster-wide windowed view from per-process snapshots.
+    """One cluster-wide view from per-process snapshots.
 
     Windows align by their epoch-aligned ``start_s`` (identical across
     processes by construction), then merge exactly: counter values and
     gauge sums add, gauge extremes take extremes, histogram buckets sum
     -- so merged windowed percentiles equal union percentiles, in any
-    merge order.  Snapshots with a different ``interval_s`` are skipped
-    (their windows would not align) and counted in ``skipped``.
+    merge order.  All-time totals merge the same way (counts add,
+    histogram buckets sum), and ``uptime_s`` is the oldest process's.
+    Snapshots with a different ``interval_s`` are skipped (their
+    windows would not align) and counted in ``skipped``.
     """
     present = [s for s in snapshots if s]
     if not present:
-        return {"interval_s": 0.0, "slots": 0, "dropped_late": 0,
-                "series": {}}
+        return {"interval_s": 0.0, "slots": 0, "uptime_s": 0.0,
+                "dropped_late": 0, "series": {}}
     interval = float(present[0].get("interval_s", 0.0))
     aligned = [s for s in present
                if float(s.get("interval_s", 0.0)) == interval]
-    parts_by_series: dict[str, tuple[str, list[Mapping]]] = {}
+    parts_by_series: dict[str, tuple[str, list[Mapping], list[Mapping]]] = {}
     dropped_late = 0
     for snapshot in aligned:
         dropped_late += int(snapshot.get("dropped_late", 0))
         for name, series in snapshot.get("series", {}).items():
             kind = series.get("type", "counter")
-            entry = parts_by_series.setdefault(name, (kind, []))
+            entry = parts_by_series.setdefault(name, (kind, [], []))
             if entry[0] == kind:
                 entry[1].extend(series.get("windows", ()))
+                if "total" in series:
+                    entry[2].append(series["total"])
     merged_series = {}
-    for name, (kind, windows) in sorted(parts_by_series.items()):
+    for name, (kind, windows, totals) in sorted(parts_by_series.items()):
         merged = _MERGERS[kind](windows)
         merged_series[name] = {
             "type": kind,
             "windows": [merged[start] for start in sorted(merged)],
         }
+        if kind != "gauge":
+            merged_series[name]["total"] = _merge_totals(kind, totals)
     result = {
         "interval_s": interval,
         "slots": max(int(s.get("slots", 0)) for s in aligned),
+        "uptime_s": max(float(s.get("uptime_s", 0.0)) for s in aligned),
         "dropped_late": dropped_late,
         "series": merged_series,
     }
@@ -364,6 +382,17 @@ def _recent_windows(snapshot: Mapping, name: str, horizon_s: float,
     return [w for w in series.get("windows", ())
             if float(w.get("start_s", -math.inf)) > now - horizon_s]
 
+def total(snapshot: Mapping, name: str) -> int | dict:
+    """A series' all-time slot: a counter's event count (0 when the
+    series is absent), a histogram's snapshot dict."""
+    series = snapshot.get("series", {}).get(name)
+    if not series:
+        return 0
+    slot = series.get("total", {})
+    if series.get("type") == "counter":
+        return int(slot.get("value", 0))
+    return slot
+
 def window_sum(snapshot: Mapping, name: str, horizon_s: float,
                now: float | None = None) -> int:
     """Total of a counter series over the rolling horizon."""
@@ -373,8 +402,8 @@ def window_sum(snapshot: Mapping, name: str, horizon_s: float,
 def window_rate(snapshot: Mapping, name: str, horizon_s: float,
                 now: float | None = None) -> float:
     """Events per second of a counter series over the horizon."""
-    total = window_sum(snapshot, name, horizon_s, now)
-    return total / horizon_s if horizon_s > 0 else 0.0
+    events = window_sum(snapshot, name, horizon_s, now)
+    return events / horizon_s if horizon_s > 0 else 0.0
 
 def window_histogram(snapshot: Mapping, name: str, horizon_s: float,
                      now: float | None = None) -> dict:

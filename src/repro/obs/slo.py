@@ -25,7 +25,7 @@ service is healthy, and rate rules over near-zero denominators would
 otherwise flap.
 
 Series names follow the serving tier's conventions
-(:mod:`repro.service.metrics` and the NDJSON front-end): ``requests``,
+(:mod:`repro.service.engine` and the NDJSON front-end): ``requests``,
 ``errors``, ``shed``, ``cache_hits``/``cache_misses`` counters and
 ``latency:<op>`` histograms.
 """

@@ -3,10 +3,11 @@
 Turns the in-process reproduction library into a request/response
 system: typed wire-format requests (:mod:`repro.service.schema`),
 per-city pooled assets (:mod:`repro.service.registry`), a cross-request
-LRU package cache (:mod:`repro.service.cache`), latency accounting
-(:mod:`repro.service.metrics`) and the :class:`PackageService` facade
-(:mod:`repro.service.engine`) with single, batched and session-based
-entry points.
+LRU package cache (:mod:`repro.service.cache`) and the
+:class:`PackageService` facade (:mod:`repro.service.engine`) with
+single, batched and session-based entry points; every latency and
+event count lives in one :class:`~repro.obs.MetricsRegistry` per
+process.
 
     >>> from repro.service import BuildRequest, GroupSpec, PackageService
     >>> from repro.service.registry import CityRegistry
@@ -35,7 +36,6 @@ see :mod:`repro.service.__main__`.
 from repro.service.cache import PackageCache, cache_key, profile_fingerprint
 from repro.service.engine import PackageService, UnknownSessionError
 from repro.service.loadgen import LoadgenConfig, LoadgenReport, build_workload
-from repro.service.metrics import ServiceMetrics, merge_snapshots
 from repro.service.registry import CityEntry, CityRegistry, populate_store
 from repro.service.schema import (
     BuildRequest,
@@ -62,13 +62,11 @@ __all__ = [
     "PackageResponse",
     "PackageServer",
     "PackageService",
-    "ServiceMetrics",
     "ShardCluster",
     "ShardConfig",
     "UnknownSessionError",
     "build_workload",
     "cache_key",
-    "merge_snapshots",
     "populate_store",
     "profile_fingerprint",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
+from collections.abc import Mapping
 from threading import Lock
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from repro.core.objective import ObjectiveWeights
 from repro.core.query import GroupQuery
 from repro.data.poi import CATEGORIES
-from repro.obs import stage
+from repro.obs import MetricsRegistry, stage
+from repro.obs.metrics import total
 from repro.profiles.group import GroupProfile
 
 
@@ -73,6 +75,19 @@ def cache_key(city: str, profile: GroupProfile, query: GroupQuery,
             k, seed, epoch)
 
 
+def cache_counts(snapshot: Mapping) -> dict:
+    """The lookup counters of a registry snapshot (one process's or a
+    cluster merge): all-time hits, misses, evictions and hit rate."""
+    hits = total(snapshot, "cache_hits")
+    misses = total(snapshot, "cache_misses")
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": total(snapshot, "cache_evictions"),
+        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+    }
+
+
 class PackageCache:
     """A thread-safe LRU cache of build results.
 
@@ -83,47 +98,44 @@ class PackageCache:
     Args:
         capacity: Maximum number of cached entries; the least recently
             used entry is evicted beyond it.
-        windows: Optional windowed telemetry registry; lookups then
-            also count into ``cache_hits``/``cache_misses`` windows so
-            the SLO monitor can watch a *rolling* hit rate (the
-            cumulative counters here never forget a cold start).
+        windows: The metrics registry lookups and evictions count into
+            (``cache_hits``, ``cache_misses``, ``cache_evictions``): the
+            owning service's, so its stats and SLO monitor see them, or
+            a private one when omitted.
     """
 
-    def __init__(self, capacity: int = 256, windows=None) -> None:
+    def __init__(self, capacity: int = 256,
+                 windows: MetricsRegistry | None = None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self.capacity = capacity
-        self.windows = windows
+        self.windows = windows if windows is not None else MetricsRegistry()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._lock = Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, key: tuple):
         """The cached value for ``key``, refreshing its recency;
         ``None`` (and a counted miss) when absent."""
         with stage("cache_lookup"), self._lock:
             value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-            else:
+            if value is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-        if self.windows is not None:
-            self.windows.counter_inc(
-                "cache_hits" if value is not None else "cache_misses")
+        self.windows.counter_inc(
+            "cache_hits" if value is not None else "cache_misses")
         return value
 
     def put(self, key: tuple, value) -> None:
         """Insert (or refresh) a value, evicting the LRU entry when
         over capacity."""
+        evicted = 0
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                evicted += 1
+        if evicted:
+            self.windows.counter_inc("cache_evictions", evicted)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -131,22 +143,10 @@ class PackageCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 before any traffic)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
-        """Counters snapshot for responses and dashboards."""
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        """Size, capacity and all-time lookup counters."""
+        return {"size": len(self._entries), "capacity": self.capacity,
+                **cache_counts(self.windows.snapshot())}
 
     def clear(self) -> None:
         """Drop all entries (counters are kept; cold-start benchmarks

@@ -3,7 +3,8 @@
 One service instance holds a :class:`~repro.service.registry.CityRegistry`
 (per-city pooled assets), a :class:`~repro.service.cache.PackageCache`
 (cross-request LRU over complete build inputs) and a
-:class:`~repro.service.metrics.ServiceMetrics` ledger, and exposes:
+:class:`~repro.obs.MetricsRegistry` holding every service-level count,
+and exposes:
 
 * :meth:`PackageService.build` -- one request, one response, cached;
 * :meth:`PackageService.build_batch` -- thread-pooled fan-out over
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from threading import Lock
@@ -39,6 +41,7 @@ from repro.core.refine import refine_batch
 from repro.data.poi import POI, Category
 from repro.live.mutations import mutation_from_dict
 from repro.obs import (
+    MetricsRegistry,
     ObsConfig,
     ResourceSampler,
     SLOConfig,
@@ -50,9 +53,9 @@ from repro.obs import (
     stage,
     use_activation,
 )
+from repro.obs.metrics import total
 from repro.profiles.group import GroupProfile
-from repro.service.cache import PackageCache, cache_key
-from repro.service.metrics import ServiceMetrics
+from repro.service.cache import PackageCache, cache_counts, cache_key
 from repro.service.registry import CityEntry, CityRegistry
 from repro.service.schema import (
     BuildRequest,
@@ -69,6 +72,43 @@ _DEFAULT_BATCH_WORKERS = 8
 #: counts an envelope as one in-flight unit, so the envelope itself
 #: must not be a loophole for queueing unbounded work.
 MAX_BATCH_REQUESTS = 64
+
+#: Live-mutation counters ``stats()["live"]`` reports, each the all-time
+#: total of the ``live.<name>`` series.
+_LIVE_COUNTERS = ("mutations_applied", "full_rebuilds", "sessions_replayed",
+                  "sessions_stale")
+
+
+def stats_sections(snapshot: Mapping) -> dict:
+    """The ``metrics``, ``cache``, ``assembly`` and ``live`` sections of
+    :meth:`PackageService.stats` from one registry snapshot.
+
+    A shard reads its own snapshot; the cluster reads the exact merge of
+    its shards' snapshots, so both views come from the same series by
+    the same rules.  ``cache`` holds only the event counters: ``size``
+    and ``capacity`` describe the cache object, not the snapshot.
+    """
+    operations = {name.partition(":")[2]: total(snapshot, name)
+                  for name in snapshot.get("series", {})
+                  if name.startswith("latency:")}
+    count = sum(op["count"] for op in operations.values())
+    uptime = float(snapshot.get("uptime_s", 0.0))
+    live = {name: total(snapshot, f"live.{name}") for name in _LIVE_COUNTERS}
+    patch = total(snapshot, "live.patch_ms")
+    live["patch_ms_total"] = patch["total_ms"] if patch else 0.0
+    return {
+        "cache": cache_counts(snapshot),
+        "assembly": {name: total(snapshot, f"assembly.{name}")
+                     for name in ("rows_scored", "rows_total")},
+        "live": live,
+        "metrics": {
+            "uptime_s": uptime,
+            "total_operations": count,
+            "throughput_per_s": count / uptime if uptime > 0 else 0.0,
+            "operations": operations,
+            "windows": snapshot,
+        },
+    }
 
 
 class UnknownSessionError(KeyError):
@@ -153,11 +193,10 @@ class PackageService:
                        else (obs or ObsConfig()).make_tracer())
         meta = ({"shard": self.tracer.shard}
                 if self.tracer.shard is not None else None)
-        self.metrics = ServiceMetrics(window=window, log=self.tracer.log,
-                                      meta=meta)
-        self.cache = PackageCache(cache_capacity,
-                                  windows=self.metrics.windows)
-        self.sampler = ResourceSampler(self.metrics.windows)
+        self.metrics = MetricsRegistry(window=window, log=self.tracer.log,
+                                       meta=meta)
+        self.cache = PackageCache(cache_capacity, windows=self.metrics)
+        self.sampler = ResourceSampler(self.metrics)
         self.slo = SLOMonitor(slo)
         self.max_workers = max_workers
         self._batch_pool: ThreadPoolExecutor | None = None
@@ -165,16 +204,6 @@ class PackageService:
         self._sessions: dict[str, _Session] = {}
         self._sessions_lock = Lock()
         self._session_ids = itertools.count(1)
-        # Cumulative assembly-scan work; windowed rates live in
-        # self.metrics.windows alongside it.
-        self._assembly_totals = AssemblyCounters()
-        self._assembly_lock = Lock()
-        # Cumulative live-mutation counters (windowed rates live in
-        # self.metrics.windows under the ``live.*`` names).
-        self._live_totals = {"mutations_applied": 0, "full_rebuilds": 0,
-                             "patch_ms_total": 0.0, "sessions_replayed": 0,
-                             "sessions_stale": 0}
-        self._live_lock = Lock()
 
     # -- building ----------------------------------------------------------
 
@@ -249,7 +278,7 @@ class PackageService:
                                          request_id=request.request_id),
                     None, None)
         latency = time.perf_counter() - start
-        self.metrics.record("build_cached" if cached else "build", latency)
+        self._record("build_cached" if cached else "build", latency)
         return (PackageResponse(
             city=entry.name, package=package, cached=cached,
             latency_ms=latency * 1000.0, metrics=package_metrics,
@@ -288,7 +317,7 @@ class PackageService:
                     return self.build(request)
 
             responses = list(self._batch_executor().map(serve, requests))
-        self.metrics.record("build_batch", time.perf_counter() - start)
+        self._record("build_batch", time.perf_counter() - start)
         return responses
 
     def close(self) -> None:
@@ -318,7 +347,7 @@ class PackageService:
                         request_id: str | None = None,
                         session_id: str | None = None) -> PackageResponse:
         latency = time.perf_counter() - start
-        self.metrics.record("error", latency)
+        self._record("error", latency)
         message = str(exc) or exc.__class__.__name__
         code = self._classify(exc)
         self.tracer.error(message, code=code, city=city)
@@ -398,7 +427,7 @@ class PackageService:
                                         request_id=request.request_id,
                                         session_id=request.session_id)
         latency = time.perf_counter() - start
-        self.metrics.record("customize", latency)
+        self._record("customize", latency)
         return PackageResponse(
             city=entry.name, package=package, latency_ms=latency * 1000.0,
             metrics=self._package_metrics(entry, package, session.profile),
@@ -518,14 +547,17 @@ class PackageService:
         profile, so subsequent GENERATE operators and
         :meth:`rebuild` calls are personalized by it."""
         session = self._session(session_id)
-        with session.lock, self.metrics.timed("refine"), \
-                stage("refine", city=session.entry.name):
-            self._ensure_fresh(session)
-            refined = refine_batch(session.profile,
-                                   session.editor.interactions,
-                                   session.entry.item_index)
-            session.profile = refined
-            session.editor.profile = refined
+        start = time.perf_counter()
+        try:
+            with session.lock, stage("refine", city=session.entry.name):
+                self._ensure_fresh(session)
+                refined = refine_batch(session.profile,
+                                       session.editor.interactions,
+                                       session.entry.item_index)
+                session.profile = refined
+                session.editor.profile = refined
+        finally:
+            self._record("refine", time.perf_counter() - start)
         return refined
 
     def rebuild(self, session_id: str,
@@ -721,82 +753,66 @@ class PackageService:
                 city, exc, start, request_id=payload.get("request_id"),
             ).to_dict()
         latency = time.perf_counter() - start
-        self.metrics.record("mutate", latency)
+        self._record("mutate", latency)
         self._record_mutation(result)
         return dict(result, latency_ms=latency * 1000.0,
                     request_id=payload.get("request_id"))
 
     def _record_mutation(self, result: dict) -> None:
-        """Publish one applied mutation's counters: windowed rates for
-        dashboards/SLO horizons, cumulative totals for :meth:`stats`."""
-        windows = self.metrics.windows
-        windows.counter_inc("live.mutations_applied")
+        """Count one applied mutation under the ``live.*`` series."""
+        self.metrics.counter_inc("live.mutations_applied")
         if not result["patched"]:
-            windows.counter_inc("live.full_rebuilds")
+            self.metrics.counter_inc("live.full_rebuilds")
         # observe() takes seconds; patch_ms is the registry's receipt.
-        windows.observe("live.patch_ms", result["patch_ms"] / 1000.0)
-        with self._live_lock:
-            totals = self._live_totals
-            totals["mutations_applied"] += 1
-            totals["full_rebuilds"] += 0 if result["patched"] else 1
-            totals["patch_ms_total"] += result["patch_ms"]
+        self.metrics.observe("live.patch_ms", result["patch_ms"] / 1000.0)
 
     def _record_replay(self, ok: bool) -> None:
-        key = "sessions_replayed" if ok else "sessions_stale"
-        self.metrics.windows.counter_inc(f"live.{key}")
-        with self._live_lock:
-            self._live_totals[key] += 1
-
-    def live_stats(self) -> dict:
-        """Cumulative live-mutation counters (JSON-ready copy)."""
-        with self._live_lock:
-            return dict(self._live_totals)
+        self.metrics.counter_inc(
+            "live.sessions_replayed" if ok else "live.sessions_stale")
 
     # -- observability -------------------------------------------------------
 
+    def _record(self, op: str, seconds: float) -> None:
+        """Count one completed operation of ``seconds`` wall clock."""
+        self.metrics.observe(f"latency:{op}", seconds)
+        self.metrics.counter_inc("requests")
+        if op == "error":
+            self.metrics.counter_inc("errors")
+
     def _record_assembly(self, scans: AssemblyCounters) -> None:
-        """Publish one build/customize call's assembly-scan counters:
-        the windowed ``assembly.rows_scored`` rate for dashboards and
-        SLO horizons, cumulative totals for :meth:`stats`."""
+        """Count one build/customize call's assembly-scan work."""
         if not scans.rows_total:
             return  # cache hit or scan-free edit: no assembly ran
-        self.metrics.windows.counter_inc("assembly.rows_scored",
-                                         scans.rows_scored)
-        with self._assembly_lock:
-            totals = self._assembly_totals
-            totals.rows_scored += scans.rows_scored
-            totals.rows_total += scans.rows_total
-
-    def assembly_stats(self) -> dict:
-        """Cumulative assembly-scan counters (JSON-ready copy)."""
-        with self._assembly_lock:
-            return self._assembly_totals.to_dict()
+        self.metrics.counter_inc("assembly.rows_scored", scans.rows_scored)
+        self.metrics.counter_inc("assembly.rows_total", scans.rows_total)
 
     def _sample_gauges(self) -> None:
         """Refresh the service-level gauges (pull-driven: a stats or
         health poll is the sampling clock -- no background thread)."""
-        windows = self.metrics.windows
-        windows.gauge_set("sessions_open", self.open_sessions)
-        windows.gauge_set("cache_size", len(self.cache))
+        metrics = self.metrics
+        metrics.gauge_set("sessions_open", self.open_sessions)
+        metrics.gauge_set("cache_size", len(self.cache))
         pool = self._batch_pool
         queue = getattr(pool, "_work_queue", None) if pool else None
         if queue is not None:
-            windows.gauge_set("batch_queue_depth", queue.qsize())
-        windows.gauge_set("store_resident_bytes",
+            metrics.gauge_set("batch_queue_depth", queue.qsize())
+        metrics.gauge_set("store_resident_bytes",
                           self.registry.total_bytes())
         self.sampler.sample()
 
     def stats(self) -> dict:
         """One JSON-ready snapshot of the service's counters."""
         self._sample_gauges()
+        sections = stats_sections(self.metrics.snapshot())
         return {
             "cities": list(self.registry.loaded()),
             "open_sessions": self.open_sessions,
-            "cache": self.cache.stats(),
+            "cache": {"size": len(self.cache),
+                      "capacity": self.cache.capacity, **sections["cache"]},
             "registry": self.registry.stats(),
-            "assembly": self.assembly_stats(),
-            "live": self.live_stats(),
-            "metrics": self.metrics.snapshot(),
+            "assembly": sections["assembly"],
+            "live": sections["live"],
+            "metrics": sections["metrics"],
             "obs": self.tracer.snapshot(),
         }
 
@@ -805,6 +821,6 @@ class PackageService:
         the windowed snapshot it was computed from (the shard layer
         merges the snapshots exactly and re-evaluates cluster-wide)."""
         self._sample_gauges()
-        snapshot = self.metrics.windows.snapshot()
+        snapshot = self.metrics.snapshot()
         return {"health": self.slo.evaluate(snapshot),
                 "windows": snapshot}

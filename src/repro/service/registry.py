@@ -56,7 +56,7 @@ from repro.core.objective import ObjectiveWeights
 from repro.data.cities import city_names
 from repro.data.dataset import POIDataset
 from repro.data.synthetic import generate_city
-from repro.live.mutations import AddPoi, Mutation, MutationLog
+from repro.live.mutations import AddPoi, Mutation, MutationError, MutationLog
 from repro.live.patch import patch_arrays
 from repro.obs import stage
 from repro.profiles.consensus import ConsensusMethod

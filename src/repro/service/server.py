@@ -61,6 +61,7 @@ from repro.obs import (
     merge_verdicts,
     stage,
 )
+from repro.obs.metrics import total
 from repro.service.engine import PackageService
 from repro.service.registry import populate_store
 from repro.service.schema import ErrorCode, PackageResponse
@@ -132,10 +133,8 @@ class PackageServer:
         # Responses being computed *or still being written*; drain must
         # wait on this, not on _inflight, which drops before the write.
         self._responding = 0
-        self.stats_counters = {
-            "accepted": 0, "shed": 0, "bad_lines": 0, "peak_inflight": 0,
-            "connections_total": 0,
-        }
+        # A maximum, not an event count, so it stays out of the registry.
+        self._peak_inflight = 0
 
     # -- request path ------------------------------------------------------
 
@@ -144,11 +143,11 @@ class PackageServer:
         try:
             envelope = json.loads(line)
         except json.JSONDecodeError as exc:
-            self.stats_counters["bad_lines"] += 1
+            self.windows.counter_inc("bad_lines")
             return _error_line(f"bad request line: {exc}",
                                ErrorCode.BAD_REQUEST)
         if not isinstance(envelope, dict):
-            self.stats_counters["bad_lines"] += 1
+            self.windows.counter_inc("bad_lines")
             return _error_line("request line must be a JSON object",
                                ErrorCode.BAD_REQUEST)
         envelope_id = envelope.get("id")
@@ -160,7 +159,7 @@ class PackageServer:
             payload = {k: v for k, v in envelope.items()
                        if k not in ("op", "id")}
         if not isinstance(op, str) or not isinstance(payload, dict):
-            self.stats_counters["bad_lines"] += 1
+            self.windows.counter_inc("bad_lines")
             return _error_line("envelope needs a string 'op' and an "
                                "object 'request'", ErrorCode.BAD_REQUEST,
                                envelope_id)
@@ -170,7 +169,6 @@ class PackageServer:
                                payload.get("request_id"))
 
         if self._draining or self._inflight >= self.max_inflight:
-            self.stats_counters["shed"] += 1
             self.windows.counter_inc("shed")
             reason = ("server is draining" if self._draining else
                       f"server overloaded: {self._inflight} requests in "
@@ -179,10 +177,7 @@ class PackageServer:
                                payload.get("request_id"))
 
         self._inflight += 1
-        self.stats_counters["accepted"] += 1
-        self.stats_counters["peak_inflight"] = max(
-            self.stats_counters["peak_inflight"], self._inflight
-        )
+        self._peak_inflight = max(self._peak_inflight, self._inflight)
         self.windows.counter_inc("requests")
         started = time.perf_counter()
         ctx = self._trace_context(envelope)
@@ -276,7 +271,7 @@ class PackageServer:
 
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        self.stats_counters["connections_total"] += 1
+        self.windows.counter_inc("connections_total")
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -288,7 +283,7 @@ class PackageServer:
                     # Line exceeded the stream limit.  NDJSON cannot
                     # resync mid-line, so answer structurally and close
                     # -- but never silently.
-                    self.stats_counters["bad_lines"] += 1
+                    self.windows.counter_inc("bad_lines")
                     error = _error_line(
                         f"request line exceeds {MAX_LINE_BYTES} bytes",
                         ErrorCode.BAD_REQUEST,
@@ -390,15 +385,21 @@ class PackageServer:
     def stats(self) -> dict:
         """Front-end counters (the cluster's live in its own stats),
         including the front-end tracer's stage histograms and windowed
-        telemetry."""
+        telemetry.  The event counts are all-time totals of the
+        front-end's registry series (``accepted`` is ``requests``)."""
         self._sample_gauges()
-        return dict(self.stats_counters,
-                    inflight=self._inflight,
-                    max_inflight=self.max_inflight,
-                    connections_open=len(self._writers),
-                    draining=self._draining,
-                    obs=self.tracer.snapshot(),
-                    windows=self.windows.snapshot())
+        snapshot = self.windows.snapshot()
+        return {"accepted": total(snapshot, "requests"),
+                "shed": total(snapshot, "shed"),
+                "bad_lines": total(snapshot, "bad_lines"),
+                "peak_inflight": self._peak_inflight,
+                "connections_total": total(snapshot, "connections_total"),
+                "inflight": self._inflight,
+                "max_inflight": self.max_inflight,
+                "connections_open": len(self._writers),
+                "draining": self._draining,
+                "obs": self.tracer.snapshot(),
+                "windows": snapshot}
 
 
 async def serve_stdin(server: PackageServer, stdin=None, stdout=None) -> int:

@@ -29,7 +29,8 @@ Routing rules:
 * ``batch`` requests are split per shard, served concurrently, and
   reassembled in request order.
 * ``stats``, ``health`` and ``trace`` fan out to every shard and merge
-  (latency histograms and telemetry windows bucket-exactly,
+  (the shards' metrics registries -- all-time totals and windows --
+  bucket-exactly via one ``merge_metrics_snapshots``,
   slowest-trace rings by trace id; the cluster SLO verdict re-evaluates
   over the merged windows and folds in per-shard states).
 
@@ -65,8 +66,11 @@ from repro.obs import (
     merge_metrics_snapshots,
     merge_verdicts,
 )
-from repro.service.engine import MAX_BATCH_REQUESTS, PackageService
-from repro.service.metrics import merge_snapshots
+from repro.service.engine import (
+    MAX_BATCH_REQUESTS,
+    PackageService,
+    stats_sections,
+)
 from repro.service.registry import CityRegistry
 from repro.service.schema import ErrorCode, PackageResponse
 
@@ -566,23 +570,23 @@ class ShardCluster:
         return self.dispatch("warmup", {"cities": cities})
 
     def _combine_stats(self, results: list[dict]) -> dict:
-        cache = {"size": 0, "capacity": 0, "hits": 0, "misses": 0,
-                 "evictions": 0}
-        for result in results:
-            for key in cache:
-                cache[key] += result["cache"][key]
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
+        # Every event count lives in the shards' metrics registries:
+        # one exact merge of their snapshots yields the cluster's
+        # cache, assembly, live and metrics sections.
+        sections = stats_sections(merge_metrics_snapshots(
+            [r["metrics"]["windows"] for r in results]))
+        cache = {key: sum(r["cache"][key] for r in results)
+                 for key in ("size", "capacity")}
+        cache.update(sections["cache"])
         # Pool-rebuild counts live front-side (the worker that crashed
         # cannot report its own death); stamp them onto each shard's
         # answer and total them.  Utilization is each shard's share of
         # the cluster's completed operations -- the routing-skew gauge
         # (guarded: a cluster that has served nothing is 0.0 everywhere).
-        total_ops = sum(r.get("metrics", {}).get("total_operations", 0)
-                        for r in results)
+        total_ops = sections["metrics"]["total_operations"]
         for shard, result in zip(self._shards, results):
             result["restarted"] = shard.restarted
-            shard_ops = result.get("metrics", {}).get("total_operations", 0)
+            shard_ops = result["metrics"]["total_operations"]
             result["utilization"] = (shard_ops / total_ops if total_ops
                                      else 0.0)
         registry: dict = {"counters": {}, "total_bytes": 0}
@@ -608,18 +612,6 @@ class ShardCluster:
                     if name in store else value
         if store:
             registry["store"] = store
-        # Assembly scan counters (grid-pruning effectiveness) are plain
-        # event totals: the cluster figure is the sum over workers.
-        assembly: dict[str, int] = {}
-        for result in results:
-            for name, value in (result.get("assembly") or {}).items():
-                assembly[name] = assembly.get(name, 0) + value
-        # Live-mutation counters sum the same way (each mutation is
-        # applied on exactly one shard -- the city's owner).
-        live: dict[str, float] = {}
-        for result in results:
-            for name, value in (result.get("live") or {}).items():
-                live[name] = live.get(name, 0) + value
         return {
             "shards": results,
             "placement": self.placement,
@@ -628,9 +620,9 @@ class ShardCluster:
             "restarted": sum(s.restarted for s in self._shards),
             "cache": cache,
             "registry": registry,
-            "assembly": assembly,
-            "live": live,
-            "metrics": merge_snapshots([r["metrics"] for r in results]),
+            "assembly": sections["assembly"],
+            "live": sections["live"],
+            "metrics": sections["metrics"],
             "obs": Tracer.merge_obs([r.get("obs") for r in results]),
         }
 

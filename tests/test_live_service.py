@@ -125,14 +125,14 @@ class TestSessionReplay:
         assert response.ok
         pois = {p.id for p in response.package.composite_items[0].pois}
         assert victim not in pois and second not in pois
-        assert service.live_stats()["sessions_replayed"] == 1
-        assert service.live_stats()["sessions_stale"] == 0
+        live = service.stats()["live"]
+        assert live["sessions_replayed"] == 1 and live["sessions_stale"] == 0
 
         # The session now rides the new epoch: no second replay.
         service.apply(CustomizeRequest(
             session_id=session_id, op="remove", ci_index=1,
             poi_id=response.package.composite_items[1].pois[-1].id))
-        assert service.live_stats()["sessions_replayed"] == 1
+        assert service.stats()["live"]["sessions_replayed"] == 1
 
     def test_unreplayable_session_gets_stale_epoch_code(self, registry,
                                                         service,
@@ -150,7 +150,7 @@ class TestSessionReplay:
             poi_id=second))
         assert not response.ok
         assert response.code == "stale_epoch"
-        assert service.live_stats()["sessions_stale"] == 1
+        assert service.stats()["live"]["sessions_stale"] == 1
 
         # refine() on the same pinned session surfaces the same state.
         with pytest.raises(StaleEpochError):
@@ -193,7 +193,7 @@ class TestMutateWireOp:
             "mutation": {"kind": "reprice_poi", "poi_id": 1, "cost": 1.0},
         })
         assert no_city["error"] is not None
-        assert service.live_stats()["mutations_applied"] == 0
+        assert service.stats()["live"]["mutations_applied"] == 0
 
     def test_cluster_routes_mutate_and_merges_live_stats(self, app):
         registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
@@ -307,6 +307,23 @@ class TestEvictionReload:
         assert registry.mutation_log("paris") is None
         assert registry.entry("paris").epoch == 2
 
+    def test_unreplayable_journal_retires_the_epoch_on_reload(self):
+        registry = CityRegistry(max_cities=1, **self.FAST)
+        base = registry.entry("paris").dataset.to_json()
+        poi = next(iter(registry.dataset("paris")))
+        registry.mutate("paris",
+                        RepricePoi(poi_id=poi.id, cost=poi.cost + 2.0))
+        # A record that no longer applies to the base: replaying the
+        # journal after eviction must fail cleanly, not crash the load.
+        registry.mutation_log("paris").append(
+            RepricePoi(poi_id=10 ** 9, cost=1.0))
+        registry.entry("rome")  # max_cities=1: evicts mutated paris
+
+        reloaded = registry.entry("paris")
+        assert reloaded.epoch == 2 == registry.epoch("paris")
+        assert registry.mutation_log("paris") is None
+        assert reloaded.dataset.to_json() == base
+
 
 class TestStoreWriteback:
     def test_mutation_writes_back_under_new_hash(self, app, tmp_path):
@@ -342,7 +359,7 @@ class TestLoadgenLive:
         assert report.epochs_seen["paris"] == report.mutations_sent
         assert report.epoch_bumps == report.mutations_sent
         assert "epoch bump(s) observed" in report.summary()
-        assert service.live_stats()["mutations_applied"] \
+        assert service.stats()["live"]["mutations_applied"] \
             == report.mutations_sent
 
     def test_mutate_weight_requires_known_kind(self):

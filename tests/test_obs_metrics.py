@@ -1,7 +1,8 @@
 """Windowed telemetry: the metrics registry's ring rotation and
-late-sample handling, the exact-merge guarantee for cross-shard
-windowed snapshots, the resource sampler's rate limiting, the SLO
-monitor's verdicts, and the event-log emission/validation round trip.
+late-sample handling, its all-time totals, the exact-merge guarantee
+for cross-shard snapshots (windows and totals), the resource sampler's
+rate limiting, the SLO monitor's verdicts, and the event-log
+emission/validation round trip.
 
 The merge tests mirror the histogram layer's: cluster-wide windowed
 results must equal results over the union of observations, in any
@@ -31,6 +32,7 @@ from repro.obs import (
     worst_state,
 )
 from repro.obs.check import check_log_lines
+from repro.obs.metrics import total
 
 
 class TestWindowConfig:
@@ -205,6 +207,39 @@ class TestMergeSnapshots:
         merged = merge_metrics_snapshots([snap, snap])
         doubled = window_sum(merged, "requests", 120.0, now=60.0)
         assert doubled == 2 * window_sum(snap, "requests", 120.0, now=60.0)
+
+
+class TestAllTimeTotals:
+    def test_total_survives_rotation(self):
+        reg = MetricsRegistry(WindowConfig(interval_s=10.0, slots=3))
+        for i in range(50):  # one event per second over 5 windows
+            reg.counter_inc("requests", ts=float(i))
+            reg.observe("latency:build", 0.01, ts=float(i))
+        snapshot = reg.snapshot()
+        assert len(snapshot["series"]["requests"]["windows"]) == 3
+        assert total(snapshot, "requests") == 50
+        assert total(snapshot, "latency:build")["count"] == 50
+        assert snapshot["series"]["requests"]["total"] == {"value": 50}
+
+    def test_sample_older_than_the_ring_still_counts_in_the_total(self):
+        reg = MetricsRegistry(WindowConfig(interval_s=10.0, slots=2))
+        reg.counter_inc("requests", n=2, ts=100.0)
+        reg.observe("latency:build", 0.01, ts=100.0)
+        reg.counter_inc("requests", n=3, ts=50.0)   # older than the ring
+        reg.observe("latency:build", 0.02, ts=50.0)
+        snapshot = reg.snapshot()
+        assert snapshot["dropped_late"] == 2
+        assert window_sum(snapshot, "requests", 1000.0, now=105.0) == 2
+        assert total(snapshot, "requests") == 5
+        assert total(snapshot, "latency:build")["count"] == 2
+
+    def test_gauges_have_no_total_and_absent_series_read_zero(self):
+        reg = MetricsRegistry(WindowConfig(interval_s=10.0, slots=4))
+        reg.gauge_set("rss_bytes", 5.0, ts=10.0)
+        snapshot = reg.snapshot()
+        assert "total" not in snapshot["series"]["rss_bytes"]
+        assert total(snapshot, "missing") == 0
+        assert snapshot["uptime_s"] >= 0.0
 
 
 class TestRollingReaders:

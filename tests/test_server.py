@@ -10,6 +10,7 @@ by hand, so they are deterministic.
 """
 
 import asyncio
+import copy
 import json
 import math
 import time
@@ -193,6 +194,47 @@ class TestClusterStats:
         assert ops["build"]["count"] == sum(
             s["metrics"]["operations"].get("build", {}).get("count", 0)
             for s in stats["shards"])
+
+    def test_merged_sections_equal_the_shard_sums(self, app):
+        """Under mixed cold/warm/session/mutate traffic on both shards,
+        every merged event count is the sum of the shards' counts."""
+        def factory(shard_id):
+            registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
+            registry.register(app.dataset, copy.deepcopy(app.item_index),
+                              name=("paris", "rome")[shard_id])
+            return PackageService(registry, cache_capacity=16)
+
+        mix = (("cold", 0.3), ("warm", 0.3), ("session", 0.2),
+               ("mutate", 0.2))
+        with ShardCluster(shards=2, config=ShardConfig(scale=0.4),
+                          cities=["paris", "rome"], use_processes=False,
+                          service_factory=factory) as cluster:
+            report = run_sync(cluster.dispatch, build_workload(
+                LoadgenConfig(cities=("paris", "rome"), actions=24, seed=3,
+                              mix=mix)))
+            assert report.errors == 0 and report.mutations_sent > 0
+            stats = cluster.stats()
+
+        shards = stats["shards"]
+        assert all(s["metrics"]["total_operations"] > 0 for s in shards)
+        for section in ("cache", "assembly", "live"):
+            assert set(stats[section]) == set(shards[0][section])
+            for key, value in stats[section].items():
+                if key != "hit_rate":
+                    assert value == pytest.approx(
+                        sum(s[section][key] for s in shards)), (section, key)
+        cache = stats["cache"]
+        assert cache["hits"] > 0 and stats["live"]["mutations_applied"] > 0
+        assert cache["hit_rate"] == pytest.approx(
+            cache["hits"] / (cache["hits"] + cache["misses"]))
+        metrics = stats["metrics"]
+        assert set(metrics) == set(shards[0]["metrics"])
+        assert metrics["total_operations"] == sum(
+            s["metrics"]["total_operations"] for s in shards)
+        for op, numbers in metrics["operations"].items():
+            assert numbers["count"] == sum(
+                s["metrics"]["operations"].get(op, {}).get("count", 0)
+                for s in shards), op
 
 
 class TestProcessCluster:

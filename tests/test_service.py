@@ -61,9 +61,10 @@ class TestBuild:
         warm = service.build(spec_request)
         assert not cold.cached and warm.cached
         assert warm.package is cold.package
-        assert service.cache.hits == 1 and service.cache.misses == 1
-        assert service.metrics.count("build") == 1
-        assert service.metrics.count("build_cached") == 1
+        stats = service.stats()
+        assert stats["cache"]["hits"] == 1 and stats["cache"]["misses"] == 1
+        ops = stats["metrics"]["operations"]
+        assert ops["build"]["count"] == ops["build_cached"]["count"] == 1
 
     def test_explicit_profile_roundtripped_still_hits_cache(self, service,
                                                             uniform_group):
@@ -91,7 +92,7 @@ class TestBuild:
         ]
         for request in variants:
             assert not service.build(request).cached
-        assert service.cache.hits == 0
+        assert service.stats()["cache"]["hits"] == 0
 
     def test_infeasible_query_yields_error_response(self, service):
         request = BuildRequest(
@@ -101,7 +102,7 @@ class TestBuild:
         response = service.build(request)
         assert not response.ok
         assert response.package is None
-        assert service.metrics.count("error") == 1
+        assert service.stats()["metrics"]["operations"]["error"]["count"] == 1
 
     def test_unknown_city_yields_error_response(self, service, spec_request):
         response = service.build(
@@ -181,8 +182,8 @@ class TestCacheUnit:
         assert cache.get(key("b")) is None
         assert cache.get(key("a")) is sentinel_a
         assert cache.get(key("c")) is sentinel_c
-        assert cache.evictions == 1
         stats = cache.stats()
+        assert stats["evictions"] == 1
         assert stats["hits"] == 3 and stats["misses"] == 1
 
     def test_fingerprint_tracks_content_not_identity(self, uniform_group):

@@ -1,10 +1,12 @@
-"""merge_snapshots edge cases.
+"""Service metrics merge edge cases.
 
-The shard layer trusts :func:`repro.service.merge_snapshots` to build
-one cluster-wide view from per-worker pictures, so the degenerate
-shapes -- no shards, shards that saw disjoint operations, shards that
-predate the histogram format -- must all merge cleanly, and histogram
-merges must be exact and order-independent.
+The shard layer builds one cluster-wide view by merging the workers'
+:class:`~repro.obs.MetricsRegistry` snapshots
+(:func:`~repro.obs.merge_metrics_snapshots`) and reading the ``stats``
+sections from the merge (:func:`repro.service.engine.stats_sections`).
+So the degenerate shapes -- no shards, shards that saw disjoint
+operations -- must merge cleanly, and the all-time histogram totals
+must merge exactly and order-independently.
 """
 
 import json
@@ -12,19 +14,28 @@ import random
 
 import pytest
 
-from repro.service import ServiceMetrics, merge_snapshots
+from repro.obs import MetricsRegistry, merge_metrics_snapshots
+from repro.obs.metrics import total
+from repro.service.engine import stats_sections
 
 
-def _metrics_with(samples: dict[str, list[float]]) -> ServiceMetrics:
-    metrics = ServiceMetrics()
+def _metrics_with(samples: dict[str, list[float]]) -> MetricsRegistry:
+    """A registry recording ``samples`` as the engine does: one
+    ``latency:<op>`` observation and one ``requests`` count each."""
+    metrics = MetricsRegistry()
     for op, values in samples.items():
         for value in values:
-            metrics.record(op, value)
+            metrics.observe(f"latency:{op}", value)
+            metrics.counter_inc("requests")
     return metrics
 
 
+def _sections(snapshots) -> dict:
+    return stats_sections(merge_metrics_snapshots(snapshots))
+
+
 def test_empty_input_merges_to_an_empty_snapshot():
-    merged = merge_snapshots([])
+    merged = _sections([])["metrics"]
     assert merged["operations"] == {}
     assert merged["total_operations"] == 0
     assert merged["throughput_per_s"] == 0.0
@@ -32,7 +43,8 @@ def test_empty_input_merges_to_an_empty_snapshot():
 
 
 def test_snapshot_without_operations_key_is_tolerated():
-    merged = merge_snapshots([{}, {"uptime_s": 2.0}])
+    merged = _sections([{"interval_s": 10.0},
+                        {"interval_s": 10.0, "uptime_s": 2.0}])["metrics"]
     assert merged["operations"] == {}
     assert merged["uptime_s"] == 2.0
     assert merged["throughput_per_s"] == 0.0
@@ -42,29 +54,30 @@ def test_disjoint_operation_sets_union():
     a = _metrics_with({"build": [0.01, 0.02]}).snapshot()
     b = _metrics_with({"customize": [0.005]}).snapshot()
     c = _metrics_with({"refine": [0.5], "build": [0.04]}).snapshot()
-    merged = merge_snapshots([a, b, c])
+    merged = _sections([a, b, c])["metrics"]
     ops = merged["operations"]
     assert set(ops) == {"build", "customize", "refine"}
     assert ops["build"]["count"] == 3
     assert ops["customize"]["count"] == 1
     assert merged["total_operations"] == 5
+    assert total(merged["windows"], "requests") == 5
 
 
 def test_merged_percentiles_equal_union_of_observations():
     rng = random.Random(11)
-    union = ServiceMetrics()
+    union = MetricsRegistry()
     shards = []
     for _ in range(5):
-        shard = ServiceMetrics()
+        shard = MetricsRegistry()
         for _ in range(300):
             value = rng.uniform(1e-5, 0.3)
-            shard.record("build", value)
-            union.record("build", value)
+            shard.observe("latency:build", value)
+            union.observe("latency:build", value)
         shards.append(shard.snapshot())
-    merged = merge_snapshots(shards)["operations"]["build"]
-    expected = union.snapshot()["operations"]["build"]
+    merged = _sections(shards)["metrics"]["operations"]["build"]
+    expected = total(union.snapshot(), "latency:build")
     for key in ("count", "p50_ms", "p90_ms", "p95_ms", "p99_ms",
-                "min_ms", "max_ms"):
+                "min_ms", "max_ms", "buckets"):
         assert merged[key] == expected[key], key
     assert merged["total_ms"] == pytest.approx(expected["total_ms"])
 
@@ -73,13 +86,13 @@ def test_merge_is_order_independent():
     shards = []
     for seed in range(4):
         rng = random.Random(seed)
-        shard = ServiceMetrics()
-        for _ in range(100):
-            shard.record("build", rng.uniform(1e-4, 0.1))
-        shards.append(shard.snapshot())
-    forward = merge_snapshots(shards)["operations"]
-    shuffled = merge_snapshots(list(reversed(shards)))["operations"]
-    assert forward == shuffled
+        shards.append(_metrics_with(
+            {"build": [rng.uniform(1e-4, 0.1) for _ in range(100)]}
+        ).snapshot())
+    forward = merge_metrics_snapshots(shards)["series"]
+    shuffled = merge_metrics_snapshots(list(reversed(shards)))["series"]
+    for name in ("requests", "latency:build"):
+        assert forward[name]["total"] == shuffled[name]["total"], name
 
 
 def test_merge_survives_json_round_trip():
@@ -87,47 +100,26 @@ def test_merge_survives_json_round_trip():
     # must merge with in-process integer ones.
     shard = _metrics_with({"build": [0.01, 0.02, 0.2]})
     wire = json.loads(json.dumps(shard.snapshot()))
-    merged = merge_snapshots([wire, shard.snapshot()])
+    merged = _sections([wire, shard.snapshot()])["metrics"]
     assert merged["operations"]["build"]["count"] == 6
+    assert merged["total_operations"] == 6
     assert (merged["operations"]["build"]["p99_ms"]
-            == shard.snapshot()["operations"]["build"]["p99_ms"])
-
-
-def test_legacy_snapshot_without_buckets_still_folds():
-    legacy = {
-        "uptime_s": 1.0,
-        "operations": {
-            "build": {"count": 4, "total_ms": 40.0, "mean_ms": 10.0,
-                      "min_ms": 5.0, "max_ms": 20.0,
-                      "p50_ms": 9.0, "p95_ms": 19.0},
-        },
-    }
-    modern = _metrics_with({"build": [0.001]}).snapshot()
-    merged = merge_snapshots([legacy, modern])["operations"]["build"]
-    assert merged["count"] == 5
-    assert merged["total_ms"] == pytest.approx(41.0, rel=0.01)
-    assert merged["max_ms"] >= 20.0
-    assert merged["min_ms"] > 0.0
-    # Two legacy snapshots alone: count-weighted percentile fallback.
-    two = merge_snapshots([legacy, legacy])["operations"]["build"]
-    assert two["count"] == 8
-    assert two["p50_ms"] == pytest.approx(9.0)
+            == total(shard.snapshot(), "latency:build")["p99_ms"])
 
 
 def test_zero_count_operations_do_not_divide():
-    empty = {"uptime_s": 0.0, "operations": {
-        "build": {"count": 0, "total_ms": 0.0, "mean_ms": 0.0,
-                  "min_ms": 0.0, "max_ms": 0.0, "p50_ms": 0.0,
-                  "p95_ms": 0.0},
-    }}
-    merged = merge_snapshots([empty, empty])
+    empty = {"interval_s": 10.0, "uptime_s": 0.0, "series": {
+        "latency:build": {"type": "histogram", "windows": [],
+                          "total": {"count": 0, "total_ms": 0.0,
+                                    "min_ms": 0.0, "max_ms": 0.0,
+                                    "buckets": {}}}}}
+    merged = _sections([empty, empty])["metrics"]
     assert merged["operations"]["build"]["count"] == 0
     assert merged["operations"]["build"]["mean_ms"] == 0.0
     assert merged["throughput_per_s"] == 0.0
 
 
 def test_uptime_is_cluster_wall_clock_not_a_sum():
-    a = {"uptime_s": 2.0, "operations": {}}
-    b = {"uptime_s": 3.0, "operations": {}}
-    merged = merge_snapshots([a, b])
-    assert merged["uptime_s"] == 3.0
+    a = {"interval_s": 10.0, "uptime_s": 2.0, "series": {}}
+    b = {"interval_s": 10.0, "uptime_s": 3.0, "series": {}}
+    assert _sections([a, b])["metrics"]["uptime_s"] == 3.0
