@@ -15,13 +15,95 @@ topic assignment from the collapsed conditional
     p(z = k | rest) ∝ (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)
 
 Deterministic given the seed.
+
+The sweep is plain-Python scalar arithmetic over count lists: with
+``K`` around 8, numpy's per-call dispatch on length-``K`` vectors costs
+far more than the arithmetic.  It still makes the draws the obvious
+numpy loop makes -- computing each token's weights elementwise and
+calling ``Generator.choice(K, p=weights / weights.sum())`` -- bit for
+bit, so item vectors, stored count matrices and every package built
+from them do not depend on which of the two ran.  The contract has two
+halves:
+
+* :func:`_pairwise_sum` adds in numpy's pairwise order for float64
+  reductions (sequential below 8 terms, eight accumulators up to 128,
+  halves above), which is the order ``weights.sum()`` uses.
+* :func:`_draw` repeats ``choice``'s arithmetic: ``p = w / s``, a
+  sequential cumulative sum, each entry divided by the last, then a
+  right-side search for the one uniform ``choice`` would consume.  A
+  sweep draws those uniforms with one ``Generator.random(n)``, the
+  same stream ``choice`` reads one double at a time.
+
+Weights are positive whenever ``alpha`` and ``beta`` are positive and
+finite, which the constructor enforces (counts never go negative), so ``choice``'s probability checks cannot fail and are
+not repeated.  ``tests/lda_oracle.py`` keeps the numpy loop; the tests
+pin the sweep, the fold-in and :func:`_pairwise_sum` against it and
+against ``np.add.reduce``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul, truediv
+
 import numpy as np
 
 from repro.topics.corpus import TagCorpus
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, added in numpy's order.
+
+    numpy sums a contiguous float64 run pairwise: fewer than 8 terms
+    sequentially; up to 128 terms in eight strided accumulators joined
+    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in
+    sequence; longer runs split at a multiple of 8 near the middle.
+    Not ``sum()``: from Python 3.12 it compensates float rounding.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _draw(weights: list[float], u: float) -> int:
+    """The index ``Generator.choice(len(weights), p=weights / sum)``
+    returns when its uniform is ``u``.
+
+    ``choice`` normalises ``p`` into ``cdf = cumsum(p) / cumsum(p)[-1]``
+    and returns ``searchsorted(cdf, u, side='right')``.  The last running
+    sum is often exactly 1.0, and dividing by 1.0 changes nothing, so
+    the divide is skipped then.
+    """
+    total = _pairwise_sum(weights)
+    cdf = list(accumulate(map(total.__rtruediv__, weights)))
+    last = cdf[-1]
+    if last != 1.0:
+        cdf = list(map(last.__rtruediv__, cdf))
+    return bisect_right(cdf, u)
 
 
 class LatentDirichletAllocation:
@@ -40,6 +122,10 @@ class LatentDirichletAllocation:
         beta: Symmetric Dirichlet prior on topic-word distributions.
         n_iterations: Gibbs sweeps over the corpus.
         seed: Random seed.
+
+    Raises:
+        ValueError: if ``n_topics`` or ``n_iterations`` is below 1, or
+            ``alpha`` or ``beta`` is not a positive finite number.
     """
 
     def __init__(self, n_topics: int, alpha: float | None = None,
@@ -52,6 +138,11 @@ class LatentDirichletAllocation:
         self.n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
+        for name, value in (("alpha", self.alpha), ("beta", beta)):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
         self.n_iterations = n_iterations
         self._rng = np.random.default_rng(seed)
         self._corpus: TagCorpus | None = None
@@ -66,48 +157,76 @@ class LatentDirichletAllocation:
         if corpus.vocabulary_size == 0:
             raise ValueError("cannot fit LDA on an empty vocabulary")
         self._corpus = corpus
-        n_docs = len(corpus)
+        n_topics = self.n_topics
         vocab = corpus.vocabulary_size
-        docs = corpus.documents()
+        # Python floats: the values numpy would use, at scalar speed.
+        alpha = float(self.alpha)
+        beta = float(self.beta)
+        beta_sum = beta * vocab
+        docs = [tokens.tolist() for tokens in corpus.documents()]
 
-        doc_topic = np.zeros((n_docs, self.n_topics), dtype=np.int64)
-        topic_word = np.zeros((self.n_topics, vocab), dtype=np.int64)
-        topic_totals = np.zeros(self.n_topics, dtype=np.int64)
-        assignments: list[np.ndarray] = []
+        # Counts as lists: doc_topic (D, K), topic_totals (K,) and
+        # word_topic (V, K), transposed so a token's K counts are one row.
+        doc_topic = [[0] * n_topics for _ in docs]
+        word_topic = [[0] * n_topics for _ in range(vocab)]
+        topic_totals = [0] * n_topics
+        assignments: list[list[int]] = []
 
         # Random initialization of topic assignments.
-        for d, tokens in enumerate(docs):
-            z = self._rng.integers(0, self.n_topics, size=len(tokens))
+        for tokens, counts in zip(docs, doc_topic):
+            z = self._rng.integers(0, n_topics, size=len(tokens)).tolist()
             assignments.append(z)
             for token, topic in zip(tokens, z):
-                doc_topic[d, topic] += 1
-                topic_word[topic, token] += 1
+                counts[topic] += 1
+                word_topic[token][topic] += 1
                 topic_totals[topic] += 1
 
-        beta_sum = self.beta * vocab
+        # Each count plus its prior, the factors of the weight
+        # (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta); a token
+        # refreshes only the entries of the two topics it moves between.
+        doc_factor = [[n + alpha for n in counts] for counts in doc_topic]
+        word_factor = [[n + beta for n in counts] for counts in word_topic]
+        total_factor = [n + beta_sum for n in topic_totals]
+
+        n_tokens = corpus.total_tokens()
         for _ in range(self.n_iterations):
-            for d, tokens in enumerate(docs):
-                z = assignments[d]
+            uniforms = iter(self._rng.random(n_tokens).tolist())
+            for tokens, z, counts, factors in zip(docs, assignments,
+                                                  doc_topic, doc_factor):
                 for pos, token in enumerate(tokens):
+                    word_counts = word_topic[token]
+                    word_factors = word_factor[token]
                     old = z[pos]
-                    doc_topic[d, old] -= 1
-                    topic_word[old, token] -= 1
-                    topic_totals[old] -= 1
+                    n = counts[old] - 1
+                    counts[old] = n
+                    factors[old] = n + alpha
+                    n = word_counts[old] - 1
+                    word_counts[old] = n
+                    word_factors[old] = n + beta
+                    n = topic_totals[old] - 1
+                    topic_totals[old] = n
+                    total_factor[old] = n + beta_sum
 
-                    weights = ((doc_topic[d] + self.alpha)
-                               * (topic_word[:, token] + self.beta)
-                               / (topic_totals + beta_sum))
-                    weights_sum = weights.sum()
-                    new = int(self._rng.choice(self.n_topics,
-                                               p=weights / weights_sum))
+                    weights = list(map(truediv,
+                                       map(mul, factors, word_factors),
+                                       total_factor))
+                    new = _draw(weights, next(uniforms))
+
                     z[pos] = new
-                    doc_topic[d, new] += 1
-                    topic_word[new, token] += 1
-                    topic_totals[new] += 1
+                    n = counts[new] + 1
+                    counts[new] = n
+                    factors[new] = n + alpha
+                    n = word_counts[new] + 1
+                    word_counts[new] = n
+                    word_factors[new] = n + beta
+                    n = topic_totals[new] + 1
+                    topic_totals[new] = n
+                    total_factor[new] = n + beta_sum
 
-        self._doc_topic = doc_topic
-        self._topic_word = topic_word
-        self._topic_totals = topic_totals
+        self._doc_topic = np.array(doc_topic, dtype=np.int64)
+        self._topic_word = np.ascontiguousarray(
+            np.array(word_topic, dtype=np.int64).T)
+        self._topic_totals = np.array(topic_totals, dtype=np.int64)
         return self
 
     def _require_fitted(self) -> None:
@@ -239,16 +358,22 @@ class LatentDirichletAllocation:
             return np.full(self.n_topics, 1.0 / self.n_topics)
 
         rng = np.random.default_rng(seed)
-        z = rng.integers(0, self.n_topics, size=len(tokens))
-        counts = np.bincount(z, minlength=self.n_topics).astype(float)
+        z = rng.integers(0, self.n_topics, size=len(tokens)).tolist()
+        counts = np.bincount(z, minlength=self.n_topics).tolist()
+        alpha = float(self.alpha)
+        factors = [n + alpha for n in counts]
+        columns = [phi[:, token].tolist() for token in tokens]
         for _ in range(n_iterations):
-            for pos, token in enumerate(tokens):
-                counts[z[pos]] -= 1
-                weights = (counts + self.alpha) * phi[:, token]
-                new = int(rng.choice(self.n_topics, p=weights / weights.sum()))
+            uniforms = rng.random(len(tokens)).tolist()
+            for pos, (column, u) in enumerate(zip(columns, uniforms)):
+                old = z[pos]
+                counts[old] -= 1
+                factors[old] = counts[old] + alpha
+                new = _draw(list(map(mul, factors, column)), u)
                 z[pos] = new
                 counts[new] += 1
-        theta = counts + self.alpha
+                factors[new] = counts[new] + alpha
+        theta = np.array(counts, dtype=float) + self.alpha
         return theta / theta.sum()
 
     def perplexity(self) -> float:

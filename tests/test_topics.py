@@ -48,6 +48,10 @@ class TestLDA:
             LatentDirichletAllocation(0)
         with pytest.raises(ValueError):
             LatentDirichletAllocation(2, n_iterations=0)
+        for prior in ("alpha", "beta"):
+            for value in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{prior} must be"):
+                    LatentDirichletAllocation(2, **{prior: value})
 
     def test_default_alpha_is_griffiths(self):
         assert LatentDirichletAllocation(10).alpha == pytest.approx(5.0)
