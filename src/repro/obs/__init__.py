@@ -17,23 +17,25 @@ Three pieces, designed to cross process boundaries cleanly:
   metric window; ``python -m repro.obs.check`` validates a captured
   log (well-formed lines, complete span trees, monotone
   non-overlapping metric windows).
-* **Windowed telemetry** (:mod:`repro.obs.metrics`): counters, gauges
-  and histogram series in epoch-aligned ring-buffer windows that merge
-  exactly across shards, answering "what is happening right now"
-  rather than "what happened since boot"; :mod:`repro.obs.resources`
+* **Windowed telemetry** (:mod:`repro.obs.metrics`): the one store of
+  counters, gauges and histogram series (stage timings included), in
+  epoch-aligned windows plus an all-time slot, that merge exactly
+  across shards; :mod:`repro.obs.resources`
   samples per-process RSS/CPU/GC gauges into them, and
   :mod:`repro.obs.slo` turns rolling windows into an
   ``ok|degraded|breached`` health verdict with machine-readable
   reasons.  ``python -m repro.obs.top`` renders the live cluster view.
 
 :class:`ObsConfig` is the picklable knob bundle the serving tier ships
-to worker processes; each worker builds its own :class:`Tracer` from
-it.  All of it degrades to near-zero cost when disabled: entry points
-check one flag, and :func:`stage` is a single context-variable read.
+to worker processes; each worker builds its own :class:`Tracer` (and
+the registry under it) from it.  All of it degrades to near-zero cost
+when disabled: entry points check one flag, and :func:`stage` is a
+single context-variable read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.obs.events import EventLog
@@ -88,12 +90,21 @@ class ObsConfig:
         if self.slowest < 1:
             raise ValueError("slowest must be at least 1")
 
-    def make_tracer(self, shard: int | None = None) -> Tracer:
-        """A fresh tracer honoring this configuration."""
+    def make_tracer(self, shard: int | None = None,
+                    window: WindowConfig | None = None,
+                    meta: Mapping | None = None) -> Tracer:
+        """A fresh tracer honoring this configuration, over a fresh
+        :class:`MetricsRegistry` (ring shape ``window``) that owns the
+        event log.  ``shard`` is stamped onto every span, error and
+        metrics record; ``meta`` onto the metrics records."""
         log = (EventLog(self.log_path)
                if self.enabled and self.log_path is not None else None)
+        meta = dict(meta or {})
+        if shard is not None:
+            meta["shard"] = shard
+        metrics = MetricsRegistry(window=window, log=log, meta=meta)
         return Tracer(enabled=self.enabled, sample_rate=self.sample_rate,
-                      slowest=self.slowest, log=log, shard=shard)
+                      slowest=self.slowest, metrics=metrics, shard=shard)
 
 
 __all__ = [

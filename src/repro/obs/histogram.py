@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from threading import Lock
 
 #: Lower edge of bucket 0; durations at or below it land there.
 _BASE_S = 1e-6
@@ -48,17 +47,19 @@ def bucket_upper_s(index: int) -> float:
 
 
 class LogHistogram:
-    """A thread-safe, exactly-mergeable latency histogram.
+    """An exactly-mergeable latency histogram.
 
     Counts and the duration sum are exact; min/max are exact extremes;
     quantiles are bucket-resolution estimates (<=9.1% relative error).
+    Not synchronized: the owner serializes every read and write (a
+    :class:`~repro.obs.metrics.MetricsRegistry` holds its own lock
+    around each), so a sample costs no second lock.
     """
 
-    __slots__ = ("_buckets", "_lock", "count", "total_s", "min_s", "max_s")
+    __slots__ = ("_buckets", "count", "total_s", "min_s", "max_s")
 
     def __init__(self) -> None:
         self._buckets: dict[int, int] = {}
-        self._lock = Lock()
         self.count = 0
         self.total_s = 0.0
         self.min_s = math.inf
@@ -66,34 +67,18 @@ class LogHistogram:
 
     def record(self, seconds: float) -> None:
         """Count one duration."""
-        index = bucket_index(seconds)
-        with self._lock:
-            self._buckets[index] = self._buckets.get(index, 0) + 1
-            self.count += 1
-            self.total_s += seconds
-            if seconds < self.min_s:
-                self.min_s = seconds
-            if seconds > self.max_s:
-                self.max_s = seconds
+        self.add(bucket_index(seconds), seconds)
 
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram in (exact: bucket counts sum)."""
-        with other._lock:
-            buckets = dict(other._buckets)
-            count, total = other.count, other.total_s
-            low, high = other.min_s, other.max_s
-        with self._lock:
-            for index, n in buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + n
-            self.count += count
-            self.total_s += total
-            self.min_s = min(self.min_s, low)
-            self.max_s = max(self.max_s, high)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile in seconds (0.0 when empty)."""
-        with self._lock:
-            return _quantile(self._buckets, self.count, q)
+    def add(self, index: int, seconds: float) -> None:
+        """Count one duration whose :func:`bucket_index` the caller
+        already computed (one index serves several histograms)."""
+        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self.count += 1
+        self.total_s += seconds
+        if seconds < self.min_s:
+            self.min_s = seconds
+        if seconds > self.max_s:
+            self.max_s = seconds
 
     def snapshot(self) -> dict:
         """JSON-ready counters, percentiles and the raw buckets.
@@ -101,11 +86,8 @@ class LogHistogram:
         The ``buckets`` dict is what makes the snapshot exactly
         mergeable downstream; string keys survive a JSON round trip.
         """
-        with self._lock:
-            buckets = dict(self._buckets)
-            count, total = self.count, self.total_s
-            low, high = self.min_s, self.max_s
-        return snapshot_dict(buckets, count, total, low, high)
+        return snapshot_dict(self._buckets, self.count, self.total_s,
+                             self.min_s, self.max_s)
 
 
 # -- snapshot-level arithmetic -------------------------------------------------

@@ -54,6 +54,7 @@ from threading import Lock
 from repro.obs.events import EventLog
 from repro.obs.histogram import (
     LogHistogram,
+    bucket_index,
     merge_snapshot_dicts,
     snapshot_dict,
 )
@@ -218,17 +219,15 @@ class MetricsRegistry:
     def observe(self, name: str, seconds: float,
                 ts: float | None = None) -> None:
         """Record one duration into a histogram series."""
+        index = bucket_index(seconds)
         with self._lock:
             series, start = self._locate(name, "histogram", ts)
-            slot = None
+            series.total.add(index, seconds)
             if start is not None:
                 slot = series.windows.get(start)
                 if slot is None:
                     slot = series.windows[start] = LogHistogram()
-        # LogHistogram carries its own lock.
-        series.total.record(seconds)
-        if slot is not None:
-            slot.record(seconds)
+                slot.add(index, seconds)
 
     # -- views -------------------------------------------------------------
 

@@ -44,12 +44,17 @@ DEFAULT_HORIZON_S = 30.0
 
 _STATE_GLYPH = {"ok": "OK", "degraded": "DEGRADED", "breached": "BREACHED"}
 
+#: Bound on one reply line: ``stats``/``health`` carry every process's
+#: window rings, far past asyncio's 64 KiB default on a busy cluster.
+REPLY_LIMIT_BYTES = 64 * 1024 * 1024
+
 
 async def _fetch(host: str, port: int, op: str, timeout: float) -> dict:
     """One envelope against the live server (own connection per call:
     the dashboard must keep working across server restarts)."""
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout)
+        asyncio.open_connection(host, port, limit=REPLY_LIMIT_BYTES),
+        timeout)
     try:
         writer.write(json.dumps({"op": op}).encode("utf-8") + b"\n")
         await writer.drain()

@@ -15,13 +15,14 @@ tracer object through their signatures.  When nothing is active,
 :func:`stage` costs one context-variable read and returns a shared
 no-op -- library code stays instrumentable without a service attached.
 
-Each stage always records into the tracer's per-stage (and, when a
-city is given, per-city) :class:`~repro.obs.histogram.LogHistogram`, so
-p50/p90/p99 cover *every* request.  Span objects and event-log records
-are only produced for **sampled** traces (deterministic by trace-id
-hash, so all processes agree without coordination); completed sampled
-traces additionally enter a bounded ring of the slowest-N span trees
-that the ``trace`` wire op exposes.
+Each stage always records into the process's
+:class:`~repro.obs.metrics.MetricsRegistry` (``stage:<name>`` and,
+for a completed stage naming a city, ``stage_city:<city>`` histogram
+series; ``obs.*`` counters), so p50/p90/p99 cover *every* request.
+Span objects and event-log records are only produced for **sampled**
+traces (deterministic by trace-id hash, so all processes agree without
+coordination); completed sampled traces additionally enter a bounded
+ring of the slowest-N span trees that the ``trace`` wire op exposes.
 """
 
 from __future__ import annotations
@@ -35,12 +36,18 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from threading import Lock
 
-from repro.obs.events import EventLog
-from repro.obs.histogram import LogHistogram, merge_snapshot_dicts
+from repro.obs.metrics import MetricsRegistry
 
-#: Bound on distinct stage/city histogram keys; beyond it recordings
-#: fold into ``__other__`` so client-controlled names cannot grow state.
-_MAX_HIST_KEYS = 128
+#: Series prefixes of the stage and per-city histograms (never
+#: ``latency:``, which the SLO monitor reads as per-op latencies), and
+#: the tracer's counters, each the ``obs.<name>`` counter series.
+STAGE_PREFIX = "stage:"
+CITY_PREFIX = "stage_city:"
+TRACE_COUNTERS = ("traces", "spans", "errors")
+
+#: Bound on distinct stage/city names; beyond it recordings fold into
+#: ``__other__``, so client-controlled names cannot grow the registry.
+_MAX_NAMES = 128
 
 _OTHER = "__other__"
 
@@ -232,7 +239,11 @@ class _StageTimer:
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = time.perf_counter() - self._started
         act = self._act
-        act.tracer.record_stage(self.name, duration, city=self.city)
+        # A stage that raised may have been rejecting the city's name,
+        # so only a completed stage counts toward a city breakdown.
+        act.tracer.record_stage(
+            self.name, duration,
+            city=self.city if exc_type is None else None)
         if self._token is not None:
             _ACTIVE.reset(self._token)
             act.spans.append(Span(
@@ -293,15 +304,14 @@ class SlowTraceRing:
 class _RootActivation:
     """Context manager behind :meth:`Tracer.activate`."""
 
-    __slots__ = ("_tracer", "_name", "_ctx", "_city", "_act", "_token",
+    __slots__ = ("_tracer", "_name", "_ctx", "_act", "_token",
                  "_started", "_start_ts", "_root_span_id", "_root_parent")
 
     def __init__(self, tracer: "Tracer", name: str,
-                 ctx: TraceContext | None, city: str | None) -> None:
+                 ctx: TraceContext | None) -> None:
         self._tracer = tracer
         self._name = name
         self._ctx = ctx
-        self._city = city
         self._token = None
         self._act: _Activation | None = None
 
@@ -345,13 +355,12 @@ class _RootActivation:
         duration = time.perf_counter() - self._started
         _ACTIVE.reset(self._token)
         tracer = self._tracer
-        tracer.record_stage(self._name, duration, city=self._city)
+        tracer.record_stage(self._name, duration)
         if act.sampled:
             root = Span(
                 trace_id=act.trace_id, span_id=self._root_span_id,
                 parent_id=self._root_parent, name=self._name,
                 start_s=self._start_ts, duration_ms=duration * 1000.0,
-                city=self._city,
                 error=(f"{exc_type.__name__}: {exc}"
                        if exc_type is not None else None),
             )
@@ -370,24 +379,25 @@ class Tracer:
             event logging (by deterministic trace-id hash).  Stage
             histograms always cover every request.
         slowest: Capacity of the slowest-trace ring.
-        log: Optional NDJSON event sink.
+        metrics: The registry stages and counters record into; its
+            event log is the tracer's too (fresh and logless if omitted).
         shard: Shard index stamped onto emitted records.
     """
 
     def __init__(self, enabled: bool = True, sample_rate: float = 1.0,
-                 slowest: int = 32, log: EventLog | None = None,
+                 slowest: int = 32, metrics: MetricsRegistry | None = None,
                  shard: int | None = None) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be within [0, 1]")
         self.enabled = enabled
         self.sample_rate = sample_rate
-        self.log = log
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.log = self.metrics.log
         self.shard = shard
         self.ring = SlowTraceRing(slowest)
-        self._lock = Lock()
-        self._stages: dict[str, LogHistogram] = {}
-        self._cities: dict[str, LogHistogram] = {}
-        self._counters = {"traces": 0, "spans": 0, "errors": 0}
+        self._names: dict[str, set[str]] = {STAGE_PREFIX: set(),
+                                            CITY_PREFIX: set()}
+        self._names_lock = Lock()
         self._pending_span: ContextVar[Span | None] = ContextVar(
             "repro_obs_pending", default=None
         )
@@ -411,25 +421,26 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def _hist(self, table: dict[str, LogHistogram], key: str) -> LogHistogram:
-        with self._lock:
-            hist = table.get(key)
-            if hist is None:
-                if len(table) >= _MAX_HIST_KEYS:
-                    key = _OTHER
-                    hist = table.get(key)
-                if hist is None:
-                    hist = table[key] = LogHistogram()
-            return hist
-
     def record_stage(self, name: str, seconds: float,
                      city: str | None = None) -> None:
         """Count one stage duration (and its per-city breakdown)."""
         if not self.enabled:
             return
-        self._hist(self._stages, name).record(seconds)
+        self.metrics.observe(self._bounded(STAGE_PREFIX, name), seconds)
         if city is not None:
-            self._hist(self._cities, city).record(seconds)
+            self.metrics.observe(self._bounded(CITY_PREFIX, city), seconds)
+
+    def _bounded(self, prefix: str, name: str) -> str:
+        """The series ``name`` records into: its own for the first
+        ``_MAX_NAMES`` distinct names per prefix, ``__other__`` after."""
+        names = self._names[prefix]
+        if name not in names:
+            with self._names_lock:
+                if name not in names and len(names) >= _MAX_NAMES:
+                    name = _OTHER
+                else:
+                    names.add(name)
+        return prefix + name
 
     def record_queue_wait(self, ctx: TraceContext, now_s: float) -> None:
         """Admission/queue wait derived from the sender's hand-off
@@ -449,21 +460,20 @@ class Tracer:
             self._pending_span.set(None)
         return span
 
-    def activate(self, name: str, ctx: TraceContext | None = None,
-                 city: str | None = None) -> _RootActivation:
+    def activate(self, name: str,
+                 ctx: TraceContext | None = None) -> _RootActivation:
         """Open this process's root span for one request.
 
         Returns a context manager yielding the activation (``None``
         when the tracer is disabled).  On exit the local span tree is
         finalized: fed to the slowest ring and the event log.
         """
-        return _RootActivation(self, name, ctx, city)
+        return _RootActivation(self, name, ctx)
 
     def finalize(self, root: Span, spans: list[Span]) -> None:
         """Complete a sampled trace: ring + event log."""
-        with self._lock:
-            self._counters["traces"] += 1
-            self._counters["spans"] += len(spans)
+        self.metrics.counter_inc("obs.traces")
+        self.metrics.counter_inc("obs.spans", len(spans))
         trace = {
             "trace_id": root.trace_id,
             "name": root.name,
@@ -484,8 +494,7 @@ class Tracer:
         """Record one error event (tied to the active trace, if any)."""
         if not self.enabled:
             return
-        with self._lock:
-            self._counters["errors"] += 1
+        self.metrics.counter_inc("obs.errors")
         if self.log is None:
             return
         record: dict = {"error": message}
@@ -505,59 +514,6 @@ class Tracer:
     def slowest_traces(self, limit: int | None = None) -> list[dict]:
         """The retained slowest span trees, slowest first."""
         return self.ring.slowest(limit)
-
-    def snapshot(self) -> dict:
-        """JSON-ready stage/city histograms and counters (exactly
-        mergeable across processes via :meth:`merge_obs`)."""
-        with self._lock:
-            stages = {name: hist for name, hist in self._stages.items()}
-            cities = {name: hist for name, hist in self._cities.items()}
-            counters = dict(self._counters)
-        snapshot = {
-            "enabled": self.enabled,
-            "sample_rate": self.sample_rate,
-            "counters": counters,
-            "stages": {name: hist.snapshot() for name, hist in stages.items()},
-            "cities": {name: hist.snapshot() for name, hist in cities.items()},
-            "ring": len(self.ring),
-        }
-        if self.log is not None:
-            snapshot["log"] = self.log.stats()
-        return snapshot
-
-    @staticmethod
-    def merge_obs(snapshots: list[dict | None]) -> dict:
-        """One cluster-wide obs view from per-shard :meth:`snapshot`
-        dicts (histograms merge exactly; counters sum)."""
-        present = [s for s in snapshots if s]
-        counters: dict[str, int] = {}
-        stage_parts: dict[str, list[dict]] = {}
-        city_parts: dict[str, list[dict]] = {}
-        log_totals = {"written": 0, "dropped": 0}
-        logs = 0
-        for snapshot in present:
-            for name, value in snapshot.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + int(value)
-            for table, parts in (("stages", stage_parts),
-                                 ("cities", city_parts)):
-                for name, hist in snapshot.get(table, {}).items():
-                    parts.setdefault(name, []).append(hist)
-            log_stats = snapshot.get("log")
-            if isinstance(log_stats, dict):
-                logs += 1
-                for key in log_totals:
-                    log_totals[key] += int(log_stats.get(key, 0))
-        merged = {
-            "enabled": any(s.get("enabled") for s in present),
-            "counters": counters,
-            "stages": {name: merge_snapshot_dicts(parts)
-                       for name, parts in sorted(stage_parts.items())},
-            "cities": {name: merge_snapshot_dicts(parts)
-                       for name, parts in sorted(city_parts.items())},
-        }
-        if logs:
-            merged["log"] = log_totals
-        return merged
 
     @staticmethod
     def merge_traces(trace_lists: list[list[dict]],

@@ -41,7 +41,6 @@ from repro.core.refine import refine_batch
 from repro.data.poi import POI, Category
 from repro.live.mutations import mutation_from_dict
 from repro.obs import (
-    MetricsRegistry,
     ObsConfig,
     ResourceSampler,
     SLOConfig,
@@ -54,6 +53,7 @@ from repro.obs import (
     use_activation,
 )
 from repro.obs.metrics import total
+from repro.obs.trace import CITY_PREFIX, STAGE_PREFIX, TRACE_COUNTERS
 from repro.profiles.group import GroupProfile
 from repro.service.cache import PackageCache, cache_counts, cache_key
 from repro.service.registry import CityEntry, CityRegistry
@@ -111,6 +111,43 @@ def stats_sections(snapshot: Mapping) -> dict:
     }
 
 
+def obs_section(snapshot: Mapping, enabled: bool,
+                log: Mapping | None = None) -> dict:
+    """The ``obs`` section of ``stats`` from one registry snapshot: the
+    ``obs.*`` counters and the ``stage:*``/``stage_city:*`` histograms
+    (all-time slots).  As with :func:`stats_sections`, a process reads
+    its own snapshot and the cluster the exact merge of its shards'.
+    The event-log counts ``log`` come from outside: the log writes
+    under the registry's lock, so they cannot be registry series.
+    """
+    section = {"enabled": enabled,
+               "counters": {name: total(snapshot, f"obs.{name}")
+                            for name in TRACE_COUNTERS}}
+    for key, prefix in (("stages", STAGE_PREFIX), ("cities", CITY_PREFIX)):
+        section[key] = {name[len(prefix):]: total(snapshot, name)
+                        for name in snapshot.get("series", {})
+                        if name.startswith(prefix)}
+    if log is not None:
+        section["log"] = dict(log)
+    return section
+
+
+def tracer_obs(tracer: Tracer, snapshot: Mapping) -> dict:
+    """One process's ``obs`` section: :func:`obs_section` of its own
+    registry snapshot plus its tracer's sampling rate and ring fill."""
+    log = tracer.log.stats() if tracer.log is not None else None
+    return dict(obs_section(snapshot, tracer.enabled, log),
+                sample_rate=tracer.sample_rate, ring=len(tracer.ring))
+
+
+def _serialize(response: PackageResponse) -> dict:
+    """``response.to_dict()``, timed as the ``serialize`` stage.  Only a
+    served response's city counts toward the per-city breakdown: an
+    error response echoes whatever name the client sent."""
+    with stage("serialize", city=response.city if response.ok else None):
+        return response.to_dict()
+
+
 class UnknownSessionError(KeyError):
     """Raised when a session id does not name an open session."""
 
@@ -162,39 +199,41 @@ class PackageService:
             :meth:`open_session` sheds with an ``overloaded`` error
             response rather than silently evicting a live session.
         obs: Observability configuration (an
-            :class:`~repro.obs.ObsConfig`, a ready
-            :class:`~repro.obs.Tracer`, or ``None`` for the default
-            config: tracing on, no event log).  Every :meth:`dispatch`
-            call runs under a trace activation, so per-stage latency
-            histograms and slowest-trace rings populate without any
-            client opt-in.
+            :class:`~repro.obs.ObsConfig`, or ``None`` for the default
+            config: tracing on, no event log).  The service builds its
+            :class:`~repro.obs.Tracer` and the
+            :class:`~repro.obs.MetricsRegistry` under it from this.
+            Every :meth:`dispatch` call runs under a trace activation,
+            so the ``stage:*`` histogram series and the slowest-trace
+            ring populate without any client opt-in.
         window: Ring shape for windowed telemetry (counters, gauges and
-            per-op latency histograms in fixed-interval windows); the
-            :class:`~repro.obs.WindowConfig` defaults apply when
-            omitted.
+            per-op latency and per-stage histograms in fixed-interval
+            windows); the :class:`~repro.obs.WindowConfig` defaults
+            apply when omitted.
         slo: Targets for the ``health`` wire op; the
             :class:`~repro.obs.SLOConfig` defaults apply when omitted.
+        shard: The shard index this service serves as, stamped onto
+            every span, error and metrics record it emits (``None``
+            outside a cluster).
     """
 
     def __init__(self, registry: CityRegistry | None = None,
                  cache_capacity: int = 256,
                  max_workers: int = _DEFAULT_BATCH_WORKERS,
                  max_sessions: int = 1024,
-                 obs: ObsConfig | Tracer | None = None,
+                 obs: ObsConfig | None = None,
                  window: WindowConfig | None = None,
-                 slo: SLOConfig | None = None) -> None:
+                 slo: SLOConfig | None = None,
+                 shard: int | None = None) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
         self.max_sessions = max_sessions
         self.registry = registry or CityRegistry()
-        self.tracer = (obs if isinstance(obs, Tracer)
-                       else (obs or ObsConfig()).make_tracer())
-        meta = ({"shard": self.tracer.shard}
-                if self.tracer.shard is not None else None)
-        self.metrics = MetricsRegistry(window=window, log=self.tracer.log,
-                                       meta=meta)
+        self.tracer = (obs or ObsConfig()).make_tracer(shard=shard,
+                                                       window=window)
+        self.metrics = self.tracer.metrics
         self.cache = PackageCache(cache_capacity, windows=self.metrics)
         self.sampler = ResourceSampler(self.metrics)
         self.slo = SLOMonitor(slo)
@@ -617,7 +656,7 @@ class PackageService:
         A ``_trace`` key in the payload is the upstream trace context
         (see :class:`~repro.obs.TraceContext`): the whole operation
         runs as this process's portion of that trace, per-stage latency
-        lands in the tracer's histograms (queue wait included, derived
+        lands in the ``stage:*`` series (queue wait included, derived
         from the sender's hand-off stamp), and the response is stamped
         with the ``trace_id``.  Without one, the service roots a trace
         of its own, so direct dispatch callers get the same stage
@@ -640,9 +679,7 @@ class PackageService:
             if op == "ping":
                 return {"ok": True}
             if op == "build":
-                response = self.build(BuildRequest.from_dict(payload))
-                with stage("serialize", city=response.city or None):
-                    return response.to_dict()
+                return _serialize(self.build(BuildRequest.from_dict(payload)))
             if op == "batch":
                 if len(payload["requests"]) > MAX_BATCH_REQUESTS:
                     return PackageResponse(
@@ -672,13 +709,11 @@ class PackageService:
                         slots[index] = response.to_dict()
                 return {"responses": slots}
             if op == "open_session":
-                response = self.open_session(BuildRequest.from_dict(payload))
-                with stage("serialize", city=response.city or None):
-                    return response.to_dict()
+                return _serialize(
+                    self.open_session(BuildRequest.from_dict(payload)))
             if op == "customize":
-                response = self.apply(CustomizeRequest.from_dict(payload))
-                with stage("serialize", city=response.city or None):
-                    return response.to_dict()
+                return _serialize(
+                    self.apply(CustomizeRequest.from_dict(payload)))
             if op == "close_session":
                 session_id = str(payload["session_id"])
                 try:
@@ -803,7 +838,8 @@ class PackageService:
     def stats(self) -> dict:
         """One JSON-ready snapshot of the service's counters."""
         self._sample_gauges()
-        sections = stats_sections(self.metrics.snapshot())
+        snapshot = self.metrics.snapshot()
+        sections = stats_sections(snapshot)
         return {
             "cities": list(self.registry.loaded()),
             "open_sessions": self.open_sessions,
@@ -813,7 +849,7 @@ class PackageService:
             "assembly": sections["assembly"],
             "live": sections["live"],
             "metrics": sections["metrics"],
-            "obs": self.tracer.snapshot(),
+            "obs": tracer_obs(self.tracer, snapshot),
         }
 
     def health(self) -> dict:

@@ -64,6 +64,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Awaitable, Callable
 
+from repro.obs.top import REPLY_LIMIT_BYTES
 from repro.service.server import DEFAULT_PORT
 
 #: Traffic-mix default: mostly builds, a quarter warm repeats.
@@ -492,7 +493,8 @@ async def _connect(host: str, port: int, timeout: float):
     deadline = time.monotonic() + timeout
     while True:
         try:
-            return await asyncio.open_connection(host, port)
+            return await asyncio.open_connection(host, port,
+                                                 limit=REPLY_LIMIT_BYTES)
         except OSError:
             if time.monotonic() >= deadline:
                 raise

@@ -53,7 +53,7 @@ from threading import Lock
 from repro.core.arrays import CityArrays
 from repro.core.kfc import KFCBuilder
 from repro.core.objective import ObjectiveWeights
-from repro.data.cities import city_names
+from repro.data.cities import city_names, get_template
 from repro.data.dataset import POIDataset
 from repro.data.synthetic import generate_city
 from repro.live.mutations import AddPoi, Mutation, MutationError, MutationLog
@@ -364,6 +364,9 @@ class CityRegistry:
                 self._entries.move_to_end(city)
                 return existing
             log = self._mutation_logs.get(city)
+        # Resolve the name before any city-tagged stage runs: a name
+        # that is no template must not enter the per-city breakdown.
+        get_template(city)
         entry = self._store_load(city)
         if entry is None:
             with stage("city_generate", city=city):

@@ -49,7 +49,6 @@ import time
 
 from repro.core.objective import ObjectiveWeights
 from repro.obs import (
-    MetricsRegistry,
     ObsConfig,
     ResourceSampler,
     SLOConfig,
@@ -62,7 +61,7 @@ from repro.obs import (
     stage,
 )
 from repro.obs.metrics import total
-from repro.service.engine import PackageService
+from repro.service.engine import PackageService, tracer_obs
 from repro.service.registry import populate_store
 from repro.service.schema import ErrorCode, PackageResponse
 from repro.service.shard import ShardCluster, ShardConfig
@@ -99,9 +98,9 @@ class PackageServer:
         max_inflight: Bound on concurrently served requests; beyond it
             new requests are shed with ``overloaded``.
         obs: Front-end observability -- an :class:`~repro.obs.ObsConfig`
-            (or a ready :class:`~repro.obs.Tracer`) for the tracer that
-            mints trace ids and times the front-end stages.  Shard
-            workers trace separately via :attr:`ShardConfig.obs
+            for the tracer that mints trace ids and times the front-end
+            stages into :attr:`windows`.  Shard workers trace separately
+            via :attr:`ShardConfig.obs
             <repro.service.shard.ShardConfig.obs>`.
         window: Ring shape for the front-end's own windowed telemetry
             (request rate, shed rate, end-to-end request latency,
@@ -112,17 +111,16 @@ class PackageServer:
     """
 
     def __init__(self, cluster: ShardCluster, max_inflight: int = 64,
-                 obs: ObsConfig | Tracer | None = None,
+                 obs: ObsConfig | None = None,
                  window: WindowConfig | None = None,
                  slo: SLOConfig | None = None) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.cluster = cluster
         self.max_inflight = max_inflight
-        self.tracer = (obs if isinstance(obs, Tracer)
-                       else (obs or ObsConfig()).make_tracer())
-        self.windows = MetricsRegistry(window=window, log=self.tracer.log,
-                                       meta={"role": "frontend"})
+        self.tracer = (obs or ObsConfig()).make_tracer(
+            window=window, meta={"role": "frontend"})
+        self.windows = self.tracer.metrics
         self.sampler = ResourceSampler(self.windows)
         self.slo = SLOMonitor(slo)
         self._server: asyncio.AbstractServer | None = None
@@ -384,9 +382,9 @@ class PackageServer:
 
     def stats(self) -> dict:
         """Front-end counters (the cluster's live in its own stats),
-        including the front-end tracer's stage histograms and windowed
-        telemetry.  The event counts are all-time totals of the
-        front-end's registry series (``accepted`` is ``requests``)."""
+        including the front-end's stage histograms and windowed
+        telemetry.  The event counts and ``obs`` are all-time totals of
+        the front-end's registry series (``accepted`` is ``requests``)."""
         self._sample_gauges()
         snapshot = self.windows.snapshot()
         return {"accepted": total(snapshot, "requests"),
@@ -398,7 +396,7 @@ class PackageServer:
                 "max_inflight": self.max_inflight,
                 "connections_open": len(self._writers),
                 "draining": self._draining,
-                "obs": self.tracer.snapshot(),
+                "obs": tracer_obs(self.tracer, snapshot),
                 "windows": snapshot}
 
 

@@ -29,8 +29,8 @@ Routing rules:
 * ``batch`` requests are split per shard, served concurrently, and
   reassembled in request order.
 * ``stats``, ``health`` and ``trace`` fan out to every shard and merge
-  (the shards' metrics registries -- all-time totals and windows --
-  bucket-exactly via one ``merge_metrics_snapshots``,
+  (the shards' metrics registries -- all-time totals and windows, obs
+  stages included -- bucket-exactly via one ``merge_metrics_snapshots``,
   slowest-trace rings by trace id; the cluster SLO verdict re-evaluates
   over the merged windows and folds in per-shard states).
 
@@ -69,6 +69,7 @@ from repro.obs import (
 from repro.service.engine import (
     MAX_BATCH_REQUESTS,
     PackageService,
+    obs_section,
     stats_sections,
 )
 from repro.service.registry import CityRegistry
@@ -114,9 +115,9 @@ class ShardConfig:
     #: config stays picklable.
     slo: SLOConfig | None = None
 
-    def make_service(self) -> PackageService:
+    def make_service(self, shard_id: int | None = None) -> PackageService:
         """A fresh serving stack per this configuration (runs in the
-        worker for process shards)."""
+        worker for process shards), stamped as shard ``shard_id``."""
         registry = CityRegistry(
             seed=self.seed, scale=self.scale,
             lda_iterations=self.lda_iterations, k=self.k,
@@ -127,7 +128,7 @@ class ShardConfig:
                               max_workers=self.batch_workers,
                               max_sessions=self.max_sessions,
                               obs=self.obs, window=self.window,
-                              slo=self.slo)
+                              slo=self.slo, shard=shard_id)
 
 
 # -- worker-process globals ---------------------------------------------------
@@ -144,8 +145,7 @@ def _init_worker(config: ShardConfig, shard_id: int) -> None:
     request (or warmup call), not as a broken pool.
     """
     global _WORKER_SERVICE, _WORKER_SHARD
-    _WORKER_SERVICE = config.make_service()
-    _WORKER_SERVICE.tracer.shard = shard_id
+    _WORKER_SERVICE = config.make_service(shard_id)
     _WORKER_SHARD = shard_id
 
 
@@ -261,9 +261,7 @@ class _Shard:
             )
         else:
             self._service = (service_factory(shard_id) if service_factory
-                             else config.make_service())
-            if self._service is not None:
-                self._service.tracer.shard = shard_id
+                             else config.make_service(shard_id))
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"shard-{shard_id}"
             )
@@ -358,7 +356,8 @@ class ShardCluster:
         use_processes: Process workers (the real deployment shape) or
             single-thread workers (cheap; for tests and stdin serving).
         service_factory: Thread mode only -- build shard ``i``'s service
-            (e.g. over a pre-fitted registry) instead of from ``config``.
+            (e.g. over a pre-fitted registry, ``shard=i``) instead of
+            from ``config``.
     """
 
     def __init__(self, shards: int = 2, config: ShardConfig | None = None,
@@ -573,8 +572,9 @@ class ShardCluster:
         # Every event count lives in the shards' metrics registries:
         # one exact merge of their snapshots yields the cluster's
         # cache, assembly, live and metrics sections.
-        sections = stats_sections(merge_metrics_snapshots(
-            [r["metrics"]["windows"] for r in results]))
+        merged = merge_metrics_snapshots(
+            [r["metrics"]["windows"] for r in results])
+        sections = stats_sections(merged)
         cache = {key: sum(r["cache"][key] for r in results)
                  for key in ("size", "capacity")}
         cache.update(sections["cache"])
@@ -612,6 +612,9 @@ class ShardCluster:
                     if name in store else value
         if store:
             registry["store"] = store
+        # Event-log counts are the one obs figure outside the registry
+        # (the log writes under its lock); total the shards' own.
+        logs = [r["obs"]["log"] for r in results if "log" in r["obs"]]
         return {
             "shards": results,
             "placement": self.placement,
@@ -623,7 +626,10 @@ class ShardCluster:
             "assembly": sections["assembly"],
             "live": sections["live"],
             "metrics": sections["metrics"],
-            "obs": Tracer.merge_obs([r.get("obs") for r in results]),
+            "obs": obs_section(
+                merged, any(r["obs"]["enabled"] for r in results),
+                {key: sum(log[key] for log in logs)
+                 for key in ("written", "dropped")} if logs else None),
         }
 
     def _combine_health(self, results: list[dict]) -> dict:

@@ -12,6 +12,8 @@ scalar metadata (projection origin, distance normalizer) and the
 serving configuration.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,10 @@ class TestByteIdentity:
     @settings(deadline=None, max_examples=25)
     @given(ops=st.lists(_OPS, min_size=1, max_size=6))
     def test_random_mutation_sequences(self, base, ops):
-        dataset, index = base
+        # extend_with writes into the index, and a close of the highest
+        # id followed by an add reuses that id: work on a private copy
+        # so no example corrupts the shared fixture.
+        dataset, index = base[0], copy.deepcopy(base[1])
         patched = CityArrays.build(dataset, index)
         current = dataset
         for op in ops:

@@ -26,6 +26,19 @@ from repro.obs import (
 )
 from repro.obs.check import check_log_lines
 from repro.obs.histogram import bucket_index, bucket_upper_s
+from repro.obs.metrics import merge_metrics_snapshots
+from repro.service.engine import obs_section, tracer_obs
+
+
+def obs_of(tracer: Tracer) -> dict:
+    """The ``obs`` stats section a process with this tracer reports."""
+    return tracer_obs(tracer, tracer.metrics.snapshot())
+
+
+def merged_obs(*tracers: Tracer) -> dict:
+    """The cluster ``obs`` section over these tracers' registries."""
+    return obs_section(merge_metrics_snapshots(
+        [t.metrics.snapshot() for t in tracers]), True)
 
 
 class TestLogHistogram:
@@ -171,7 +184,7 @@ class TestTracer:
             with stage("assemble", city="rome"):
                 pass
         assert tracer.slowest_traces() == []
-        snap = tracer.snapshot()
+        snap = obs_of(tracer)
         assert snap["stages"]["assemble"]["count"] == 1
         assert snap["cities"]["rome"]["count"] == 1
         assert snap["counters"]["traces"] == 0
@@ -182,7 +195,10 @@ class TestTracer:
             assert act is None
             with stage("assemble"):
                 pass
-        assert tracer.snapshot()["stages"] == {}
+        obs = obs_of(tracer)
+        assert obs["enabled"] is False
+        assert obs["stages"] == {} and obs["cities"] == {}
+        assert obs["counters"] == {"traces": 0, "spans": 0, "errors": 0}
 
     def test_election_is_deterministic_across_tracers(self):
         a = Tracer(sample_rate=0.37)
@@ -197,7 +213,7 @@ class TestTracer:
         ctx = TraceContext(trace_id="t1", span_id="fe-1", sent_s=0.0)
         with tracer.activate("serve:build", ctx):
             pass
-        snap = tracer.snapshot()
+        snap = obs_of(tracer)
         assert snap["stages"]["queue_wait"]["count"] == 1
         trace = tracer.slowest_traces()[0]
         names = {s["name"] for s in trace["spans"]}
@@ -233,45 +249,97 @@ class TestTracer:
         names = {s["name"] for s in trace["spans"]}
         assert {f"element-{i}" for i in range(4)} <= names
 
-    def test_merge_obs_sums_exactly(self):
+    def test_merged_obs_sums_exactly(self):
         a, b = Tracer(), Tracer()
         for tracer, ms in ((a, 0.01), (b, 0.05)):
             with tracer.activate("serve:build"):
                 with stage("assemble", city="paris"):
                     pass
             tracer.record_stage("assemble", ms)
-        merged = Tracer.merge_obs([a.snapshot(), None, b.snapshot()])
+        merged = obs_section(merge_metrics_snapshots(
+            [a.metrics.snapshot(), None, b.metrics.snapshot()]), True)
         assert merged["stages"]["assemble"]["count"] == 4
         assert merged["cities"]["paris"]["count"] == 2
         assert merged["counters"]["traces"] == 2
+        assert merged["stages"]["assemble"]["max_ms"] == pytest.approx(50.0)
+        for name, hist in obs_of(a)["stages"].items():
+            assert merged["stages"][name]["count"] == (
+                hist["count"] + obs_of(b)["stages"][name]["count"])
 
-    def test_merge_obs_surfaces_log_written_and_dropped(self, tmp_path):
-        # Satellite of the windowed-telemetry work: best-effort event
-        # logs drop silently per process; the merged stats view must
-        # total written/dropped so the loss is visible cluster-wide.
-        healthy = ObsConfig(log_path=str(tmp_path / "a.ndjson"))
-        broken = ObsConfig(log_path=str(tmp_path / "b.ndjson"))
-        a, b = healthy.make_tracer(), broken.make_tracer()
-        with a.activate("serve:build"):
-            pass
-        b.log.close()  # every subsequent write drops
-        with b.activate("serve:build"):
-            pass
-        merged = Tracer.merge_obs([a.snapshot(), b.snapshot()])
-        assert merged["log"]["written"] >= 1
-        assert merged["log"]["dropped"] >= 1
-        a.close()
-        # Logless snapshots merge without inventing a log section.
-        plain = Tracer()
-        assert "log" not in Tracer.merge_obs([plain.snapshot()])
+    def test_merged_obs_is_order_independent(self):
+        import itertools
+
+        tracers = [Tracer() for _ in range(3)]
+        for i, tracer in enumerate(tracers):
+            for j in range(i + 2):
+                with tracer.activate("serve:build"):
+                    with stage("assemble", city=("paris", "rome")[j % 2]):
+                        pass
+                tracer.record_stage(f"stage-{i}", 0.001 * (j + 1))
+            tracer.error("boom")
+        snapshots = [t.metrics.snapshot() for t in tracers]
+        views = [obs_section(merge_metrics_snapshots(order), True)
+                 for order in itertools.permutations(snapshots)]
+        assert all(view == views[0] for view in views)
+        assert views[0]["counters"] == {"traces": 9, "spans": 18,
+                                        "errors": 3}
+
+    def test_cluster_obs_sums_log_written_and_dropped(self, tmp_path):
+        # Best-effort event logs drop silently per process; the
+        # cluster's stats must total written/dropped so the loss is
+        # visible cluster-wide.
+        from repro.service import (
+            CityRegistry,
+            PackageService,
+            ShardCluster,
+            ShardConfig,
+        )
+
+        services = [
+            PackageService(CityRegistry(), shard=i, obs=ObsConfig(
+                log_path=str(tmp_path / f"{i}.ndjson")))
+            for i in range(2)
+        ]
+        services[0].dispatch("ping", {})
+        services[1].tracer.log.close()  # every subsequent write drops
+        services[1].dispatch("ping", {})
+        with ShardCluster(shards=2, config=ShardConfig(),
+                          use_processes=False,
+                          service_factory=services.__getitem__) as cluster:
+            stats = cluster.stats()
+        assert stats["obs"]["log"]["written"] >= 1
+        assert stats["obs"]["log"]["dropped"] >= 1
+        assert stats["obs"]["log"] == {
+            key: sum(s["obs"]["log"][key] for s in stats["shards"])
+            for key in ("written", "dropped")}
+        services[0].close()
+        # Logless tracers merge without inventing a log section.
+        with ShardCluster(shards=1, config=ShardConfig(),
+                          use_processes=False) as cluster:
+            assert "log" not in cluster.stats()["obs"]
 
     def test_hist_key_table_is_bounded(self):
         tracer = Tracer()
         for i in range(500):
-            tracer.record_stage(f"client-controlled-{i}", 0.001)
-        stages = tracer.snapshot()["stages"]
-        assert len(stages) <= 129  # _MAX_HIST_KEYS + __other__
-        assert stages["__other__"]["count"] > 0
+            tracer.record_stage(f"client-controlled-{i}", 0.001,
+                                city=f"city-{i}")
+        obs = obs_of(tracer)
+        for table in ("stages", "cities"):
+            assert len(obs[table]) <= 129  # _MAX_NAMES + __other__
+            assert obs[table]["__other__"]["count"] == 500 - 128
+        series = tracer.metrics.snapshot()["series"]
+        assert len(series) <= 2 * 129
+        assert not any(name.startswith("latency:") for name in series)
+
+    def test_failed_stage_records_no_city(self):
+        tracer = Tracer()
+        with pytest.raises(KeyError):
+            with tracer.activate("serve:build"):
+                with stage("city_generate", city="nowhere"):
+                    raise KeyError("nowhere")
+        obs = obs_of(tracer)
+        assert obs["stages"]["city_generate"]["count"] == 1
+        assert "nowhere" not in obs["cities"]
 
 
 class TestSlowTraceRing:

@@ -18,6 +18,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.obs import ObsConfig, WindowConfig
 from repro.service import (
     CityRegistry,
     ErrorCode,
@@ -40,7 +41,7 @@ def cluster(app):
     registry.register(app.dataset, app.item_index, name="paris")
 
     def factory(shard_id):
-        return PackageService(registry, cache_capacity=32)
+        return PackageService(registry, cache_capacity=32, shard=shard_id)
 
     cluster = ShardCluster(shards=2, config=ShardConfig(scale=0.4),
                            cities=["paris", "barcelona"],
@@ -612,6 +613,103 @@ class TestTracing:
         shares = [s["utilization"] for s in stats["shards"]]
         assert all(0.0 <= u <= 1.0 for u in shares)
         assert sum(shares) == pytest.approx(1.0)
+        # The cluster's obs is one exact merge of the shards' registries:
+        # every stage, city and counter is the shard sum.
+        shards = [s["obs"] for s in stats["shards"]]
+        for table in ("stages", "cities"):
+            assert set(obs[table]) == {n for s in shards for n in s[table]}
+            for name, numbers in obs[table].items():
+                assert numbers["count"] == sum(
+                    s[table].get(name, {}).get("count", 0) for s in shards)
+        for name, count in obs["counters"].items():
+            assert count == sum(s["counters"][name] for s in shards)
+
+    def test_obs_wire_shape_is_unchanged(self, cluster, tmp_path):
+        """The ``obs`` keys on a shard, on the cluster and in
+        ``stats.server.obs`` -- what ``loadgen --expect-traced`` and
+        dashboards read -- with and without an event log."""
+        hist_fields = {"count", "total_ms", "mean_ms", "min_ms", "max_ms",
+                       "p50_ms", "p90_ms", "p95_ms", "p99_ms", "buckets"}
+        process = {"enabled", "sample_rate", "counters", "stages",
+                   "cities", "ring"}
+        merged = {"enabled", "counters", "stages", "cities"}
+
+        def check(obs, keys, log_keys):
+            assert set(obs) == keys | ({"log"} if log_keys else set())
+            assert set(obs["counters"]) == {"traces", "spans", "errors"}
+            assert obs["stages"]
+            for table in ("stages", "cities"):
+                for numbers in obs[table].values():
+                    assert set(numbers) == hist_fields
+            if log_keys:
+                assert set(obs["log"]) == log_keys
+
+        async def stats_of(server):
+            await server.handle_line(json.dumps(
+                {"op": "build", "request": spec_payload("paris", seed=43)}))
+            return await server.handle_line(json.dumps(
+                {"op": "stats", "request": {}}))
+
+        server = PackageServer(cluster)
+        stats = asyncio.run(stats_of(server))
+        server.tracer.close()
+        for shard in stats["shards"]:
+            check(shard["obs"], process, None)
+        check(stats["obs"], merged, None)
+        check(stats["server"]["obs"], process, None)
+        assert "paris" in stats["obs"]["cities"]
+
+        obs = ObsConfig(log_path=str(tmp_path / "events.ndjson"))
+        with ShardCluster(shards=2, config=ShardConfig(obs=obs),
+                          use_processes=False) as logged:
+            server = PackageServer(logged, obs=obs)
+            line = json.dumps({"op": "stats", "request": {}})
+            asyncio.run(server.handle_line(line))  # populates the stages
+            stats = asyncio.run(server.handle_line(line))
+            server.tracer.close()
+        full = {"path", "written", "dropped"}
+        for shard in stats["shards"]:
+            check(shard["obs"], process, full)
+        check(stats["obs"], merged, {"written", "dropped"})
+        check(stats["server"]["obs"], process, full)
+
+    def test_worker_metric_windows_carry_their_shard(self, tmp_path):
+        """Every ``metrics`` record a worker writes names its shard:
+        the id is stamped when the worker's registry is built."""
+        path = tmp_path / "events.ndjson"
+        config = ShardConfig(obs=ObsConfig(log_path=str(path)),
+                             window=WindowConfig(interval_s=0.05, slots=8))
+        with ShardCluster(shards=2, config=config,
+                          use_processes=False) as cluster:
+            for _ in range(4):
+                cluster.stats()  # fans out: both shards record
+                time.sleep(0.06)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        metrics = [r for r in records if r["kind"] == "metrics"]
+        assert metrics
+        assert {r.get("shard") for r in metrics} == {0, 1}
+
+    def test_unknown_cities_stay_out_of_the_city_table(self, app):
+        """Client-sent names that resolve to no city record no per-city
+        breakdown, so they cannot crowd real cities into ``__other__``."""
+        registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
+        registry.register(app.dataset, app.item_index, name="paris")
+        service = PackageService(registry, cache_capacity=4)
+        for i in range(200):
+            response = service.dispatch("build", spec_payload(f"nowhere-{i}"))
+            assert response["code"] == ErrorCode.NOT_FOUND.value
+        response = service.dispatch("mutate", {
+            "city": "nowhere-else",
+            "mutation": {"kind": "reprice_poi", "poi_id": 1, "cost": 1.0}})
+        assert response["code"] == ErrorCode.NOT_FOUND.value
+        built = service.dispatch("build", spec_payload("paris"))
+        assert built["error"] is None
+        obs = service.stats()["obs"]
+        service.close()
+        assert not any(name.startswith("nowhere") for name in obs["cities"])
+        assert "__other__" not in obs["cities"]
+        assert obs["cities"]["paris"]["count"] >= 1
+        assert obs["stages"]["serve:build"]["count"] == 201
 
     def test_cluster_trace_op_reaches_worker_rings(self, cluster):
         wire = {"trace_id": "direct-dispatch-1",
