@@ -27,10 +27,9 @@ Three pieces, designed to cross process boundaries cleanly:
   reasons.  ``python -m repro.obs.top`` renders the live cluster view.
 
 :class:`ObsConfig` is the picklable knob bundle the serving tier ships
-to worker processes; each worker builds its own :class:`Tracer` (and
-the registry under it) from it.  All of it degrades to near-zero cost
-when disabled: entry points check one flag, and :func:`stage` is a
-single context-variable read.
+to worker processes; each worker builds its own :class:`Tracer` and
+registry from it.  All of it degrades to near-zero cost when disabled:
+entry points check one flag, and :func:`stage` is one context-var read.
 """
 
 from __future__ import annotations
@@ -93,10 +92,9 @@ class ObsConfig:
     def make_tracer(self, shard: int | None = None,
                     window: WindowConfig | None = None,
                     meta: Mapping | None = None) -> Tracer:
-        """A fresh tracer honoring this configuration, over a fresh
-        :class:`MetricsRegistry` (ring shape ``window``) that owns the
-        event log.  ``shard`` is stamped onto every span, error and
-        metrics record; ``meta`` onto the metrics records."""
+        """A fresh tracer over a fresh :class:`MetricsRegistry` (ring
+        shape ``window``, owning the event log).  ``shard`` is stamped
+        onto every record, ``meta`` onto the metrics records."""
         log = (EventLog(self.log_path)
                if self.enabled and self.log_path is not None else None)
         meta = dict(meta or {})

@@ -51,15 +51,13 @@ class LogHistogram:
 
     Counts and the duration sum are exact; min/max are exact extremes;
     quantiles are bucket-resolution estimates (<=9.1% relative error).
-    Not synchronized: the owner serializes every read and write (a
-    :class:`~repro.obs.metrics.MetricsRegistry` holds its own lock
-    around each), so a sample costs no second lock.
+    Not synchronized: its owning ``MetricsRegistry`` locks around each use.
     """
 
-    __slots__ = ("_buckets", "count", "total_s", "min_s", "max_s")
+    __slots__ = ("buckets", "count", "total_s", "min_s", "max_s")
 
     def __init__(self) -> None:
-        self._buckets: dict[int, int] = {}
+        self.buckets: dict[int, int] = {}
         self.count = 0
         self.total_s = 0.0
         self.min_s = math.inf
@@ -70,9 +68,8 @@ class LogHistogram:
         self.add(bucket_index(seconds), seconds)
 
     def add(self, index: int, seconds: float) -> None:
-        """Count one duration whose :func:`bucket_index` the caller
-        already computed (one index serves several histograms)."""
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        """Count one duration whose :func:`bucket_index` is ``index``."""
+        self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total_s += seconds
         if seconds < self.min_s:
@@ -86,7 +83,7 @@ class LogHistogram:
         The ``buckets`` dict is what makes the snapshot exactly
         mergeable downstream; string keys survive a JSON round trip.
         """
-        return snapshot_dict(self._buckets, self.count, self.total_s,
+        return snapshot_dict(self.buckets, self.count, self.total_s,
                              self.min_s, self.max_s)
 
 

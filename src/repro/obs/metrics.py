@@ -32,7 +32,9 @@ older slots.  A **late** sample whose window still lives in the ring is
 recorded into that window -- out-of-order arrival does not corrupt
 alignment -- while a sample older than the whole ring is dropped from
 the windows and counted in ``dropped_late``.  Every sample, late or
-not, counts in its series' all-time total.
+not, counts in its series' all-time total.  A histogram series fed
+only through :meth:`MetricsRegistry.observe_total` (the tracer's
+per-stage series) has the all-time slot and no windows.
 
 When the registry is given an :class:`~repro.obs.events.EventLog`, each
 series emits one ``kind="metrics"`` NDJSON record as its current window
@@ -102,13 +104,22 @@ class _Series:
         self.total = (0 if kind == "counter" else
                       LogHistogram() if kind == "histogram" else None)
 
-    def payload(self, slot) -> dict:
-        """The JSON-ready record for one slot (no ``start_s`` key)."""
+    def copy(self, slot):
+        """A private copy of one slot, cheap to take under the lock."""
         if self.kind == "counter":
-            return {"value": slot}
+            return slot
         if self.kind == "gauge":
             return dict(slot)
-        return slot.snapshot()
+        return (dict(slot.buckets), slot.count, slot.total_s, slot.min_s,
+                slot.max_s)
+
+    def payload(self, copied) -> dict:
+        """The JSON-ready record for one :meth:`copy` (no ``start_s``)."""
+        if self.kind == "counter":
+            return {"value": copied}
+        if self.kind == "gauge":
+            return copied
+        return snapshot_dict(*copied)
 
 
 class MetricsRegistry:
@@ -184,7 +195,7 @@ class MetricsRegistry:
             "pid": os.getpid(),
         }
         record.update(self.meta)
-        record.update(series.payload(slot))
+        record.update(series.payload(series.copy(slot)))
         self.log.write("metrics", record)
 
     def counter_inc(self, name: str, n: int = 1,
@@ -229,6 +240,18 @@ class MetricsRegistry:
                     slot = series.windows[start] = LogHistogram()
                 slot.add(index, seconds)
 
+    def observe_total(self, name: str, seconds: float) -> None:
+        """Record one duration into a histogram series' all-time slot
+        only: the series keeps no window ring and emits no ``metrics``
+        record, so its snapshot stays one histogram however long the
+        process runs."""
+        index = bucket_index(seconds)
+        with self._lock:
+            series = self._series.get(name)
+            if series is None:
+                series = self._series[name] = _Series(name, "histogram")
+            series.total.add(index, seconds)
+
     # -- views -------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -237,28 +260,33 @@ class MetricsRegistry:
 
         Histogram slots carry their raw buckets, so cross-process merges
         of this snapshot are exact per window and for the totals.
-        ``uptime_s`` is the registry's age.
+        ``uptime_s`` is the registry's age.  The lock is held only to
+        copy the slots; percentiles are computed after it is released.
         """
         with self._lock:
-            series_view = {}
-            for name, series in sorted(self._series.items()):
-                view = {
-                    "type": series.kind,
-                    "windows": [
-                        dict(series.payload(slot), start_s=start)
-                        for start, slot in sorted(series.windows.items())
-                    ],
-                }
-                if series.total is not None:
-                    view["total"] = series.payload(series.total)
-                series_view[name] = view
-            return {
-                "interval_s": self.window.interval_s,
-                "slots": self.window.slots,
-                "uptime_s": time.perf_counter() - self._started,
-                "dropped_late": self.dropped_late,
-                "series": series_view,
-            }
+            copied = [(name, series,
+                       [(start, series.copy(slot))
+                        for start, slot in sorted(series.windows.items())],
+                       None if series.total is None
+                       else series.copy(series.total))
+                      for name, series in sorted(self._series.items())]
+            uptime = time.perf_counter() - self._started
+            dropped_late = self.dropped_late
+        series_view = {}
+        for name, series, windows, total_slot in copied:
+            view = {"type": series.kind,
+                    "windows": [dict(series.payload(slot), start_s=start)
+                                for start, slot in windows]}
+            if total_slot is not None:
+                view["total"] = series.payload(total_slot)
+            series_view[name] = view
+        return {
+            "interval_s": self.window.interval_s,
+            "slots": self.window.slots,
+            "uptime_s": uptime,
+            "dropped_late": dropped_late,
+            "series": series_view,
+        }
 
 
 # -- snapshot-level arithmetic -------------------------------------------------

@@ -44,8 +44,8 @@ DEFAULT_HORIZON_S = 30.0
 
 _STATE_GLYPH = {"ok": "OK", "degraded": "DEGRADED", "breached": "BREACHED"}
 
-#: Bound on one reply line: ``stats``/``health`` carry every process's
-#: window rings, far past asyncio's 64 KiB default on a busy cluster.
+#: ``repro.service.server.REPLY_LIMIT_BYTES`` (see there), repeated
+#: because this module does not import the serving tier.
 REPLY_LIMIT_BYTES = 64 * 1024 * 1024
 
 

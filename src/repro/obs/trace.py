@@ -15,14 +15,13 @@ tracer object through their signatures.  When nothing is active,
 :func:`stage` costs one context-variable read and returns a shared
 no-op -- library code stays instrumentable without a service attached.
 
-Each stage always records into the process's
-:class:`~repro.obs.metrics.MetricsRegistry` (``stage:<name>`` and,
-for a completed stage naming a city, ``stage_city:<city>`` histogram
-series; ``obs.*`` counters), so p50/p90/p99 cover *every* request.
-Span objects and event-log records are only produced for **sampled**
-traces (deterministic by trace-id hash, so all processes agree without
-coordination); completed sampled traces additionally enter a bounded
-ring of the slowest-N span trees that the ``trace`` wire op exposes.
+Every stage records into the process's ``MetricsRegistry`` (all-time
+``stage:<name>`` and ``stage_city:<city>`` histograms, ``obs.*``
+counters), so p50/p90/p99 cover *every* request.  Spans and event-log
+records are only produced for **sampled** traces (deterministic by
+trace-id hash, so all processes agree without coordination); completed
+sampled traces also enter a bounded ring of the slowest-N span trees
+that the ``trace`` wire op exposes.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ import itertools
 import os
 import time
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from threading import Lock
@@ -172,42 +173,22 @@ def current_activation() -> _Activation | None:
     return _ACTIVE.get()
 
 
-class _UseActivation:
+@contextmanager
+def use_activation(act: _Activation | None) -> Iterator[None]:
     """Rebind an activation in another thread (the batch pool's worker
     threads do not inherit the submitting context)."""
-
-    __slots__ = ("_act", "_token")
-
-    def __init__(self, act: _Activation | None) -> None:
-        self._act = act
-        self._token = None
-
-    def __enter__(self) -> None:
-        if self._act is not None:
-            self._token = _ACTIVE.set(self._act)
-
-    def __exit__(self, *exc_info) -> None:
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
+    if act is None:
+        yield
+        return
+    token = _ACTIVE.set(act)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
 
 
-def use_activation(act: _Activation | None) -> _UseActivation:
-    return _UseActivation(act)
-
-
-class _NullTimer:
-    """Shared do-nothing stage (no active trace, or tracing disabled)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
+#: Shared do-nothing stage (no active trace, or tracing disabled).
+_NULL_TIMER = nullcontext()
 
 
 class _StageTimer:
@@ -312,7 +293,6 @@ class _RootActivation:
         self._tracer = tracer
         self._name = name
         self._ctx = ctx
-        self._token = None
         self._act: _Activation | None = None
 
     def __enter__(self) -> _Activation | None:
@@ -321,23 +301,21 @@ class _RootActivation:
             return None
         self._start_ts = time.time()
         ctx = self._ctx
+        queue_wait = None
         if ctx is not None:
             trace_id, parent, sampled = ctx.trace_id, ctx.span_id, ctx.sampled
             if ctx.sent_s is not None:
                 # Admission-to-service wait, observed receiver-side.
-                tracer.record_queue_wait(ctx, self._start_ts)
+                queue_wait = tracer.record_queue_wait(ctx, self._start_ts)
         else:
             trace_id = new_trace_id()
             parent = None
             sampled = tracer.elects(trace_id)
         span_id = new_span_id()
-        act = _Activation(tracer, trace_id, span_id,
-                          [] if sampled else None, sampled)
-        if sampled:
-            # The queue-wait span, if any, was stashed by record_queue_wait.
-            pending = tracer._take_pending_span()
-            if pending is not None:
-                act.spans.append(pending)
+        # A queue-wait span exists only for a sampled trace.
+        spans = ([queue_wait] if queue_wait is not None
+                 else [] if sampled else None)
+        act = _Activation(tracer, trace_id, span_id, spans, sampled)
         self._act = act
         # Remember the root ids: act.parent_id aliases the *current*
         # parent and stage timers rebind the context, so finalization
@@ -398,9 +376,6 @@ class Tracer:
         self._names: dict[str, set[str]] = {STAGE_PREFIX: set(),
                                             CITY_PREFIX: set()}
         self._names_lock = Lock()
-        self._pending_span: ContextVar[Span | None] = ContextVar(
-            "repro_obs_pending", default=None
-        )
 
     # -- election ----------------------------------------------------------
 
@@ -426,9 +401,11 @@ class Tracer:
         """Count one stage duration (and its per-city breakdown)."""
         if not self.enabled:
             return
-        self.metrics.observe(self._bounded(STAGE_PREFIX, name), seconds)
+        self.metrics.observe_total(self._bounded(STAGE_PREFIX, name),
+                                   seconds)
         if city is not None:
-            self.metrics.observe(self._bounded(CITY_PREFIX, city), seconds)
+            self.metrics.observe_total(self._bounded(CITY_PREFIX, city),
+                                       seconds)
 
     def _bounded(self, prefix: str, name: str) -> str:
         """The series ``name`` records into: its own for the first
@@ -442,23 +419,18 @@ class Tracer:
                     names.add(name)
         return prefix + name
 
-    def record_queue_wait(self, ctx: TraceContext, now_s: float) -> None:
+    def record_queue_wait(self, ctx: TraceContext,
+                          now_s: float) -> Span | None:
         """Admission/queue wait derived from the sender's hand-off
-        stamp; becomes both a histogram point and (sampled) a span."""
+        stamp: a histogram point, and the span returned for a sampled
+        trace (``None`` otherwise)."""
         wait = max(0.0, now_s - float(ctx.sent_s or now_s))
         self.record_stage("queue_wait", wait)
-        if ctx.sampled:
-            self._pending_span.set(Span(
-                trace_id=ctx.trace_id, span_id=new_span_id(),
-                parent_id=ctx.span_id, name="queue_wait",
-                start_s=now_s - wait, duration_ms=wait * 1000.0,
-            ))
-
-    def _take_pending_span(self) -> Span | None:
-        span = self._pending_span.get()
-        if span is not None:
-            self._pending_span.set(None)
-        return span
+        if not ctx.sampled:
+            return None
+        return Span(trace_id=ctx.trace_id, span_id=new_span_id(),
+                    parent_id=ctx.span_id, name="queue_wait",
+                    start_s=now_s - wait, duration_ms=wait * 1000.0)
 
     def activate(self, name: str,
                  ctx: TraceContext | None = None) -> _RootActivation:

@@ -113,13 +113,10 @@ def stats_sections(snapshot: Mapping) -> dict:
 
 def obs_section(snapshot: Mapping, enabled: bool,
                 log: Mapping | None = None) -> dict:
-    """The ``obs`` section of ``stats`` from one registry snapshot: the
-    ``obs.*`` counters and the ``stage:*``/``stage_city:*`` histograms
-    (all-time slots).  As with :func:`stats_sections`, a process reads
-    its own snapshot and the cluster the exact merge of its shards'.
-    The event-log counts ``log`` come from outside: the log writes
-    under the registry's lock, so they cannot be registry series.
-    """
+    """The ``obs`` section of ``stats`` from one registry snapshot, read
+    like :func:`stats_sections`.  The event-log counts ``log`` come from
+    outside: the log writes under the registry's lock, so they cannot
+    be registry series."""
     section = {"enabled": enabled,
                "counters": {name: total(snapshot, f"obs.{name}")
                             for name in TRACE_COUNTERS}}
@@ -141,9 +138,8 @@ def tracer_obs(tracer: Tracer, snapshot: Mapping) -> dict:
 
 
 def _serialize(response: PackageResponse) -> dict:
-    """``response.to_dict()``, timed as the ``serialize`` stage.  Only a
-    served response's city counts toward the per-city breakdown: an
-    error response echoes whatever name the client sent."""
+    """``response.to_dict()`` as the ``serialize`` stage; an error
+    response's city is the client's unresolved name, so it is not tagged."""
     with stage("serialize", city=response.city if response.ok else None):
         return response.to_dict()
 
@@ -200,21 +196,18 @@ class PackageService:
             response rather than silently evicting a live session.
         obs: Observability configuration (an
             :class:`~repro.obs.ObsConfig`, or ``None`` for the default
-            config: tracing on, no event log).  The service builds its
-            :class:`~repro.obs.Tracer` and the
-            :class:`~repro.obs.MetricsRegistry` under it from this.
-            Every :meth:`dispatch` call runs under a trace activation,
-            so the ``stage:*`` histogram series and the slowest-trace
-            ring populate without any client opt-in.
+            config: tracing on, no event log) for the service's tracer
+            and :attr:`metrics` registry.  Every :meth:`dispatch` call
+            runs under a trace activation, so the ``stage:*`` series and
+            the slowest-trace ring populate without any client opt-in.
         window: Ring shape for windowed telemetry (counters, gauges and
-            per-op latency and per-stage histograms in fixed-interval
-            windows); the :class:`~repro.obs.WindowConfig` defaults
-            apply when omitted.
+            per-op latency histograms in fixed-interval windows); the
+            :class:`~repro.obs.WindowConfig` defaults apply when
+            omitted.
         slo: Targets for the ``health`` wire op; the
             :class:`~repro.obs.SLOConfig` defaults apply when omitted.
-        shard: The shard index this service serves as, stamped onto
-            every span, error and metrics record it emits (``None``
-            outside a cluster).
+        shard: The shard index stamped onto every span, error and
+            metrics record (``None`` outside a cluster).
     """
 
     def __init__(self, registry: CityRegistry | None = None,
@@ -781,7 +774,9 @@ class PackageService:
             if not city:
                 raise ValueError("a mutate request needs a city")
             mutation = mutation_from_dict(payload.get("mutation"))
-            with stage("mutate", city=city):
+            # The registry resolves names case-insensitively; tag the
+            # resolved name so case variants share one city series.
+            with stage("mutate", city=city.lower()):
                 result = self.registry.mutate(city, mutation)
         except (KeyError, ValueError, RuntimeError) as exc:
             return self._error_response(

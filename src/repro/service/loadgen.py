@@ -64,8 +64,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Awaitable, Callable
 
-from repro.obs.top import REPLY_LIMIT_BYTES
-from repro.service.server import DEFAULT_PORT
+from repro.service.server import DEFAULT_PORT, REPLY_LIMIT_BYTES
 
 #: Traffic-mix default: mostly builds, a quarter warm repeats.
 DEFAULT_MIX = (("cold", 0.45), ("warm", 0.25), ("batch", 0.15),

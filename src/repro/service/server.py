@@ -74,6 +74,13 @@ DEFAULT_PORT = 8642
 #: any legitimate line while still bounding a hostile client's memory.
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
+#: Client-side bound on one reply line (loadgen, ``repro.obs.top``).
+#: ``stats`` and ``health`` carry every process's window rings, far
+#: past asyncio's 64 KiB default: a 2-shard cluster's ``stats`` reply
+#: measured ~0.4 MB once its rings filled.  A histogram window holds
+#: at most 257 buckets (~3 KB), so a full ring stays a few MB per process.
+REPLY_LIMIT_BYTES = 64 * 1024 * 1024
+
 #: Bound on response tasks pending per connection.  Beyond it the read
 #: loop serves lines inline instead of spawning, so it stops reading --
 #: TCP backpressure then reaches the client, and a client that

@@ -262,6 +262,10 @@ class _Shard:
         else:
             self._service = (service_factory(shard_id) if service_factory
                              else config.make_service(shard_id))
+            if (self._service is not None
+                    and self._service.tracer.shard != shard_id):
+                raise ValueError(f"service_factory must build shard "
+                                 f"{shard_id}'s service with shard={shard_id}")
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"shard-{shard_id}"
             )
@@ -356,8 +360,8 @@ class ShardCluster:
         use_processes: Process workers (the real deployment shape) or
             single-thread workers (cheap; for tests and stdin serving).
         service_factory: Thread mode only -- build shard ``i``'s service
-            (e.g. over a pre-fitted registry, ``shard=i``) instead of
-            from ``config``.
+            (e.g. over a pre-fitted registry; built with ``shard=i``, or
+            ``ValueError``) instead of from ``config``.
     """
 
     def __init__(self, shards: int = 2, config: ShardConfig | None = None,

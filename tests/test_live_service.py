@@ -203,7 +203,8 @@ class TestMutateWireOp:
             shards=2, config=ShardConfig(scale=0.4),
             cities=["paris", "barcelona"], use_processes=False,
             service_factory=lambda i: PackageService(registry,
-                                                     cache_capacity=16))
+                                                     cache_capacity=16,
+                                                     shard=i))
         try:
             poi = next(iter(registry.dataset("paris")))
             out = cluster.dispatch("mutate", {

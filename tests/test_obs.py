@@ -188,6 +188,10 @@ class TestTracer:
         assert snap["stages"]["assemble"]["count"] == 1
         assert snap["cities"]["rome"]["count"] == 1
         assert snap["counters"]["traces"] == 0
+        # Stage series keep only their all-time slot: no window ring.
+        series = tracer.metrics.snapshot()["series"]
+        assert series["stage:assemble"]["windows"] == []
+        assert series["stage_city:rome"]["windows"] == []
 
     def test_disabled_tracer_yields_none_and_records_nothing(self):
         tracer = Tracer(enabled=False)

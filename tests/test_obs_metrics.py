@@ -233,6 +233,28 @@ class TestAllTimeTotals:
         assert total(snapshot, "requests") == 5
         assert total(snapshot, "latency:build")["count"] == 2
 
+    def test_total_only_series_keep_no_window_ring(self, tmp_path):
+        """An ``observe_total`` series stays one histogram however many
+        windows pass, emits no ``metrics`` record, and merges exactly."""
+        path = tmp_path / "events.ndjson"
+        log = EventLog(str(path))
+        regs = [MetricsRegistry(WindowConfig(interval_s=10.0, slots=3),
+                                log=log) for _ in range(2)]
+        for i, reg in enumerate(regs):
+            for t in range(60):  # 60 windows rotate through the ring
+                reg.counter_inc("requests", ts=t * 10.0)
+                reg.observe_total("stage:serialize", 0.001 * (i + 1))
+        log.close()
+        snapshot = regs[0].snapshot()
+        assert snapshot["series"]["stage:serialize"]["windows"] == []
+        assert total(snapshot, "stage:serialize")["count"] == 60
+        merged = merge_metrics_snapshots(reg.snapshot() for reg in regs)
+        assert merged["series"]["stage:serialize"]["windows"] == []
+        assert total(merged, "stage:serialize")["count"] == 120
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records
+        assert {r["series"] for r in records} == {"requests"}
+
     def test_gauges_have_no_total_and_absent_series_read_zero(self):
         reg = MetricsRegistry(WindowConfig(interval_s=10.0, slots=4))
         reg.gauge_set("rss_bytes", 5.0, ts=10.0)

@@ -72,6 +72,15 @@ class TestShardRouting:
             service_factory=lambda i: None,  # never dispatched
         ).shard_for("rome")
 
+    def test_factory_service_must_carry_its_shard(self):
+        """A factory-built service not stamped with its shard would
+        label every span, error and metrics record as shard ``None``."""
+        service = PackageService(CityRegistry())
+        with pytest.raises(ValueError, match="shard=0"):
+            ShardCluster(shards=1, use_processes=False,
+                         service_factory=lambda i: service)
+        service.close()
+
     def test_build_routes_by_city(self, cluster):
         paris = cluster.dispatch("build", spec_payload("paris"))
         assert paris["error"] is None and paris["shard"] == 0
@@ -203,7 +212,8 @@ class TestClusterStats:
             registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
             registry.register(app.dataset, copy.deepcopy(app.item_index),
                               name=("paris", "rome")[shard_id])
-            return PackageService(registry, cache_capacity=16)
+            return PackageService(registry, cache_capacity=16,
+                                  shard=shard_id)
 
         mix = (("cold", 0.3), ("warm", 0.3), ("session", 0.2),
                ("mutate", 0.2))
@@ -691,9 +701,12 @@ class TestTracing:
 
     def test_unknown_cities_stay_out_of_the_city_table(self, app):
         """Client-sent names that resolve to no city record no per-city
-        breakdown, so they cannot crowd real cities into ``__other__``."""
+        breakdown, and case variants of a real name record under the
+        resolved name, so neither can crowd real cities into
+        ``__other__``."""
         registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
-        registry.register(app.dataset, app.item_index, name="paris")
+        registry.register(app.dataset, copy.deepcopy(app.item_index),
+                          name="paris")
         service = PackageService(registry, cache_capacity=4)
         for i in range(200):
             response = service.dispatch("build", spec_payload(f"nowhere-{i}"))
@@ -702,13 +715,24 @@ class TestTracing:
             "city": "nowhere-else",
             "mutation": {"kind": "reprice_poi", "poi_id": 1, "cost": 1.0}})
         assert response["code"] == ErrorCode.NOT_FOUND.value
+        poi = next(iter(registry.dataset("paris")))
+        variants = ["".join(c.upper() if bit == "1" else c
+                            for c, bit in zip("paris", f"{n:05b}"))
+                    for n in range(32)]
+        for epoch, variant in enumerate(variants, start=1):
+            response = service.dispatch("mutate", {
+                "city": variant,
+                "mutation": {"kind": "reprice_poi", "poi_id": poi.id,
+                             "cost": round(poi.cost + 0.01 * epoch, 4)}})
+            assert response.get("error") is None
+            assert response["epoch"] == epoch
         built = service.dispatch("build", spec_payload("paris"))
         assert built["error"] is None
         obs = service.stats()["obs"]
         service.close()
-        assert not any(name.startswith("nowhere") for name in obs["cities"])
-        assert "__other__" not in obs["cities"]
-        assert obs["cities"]["paris"]["count"] >= 1
+        assert set(obs["cities"]) == {"paris"}
+        assert obs["stages"]["mutate"]["count"] == 1 + len(variants)
+        assert obs["cities"]["paris"]["count"] >= len(variants)
         assert obs["stages"]["serve:build"]["count"] == 201
 
     def test_cluster_trace_op_reaches_worker_rings(self, cluster):
@@ -913,6 +937,13 @@ class TestHealthOp:
         assert "requests" in snapshot["health"]["windows"]["series"]
         assert "requests" in snapshot["stats"]["metrics"]["windows"]["series"]
 
+    def test_top_reads_replies_as_large_as_loadgen(self):
+        """``repro.obs.top`` repeats the serving tier's reply bound
+        instead of importing it; the two must not drift apart."""
+        from repro.obs import top
+        from repro.service import server
+        assert top.REPLY_LIMIT_BYTES == server.REPLY_LIMIT_BYTES
+
     def test_overload_flips_health_degraded_then_recovers(self, app):
         """The acceptance scenario: a burst into a ``max_inflight=1``
         front-end sheds almost everything, the ``health`` op reports
@@ -935,7 +966,8 @@ class TestHealthOp:
             config=ShardConfig(scale=0.4, window=window, slo=slo),
             cities=["paris"], use_processes=False,
             service_factory=lambda shard_id: PackageService(
-                registry, cache_capacity=32, window=window, slo=slo),
+                registry, cache_capacity=32, window=window, slo=slo,
+                shard=shard_id),
         )
 
         async def scenario():
