@@ -22,14 +22,17 @@ Scoring runs against the city's :class:`~repro.core.arrays.CityArrays`
 bundle (the pooled ``CityArrays.of(dataset, item_index)`` when none is
 passed), batched across the whole package: per category, the profile
 mat-vec is computed *once* and shared by every centroid, the distance
-pass is one broadcast ``(k_centroids, n)`` matrix, the candidate pool is
-cut with a partition + lexsort (preserving the exact ``(-score, id)``
-order), and POI objects are materialized only for the members of the
-final :class:`~repro.core.composite.CompositeItem`.
+pass is one broadcast ``(k_centroids, n)`` matrix, and the candidate
+pool is cut with a partition + lexsort (preserving the exact
+``(-score, id)`` order).  Pools stay arrays (the ids, costs and scores
+of their rows), so the budget repair scans one masked ratio vector per
+slot, and on both paths ``POI`` objects are materialized only for the
+final picks.
 
-The per-``POI`` object-path scorer lives in ``tests/assembly_oracle.py``
-as the reference the property tests compare this kernel against bit for
-bit; the golden package fixtures pin the bytes of both.
+The per-``POI`` object-path scorer and its Python-loop repair live in
+``tests/assembly_oracle.py`` as the reference the property tests compare
+this kernel against bit for bit; the golden package fixtures pin the
+bytes of both.
 :func:`collect_assembly_counters` exposes how many candidate rows the
 scans scored so serving stacks can report assembly work.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from repro.core.arrays import CategoryArrays, CityArrays
 from repro.core.composite import CompositeItem
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
-from repro.data.poi import POI, Category
+from repro.data.poi import Category
 from repro.geo.distance import equirectangular_km
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
@@ -107,18 +110,6 @@ def _record_scans(rows: int) -> None:
     counters.rows_total += rows
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A scored candidate POI for one CI."""
-
-    poi: POI
-    score: float
-
-    @property
-    def cost(self) -> float:
-        return self.poi.cost
-
-
 # -- scoring -------------------------------------------------------------------
 
 def _gamma_sims(ca: CategoryArrays, profile_vec: np.ndarray,
@@ -154,45 +145,46 @@ def _totals_matrix(ca: CategoryArrays, cents: np.ndarray, gsims: np.ndarray,
     return beta * closeness + gsims[None, :]
 
 
-def _pool_from_scores(dataset: POIDataset, ca: CategoryArrays,
-                      total: np.ndarray, candidate_pool: int, needed: int,
-                      has_budget: bool) -> list[_Candidate]:
-    """One category's candidate pool from its scored rows.
+class _Pool(NamedTuple):
+    """One category's candidate pool for one centroid, pool-aligned:
+    the POI ids, costs and scores of its rows, plus the slots to fill."""
 
-    Without a budget only the ``needed`` greedy winners are ever used,
-    so only those POI objects are materialized; under a budget the full
-    pool (top scorers plus the precomputed cheapest rows) is built for
-    the repair phase.
-    """
-    top = _top_rows(total, ca.ids, candidate_pool)
-    if not has_budget:
-        top = top[:needed]
-    pool = [_Candidate(poi=dataset[int(ca.ids[int(r)])], score=float(total[r]))
-            for r in top]
-    if has_budget:
-        # Keep cheap candidates reachable for the repair phase, in the
-        # precomputed (cost, id) order.
-        seen = {int(ca.ids[int(r)]) for r in top}
-        for r in ca.cost_order[:candidate_pool]:
-            poi_id = int(ca.ids[int(r)])
-            if poi_id not in seen:
-                pool.append(_Candidate(poi=dataset[poi_id],
-                                       score=float(total[r])))
-    return pool
+    ids: np.ndarray
+    costs: np.ndarray
+    scores: np.ndarray
+    count: int
 
 
-def _pools_batched(dataset: POIDataset, ca: CategoryArrays, cents: np.ndarray,
+def _pools_batched(ca: CategoryArrays, cents: np.ndarray,
                    profile_vec: np.ndarray, beta: float, gamma: float,
-                   max_distance_km: float, candidate_pool: int, needed: int,
-                   has_budget: bool) -> list[list[_Candidate]]:
+                   max_distance_km: float, candidate_pool: int,
+                   needed: int, has_budget: bool) -> list[_Pool]:
     """Candidate pools for one category across *all* centroids: one
-    profile mat-vec and one broadcast ``(k, n)`` distance matrix."""
+    profile mat-vec and one broadcast ``(k, n)`` distance matrix.
+
+    Without a budget a pool is just the ``needed`` greedy winners.
+    Under a budget it is the ``pool`` top scorers followed by the
+    ``pool`` cheapest rows (in the precomputed ``(cost, id)`` order)
+    not already among them, so cheap candidates stay reachable for the
+    repair phase; ``pool`` is ``candidate_pool`` raised to ``needed``,
+    so every pool can fill its slots.
+    """
+    pool = max(candidate_pool, needed)
     gsims = _gamma_sims(ca, profile_vec, gamma)
     totals = _totals_matrix(ca, cents, gsims, beta, max_distance_km)
     _record_scans(totals.size)
-    return [_pool_from_scores(dataset, ca, row, candidate_pool, needed,
-                              has_budget)
-            for row in totals]
+    cheap = ca.cost_order[:pool]
+    pools = []
+    for total in totals:
+        rows = _top_rows(total, ca.ids, pool)
+        if has_budget:
+            seen = np.zeros(len(ca), dtype=bool)
+            seen[rows] = True
+            rows = np.concatenate([rows, cheap[~seen[cheap]]])
+        else:
+            rows = rows[:needed]
+        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
+    return pools
 
 
 def _top_rows(total: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:
@@ -232,31 +224,17 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
             )
 
 
-def _finish_assembly(per_category: dict[Category, list[_Candidate]],
+def _finish_assembly(dataset: POIDataset, pools: tuple[_Pool, ...],
                      query: GroupQuery,
                      centroid: tuple[float, float]) -> CompositeItem:
-    """Greedy fill + budget repair over already-scored pools."""
-    # Cheapest conforming selection bounds feasibility.
+    """Greedy fill (+ budget repair) over already-scored pools; ``POI``
+    objects are built only for the final picks."""
     if query.has_budget:
-        floor = sum(
-            sum(sorted(c.cost for c in pool)[: query.count(cat)])
-            for cat, pool in per_category.items()
-        )
-        if floor > query.budget:
-            raise InfeasibleQueryError(
-                f"even the cheapest valid CI costs {floor:.2f}, over the "
-                f"budget {query.budget:.2f}"
-            )
-
-    # Greedy fill: best-scoring items per category.
-    selected: dict[Category, list[_Candidate]] = {
-        cat: pool[: query.count(cat)] for cat, pool in per_category.items()
-    }
-
-    if query.has_budget:
-        _repair_budget(selected, per_category, query)
-
-    pois = [c.poi for pool in selected.values() for c in pool]
+        picks = _repair_budget(pools, query.budget)
+    else:
+        picks = [range(p.count) for p in pools]
+    pois = [dataset[int(p.ids[i])] for p, chosen in zip(pools, picks)
+            for i in chosen]
     return CompositeItem(pois, centroid=centroid)
 
 
@@ -295,23 +273,14 @@ def assemble_composite_items(dataset: POIDataset, centroids,
     if arrays is None:
         arrays = CityArrays.of(dataset, item_index)
 
-    pools_per_centroid: list[dict[Category, list[_Candidate]]] = [
-        {} for _ in range(k)
+    per_category = [
+        _pools_batched(arrays.categories[cat], cents, profile.vector(cat),
+                       beta, gamma, arrays.max_distance_km, candidate_pool,
+                       query.count(cat), query.has_budget)
+        for cat in requested
     ]
-    for cat in requested:
-        pools = _pools_batched(
-            dataset, arrays.categories[cat], cents, profile.vector(cat),
-            beta, gamma, arrays.max_distance_km, candidate_pool,
-            query.count(cat), query.has_budget,
-        )
-        for per_cat, pool in zip(pools_per_centroid, pools):
-            per_cat[cat] = pool
-
-    return [
-        _finish_assembly(per_cat, query,
-                         (float(cents[i, 0]), float(cents[i, 1])))
-        for i, per_cat in enumerate(pools_per_centroid)
-    ]
+    return [_finish_assembly(dataset, pools, query, (lat, lon))
+            for (lat, lon), pools in zip(cents.tolist(), zip(*per_category))]
 
 
 def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
@@ -330,8 +299,9 @@ def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
         item_index: Item vectors matching the profile's schema.
         beta, gamma: Equation 1's CI-term weights.
         candidate_pool: Per category, only the top-scoring (and, under a
-            finite budget, the cheapest) candidates of this many are
-            considered -- a large pool at city scale, bounded for speed.
+            finite budget, the cheapest) candidates of this many (or of
+            the category's count, when larger) are considered -- a
+            large pool at city scale, bounded for speed.
         arrays: The city bundle to score against; defaults to the
             pooled ``CityArrays.of(dataset, item_index)``.
 
@@ -345,66 +315,84 @@ def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
     )[0]
 
 
-def _repair_budget(selected: dict[Category, list[_Candidate]],
-                   per_category: dict[Category, list[_Candidate]],
-                   query: GroupQuery) -> None:
-    """Swap items for cheaper same-category alternatives until the CI
-    fits the budget.
+def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
+    """Greedy fill, then swap picks for cheaper same-category pool
+    members until the CI fits ``budget``; returns each pool's chosen
+    positions in slot order.
 
-    Each round applies the swap saving the most cost per unit of score
-    lost.  Terminates: every swap strictly reduces the affected slot's
-    cost through its pool's at most ``len(pool)`` distinct values, so
-    ``sum(count(cat) * len(pool))`` passes suffice; the explicit bound
-    is a guard against pathological inputs, after which the cheapest
-    conforming selection (already verified feasible) is installed
-    outright.  The cost-sorted pools that fallback needs are computed
-    once up front, not inside the swap loop.
+    Each pass applies the swap saving the most cost per unit of score
+    lost (:func:`_best_swap`).  Terminates: every swap strictly reduces
+    the affected slot's cost through its pool's at most ``len(pool)``
+    distinct values, so ``sum(count * len(pool))`` passes suffice; the
+    explicit bound is a guard against pathological inputs, after which
+    (as when no cheaper alternative exists anywhere) the cheapest
+    conforming selection is installed outright.
+
+    Raises:
+        InfeasibleQueryError: If even the cheapest conforming selection
+            exceeds ``budget``.
     """
-    cheapest_pools: dict[Category, list[_Candidate]] = {
-        cat: sorted(pool, key=lambda c: (c.cost, c.poi.id))
-        for cat, pool in per_category.items()
-    }
+    # Cheapest conforming selection bounds feasibility.
+    floor = sum(sum(np.sort(p.costs)[:p.count].tolist()) for p in pools)
+    if floor > budget:
+        raise InfeasibleQueryError(
+            f"even the cheapest valid CI costs {floor:.2f}, over the "
+            f"budget {budget:.2f}"
+        )
 
-    def cheapest_fill() -> None:
-        """Install the cheapest conforming selection (known feasible)."""
-        for cat, cheapest in cheapest_pools.items():
-            picked: list[_Candidate] = []
-            used: set[int] = set()
-            for cand in cheapest:
-                if cand.poi.id not in used:
-                    picked.append(cand)
-                    used.add(cand.poi.id)
-                if len(picked) == query.count(cat):
-                    break
-            selected[cat] = picked
+    # Greedy fill: each pool leads with its best-scoring rows.
+    picks = [list(range(p.count)) for p in pools]
+    cost_lists = [p.costs.tolist() for p in pools]
 
     def total_cost() -> float:
-        return sum(c.cost for pool in selected.values() for c in pool)
+        return sum(costs[i] for costs, chosen in zip(cost_lists, picks)
+                   for i in chosen)
 
-    max_passes = sum(query.count(cat) * len(pool)
-                     for cat, pool in per_category.items())
+    max_passes = sum(p.count * len(p.costs) for p in pools)
     passes = 0
-    while total_cost() > query.budget:
-        if passes >= max_passes:
-            cheapest_fill()
-            return
-        passes += 1
-        best: tuple[float, Category, int, _Candidate] | None = None
-        for cat, chosen in selected.items():
-            chosen_ids = {c.poi.id for c in chosen}
-            for slot, current in enumerate(chosen):
-                for alt in per_category[cat]:
-                    if alt.poi.id in chosen_ids or alt.cost >= current.cost:
-                        continue
-                    saving = current.cost - alt.cost
-                    loss = max(current.score - alt.score, 0.0)
-                    ratio = saving / (loss + 1e-9)
-                    if best is None or ratio > best[0]:
-                        best = (ratio, cat, slot, alt)
+    while total_cost() > budget:
+        best = _best_swap(pools, picks) if passes < max_passes else None
         if best is None:
-            # No cheaper alternative anywhere: fall back to the cheapest
-            # conforming selection outright (known feasible).
-            cheapest_fill()
-            return
-        _, cat, slot, alt = best
-        selected[cat][slot] = alt
+            # Install the cheapest conforming selection in (cost, id)
+            # order.  Its costs are the floor's, summed in another
+            # order, so rounding alone can still leave it over budget:
+            # then no selection is valid.
+            picks = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
+                     for p in pools]
+            if total_cost() > budget:
+                raise InfeasibleQueryError(
+                    f"the cheapest valid CI costs {total_cost()!r} after "
+                    f"rounding, over the budget {budget!r}"
+                )
+            return picks
+        passes += 1
+        j, slot, alt = best
+        picks[j][slot] = alt
+    return picks
+
+
+def _best_swap(pools: tuple[_Pool, ...],
+               picks: list[list[int]]) -> tuple[int, int, int] | None:
+    """The ``(pool, slot, position)`` swap with the best ratio of cost
+    saved to score lost, or ``None`` when no pick has a cheaper unpicked
+    alternative.
+
+    One masked ratio vector per slot; a slot's first ``argmax`` replaces
+    the best so far only when strictly greater, so ties resolve in
+    ``(category, slot, pool position)`` order.
+    """
+    best = None
+    best_ratio = -np.inf
+    for j, (p, chosen) in enumerate(zip(pools, picks)):
+        c, sc = p.costs, p.scores
+        free = np.ones(len(c), dtype=bool)
+        free[chosen] = False
+        for slot, cur in enumerate(chosen):
+            ratio = np.where((c < c[cur]) & free,
+                             (c[cur] - c) / (np.maximum(sc[cur] - sc, 0.0)
+                                             + 1e-9),
+                             -np.inf)
+            alt = int(np.argmax(ratio))
+            if ratio[alt] > best_ratio:
+                best_ratio, best = ratio[alt], (j, slot, alt)
+    return best

@@ -12,8 +12,8 @@ the serving tier, drawn from these traffic kinds:
   edits (targets are resolved from the opened package at run time --
   the generator cannot know POI ids up front), then close it;
 * ``budget`` -- a cold build carrying a finite budget drawn from
-  ``budget_sweep``, so serving traffic exercises the assembly repair
-  phase (``_repair_budget``) instead of only the unconstrained path;
+  ``budget_sweep``, so serving traffic exercises the assembly's budget
+  repair instead of only the unconstrained path;
 * ``mutate`` -- a live city mutation (:mod:`repro.live`): a probe build
   against a warm-pool spec resolves a concrete POI at run time (the
   generator cannot know POI ids up front), then a ``mutate`` envelope

@@ -1,6 +1,6 @@
 """The batched assembly kernel vs the object-path oracle.
 
-Three guarantees:
+Four guarantees:
 
 1. ``assemble_composite_items`` is **bit-identical** to the object-path
    oracle (``tests/assembly_oracle.py``) run once per centroid -- same
@@ -11,7 +11,13 @@ Three guarantees:
    clusters equidistant from the centroid, distant clusters, a pool
    larger than the category, and cheap rows far from the centroid that
    only the budget repair can reach;
-3. the scan counters are exact and flow end to end:
+3. under a budget that binds (drawn between the cheapest conforming
+   cost and the greedy pick's cost, so every CI swaps at least once)
+   the array repair picks exactly what the oracle's Python-loop repair
+   picks, within budget, including the cheapest-fill fallback and the
+   infeasible branches; a count above ``candidate_pool`` still fills
+   every slot;
+4. the scan counters are exact and flow end to end:
    ``collect_assembly_counters`` around a build, and the serving
    engine's ``stats()["assembly"]`` / windowed ``assembly.rows_scored``.
 """
@@ -22,12 +28,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import assembly_oracle as oracle
 from conftest import make_poi
 from repro.core.arrays import CityArrays
+import repro.core.assembly as assembly
 from repro.core.assembly import (
     InfeasibleQueryError,
     assemble_composite_items,
@@ -35,6 +42,7 @@ from repro.core.assembly import (
 )
 from repro.core.query import DEFAULT_QUERY, GroupQuery
 from repro.data.dataset import POIDataset
+from repro.data.poi import Category
 from repro.profiles.generator import GroupGenerator
 from repro.profiles.vectors import ItemVectorIndex
 
@@ -72,6 +80,28 @@ def _tiny_city(lat_offsets, lon_offsets, *, costs=None,
             for i, (dlat, dlon, cost) in enumerate(zip(lat_offsets,
                                                        lon_offsets, costs))]
     dataset = POIDataset(pois, city="tiny")
+    index = ItemVectorIndex.fit(dataset, lda_iterations=5, seed=3)
+    prof = GroupGenerator(index.schema, seed=5).uniform_group(3).profile()
+    return dataset, index, prof
+
+
+def _floor(dataset, query) -> float:
+    """The cheapest conforming cost, summed as the repair's feasibility
+    floor sums it: per category, then across categories."""
+    return sum(sum(sorted(p.cost for p in dataset.by_category(cat))
+                   [:query.count(cat)])
+               for cat in query.requested_categories())
+
+
+def _stepped_city(rest_costs, attr_costs=()):
+    """``rest`` and ``attr`` POIs stepping ~1.1 km north of the centroid
+    in list order, so with ``gamma=0`` each category's score order is
+    its list order (put expensive rows first to make the budget bind)."""
+    pois = [make_poi(i, cat=cat, lat=48.85 + 0.01 * j, lon=2.35, cost=cost)
+            for i, (cat, j, cost) in enumerate(
+                [("rest", j, c) for j, c in enumerate(rest_costs)]
+                + [("attr", j, c) for j, c in enumerate(attr_costs)])]
+    dataset = POIDataset(pois, city="stepped")
     index = ItemVectorIndex.fit(dataset, lda_iterations=5, seed=3)
     prof = GroupGenerator(index.schema, seed=5).uniform_group(3).profile()
     return dataset, index, prof
@@ -206,6 +236,132 @@ class TestTieHeavyGeometries:
                                           costs=costs)
         _compare(dataset, index, prof, np.array([[48.85, 2.35]]),
                  GroupQuery.of(rest=2, budget=2.0), gamma=0.0)
+
+
+class TestBindingBudget:
+    """The array repair against the oracle's Python-loop repair."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_binding_budget_matches_oracle(self, data, app, arrays, profile,
+                                           small_city):
+        coords = small_city.coordinates()
+        lat_lo, lon_lo = coords.min(axis=0)
+        lat_hi, lon_hi = coords.max(axis=0)
+        k = data.draw(st.integers(1, 3), label="k")
+        cents = np.array([
+            [data.draw(st.floats(lat_lo, lat_hi), label=f"lat{i}"),
+             data.draw(st.floats(lon_lo, lon_hi), label=f"lon{i}")]
+            for i in range(k)
+        ])
+        beta = data.draw(st.floats(0.0, 8.0), label="beta")
+        gamma = data.draw(st.floats(0.0, 8.0), label="gamma")
+        pool = data.draw(st.integers(1, 80), label="pool")
+        counts = dict(acco=1, trans=1, rest=1,
+                      attr=data.draw(st.integers(1, 4), label="attr"))
+        greedy = oracle.assemble_composite_items(
+            app.dataset, cents, GroupQuery.of(**counts), profile,
+            app.item_index, beta=beta, gamma=gamma, candidate_pool=pool)
+        floor = _floor(app.dataset, GroupQuery.of(**counts))
+        greedy_cost = min(ci.total_cost() for ci in greedy)
+        assume(floor < greedy_cost)
+        budget = data.draw(st.floats(floor, greedy_cost, exclude_max=True),
+                           label="budget")
+        query = GroupQuery.of(**counts, budget=budget)
+
+        try:
+            ref = oracle.assemble_composite_items(
+                app.dataset, cents, query, profile, app.item_index,
+                beta=beta, gamma=gamma, candidate_pool=pool)
+        except InfeasibleQueryError:
+            with pytest.raises(InfeasibleQueryError):
+                assemble_composite_items(
+                    app.dataset, cents, query, profile, app.item_index,
+                    beta=beta, gamma=gamma, candidate_pool=pool,
+                    arrays=arrays)
+            return
+
+        got = assemble_composite_items(
+            app.dataset, cents, query, profile, app.item_index,
+            beta=beta, gamma=gamma, candidate_pool=pool, arrays=arrays)
+        assert _keys(got) == _keys(ref)
+        for ci in got:
+            assert ci.total_cost() <= budget
+            assert ci.is_valid(query)
+
+    @staticmethod
+    def _spy_swaps(monkeypatch) -> list:
+        """Record every ``_best_swap`` result of the kernel."""
+        seen = []
+        best_swap = assembly._best_swap
+
+        def spy(pools, picks):
+            seen.append(best_swap(pools, picks))
+            return seen[-1]
+
+        monkeypatch.setattr(assembly, "_best_swap", spy)
+        return seen
+
+    def test_no_cheaper_swap_falls_back_to_cheapest_fill(self, monkeypatch):
+        """Repair swaps to the three cheapest rests in slot order 0.7,
+        1.1, 0.1, which sums one ulp over the floor (0.1 + 0.7 + 1.1);
+        no cheaper swap is left, so the cheapest fill installs them in
+        ``(cost, id)`` order, which fits."""
+        dataset, index, prof = _stepped_city([9.0, 9.0, 9.0, 0.1, 1.1, 0.7])
+        query = GroupQuery.of(rest=3, budget=_floor(dataset,
+                                                    GroupQuery.of(rest=3)))
+        swaps = self._spy_swaps(monkeypatch)
+        _compare(dataset, index, prof, np.array([[48.85, 2.35]]), query,
+                 gamma=0.0)
+        assert swaps[-1] is None
+        ci = assemble_composite_items(dataset, np.array([[48.85, 2.35]]),
+                                      query, prof, index, gamma=0.0)[0]
+        assert [p.id for p in ci.pois] == [3, 5, 4]
+        assert ci.is_valid(query)
+
+    def test_fallback_over_budget_by_rounding_raises(self, monkeypatch):
+        """The floor sums per category, the CI across them: here the
+        cheapest selection is an ulp over a budget equal to the floor
+        both in repair's slot order and in ``(cost, id)`` order, so no
+        CI is returned (an over-budget one used to be)."""
+        dataset, index, prof = _stepped_city([9.0, 9.0, 9.0, 0.6, 0.1, 1.1],
+                                             [9.0, 9.0, 1.1, 0.4])
+        counts = dict(rest=3, attr=2)
+        query = GroupQuery.of(**counts, budget=_floor(
+            dataset, GroupQuery.of(**counts)))
+        swaps = self._spy_swaps(monkeypatch)
+        cents = np.array([[48.85, 2.35]])
+        for assemble in (oracle.assemble_composite_items,
+                         assemble_composite_items):
+            with pytest.raises(InfeasibleQueryError, match="rounding"):
+                assemble(dataset, cents, query, prof, index, gamma=0.0)
+        assert swaps[-1] is None
+
+    def test_floor_over_budget_raises(self):
+        dataset, index, prof = _stepped_city([9.0, 9.0, 0.5, 0.25])
+        floor = _floor(dataset, GroupQuery.of(rest=2))
+        query = GroupQuery.of(rest=2, budget=math.nextafter(floor, 0.0))
+        cents = np.array([[48.85, 2.35]])
+        for assemble in (oracle.assemble_composite_items,
+                         assemble_composite_items):
+            with pytest.raises(InfeasibleQueryError, match="cheapest"):
+                assemble(dataset, cents, query, prof, index, gamma=0.0)
+
+    @pytest.mark.parametrize("budget", [math.inf, 60.0])
+    def test_count_above_pool_fills_every_slot(self, app, arrays, profile,
+                                               budget):
+        """``candidate_pool=1`` with three attractions: every pool is
+        sized to its count, so the CI is valid (it used to carry one
+        attraction)."""
+        query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=budget)
+        cents = np.asarray([app.dataset.coordinates().mean(axis=0)])
+        _compare(app.dataset, app.item_index, profile, cents, query, pool=1)
+        ci = assemble_composite_items(app.dataset, cents, query, profile,
+                                      app.item_index, candidate_pool=1,
+                                      arrays=arrays)[0]
+        assert ci.category_counts()[Category.ATTRACTION] == 3
+        assert ci.is_valid(query)
 
 
 class TestCounterPlumbing:

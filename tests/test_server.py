@@ -453,6 +453,8 @@ class TestPackageServer:
             assert by_id[None]["code"] == ErrorCode.BAD_REQUEST.value
             assert "exceeds" in by_id[None]["error"]
             assert (await reader.read()) == b""  # clean close after
+            writer.close()
+            await writer.wait_closed()
             await server.drain(timeout=1)
 
         asyncio.run(scenario())
@@ -510,6 +512,8 @@ class TestPackageServer:
             assert responses["late"]["code"] == ErrorCode.OVERLOADED.value
             await drain
             assert (await reader.read()) == b""  # server closed the conn
+            writer.close()
+            await writer.wait_closed()
 
         asyncio.run(scenario())
 

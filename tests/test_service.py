@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.objective import ObjectiveWeights
 from repro.core.query import GroupQuery
+from repro.data.poi import Category
 from repro.service import (
     BuildRequest,
     CityRegistry,
@@ -55,6 +56,20 @@ class TestBuild:
         assert response.package.is_valid()
         assert response.metrics["valid"] is True
         assert response.latency_ms > 0
+
+    def test_count_above_the_candidate_pool_fills_every_slot(self, service):
+        """70 attractions against the registry's 60-row candidate pool:
+        the pool grows to the count, so every CI carries all 70 and the
+        package is valid (it used to carry 60 and report invalid)."""
+        request = BuildRequest(
+            city="paris", group_spec=GroupSpec(size=3, seed=1),
+            query=GroupQuery.of(acco=1, trans=1, rest=1, attr=70),
+        )
+        response = service.build(request)
+        assert response.ok
+        assert response.metrics["valid"] is True
+        for ci in response.package.composite_items:
+            assert ci.category_counts()[Category.ATTRACTION] == 70
 
     def test_repeat_request_hits_cache(self, service, spec_request):
         cold = service.build(spec_request)
