@@ -16,13 +16,22 @@ The paper writes the fuzzifier as ``f <= 1``; standard FCM requires the
 exponent to exceed 1 (at ``m -> 1`` the memberships degenerate to hard
 assignment and the update divides by zero), so we expose ``m`` with the
 conventional default of 2 and document the deviation in README.md (design notes).
+
+Layout and summation order: :func:`fcm_memberships`, the one membership
+kernel (FCM, KFC's recenter and the objective), works on ``(k, n)``
+matrices and adds the ``d`` squared differences and ``k`` ratio terms
+in numpy's pairwise order, so it matches the former ``(n, k)`` code
+(``tests/fcm_oracle.py``) bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.reduction import pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,10 @@ class FuzzyCMeans:
                  seed: int = 0) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be at least 1")
-        if m <= 1.0:
+        if not 1.0 < m < math.inf:
             raise ValueError(
-                "fuzzifier m must be > 1 (the paper's f <= 1 degenerates "
-                "to hard clustering; see README.md design notes)"
+                "fuzzifier m must be finite and > 1 (the paper's f <= 1 "
+                "degenerates to hard clustering; see README.md design notes)"
             )
         self.n_clusters = n_clusters
         self.m = m
@@ -82,7 +91,7 @@ class FuzzyCMeans:
         pick), which is robust for geographic data.
         """
         x = np.asarray(points, dtype=float)
-        if x.ndim != 2:
+        if x.ndim != 2 or not x.shape[1]:
             raise ValueError(f"expected an (n, d) array, got shape {x.shape}")
         n = len(x)
         if n < self.n_clusters:
@@ -91,31 +100,34 @@ class FuzzyCMeans:
             )
         rng = np.random.default_rng(self.seed)
         centroids = self._init_centroids(x, rng)
-        exponent = 2.0 / (self.m - 1.0)
+        xt = np.ascontiguousarray(x.T)
+        power = 1.0 / (self.m - 1.0)  # 2/(m-1) on squared distances
 
         n_iter = 0
-        memberships = self._memberships(x, centroids, exponent)
+        memberships = fcm_memberships(sq_distances(xt, centroids), power)
         for n_iter in range(1, self.max_iterations + 1):
-            weights = memberships ** self.m
+            weights = np.ascontiguousarray(memberships.T) ** self.m
             denom = weights.sum(axis=0)
             # Guard against empty (zero-weight) clusters: re-seed them on
             # the point currently worst-covered by all centroids.
             dead = denom <= 1e-12
             if dead.any():
-                coverage = memberships.max(axis=1)
+                coverage = memberships.max(axis=0)
                 for j in np.flatnonzero(dead):
                     centroids[j] = x[int(np.argmin(coverage))]
-                memberships = self._memberships(x, centroids, exponent)
-                weights = memberships ** self.m
+                memberships = fcm_memberships(sq_distances(xt, centroids),
+                                              power)
+                weights = np.ascontiguousarray(memberships.T) ** self.m
                 denom = weights.sum(axis=0)
             new_centroids = (weights.T @ x) / denom[:, None]
             shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
             centroids = new_centroids
-            memberships = self._memberships(x, centroids, exponent)
+            memberships = fcm_memberships(sq_distances(xt, centroids), power)
             if shift < self.tol:
                 break
 
-        sq_dist = self._sq_distances(x, centroids)
+        memberships = np.ascontiguousarray(memberships.T)
+        sq_dist = np.ascontiguousarray(sq_distances(xt, centroids).T)
         objective = float(((memberships ** self.m) * sq_dist).sum())
         return FuzzyCMeansResult(
             centroids=centroids,
@@ -150,35 +162,33 @@ class FuzzyCMeans:
             np.minimum(dists, ((x - x[pick]) ** 2).sum(axis=1), out=dists)
         return x[chosen].astype(float).copy()
 
-    @staticmethod
-    def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """``(n, k)`` squared Euclidean distances to centroids."""
-        diff = x[:, None, :] - centroids[None, :, :]
-        return (diff ** 2).sum(axis=2)
 
-    def _memberships(self, x: np.ndarray, centroids: np.ndarray,
-                     exponent: float) -> np.ndarray:
-        """FCM membership update; rows sum to one.
+def sq_distances(points_t: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(k, n)`` squared distances from ``k`` centroids to the points of a
+    C-contiguous ``(d, n)`` matrix, summed over ``d`` in numpy's order."""
+    return pairwise_sum([(coord - c[:, None]) ** 2
+                         for coord, c in zip(points_t, centroids.T)])
 
-        Points coinciding with a centroid get full membership there
-        (split evenly if they coincide with several).
 
-        Evaluated per centroid over ``(n, k)`` ratio slices -- the same
-        elementwise operations and last-axis sums as the ``(n, k, k)``
-        broadcast, hence bit-identical output (golden-pinned centroids
-        depend on it), at ``O(n*k)`` peak memory.  This update runs
-        every alternation round, so the tensor was the dominant
-        allocation of an FCM fit on large cities.
-        """
-        sq = self._sq_distances(x, centroids)
-        zero_rows = np.isclose(sq, 0.0).any(axis=1)
-        safe = np.maximum(sq, 1e-300)
-        memberships = np.empty_like(safe)
-        for j in range(safe.shape[1]):
-            ratio = safe[:, j, None] / safe
-            memberships[:, j] = 1.0 / (ratio ** (exponent / 2.0)).sum(axis=1)
-        if zero_rows.any():
-            for i in np.flatnonzero(zero_rows):
-                hits = np.isclose(sq[i], 0.0)
-                memberships[i] = hits / hits.sum()
-        return memberships
+def fcm_memberships(dist: np.ndarray, power: float) -> np.ndarray:
+    """FCM memberships ``w_ji = 1 / sum_l (dist_ji / dist_li)^power`` from
+    a ``(k, n)`` matrix of distances (``power = 2/(m-1)``) or squared
+    distances (``1/(m-1)``).  A point within ``1e-8`` of centroids
+    belongs to them in equal shares.  Peak memory is ``O(k*n)``; the
+    algebraic ``d^-p / sum d^-p`` would move low bits.  Overflow needs
+    a ``dist_li`` below ``1e-8``, whose column is overwritten.
+    """
+    zero = dist <= 1e-8  # np.isclose(dist, 0.0), exact for dist >= 0
+    safe = np.maximum(dist, 1e-300)
+    out = np.empty_like(safe)
+    with np.errstate(over="ignore"):
+        for j, row in enumerate(safe):
+            ratio = row / safe
+            if power != 1.0:  # x ** 1.0 is x
+                ratio **= power
+            out[j] = 1.0 / pairwise_sum(ratio)
+    hit = np.flatnonzero(zero.any(axis=0))
+    if hit.size:
+        hits = zero[:, hit]
+        out[:, hit] = hits / hits.sum(axis=0)
+    return out

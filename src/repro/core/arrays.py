@@ -62,7 +62,9 @@ def project_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[float, float, 
     cos0 = float(np.cos(np.radians(lat0)))
     x = (coords[:, 1] - lon0) * _KM_PER_DEG_LAT * cos0
     y = (coords[:, 0] - lat0) * _KM_PER_DEG_LAT
-    return np.column_stack([x, y]), (lat0, lon0, cos0)
+    xy = np.column_stack([x, y])
+    xy.flags.writeable = False  # KFC shares FCM seeds by its identity
+    return xy, (lat0, lon0, cos0)
 
 
 def project_points(latlon: np.ndarray,

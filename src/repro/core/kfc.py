@@ -37,18 +37,28 @@ per city instead of once per builder.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from repro.clustering.fuzzy_cmeans import FuzzyCMeans
+from repro.clustering.fuzzy_cmeans import (
+    FuzzyCMeans,
+    fcm_memberships,
+    sq_distances,
+)
 from repro.core.arrays import CityArrays, project_points, unproject_points
 from repro.core.assembly import assemble_composite_items
 from repro.core.composite import CompositeItem
-from repro.core.objective import ObjectiveWeights, fuzzy_memberships
+from repro.core.objective import ObjectiveWeights
 from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
+
+#: FCM seeds shared by geometry: ``id(xy)`` -> fuzzifier -> ``{(k, seed):
+#: projected centroids}``.  An entry lives as long as its ``xy`` array.
+_SEEDS: dict[int, dict[float, dict[tuple[int, int], np.ndarray]]] = {}
 
 
 class KFCBuilder:
@@ -88,12 +98,14 @@ class KFCBuilder:
         if arrays is None:
             arrays = CityArrays.of(dataset, item_index)
         self.arrays = arrays
-        self._projected = arrays.xy
+        self._projected_t = np.ascontiguousarray(arrays.xy.T)
         self._origin = arrays.origin
-        # FCM seeding depends only on (k, seed), never on the profile or
-        # query, so sweeps building thousands of packages over one city
-        # reuse the solution.
-        self._centroid_cache: dict[tuple[int, int], np.ndarray] = {}
+        # FCM seeds depend only on (xy, k, seed, fuzzifier): builders
+        # over one xy (a reprice's patched bundle keeps it) share them.
+        per_xy = _SEEDS.setdefault(id(arrays.xy), {})
+        if not per_xy:
+            weakref.finalize(arrays.xy, _SEEDS.pop, id(arrays.xy), None)
+        self._centroid_cache = per_xy.setdefault(weights.fuzzifier, {})
 
     # -- coordinate projection -------------------------------------------------
 
@@ -120,9 +132,8 @@ class KFCBuilder:
         if key not in self._centroid_cache:
             fcm = FuzzyCMeans(n_clusters=k, m=self.weights.fuzzifier,
                               seed=seed)
-            result = fcm.fit(self._projected)
-            self._centroid_cache[key] = self._unproject(result.centroids)
-        return self._centroid_cache[key].copy()
+            self._centroid_cache[key] = fcm.fit(self.arrays.xy).centroids
+        return self._unproject(self._centroid_cache[key])
 
     def _assemble_all(self, centroids: np.ndarray, query: GroupQuery,
                       profile: GroupProfile,
@@ -163,33 +174,28 @@ class KFCBuilder:
         """Step 3: move each centroid to the alpha/beta-weighted mean of
         its fuzzy members and its CI's members (in projected km space)."""
         cent_xy = self._project_points(centroids)
-        dists = np.linalg.norm(
-            self._projected[:, None, :] - cent_xy[None, :, :], axis=2
-        )
-        memberships = fuzzy_memberships(dists, weights.fuzzifier)
-        weighted = memberships ** weights.fuzzifier
+        # sqrt of the ordered squared sum is np.linalg.norm(axis=2).
+        dists = np.sqrt(sq_distances(self._projected_t, cent_xy))
+        memberships = fcm_memberships(dists,
+                                      2.0 / (weights.fuzzifier - 1.0))
+        weighted = np.ascontiguousarray(memberships.T) ** weights.fuzzifier
 
-        new_xy = np.empty_like(cent_xy)
+        new_xy = cent_xy.copy()
         for j, ci in enumerate(cis):
-            pull_weight = weights.alpha * weighted[:, j].sum()
+            column = weighted[:, j]
+            pull_weight = weights.alpha * column.sum()
             if pull_weight > 0:
-                fcm_pull = (weighted[:, j] @ self._projected) / weighted[:, j].sum()
+                fcm_pull = (column @ self.arrays.xy) / column.sum()
             else:
                 fcm_pull = cent_xy[j]
-            # An empty CI (possible after whole-CI deletion in a
-            # customization session) contributes no beta pull; guarding
-            # here also keeps np.array([]) from reaching the projection
-            # as a 1-D array.
-            if ci.pois:
-                ci_xy_sum = self._ci_xy_sum(ci)
-            else:
-                ci_xy_sum = np.zeros(2)
-            ci_weight = weights.beta * len(ci.pois)
-            total = pull_weight + ci_weight
+            # An empty CI (after whole-CI deletion in a customization
+            # session) has no beta pull, and np.array([]) must not reach
+            # the projection as a 1-D array.
+            ci_xy_sum = self._ci_xy_sum(ci) if ci.pois else np.zeros(2)
+            total = pull_weight + weights.beta * len(ci.pois)
             if total <= 0:
-                new_xy[j] = cent_xy[j]
-                continue
-            new_xy[j] = (weights.alpha * weighted[:, j].sum() * fcm_pull
+                continue  # the centroid stays put
+            new_xy[j] = (pull_weight * fcm_pull
                          + weights.beta * ci_xy_sum) / total
         return self._unproject(new_xy)
 

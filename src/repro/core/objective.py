@@ -17,10 +17,12 @@ trusting the optimizer's own bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.fuzzy_cmeans import fcm_memberships
 from repro.core.arrays import CityArrays
 from repro.core.package import TravelPackage
 from repro.data.dataset import POIDataset
@@ -49,8 +51,10 @@ class ObjectiveWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not 1 < self.fuzzifier < math.inf:
+            raise ValueError("fuzzifier must be finite and > 1")
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization."""
@@ -73,39 +77,14 @@ def fuzzy_memberships(distances: np.ndarray, fuzzifier: float = 2.0) -> np.ndarr
     """FCM membership weights from an ``(n, k)`` distance matrix.
 
     ``w_ij = 1 / sum_l (d_ij / d_il)^(2/(m-1))``; rows sum to one.
-    Items coinciding with a centroid get full membership there.
-
-    The ratio sums are evaluated one centroid at a time over ``(n, k)``
-    slices, so peak memory is ``O(n*k)`` instead of the ``(n, k, k)``
-    tensor a broadcast materializes -- the difference between 20 MB and
-    2 GB of transient allocation on a 10x city.  Each slice performs
-    exactly the operations (division, power, last-axis pairwise sum)
-    the tensor form performs on its ``[:, j, :]`` plane, so the result
-    is **bit-identical** to the broadcast implementation; the cheaper
-    algebraic form ``d_ij^-e / sum_l d_il^-e`` is *not* (it perturbs
-    low-order bits, which the golden package fixtures would catch as
-    centroid drift) and is deliberately avoided.
+    Items coinciding with a centroid get full membership there.  Runs
+    :func:`~repro.clustering.fuzzy_cmeans.fcm_memberships` on the
+    transpose and returns C order, so sums over it keep their order.
     """
-    if fuzzifier <= 1.0:
+    if not fuzzifier > 1.0:
         raise ValueError("fuzzifier must be > 1")
-    d = np.asarray(distances, dtype=float)
-    zero_rows = np.isclose(d, 0.0).any(axis=1)
-    safe = np.maximum(d, 1e-300)
-    exponent = 2.0 / (fuzzifier - 1.0)
-    memberships = np.empty_like(safe)
-    for j in range(safe.shape[1]):
-        ratio = safe[:, j, None] / safe
-        # The power overflows only when d_ij / d_il > 1e154 (at m = 2),
-        # which needs d_il far below isclose's 1e-8 tolerance: such
-        # rows are exactly the ones np.isclose(d, 0) flags and
-        # overwrites below, and inf -> 0 membership is the right limit.
-        with np.errstate(over="ignore"):
-            memberships[:, j] = 1.0 / (ratio ** exponent).sum(axis=1)
-    if zero_rows.any():
-        for i in np.flatnonzero(zero_rows):
-            hits = np.isclose(d[i], 0.0)
-            memberships[i] = hits / hits.sum()
-    return memberships
+    d = np.asarray(distances, dtype=float).T.copy()
+    return fcm_memberships(d, 2.0 / (fuzzifier - 1.0)).T.copy()
 
 
 def normalized_distances_to_centroids(dataset: POIDataset,

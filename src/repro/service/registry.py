@@ -5,8 +5,8 @@ profile-independent: the POI dataset, the fitted
 :class:`~repro.profiles.vectors.ItemVectorIndex` (two LDA models), the
 :class:`~repro.core.arrays.CityArrays` compute bundle (contiguous
 coordinate/cost/item-vector arrays every build scores against) and the
-:class:`~repro.core.kfc.KFCBuilder` (whose FCM centroid seeds are
-cached inside the builder).  :class:`CityRegistry` materializes each of
+:class:`~repro.core.kfc.KFCBuilder` (whose FCM centroid seeds outlive
+it while its bundle's ``xy`` lives).  :class:`CityRegistry` builds each of
 them exactly once per city -- lazily on first request, under a per-city
 lock so concurrent cold requests for one city do not fit LDA twice --
 and shares them across every request the service ever serves for that

@@ -25,9 +25,8 @@ bit, so item vectors, stored count matrices and every package built
 from them do not depend on which of the two ran.  The contract has two
 halves:
 
-* :func:`_pairwise_sum` adds in numpy's pairwise order for float64
-  reductions (sequential below 8 terms, eight accumulators up to 128,
-  halves above), which is the order ``weights.sum()`` uses.
+* :func:`~repro.reduction.pairwise_sum` adds in the order
+  ``weights.sum()`` uses.
 * :func:`_draw` repeats ``choice``'s arithmetic: ``p = w / s``, a
   sequential cumulative sum, each entry divided by the last, then a
   right-side search for the one uniform ``choice`` would consume.  A
@@ -37,7 +36,7 @@ halves:
 Weights are positive whenever ``alpha`` and ``beta`` are positive and
 finite, which the constructor enforces (counts never go negative), so ``choice``'s probability checks cannot fail and are
 not repeated.  ``tests/lda_oracle.py`` keeps the numpy loop; the tests
-pin the sweep, the fold-in and :func:`_pairwise_sum` against it and
+pin the sweep, the fold-in and ``pairwise_sum`` against it and
 against ``np.add.reduce``.
 """
 
@@ -50,43 +49,8 @@ from operator import mul, truediv
 
 import numpy as np
 
+from repro.reduction import pairwise_sum
 from repro.topics.corpus import TagCorpus
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """``np.add.reduce`` of a float64 vector, added in numpy's order.
-
-    numpy sums a contiguous float64 run pairwise: fewer than 8 terms
-    sequentially; up to 128 terms in eight strided accumulators joined
-    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in
-    sequence; longer runs split at a multiple of 8 near the middle.
-    Not ``sum()``: from Python 3.12 it compensates float rounding.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _draw(weights: list[float], u: float) -> int:
@@ -98,7 +62,7 @@ def _draw(weights: list[float], u: float) -> int:
     sum is often exactly 1.0, and dividing by 1.0 changes nothing, so
     the divide is skipped then.
     """
-    total = _pairwise_sum(weights)
+    total = pairwise_sum(weights)
     cdf = list(accumulate(map(total.__rtruediv__, weights)))
     last = cdf[-1]
     if last != 1.0:

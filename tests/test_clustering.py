@@ -27,6 +27,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="f <= 1"):
             FuzzyCMeans(2, m=1.0)
 
+    @pytest.mark.parametrize("m", [float("nan"), float("inf")])
+    def test_fuzzifier_must_be_finite(self, m):
+        with pytest.raises(ValueError, match="finite"):
+            FuzzyCMeans(2, m=m)
+
     def test_requires_enough_points(self):
         with pytest.raises(ValueError, match="at least"):
             FuzzyCMeans(5).fit(np.zeros((3, 2)))
@@ -80,6 +85,15 @@ class TestClustering:
         result = FuzzyCMeans(2, seed=1).fit(points)
         top = result.memberships.max(axis=1)
         assert np.allclose(top, 1.0)
+
+    def test_small_fuzzifier_fits_without_overflow_warning(self):
+        """Seeds sit on data points, so a zero distance meets a power
+        above 1 when m < 2; the overflow is expected and the point's
+        membership is then set exactly, so no RuntimeWarning may
+        escape (the suite turns one into an error)."""
+        points, _ = _blobs(6)
+        result = FuzzyCMeans(3, m=1.5, seed=1).fit(points)
+        assert np.allclose(result.memberships.sum(axis=1), 1.0)
 
     def test_objective_decreases_with_more_clusters(self):
         points, _ = _blobs(5)

@@ -120,8 +120,12 @@ class TestObjective:
 
     def test_fcm_memberships_bit_identical_to_tensor_form(self):
         """Same pin for the clustering-side update (it shares the
-        rewrite and feeds FCM centroid seeding)."""
-        from repro.clustering.fuzzy_cmeans import FuzzyCMeans
+        kernel and feeds FCM centroid seeding)."""
+        from repro.clustering.fuzzy_cmeans import (
+            FuzzyCMeans,
+            fcm_memberships,
+            sq_distances,
+        )
 
         def tensor_reference(sq, exponent):
             zero_rows = np.isclose(sq, 0.0).any(axis=1)
@@ -138,8 +142,10 @@ class TestObjective:
         fcm = FuzzyCMeans(n_clusters=4, seed=3)
         centroids = x[:4].copy()
         exponent = 2.0 / (fcm.m - 1.0)
-        got = fcm._memberships(x, centroids, exponent)
-        want = tensor_reference(fcm._sq_distances(x, centroids), exponent)
+        sq = sq_distances(np.ascontiguousarray(x.T), centroids)
+        got = fcm_memberships(sq, exponent / 2.0).T
+        diff = x[:, None, :] - centroids[None, :, :]
+        want = tensor_reference((diff ** 2).sum(axis=2), exponent)
         assert np.array_equal(got, want)
 
     def test_normalized_distances_in_unit_range(self, app, package):

@@ -20,11 +20,8 @@ from repro.data.poi import Category
 from repro.data.synthetic import generate_city
 from repro.profiles.vectors import ItemVectorIndex
 from repro.topics.corpus import TagCorpus
-from repro.topics.lda import (
-    LatentDirichletAllocation,
-    _draw,
-    _pairwise_sum,
-)
+from repro.reduction import pairwise_sum
+from repro.topics.lda import LatentDirichletAllocation, _draw
 
 TAGS = [f"tag{i}" for i in range(12)]
 
@@ -72,7 +69,7 @@ class TestPairwiseSum:
         for n in range(1, 301):
             for _ in range(5):
                 x = rng.random(n) * 10.0 ** rng.uniform(-5, 5, n)
-                assert _pairwise_sum(x.tolist()) == np.add.reduce(x), n
+                assert pairwise_sum(x.tolist()) == np.add.reduce(x), n
 
 
 class TestDraw:

@@ -16,10 +16,20 @@ content hash.
 from __future__ import annotations
 
 import copy
+import gc
+import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from conftest import make_poi
+from repro.clustering.fuzzy_cmeans import FuzzyCMeans
+from repro.core import kfc
+from repro.core.arrays import CityArrays
+from repro.core.kfc import KFCBuilder
+from repro.core.objective import ObjectiveWeights
 from repro.live import AddPoi, ClosePoi, MutationError, RepricePoi
 from repro.service import (
     BuildRequest,
@@ -156,6 +166,109 @@ class TestSessionReplay:
         with pytest.raises(StaleEpochError):
             service.refine(session_id)
 
+
+class TestSeedCache:
+    """FCM seeds follow the geometry: a reprice keeps the bundle's
+    ``xy`` array and so its seeds; a close or an add derives a new
+    ``xy`` and refits once for all the builds that follow."""
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        """The cluster count of every ``FuzzyCMeans.fit`` call."""
+        calls = []
+        fit = FuzzyCMeans.fit
+
+        def spy(model, points):
+            calls.append(model.n_clusters)
+            return fit(model, points)
+
+        monkeypatch.setattr(FuzzyCMeans, "fit", spy)
+        return calls
+
+    def test_reprice_reuses_seeds_and_matches_a_fresh_registry(
+            self, app, registry, service, spec_request, fits):
+        service.build(spec_request)
+        poi = _any_poi(registry)
+        registry.mutate("paris",
+                        RepricePoi(poi_id=poi.id, cost=poi.cost + 3.0))
+        fits.clear()
+        patched = service.build(spec_request)
+        assert patched.ok and fits == []
+
+        fresh = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
+        fresh.register(registry.dataset("paris"),
+                       copy.deepcopy(app.item_index), name="paris")
+        rebuilt = PackageService(fresh, cache_capacity=4).build(spec_request)
+        assert fits == [5]
+        assert (json.dumps(patched.package.to_dict())
+                == json.dumps(rebuilt.package.to_dict()))
+
+    def test_close_and_add_refit_once(self, registry, service,
+                                      spec_request, fits):
+        other = BuildRequest(city="paris",
+                             group_spec=GroupSpec(size=3, seed=6))
+        service.build(spec_request)
+        next_id = max(p.id for p in registry.dataset("paris")) + 1
+        for mutation in (ClosePoi(poi_id=_any_poi(registry).id),
+                         AddPoi(poi=make_poi(next_id, lat=48.86,
+                                             lon=2.34, cost=2.0))):
+            registry.mutate("paris", mutation)
+            fits.clear()
+            assert service.build(spec_request).ok
+            assert service.build(other).ok
+            assert fits == [5], mutation.kind
+
+    def test_builders_share_seeds_by_geometry(self, app, fits):
+        arrays = CityArrays.build(app.dataset, app.item_index)
+        assert not arrays.xy.flags.writeable
+        first, second = (KFCBuilder(app.dataset, app.item_index, seed=3,
+                                    arrays=arrays) for _ in range(2))
+        assert first._centroid_cache is second._centroid_cache
+        assert np.array_equal(first.place_centroids(),
+                              second.place_centroids())
+        assert fits == [5]
+
+        sharper = KFCBuilder(app.dataset, app.item_index, seed=3,
+                             weights=ObjectiveWeights(fuzzifier=1.5),
+                             arrays=arrays)
+        assert sharper._centroid_cache is not first._centroid_cache
+        sharper.place_centroids()
+        assert fits == [5, 5]
+
+        key = id(arrays.xy)
+        assert key in kfc._SEEDS
+        del first, second, sharper, arrays
+        gc.collect()
+        assert key not in kfc._SEEDS
+
+
+    def test_concurrent_builders_share_one_seed_map(self, app):
+        """Shard threads install builders over one bundle at once: each
+        must get the same seed map and the same seeds."""
+        arrays = CityArrays.build(app.dataset, app.item_index)
+        builders, results = [], []
+
+        def work():
+            builder = KFCBuilder(app.dataset, app.item_index,
+                                 arrays=arrays)
+            builders.append(builder)
+            results.append([builder.place_centroids(k=3, seed=s).tobytes()
+                            for s in range(3)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8 and all(r == results[0] for r in results)
+        caches = {id(b._centroid_cache) for b in builders}
+        assert caches == {id(builders[0]._centroid_cache)}
 
 class TestMutateWireOp:
     def test_mutate_dispatch_roundtrip(self, service):

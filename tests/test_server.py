@@ -536,6 +536,26 @@ class TestPackageServer:
         assert lines[0]["error"] is None and lines[0]["city"] == "paris"
         assert "server" in lines[1] and len(lines[1]["shards"]) == 2
 
+    def test_nan_weight_line_is_a_bad_request(self, cluster):
+        """``json.loads`` accepts the ``NaN`` literal, so a NaN weight
+        reaches the engine; it must come back as ``bad_request``, not
+        as ``failed`` with an internal error message."""
+        line = ('{"op": "build", "id": "nan", "request": {"city": "paris",'
+                ' "group_spec": {"size": 4, "seed": 5},'
+                ' "weights": {"alpha": NaN}}}')
+
+        async def scenario():
+            server = PackageServer(cluster)
+            try:
+                return await server.handle_line(line)
+            finally:
+                server.tracer.close()
+
+        response = json.loads(json.dumps(asyncio.run(scenario())))
+        assert response["id"] == "nan"
+        assert response["code"] == ErrorCode.BAD_REQUEST.value
+        assert "alpha" in response["error"]
+
     def test_validation(self, cluster):
         with pytest.raises(ValueError):
             PackageServer(cluster, max_inflight=0)

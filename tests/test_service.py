@@ -444,6 +444,30 @@ class TestDispatch:
             assert response["error"] is not None, (op, payload)
             assert response["code"] == "bad_request"
 
+    @pytest.mark.parametrize("weights", [
+        {"alpha": float("nan")}, {"beta": float("nan")},
+        {"gamma": float("nan")}, {"fuzzifier": float("nan")},
+        {"alpha": float("inf")}, {"fuzzifier": float("inf")},
+        {"fuzzifier": 1.0}, {"fuzzifier": 0.5},
+    ], ids=["nan-alpha", "nan-beta", "nan-gamma", "nan-fuzzifier",
+            "inf-alpha", "inf-fuzzifier", "fuzzifier-1", "fuzzifier-0.5"])
+    def test_non_finite_weights_are_bad_requests(self, service, weights):
+        """A NaN weight once reached the build and failed deep inside
+        assembly with a leaked IndexError; a fuzzifier <= 1 failed only
+        at recentering.  Both are payload errors."""
+        for op in ("build", "open_session"):
+            response = service.dispatch(op, {
+                "city": "paris", "group_spec": {"size": 3, "seed": 1},
+                "weights": weights, "request_id": "w"})
+            assert response["code"] == "bad_request", (op, response)
+            assert response["request_id"] == "w"
+        batch = service.dispatch("batch", {"requests": [
+            {"city": "paris", "group_spec": {"size": 3}, "weights": weights},
+            {"city": "paris", "group_spec": {"size": 3}}]})
+        first, second = batch["responses"]
+        assert first["code"] == "bad_request"
+        assert second["error"] is None
+
     def test_error_codes_classify_failures(self, service, spec_request):
         not_found = service.dispatch("build", {
             "city": "atlantis", "group_spec": {"size": 3}})
