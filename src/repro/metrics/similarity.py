@@ -9,6 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Norms inside this range are exact enough as ``np.linalg.norm`` gives
+#: them.  Outside it the squares went subnormal (precision lost) or
+#: overflowed, so the vector is first rescaled by a power of two --
+#: exact, and cosine does not depend on scale.
+_NORM_LOW, _NORM_HIGH = 2.0 ** -500, 2.0 ** 500
+
+
+def _rescaled(vector: np.ndarray) -> np.ndarray:
+    """``vector`` times the power of two that brings its largest
+    magnitude into ``[0.5, 1)`` (unchanged when all-zero or non-finite)."""
+    if vector.size == 0:
+        return vector
+    return np.ldexp(vector, -np.frexp(np.max(np.abs(vector)))[1])
+
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity between two vectors.
@@ -24,7 +38,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    if not (_NORM_LOW <= norm_a <= _NORM_HIGH
+            and _NORM_LOW <= norm_b <= _NORM_HIGH):
+        a, b = _rescaled(a), _rescaled(b)
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    norm = float(norm_a * norm_b)
     if norm == 0.0:
         return 0.0
     return float(np.dot(a, b) / norm)
@@ -40,6 +59,12 @@ def cosine_matrix(rows: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected an (n, d) matrix, got shape {arr.shape}")
     norms = np.linalg.norm(arr, axis=1)
+    outside = (norms < _NORM_LOW) | (norms > _NORM_HIGH)
+    if outside.any() and arr.shape[1]:
+        arr = arr.copy()
+        peaks = np.max(np.abs(arr[outside]), axis=1)
+        arr[outside] = np.ldexp(arr[outside], -np.frexp(peaks)[1][:, None])
+        norms = np.linalg.norm(arr, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = arr / safe[:, None]
     sims = unit @ unit.T

@@ -11,7 +11,10 @@ The key must capture *everything* the builder's output depends on:
 the city, the group profile (hashed canonically from its vector bytes),
 the query, the Equation 1 weights, ``k`` and the FCM seed.  Packages
 are immutable (customization swaps in new instances), so cached objects
-are shared between callers without copying.
+are shared between callers without copying.  The engine caches each
+package next to its wire form (:class:`~repro.service.schema.Encoded`
+dicts of the package and its metrics, encoded once on the miss); those
+are shared by every hit too and are equally read-only.
 """
 
 from __future__ import annotations
@@ -92,8 +95,10 @@ class PackageCache:
     """A thread-safe LRU cache of build results.
 
     Values are whatever the engine stores per key -- in practice the
-    built :class:`~repro.core.package.TravelPackage` *with* its derived
-    quality metrics, so a warm hit repeats none of the numpy work.
+    built :class:`~repro.core.package.TravelPackage`, its wire dict and
+    its derived quality metrics (both
+    :class:`~repro.service.schema.Encoded`), so a warm hit repeats none
+    of the numpy work and none of the serialization.
 
     Args:
         capacity: Maximum number of cached entries; the least recently

@@ -61,8 +61,10 @@ from repro.service.schema import (
     BuildRequest,
     CustomizeOp,
     CustomizeRequest,
+    Encoded,
     ErrorCode,
     PackageResponse,
+    trace_limit,
 )
 
 #: Default worker threads for the batch path.
@@ -273,8 +275,10 @@ class PackageService:
     def build(self, request: BuildRequest) -> PackageResponse:
         """Serve one build request, through the cache.
 
-        The cache stores the package *and* its quality metrics, so a
-        warm hit repeats none of the build-time numpy work.
+        The cache stores the package, its quality metrics and the wire
+        form of both (:class:`~repro.service.schema.Encoded`, encoded
+        once on the miss), so a warm hit repeats none of the build-time
+        numpy work and serializes nothing.
         """
         return self._serve_build(request)[0]
 
@@ -302,9 +306,12 @@ class PackageService:
                 with stage("package_metrics", city=entry.name):
                     package_metrics = self._package_metrics(entry, package,
                                                             profile)
-                self.cache.put(key, (package, package_metrics))
+                with stage("encode", city=entry.name):
+                    wire = Encoded(package.to_dict())
+                    package_metrics = Encoded(package_metrics)
+                self.cache.put(key, (package, wire, package_metrics))
             else:
-                package, package_metrics = hit
+                package, wire, package_metrics = hit
         except (KeyError, ValueError, RuntimeError) as exc:
             return (self._error_response(request.city, exc, start,
                                          request_id=request.request_id),
@@ -314,7 +321,7 @@ class PackageService:
         return (PackageResponse(
             city=entry.name, package=package, cached=cached,
             latency_ms=latency * 1000.0, metrics=package_metrics,
-            request_id=request.request_id,
+            request_id=request.request_id, package_wire=wire,
         ), entry, profile)
 
     def _batch_executor(self) -> ThreadPoolExecutor:
@@ -638,7 +645,8 @@ class PackageService:
 
     def dispatch(self, op: str, payload: dict) -> dict:
         """Serve one wire-format operation: plain dicts in, plain dicts
-        out.
+        out (a cached package and its metrics as read-only
+        :class:`~repro.service.schema.Encoded` dicts).
 
         This is the process-boundary entry point: the shard workers and
         the NDJSON server both funnel every request through it, so
@@ -740,9 +748,8 @@ class PackageService:
             if op == "health":
                 return self.health()
             if op == "trace":
-                limit = payload.get("limit")
                 return {"traces": self.tracer.slowest_traces(
-                    None if limit is None else int(limit))}
+                    trace_limit(payload))}
             return PackageResponse(
                 city="", error=f"unknown operation {op!r}",
                 code=ErrorCode.BAD_REQUEST.value,

@@ -17,11 +17,16 @@ Two ways to name a group in a :class:`BuildRequest`:
   against the city's fitted schema.  This is what makes a pure-JSON
   demo possible: the client cannot know the LDA topic labels a city's
   item index discovered, so it asks the server to draw the group.
+
+A cached package is serialized once: :class:`Encoded` is the wire dict
+that carries its own JSON text, which the NDJSON writer splices
+instead of re-encoding (see :func:`repro.service.server.encode_line`).
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 
 from repro.core.customize import InteractionKind
@@ -31,6 +36,46 @@ from repro.core.query import DEFAULT_QUERY, GroupQuery
 from repro.geo.rectangle import Rectangle
 from repro.profiles.consensus import ConsensusMethod
 from repro.profiles.group import GroupProfile
+
+
+class Encoded(dict):
+    """A wire dict that carries its own JSON text.
+
+    ``json`` is ``json.dumps(self)`` with default settings, computed
+    once at construction.  The instance is still a plain dict to every
+    reader: in-process callers index it, and ``json.dumps`` of anything
+    holding it gives the same bytes, because the C encoder walks dict
+    subclasses as dicts.  Default pickling ships the dict and the text
+    together, so a process hop keeps both.
+
+    Read-only by contract, like the cached
+    :class:`~repro.core.package.TravelPackage` it encodes: one instance
+    is shared by every cache hit, and a mutation would also put the
+    dict and ``json`` out of step.
+    """
+
+    __slots__ = ("json",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.json = json.dumps(self)
+
+
+def trace_limit(payload: dict) -> int | None:
+    """The ``limit`` of a ``trace`` request: ``None`` when absent or
+    null, else a non-negative int.
+
+    Raises:
+        ValueError: For anything else -- a string, a float, a bool or a
+            negative int (which would slice the tail off the traces).
+    """
+    limit = payload.get("limit")
+    if limit is None:
+        return None
+    if type(limit) is not int or limit < 0:
+        raise ValueError(
+            f"trace limit must be a non-negative integer, got {limit!r}")
+    return limit
 
 
 class ErrorCode(str, enum.Enum):
@@ -276,6 +321,10 @@ class PackageResponse:
             ``error`` (``None`` on success).
         shard: Index of the shard that served the request, when served
             through a :class:`~repro.service.shard.ShardCluster`.
+        package_wire: ``package.to_dict()`` as an :class:`Encoded`, set
+            for packages served through the cache; :meth:`to_dict`
+            passes it (and an :class:`Encoded` ``metrics``) through
+            instead of serializing again.
     """
 
     city: str
@@ -288,6 +337,8 @@ class PackageResponse:
     error: str | None = None
     code: str | None = None
     shard: int | None = None
+    package_wire: Encoded | None = field(default=None, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         if self.code is not None:
@@ -305,11 +356,13 @@ class PackageResponse:
             "city": self.city,
             # "is not None", not truthiness: TravelPackage has __len__,
             # so presence must never hinge on its item count.
-            "package": (self.package.to_dict()
+            "package": (self.package_wire if self.package_wire is not None
+                        else self.package.to_dict()
                         if self.package is not None else None),
             "cached": self.cached,
             "latency_ms": self.latency_ms,
-            "metrics": dict(self.metrics),
+            "metrics": (self.metrics if isinstance(self.metrics, Encoded)
+                        else dict(self.metrics)),
             "session_id": self.session_id,
             "request_id": self.request_id,
             "error": self.error,

@@ -12,9 +12,11 @@ an **envelope**::
 wire payload; ``id`` is an optional client correlation value echoed on
 the response line.  Responses are one JSON object per line --
 :class:`~repro.service.schema.PackageResponse` dicts for package
-operations, stats/close-session dicts otherwise.  Requests on one
-connection are served **concurrently** (responses may interleave out of
-request order; correlate by ``id``/``request_id``).
+operations, stats/close-session dicts otherwise -- written by
+:func:`encode_line`, which splices a cached package's stored JSON
+(:class:`~repro.service.schema.Encoded`) instead of re-encoding it.
+Requests on one connection are served **concurrently** (responses may
+interleave out of request order; correlate by ``id``/``request_id``).
 
 The front-end owns four serving concerns the cluster does not:
 
@@ -63,7 +65,12 @@ from repro.obs import (
 from repro.obs.metrics import total
 from repro.service.engine import PackageService, tracer_obs
 from repro.service.registry import populate_store
-from repro.service.schema import ErrorCode, PackageResponse
+from repro.service.schema import (
+    Encoded,
+    ErrorCode,
+    PackageResponse,
+    trace_limit,
+)
 from repro.service.shard import ShardCluster, ShardConfig
 
 #: Default TCP port (no meaning; "GT" on a phone keypad is 48, EDBT 2019 -> 8642).
@@ -86,6 +93,35 @@ REPLY_LIMIT_BYTES = 64 * 1024 * 1024
 #: TCP backpressure then reaches the client, and a client that
 #: pipelines forever without reading cannot grow server memory.
 MAX_PIPELINED_PER_CONNECTION = 128
+
+
+def encode_line(response: dict) -> bytes:
+    """One reply line: exactly ``json.dumps(response).encode() + b"\\n"``.
+
+    A top-level :class:`~repro.service.schema.Encoded` value (a cached
+    package or its metrics) is spliced from its stored ``json`` instead
+    of being encoded again.  Each run of plain fields is encoded by one
+    ``json.dumps`` that also carries the next spliced key, with a ``0``
+    stand-in whose closing ``0}`` is cut off; keys, escaping, float
+    spelling and order are therefore ``json.dumps``' own.
+    """
+    parts: list[str] = []
+    run: dict = {}
+    for key, value in response.items():
+        if isinstance(value, Encoded):
+            run[key] = 0
+            head = json.dumps(run)[:-2]
+            parts.append(", " + head[1:] if parts else head)
+            parts.append(value.json)
+            run = {}
+        else:
+            run[key] = value
+    tail = json.dumps(run)
+    if parts:
+        tail = ", " + tail[1:] if run else "}"
+    parts.append(tail)
+    parts.append("\n")
+    return "".join(parts).encode()
 
 
 def _error_line(message: str, code: ErrorCode,
@@ -172,6 +208,13 @@ class PackageServer:
             return _error_line(f"unknown operation {op!r}",
                                ErrorCode.BAD_REQUEST, envelope_id,
                                payload.get("request_id"))
+        limit = None
+        if op == "trace":
+            try:
+                limit = trace_limit(payload)
+            except ValueError as exc:
+                return _error_line(str(exc), ErrorCode.BAD_REQUEST,
+                                   envelope_id, payload.get("request_id"))
 
         if self._draining or self._inflight >= self.max_inflight:
             self.windows.counter_inc("shed")
@@ -186,7 +229,6 @@ class PackageServer:
         self.windows.counter_inc("requests")
         started = time.perf_counter()
         ctx = self._trace_context(envelope)
-        trace_limit = payload.get("limit") if op == "trace" else None
         if op == "trace":
             # The cluster must union untrimmed; this front-end applies
             # the client's limit after folding in its own ring below.
@@ -225,7 +267,7 @@ class PackageServer:
             # front-end's own portions of those traces.
             response = dict(response, traces=Tracer.merge_traces(
                 [response.get("traces", ()), self.tracer.slowest_traces()],
-                limit=int(trace_limit) if trace_limit is not None else 32,
+                limit=32 if limit is None else limit,
             ))
         if op == "stats":
             response = dict(response, server=self.stats())
@@ -262,8 +304,7 @@ class PackageServer:
         task invisible to :meth:`drain`, which could then close the
         writer under a reply that is owed."""
         try:
-            response = await self.handle_line(line)
-            data = json.dumps(response).encode("utf-8") + b"\n"
+            data = encode_line(await self.handle_line(line))
             async with write_lock:
                 if writer.is_closing():
                     return
@@ -294,7 +335,7 @@ class PackageServer:
                         ErrorCode.BAD_REQUEST,
                     )
                     async with write_lock:
-                        writer.write(json.dumps(error).encode() + b"\n")
+                        writer.write(encode_line(error))
                         await writer.drain()
                     break
                 if not line:
@@ -420,8 +461,8 @@ async def serve_stdin(server: PackageServer, stdin=None, stdout=None) -> int:
             return served
         if not line.strip():
             continue
-        response = await server.handle_line(line)
-        print(json.dumps(response), file=stdout, flush=True)
+        stdout.write(encode_line(await server.handle_line(line)).decode())
+        stdout.flush()
         served += 1
 
 

@@ -73,7 +73,7 @@ from repro.service.engine import (
     stats_sections,
 )
 from repro.service.registry import CityRegistry
-from repro.service.schema import ErrorCode, PackageResponse
+from repro.service.schema import ErrorCode, PackageResponse, trace_limit
 
 
 @dataclass(frozen=True)
@@ -466,16 +466,20 @@ class ShardCluster:
             # worker's portion of a trace whose front-end portion (or a
             # sibling sub-batch's) still ranks.  Rings are bounded, so
             # "full" is still small.
-            limit = (payload.get("limit")
-                     if isinstance(payload, dict) else None)
+            try:
+                limit = trace_limit(payload)
+            except ValueError as exc:
+                return _completed(PackageResponse(
+                    city="", error=f"bad trace payload: {exc}",
+                    code=ErrorCode.BAD_REQUEST.value,
+                ).to_dict())
             worker_payload = {k: v for k, v in payload.items()
                               if k != "limit"}
             return _gather(
                 [s.submit("trace", dict(worker_payload))
                  for s in self._shards],
                 lambda results: {"traces": Tracer.merge_traces(
-                    [r.get("traces", ()) for r in results],
-                    limit=int(limit) if limit is not None else None,
+                    [r.get("traces", ()) for r in results], limit=limit,
                 )},
             )
         if op == "ping":

@@ -3,7 +3,7 @@ and min-max normalization."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,6 +36,7 @@ class TestCosine:
             cosine(np.zeros(2), np.zeros(3))
 
     @given(a=unit_vectors)
+    @example(a=np.array([1.509e-161, 1.509e-161]))  # squares go subnormal
     @settings(max_examples=80, deadline=None)
     def test_self_similarity_and_bounds(self, a):
         if np.linalg.norm(a) > 0:
@@ -50,6 +51,27 @@ class TestCosine:
         for i in range(5):
             for j in range(5):
                 assert mat[i, j] == pytest.approx(cosine(rows[i], rows[j]))
+
+    @pytest.mark.parametrize("scale", [1.509e-161, 1e-300, 1e200])
+    def test_out_of_range_norms_stay_bounded(self, scale):
+        # np.linalg.norm squares below ~1.5e-154 into subnormals (and
+        # above ~1e154 into inf, which numpy warns about before the
+        # guard can rescale); both cases rescale by a power of two.
+        with np.errstate(over="ignore"):
+            self._check_bounded(scale)
+
+    @staticmethod
+    def _check_bounded(scale):
+        a = np.array([scale, scale])
+        b = np.array([scale, 2.0 * scale])
+        expected = 3.0 / np.sqrt(10.0)
+        assert cosine(a, a) == pytest.approx(1.0)
+        assert cosine(a, b) == pytest.approx(expected)
+        assert cosine(a, 2.0 * a + 1e-12) <= 1.0 + 1e-9
+        mat = cosine_matrix(np.array([a, b, [1.0, 2.0]]))
+        assert mat[0, 1] == pytest.approx(expected)
+        assert mat[1, 2] == pytest.approx(1.0)
+        assert np.all(mat <= 1.0 + 1e-9)
 
     def test_matrix_zero_rows(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0]])

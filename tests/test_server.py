@@ -634,6 +634,41 @@ class TestTracing:
 
         asyncio.run(scenario())
 
+    def test_malformed_trace_limits_get_one_bad_request_each(self, cluster):
+        """A ``limit`` that is not an int >= 0 is a ``bad_request``.  A
+        string used to raise in ``handle_line`` after dispatch, killing
+        the reply task so the client waited forever; a negative int
+        sliced the tail off the traces."""
+        limits = ["abc", -1, 1.5, True, [1], {"n": 1}]
+
+        async def scenario():
+            server = PackageServer(cluster)
+            host, port = await server.start(port=0)
+            reader, writer = await _client(host, port)
+            for index, limit in enumerate(limits):
+                await _send_line(writer, {"op": "trace", "id": index,
+                                          "request": {"limit": limit}})
+            await _send_line(writer, {"op": "trace", "id": "zero",
+                                      "request": {"limit": 0}})
+            replies = [await _read_line(reader, timeout=10)
+                       for _ in range(len(limits) + 1)]
+            writer.write_eof()
+            rest = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            await server.drain(timeout=1)
+            server.tracer.close()
+            return replies, rest
+
+        replies, rest = asyncio.run(scenario())
+        assert rest == b""  # exactly one line per request
+        by_id = {reply["id"]: reply for reply in replies}
+        assert set(by_id) == set(range(len(limits))) | {"zero"}
+        for index, limit in enumerate(limits):
+            assert by_id[index]["code"] == ErrorCode.BAD_REQUEST.value
+            assert "limit" in by_id[index]["error"], limit
+        assert by_id["zero"]["traces"] == []
+
     def test_stats_carry_merged_obs_and_utilization(self, cluster):
         cluster.dispatch("build", spec_payload("paris", seed=61))
         cluster.dispatch("build", spec_payload("barcelona", seed=61))
