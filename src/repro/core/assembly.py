@@ -54,6 +54,7 @@ from repro.data.poi import Category
 from repro.geo.distance import equirectangular_km
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
+from repro.reduction import ordered_sum
 
 
 class InfeasibleQueryError(ValueError):
@@ -332,8 +333,18 @@ def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
         InfeasibleQueryError: If even the cheapest conforming selection
             exceeds ``budget``.
     """
-    # Cheapest conforming selection bounds feasibility.
-    floor = sum(sum(np.sort(p.costs)[:p.count].tolist()) for p in pools)
+    cost_lists = [p.costs.tolist() for p in pools]
+
+    def total_cost(picks: list[list[int]]) -> float:
+        return ordered_sum(costs[i] for costs, chosen in zip(cost_lists, picks)
+                           for i in chosen)
+
+    # The cheapest conforming selection, in (cost, id) order, bounds
+    # feasibility.  Its floor is summed as repair sums any selection,
+    # so when the floor fits, installing the selection fits too.
+    cheapest = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
+                for p in pools]
+    floor = total_cost(cheapest)
     if floor > budget:
         raise InfeasibleQueryError(
             f"even the cheapest valid CI costs {floor:.2f}, over the "
@@ -342,29 +353,12 @@ def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
 
     # Greedy fill: each pool leads with its best-scoring rows.
     picks = [list(range(p.count)) for p in pools]
-    cost_lists = [p.costs.tolist() for p in pools]
-
-    def total_cost() -> float:
-        return sum(costs[i] for costs, chosen in zip(cost_lists, picks)
-                   for i in chosen)
-
     max_passes = sum(p.count * len(p.costs) for p in pools)
     passes = 0
-    while total_cost() > budget:
+    while total_cost(picks) > budget:
         best = _best_swap(pools, picks) if passes < max_passes else None
         if best is None:
-            # Install the cheapest conforming selection in (cost, id)
-            # order.  Its costs are the floor's, summed in another
-            # order, so rounding alone can still leave it over budget:
-            # then no selection is valid.
-            picks = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
-                     for p in pools]
-            if total_cost() > budget:
-                raise InfeasibleQueryError(
-                    f"the cheapest valid CI costs {total_cost()!r} after "
-                    f"rounding, over the budget {budget!r}"
-                )
-            return picks
+            return cheapest
         passes += 1
         j, slot, alt = best
         picks[j][slot] = alt

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.data.poi import POI, Category
 from repro.core.query import GroupQuery
-from repro.geo.distance import equirectangular_km
+from repro.metrics.dimensions import raw_cohesiveness_sum
+from repro.reduction import ordered_sum
 
 
 class CompositeItem:
@@ -59,8 +60,8 @@ class CompositeItem:
         return frozenset(p.id for p in self.pois)
 
     def total_cost(self) -> float:
-        """Summed visiting cost of the member POIs."""
-        return float(sum(p.cost for p in self.pois))
+        """Summed visiting cost of the member POIs, left to right."""
+        return ordered_sum(p.cost for p in self.pois)
 
     def category_counts(self) -> Counter:
         """How many member POIs each category has."""
@@ -78,14 +79,7 @@ class CompositeItem:
     def internal_distance(self) -> float:
         """Summed pairwise distance between member POIs (the CI's
         contribution to Equation 3's inner term)."""
-        total = 0.0
-        for a in range(len(self.pois)):
-            for b in range(a + 1, len(self.pois)):
-                total += float(equirectangular_km(
-                    self.pois[a].lat, self.pois[a].lon,
-                    self.pois[b].lat, self.pois[b].lon,
-                ))
-        return total
+        return raw_cohesiveness_sum([self.pois])
 
     # -- serialization -------------------------------------------------------
 

@@ -25,10 +25,16 @@ def group_uniformity(group: "Group") -> float:
     evaluates uniformity on multi-member groups, so the singleton value
     just needs to be sane.
     """
-    vectors = np.vstack([m.concatenated() for m in group.members])
-    n = len(vectors)
+    return matrix_uniformity(np.vstack([m.concatenated()
+                                        for m in group.members]))
+
+
+def matrix_uniformity(members: np.ndarray) -> float:
+    """:func:`group_uniformity` over a ``(size, D)`` matrix whose rows
+    are the members' concatenated profile vectors."""
+    n = len(members)
     if n < 2:
         return 1.0
-    sims = cosine_matrix(vectors)
+    sims = cosine_matrix(members)
     upper = sims[np.triu_indices(n, k=1)]
     return float(upper.mean())

@@ -12,6 +12,10 @@ nearly-disjoint* preference supports (each member cares about one or
 two dimensions per category).  That is the only way the paper's
 threshold is satisfiable and matches its reading of non-uniform groups
 as "members with diverse preferences"; see the README design notes.
+
+A group is drawn as one ``(size, D)`` matrix of concatenated member
+vectors (:meth:`GroupGenerator.member_matrix`); the group methods wrap
+its rows into :class:`~repro.profiles.user.UserProfile` members.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import numpy as np
 
 from repro.data.poi import CATEGORIES
 from repro.metrics.similarity import cosine
-from repro.metrics.uniformity import group_uniformity
+from repro.metrics.uniformity import matrix_uniformity
 from repro.profiles.group import Group
 from repro.profiles.schema import ProfileSchema
 from repro.profiles.user import UserProfile
+from repro.reduction import ordered_sum
 
 #: Paper thresholds (Section 4.1).
 UNIFORM_THRESHOLD = 0.85
@@ -142,6 +147,114 @@ class GroupGenerator:
 
     # -- groups -----------------------------------------------------------------
 
+    def member_matrix(self, size: int, uniform: bool) -> np.ndarray:
+        """A group's members as one ``(size, D)`` matrix of concatenated
+        profile vectors (``D = schema.total_size()``), uniform or
+        non-uniform.
+
+        Every group method draws through this core; its rows are the
+        members :meth:`group` wraps into profiles, and a service
+        resolves a spec's consensus profile straight from the matrix
+        (:meth:`GroupProfile.from_members
+        <repro.profiles.group.GroupProfile.from_members>`).
+        """
+        if uniform:
+            return self._uniform_members(size)
+        return self._non_uniform_members(size)
+
+    def _uniform_members(self, size: int, max_attempts: int = 50) -> np.ndarray:
+        """Members sharing a random base taste with small jitter,
+        retried with shrinking jitter until the group's uniformity is
+        above :data:`UNIFORM_THRESHOLD`.
+
+        One draw for the base and one ``(size, D)`` draw for the
+        jitter: the same values, in the same order, as per-category
+        draws member by member.
+        """
+        dim = self.schema.total_size()
+        jitter = 0.8
+        for _ in range(max_attempts):
+            base = self._rng.uniform(0.5, 5.0, size=dim)
+            noise = self._rng.uniform(-jitter, jitter, size=(size, dim))
+            members = self._normalized(np.clip(base + noise, 0.0, 5.0))
+            if matrix_uniformity(members) > UNIFORM_THRESHOLD:
+                return members
+            jitter *= 0.6
+        raise RuntimeError(
+            f"could not generate a uniform group of size {size} in "
+            f"{max_attempts} attempts"
+        )
+
+    def _normalized(self, ratings: np.ndarray) -> np.ndarray:
+        """Rows of 0-5 ratings normalized by each category's rating sum
+        (all-zero categories stay zero), as
+        :meth:`UserProfile.from_ratings
+        <repro.profiles.user.UserProfile.from_ratings>` does per member."""
+        scores = np.zeros_like(ratings)
+        for columns in self.schema.category_slices:
+            raw = ratings[:, columns]
+            totals = raw.sum(axis=1)[:, None]
+            np.divide(raw, totals, out=scores[:, columns], where=totals > 0)
+        return scores
+
+    def _non_uniform_members(self, size: int,
+                             max_attempts: int = 200) -> np.ndarray:
+        """Members with sparse nearly-disjoint supports, admitted while
+        the group's average pairwise cosine stays under
+        :data:`NON_UNIFORM_THRESHOLD` (with a 5% margin).
+
+        The pair cosines are cached and the running average is
+        recomputed only when a member is admitted, adding them in
+        ``(i < j)`` row-major order.
+        """
+        members = np.zeros((size, self.schema.total_size()))
+        pair_cosines: list[list[float]] = []  # row i: cos(i, j) for j > i
+        current = 0.0
+        n = attempts = 0
+        while n < size:
+            candidate = self._sparse_member()
+            attempts += 1
+            if attempts > max_attempts * size:
+                raise RuntimeError(
+                    f"could not generate a non-uniform group of size {size}"
+                )
+            cos_to_members = [cosine(candidate, members[i]) for i in range(n)]
+            if n:
+                pairs_before = n * (n - 1) / 2.0
+                new_avg = ((current * pairs_before
+                            + ordered_sum(cos_to_members))
+                           / (pairs_before + n))
+                if new_avg >= NON_UNIFORM_THRESHOLD * 0.95:
+                    continue
+            # cosine is symmetric, so cos(candidate, i) is pair (i, n).
+            for row, value in zip(pair_cosines, cos_to_members):
+                row.append(value)
+            pair_cosines.append([])
+            members[n] = candidate
+            n += 1
+            if n > 1:
+                current = (ordered_sum(value for row in pair_cosines
+                                       for value in row)
+                           / (n * (n - 1) / 2.0))
+        return members
+
+    def _sparse_member(self) -> np.ndarray:
+        """One concatenated :meth:`sparse_user` vector, one dimension
+        per category."""
+        ratings = self.sparse_ratings(dims_per_category=1)
+        return self._normalized(
+            np.concatenate([ratings[cat] for cat in CATEGORIES])[None, :])[0]
+
+    def _group(self, members: np.ndarray, name: str) -> Group:
+        """Wrap member-matrix rows into a :class:`Group` of profiles."""
+        slices = self.schema.category_slices
+        return Group(
+            (UserProfile(self.schema, {cat: row[columns] for cat, columns
+                                       in zip(CATEGORIES, slices)})
+             for row in members),
+            name=name,
+        )
+
     def uniform_group(self, size: int, name: str = "",
                       max_attempts: int = 50) -> Group:
         """A group with uniformity above :data:`UNIFORM_THRESHOLD`.
@@ -149,21 +262,8 @@ class GroupGenerator:
         Members share a random base taste with small jitter.  Retries
         with shrinking jitter until the threshold is met.
         """
-        jitter = 0.8
-        for _ in range(max_attempts):
-            base = {
-                cat: self._rng.uniform(0.5, 5.0, size=self.schema.size(cat))
-                for cat in CATEGORIES
-            }
-            members = [self._jittered_user(base, jitter) for _ in range(size)]
-            group = Group(members, name=name or f"uniform-{size}")
-            if group_uniformity(group) > UNIFORM_THRESHOLD:
-                return group
-            jitter *= 0.6
-        raise RuntimeError(
-            f"could not generate a uniform group of size {size} in "
-            f"{max_attempts} attempts"
-        )
+        return self._group(self._uniform_members(size, max_attempts),
+                           name or f"uniform-{size}")
 
     def non_uniform_group(self, size: int, name: str = "",
                           max_attempts: int = 200) -> Group:
@@ -172,50 +272,14 @@ class GroupGenerator:
         Members get sparse nearly-disjoint supports; candidate members
         whose taste overlaps the group too much are re-rolled.
         """
-        members: list[UserProfile] = []
-        attempts = 0
-        while len(members) < size:
-            candidate = self.sparse_user(dims_per_category=1)
-            attempts += 1
-            if attempts > max_attempts * size:
-                raise RuntimeError(
-                    f"could not generate a non-uniform group of size {size}"
-                )
-            # Greedy admission: keep the candidate only if the running
-            # average pairwise cosine stays under the threshold.
-            if members:
-                cos_to_members = [
-                    cosine(candidate.concatenated(), m.concatenated())
-                    for m in members
-                ]
-                n = len(members)
-                pairs_before = n * (n - 1) / 2.0
-                current = _average_pairwise(members)
-                new_avg = ((current * pairs_before + sum(cos_to_members))
-                           / (pairs_before + n))
-                if new_avg >= NON_UNIFORM_THRESHOLD * 0.95:
-                    continue
-            members.append(candidate)
-        return Group(members, name=name or f"non-uniform-{size}")
+        return self._group(self._non_uniform_members(size, max_attempts),
+                           name or f"non-uniform-{size}")
 
     def group(self, size: int, uniform: bool, name: str = "") -> Group:
         """Dispatch to :meth:`uniform_group` / :meth:`non_uniform_group`."""
         if uniform:
             return self.uniform_group(size, name=name)
         return self.non_uniform_group(size, name=name)
-
-
-def _average_pairwise(members: list[UserProfile]) -> float:
-    """Average pairwise cosine among a member list (0 for singletons)."""
-    n = len(members)
-    if n < 2:
-        return 0.0
-    vectors = [m.concatenated() for m in members]
-    total = sum(
-        cosine(vectors[i], vectors[j])
-        for i in range(n) for j in range(i + 1, n)
-    )
-    return total / (n * (n - 1) / 2.0)
 
 
 def median_user_index(group: Group) -> int:
@@ -232,7 +296,8 @@ def median_user_index(group: Group) -> int:
     best_index = 0
     best_score = -np.inf
     for i in range(n):
-        score = sum(cosine(vectors[i], vectors[j]) for j in range(n) if j != i)
+        score = ordered_sum(cosine(vectors[i], vectors[j])
+                            for j in range(n) if j != i)
         if score > best_score:
             best_score = score
             best_index = i

@@ -47,6 +47,21 @@ class GroupProfile:
                 )
             self._vectors[cat] = vec.copy()
 
+    @classmethod
+    def from_members(cls, schema: ProfileSchema, members: np.ndarray,
+                     method: ConsensusMethod | str = ConsensusMethod.AVERAGE,
+                     w1: float | None = None) -> "GroupProfile":
+        """One consensus method applied per category (Section 2.3) to a
+        ``(size, D)`` matrix of concatenated member vectors, cut along
+        :attr:`ProfileSchema.category_slices`.  Each slice is copied
+        contiguous, the layout a per-category restack has, so the
+        consensus reductions see the same memory order."""
+        return cls(schema, {
+            cat: consensus_scores(np.ascontiguousarray(members[:, columns]),
+                                  method, w1=w1)
+            for cat, columns in zip(CATEGORIES, schema.category_slices)
+        })
+
     def vector(self, category: Category | str) -> np.ndarray:
         """The consensus vector for one category (a defensive copy)."""
         return self._vectors[Category.parse(category)].copy()
@@ -115,11 +130,10 @@ class Group:
                 w1: float | None = None) -> GroupProfile:
         """Aggregate members into a group profile with one consensus
         method applied per category (Section 2.3)."""
-        vectors = {
-            cat: consensus_scores(self.member_matrix(cat), method, w1=w1)
-            for cat in CATEGORIES
-        }
-        return GroupProfile(self.schema, vectors)
+        return GroupProfile.from_members(
+            self.schema, np.vstack([m.concatenated() for m in self.members]),
+            method, w1=w1,
+        )
 
     def singleton(self, index: int) -> "Group":
         """A one-member group around the ``index``-th member (used for

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,16 @@ class ProfileSchema:
         """Total dimensions across the four categories (for concatenated
         vectors, e.g. the uniformity computation)."""
         return sum(len(v) for v in self.dimensions.values())
+
+    @cached_property
+    def category_slices(self) -> tuple[slice, ...]:
+        """Each category's columns in a concatenated vector, in
+        canonical category order (a group's ``(size, D)`` member
+        matrix is cut along these)."""
+        bounds = [0]
+        for cat in CATEGORIES:
+            bounds.append(bounds[-1] + len(self.dimensions[cat]))
+        return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization."""

@@ -47,6 +47,11 @@ class ItemVectorIndex:
                  topic_models: dict[Category, LatentDirichletAllocation]) -> None:
         self.schema = schema
         self._vectors = vectors
+        # Each vector's 1-D ``np.linalg.norm``, memoized wherever a
+        # vector is stored: a row-wise norm of a stacked matrix rounds
+        # differently, so cosine-exact callers cannot use one.
+        self._norms = {poi_id: np.linalg.norm(vec)
+                       for poi_id, vec in vectors.items()}
         self._topic_models = topic_models
 
     @classmethod
@@ -174,6 +179,7 @@ class ItemVectorIndex:
             if slot is not None:
                 vec[slot] = 1.0
         self._vectors[poi.id] = vec
+        self._norms[poi.id] = np.linalg.norm(vec)
         return vec.copy()
 
     # -- persistence ----------------------------------------------------------
@@ -250,6 +256,15 @@ class ItemVectorIndex:
         poi_id = poi.id if isinstance(poi, POI) else poi
         try:
             return self._vectors[poi_id].copy()
+        except KeyError:
+            raise KeyError(f"no item vector for POI id {poi_id}") from None
+
+    def vector_and_norm(self, poi_id: int) -> tuple[np.ndarray, np.floating]:
+        """The stored item vector (read-only by contract: no defensive
+        copy) and its memoized ``np.linalg.norm``, for per-POI cosine
+        loops that must not recompute the norm per call."""
+        try:
+            return self._vectors[poi_id], self._norms[poi_id]
         except KeyError:
             raise KeyError(f"no item vector for POI id {poi_id}") from None
 

@@ -1,5 +1,20 @@
-"""numpy's float64 summation order, for the LDA sweep and the FCM kernel,
-which replace numpy reductions and must match them bit for bit."""
+"""Summation orders pinned by hand, so results do not depend on the
+interpreter: numpy's float64 order for the LDA sweep and the FCM kernel
+(which replace numpy reductions and must match them bit for bit), and
+plain left to right for metrics, group admission and costs."""
+
+from collections.abc import Iterable
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...``, added strictly left to right.  Not
+    ``sum()``: from Python 3.12 it compensates float rounding, so a
+    total (and a ``> budget`` test on it) would depend on the
+    interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def pairwise_sum(values):

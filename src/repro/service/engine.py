@@ -33,6 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from threading import Lock
 
+import numpy as np
+
 from repro.core.assembly import AssemblyCounters, collect_assembly_counters
 from repro.core.customize import CustomizationSession, Interaction
 from repro.core.package import TravelPackage
@@ -150,6 +152,11 @@ class UnknownSessionError(KeyError):
     """Raised when a session id does not name an open session."""
 
 
+class NonFiniteProfileError(ValueError):
+    """A wire profile holds a NaN or infinite score: a malformed
+    payload (``bad_request``), not an unservable request."""
+
+
 class StaleEpochError(RuntimeError):
     """A session pinned to an old city epoch could not be replayed.
 
@@ -248,12 +255,17 @@ class PackageService:
         if request.profile is not None:
             profile = request.profile
             for cat in Category:
+                vector = profile.vector(cat)
                 expected = entry.schema.size(cat)
-                got = profile.vector(cat).shape[0]
+                got = vector.shape[0]
                 if got != expected:
                     raise ValueError(
                         f"profile vector for {cat} has {got} dimensions, "
                         f"city {entry.name!r} expects {expected}"
+                    )
+                if not np.isfinite(vector).all():
+                    raise NonFiniteProfileError(
+                        f"profile vector for {cat} has a non-finite score"
                     )
             return profile
         return self.registry.group_profile(entry.name, request.group_spec)
@@ -376,6 +388,8 @@ class PackageService:
             return ErrorCode.STALE_EPOCH.value
         if isinstance(exc, UnknownSessionError):
             return ErrorCode.UNKNOWN_SESSION.value
+        if isinstance(exc, NonFiniteProfileError):
+            return ErrorCode.BAD_REQUEST.value
         if isinstance(exc, KeyError):
             return ErrorCode.NOT_FOUND.value
         if isinstance(exc, (ValueError, StopIteration, IndexError, TypeError)):

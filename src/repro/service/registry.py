@@ -593,9 +593,13 @@ class CityRegistry:
                 self._profiles.move_to_end(key)
                 return cached
         entry = self.entry(city)
-        generator = GroupGenerator(entry.schema, seed=spec.seed)
-        group = generator.group(spec.size, uniform=spec.uniform)
-        profile = group.profile(ConsensusMethod(spec.method), w1=spec.w1)
+        with stage("profile_resolve", city=city):
+            members = GroupGenerator(entry.schema, seed=spec.seed) \
+                .member_matrix(spec.size, uniform=spec.uniform)
+            profile = GroupProfile.from_members(
+                entry.schema, members, ConsensusMethod(spec.method),
+                w1=spec.w1,
+            )
         with self._lock:
             self._profiles[key] = profile
             while len(self._profiles) > self._MAX_PROFILES:

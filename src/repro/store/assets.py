@@ -347,26 +347,35 @@ class AssetStore:
                        lda_iterations=lda_iterations,
                        dataset_hash=dataset_hash)
         final = self.path(key)
-        tmp = self.root / f".tmp-{key.dirname()}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        tmp = self._tmp_path(key)
         tmp.mkdir()
         try:
             with stage("store_write", city=city):
                 self._write_payload(tmp, key, assets)
+            present = final.exists()
             try:
                 manifest = self._manifest(final, key)
                 self._verify_payload(final, manifest)
             except StoreCorruption:
-                # Missing or untrustworthy: replace.  (A reader racing
-                # this replace sees either the old entry -- which it
-                # will itself reject -- or the new one; never a blend,
-                # because rename is atomic.)
-                if final.exists():
-                    shutil.rmtree(final, ignore_errors=True)
+                if present:
+                    # Present and untrustworthy: move it aside in one
+                    # atomic rename, then delete it.  A reader racing
+                    # this sees the old entry (which it rejects itself)
+                    # or nothing; never a blend.  An entry found
+                    # missing is never removed: it may be a concurrent
+                    # writer's valid entry published since the check.
+                    aside = self._tmp_path(key)
+                    try:
+                        os.rename(final, aside)
+                    except OSError:
+                        pass  # already moved aside by another writer
+                    else:
+                        shutil.rmtree(aside, ignore_errors=True)
                 try:
                     os.rename(tmp, final)
                 except OSError:
-                    # Lost a publish race after the corrupt-entry
-                    # removal; whoever won wrote equivalent content.
+                    # Another writer published first; the content is
+                    # deterministic in the key, so it is equivalent.
                     self._count("write_races")
                 else:
                     self._count("writes")
@@ -376,6 +385,12 @@ class AssetStore:
             if tmp.exists():
                 shutil.rmtree(tmp, ignore_errors=True)
         return final
+
+    def _tmp_path(self, key: StoreKey) -> Path:
+        """A fresh hidden ``.tmp-*`` directory name under the root
+        (:meth:`reap_tmp` collects any a killed writer leaks)."""
+        return self.root / (f".tmp-{key.dirname()}-{os.getpid()}-"
+                            f"{uuid.uuid4().hex[:8]}")
 
     def _write_payload(self, into: Path, key: StoreKey,
                        assets: CityAssets) -> None:
@@ -456,7 +471,14 @@ class AssetStore:
             path = entry / name
             if not path.is_file():
                 raise StoreCorruption(f"missing payload file {name}")
-            if path.stat().st_size != record["nbytes"]:
+            try:
+                size = path.stat().st_size
+            except OSError as exc:
+                # Removed since the check above (a writer replacing a
+                # corrupt entry): the entry cannot be trusted.
+                raise StoreCorruption(f"vanished payload file {name}: "
+                                      f"{exc}") from exc
+            if size != record["nbytes"]:
                 raise StoreCorruption(f"size mismatch on {name}")
         return manifest
 

@@ -8,8 +8,10 @@ Python, builds ``_Candidate`` pools, and runs the greedy fill + budget
 repair as a Python scan over every ``(category, slot, alternative)``
 triple.  It shares only the up-front category check with the kernel,
 so the properties check scoring, pool building *and* repair.  Like the
-kernel, it sizes each pool at ``max(candidate_pool, count)`` and raises
-when rounding leaves even the cheapest fill over budget.
+kernel, it sizes each pool at ``max(candidate_pool, count)`` and adds
+costs strictly left to right, the feasibility floor as the cheapest
+fill's costs in ``(cost, id)`` order, so a floor within budget means
+the cheapest fill is within budget too.
 
 :func:`assemble_composite_items` has the kernel's signature (``arrays``
 is accepted and ignored), so a test can drop it in for
@@ -102,10 +104,11 @@ def _finish_assembly(per_category: dict[Category, list[_Candidate]],
     """Greedy fill + budget repair over already-scored pools."""
     # Cheapest conforming selection bounds feasibility.
     if query.has_budget:
-        floor = sum(
-            sum(sorted(c.cost for c in pool)[: query.count(cat)])
-            for cat, pool in per_category.items()
-        )
+        floor = 0.0
+        for cat, pool in per_category.items():
+            for c in sorted(pool, key=lambda c: (c.cost, c.poi.id))[
+                    : query.count(cat)]:
+                floor += c.cost
         if floor > query.budget:
             raise InfeasibleQueryError(
                 f"even the cheapest valid CI costs {floor:.2f}, over the "
@@ -191,16 +194,13 @@ def _repair_budget(selected: dict[Category, list[_Candidate]],
                 if len(picked) == query.count(cat):
                     break
             selected[cat] = picked
-        # The floor sums the same costs in another order, so rounding
-        # alone can leave this selection over budget.
-        if total_cost() > query.budget:
-            raise InfeasibleQueryError(
-                f"the cheapest valid CI costs {total_cost()!r} after "
-                f"rounding, over the budget {query.budget!r}"
-            )
 
     def total_cost() -> float:
-        return sum(c.cost for pool in selected.values() for c in pool)
+        total = 0.0
+        for pool in selected.values():
+            for c in pool:
+                total += c.cost
+        return total
 
     max_passes = sum(query.count(cat) * len(pool)
                      for cat, pool in per_category.items())

@@ -87,10 +87,15 @@ def _tiny_city(lat_offsets, lon_offsets, *, costs=None,
 
 def _floor(dataset, query) -> float:
     """The cheapest conforming cost, summed as the repair's feasibility
-    floor sums it: per category, then across categories."""
-    return sum(sum(sorted(p.cost for p in dataset.by_category(cat))
-                   [:query.count(cat)])
-               for cat in query.requested_categories())
+    floor sums it: each category's ``(cost, id)``-cheapest rows, added
+    left to right across categories."""
+    total = 0.0
+    for cat in query.requested_categories():
+        cheapest = sorted(dataset.by_category(cat),
+                          key=lambda p: (p.cost, p.id))[:query.count(cat)]
+        for p in cheapest:
+            total += p.cost
+    return total
 
 
 def _stepped_city(rest_costs, attr_costs=()):
@@ -320,23 +325,29 @@ class TestBindingBudget:
         assert [p.id for p in ci.pois] == [3, 5, 4]
         assert ci.is_valid(query)
 
-    def test_fallback_over_budget_by_rounding_raises(self, monkeypatch):
-        """The floor sums per category, the CI across them: here the
-        cheapest selection is an ulp over a budget equal to the floor
-        both in repair's slot order and in ``(cost, id)`` order, so no
-        CI is returned (an over-budget one used to be)."""
+    def test_floor_is_summed_as_the_fallback_sums_it(self):
+        """The floor adds the cheapest selection's costs in the order
+        the fallback installs them, so a budget at the floor always
+        yields a CI.  Summed per category instead, these costs come to
+        an ulp less, and a budget there is now over the floor; it used
+        to pass the floor and then raise after the fallback."""
         dataset, index, prof = _stepped_city([9.0, 9.0, 9.0, 0.6, 0.1, 1.1],
                                              [9.0, 9.0, 1.1, 0.4])
         counts = dict(rest=3, attr=2)
-        query = GroupQuery.of(**counts, budget=_floor(
-            dataset, GroupQuery.of(**counts)))
-        swaps = self._spy_swaps(monkeypatch)
+        floor = _floor(dataset, GroupQuery.of(**counts))
+        per_category = (0.1 + 0.6 + 1.1) + (0.4 + 1.1)
+        assert per_category == math.nextafter(floor, 0.0)
         cents = np.array([[48.85, 2.35]])
         for assemble in (oracle.assemble_composite_items,
                          assemble_composite_items):
-            with pytest.raises(InfeasibleQueryError, match="rounding"):
-                assemble(dataset, cents, query, prof, index, gamma=0.0)
-        assert swaps[-1] is None
+            with pytest.raises(InfeasibleQueryError, match="even the cheapest"):
+                assemble(dataset, cents,
+                         GroupQuery.of(**counts, budget=per_category),
+                         prof, index, gamma=0.0)
+            query = GroupQuery.of(**counts, budget=floor)
+            ci = assemble(dataset, cents, query, prof, index, gamma=0.0)[0]
+            assert ci.is_valid(query)
+        _compare(dataset, index, prof, cents, query, gamma=0.0)
 
     def test_floor_over_budget_raises(self):
         dataset, index, prof = _stepped_city([9.0, 9.0, 0.5, 0.25])

@@ -19,6 +19,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.obs import ObsConfig, WindowConfig
+from repro.profiles.generator import GroupGenerator
 from repro.service import (
     CityRegistry,
     ErrorCode,
@@ -555,6 +556,30 @@ class TestPackageServer:
         assert response["id"] == "nan"
         assert response["code"] == ErrorCode.BAD_REQUEST.value
         assert "alpha" in response["error"]
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_profile_line_is_a_bad_request(self, cluster, app,
+                                                      score):
+        """A profile score of ``NaN`` or ``Infinity`` once reached the
+        builder and came back as ``failed`` with an internal
+        ``IndexError`` message (and a ``RuntimeWarning``)."""
+        wire = GroupGenerator(app.schema, seed=3).uniform_group(3) \
+            .profile().to_dict()
+        wire["vectors"]["rest"][1] = "SCORE"
+        line = json.dumps({"op": "build", "id": "inf", "request": {
+            "city": "paris", "profile": wire}}).replace('"SCORE"', score)
+
+        async def scenario():
+            server = PackageServer(cluster)
+            try:
+                return await server.handle_line(line)
+            finally:
+                server.tracer.close()
+
+        response = json.loads(json.dumps(asyncio.run(scenario())))
+        assert response["id"] == "inf"
+        assert response["code"] == ErrorCode.BAD_REQUEST.value
+        assert "non-finite" in response["error"]
 
     def test_validation(self, cluster):
         with pytest.raises(ValueError):

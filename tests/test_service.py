@@ -541,3 +541,20 @@ class TestObservability:
         assert ops["build_cached"]["count"] == 1
         assert ops["build"]["p95_ms"] >= ops["build"]["p50_ms"] >= 0
         assert stats["metrics"]["total_operations"] == 2
+
+    def test_profile_resolve_is_traced_on_a_cold_build_only(self, service):
+        """Generating a spec's group is its own stage of the trace; a
+        warm hit finds the profile cached and pays no such span."""
+        names = {}
+        for trace_id in ("cold", "warm"):
+            service.dispatch("build", {
+                "city": "paris", "group_spec": {"size": 5, "seed": 80123},
+                "_trace": {"trace_id": trace_id, "sampled": True}})
+        for trace in service.tracer.slowest_traces():
+            names[trace["trace_id"]] = {s["name"] for s in trace["spans"]}
+        assert {"profile_resolve", "assemble",
+                "package_metrics"} <= names["cold"]
+        assert "profile_resolve" not in names["warm"]
+        assert "assemble" not in names["warm"]
+        stages = service.stats()["obs"]["stages"]
+        assert stages["profile_resolve"]["count"] == 1

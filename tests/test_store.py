@@ -44,7 +44,7 @@ from repro.store import (
     dataset_content_hash,
     repair_store,
 )
-from repro.store.assets import _MANIFEST, _SEGMENT
+from repro.store.assets import _MANIFEST, _SEGMENT, StoreCorruption
 
 
 def _region_offset(entry, prefix, min_bytes=16) -> int:
@@ -643,6 +643,61 @@ class TestConcurrentAccess:
         leftovers = [p for p in Path(store.root).iterdir()
                      if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+
+    def test_writer_that_found_no_entry_keeps_the_one_published_since(
+            self, store, fast_fit, monkeypatch):
+        """Writers A and B both find the entry missing; A publishes
+        before B publishes.  B must leave A's entry in place (a reader
+        may be reading it) and count a write race: it used to delete
+        A's entry and publish its own."""
+        assets = CityAssets(fast_fit.dataset, fast_fit.item_index,
+                            fast_fit.arrays)
+        final = store.path(store.key("paris", **FAST))
+        check = store._manifest
+        published = []
+
+        def b_checks_then_a_publishes(entry, key):
+            try:
+                return check(entry, key)
+            finally:
+                if not published:
+                    published.append(None)
+                    store.save(assets, city="paris", **FAST)  # writer A
+                    published[0] = (final / _SEGMENT).stat().st_ino
+
+        monkeypatch.setattr(store, "_manifest", b_checks_then_a_publishes)
+        store.save(assets, city="paris", **FAST)  # writer B
+        monkeypatch.undo()
+        assert (final / _SEGMENT).stat().st_ino == published[0]
+        stats = store.stats()
+        assert (stats["writes"], stats["write_races"]) == (1, 1)
+        assert store.load("paris", **FAST) is not None
+        assert store.tmp_dirs() == []
+
+    def test_corrupt_entry_is_replaced(self, store, fast_fit):
+        assets = CityAssets(fast_fit.dataset, fast_fit.item_index,
+                            fast_fit.arrays)
+        final = store.save(assets, city="paris", **FAST)
+        (final / _SEGMENT).write_bytes(b"garbage")
+        store.save(assets, city="paris", **FAST)
+        assert store.stats()["writes"] == 2
+        assert store.load("paris", **FAST) is not None
+        assert store.tmp_dirs() == []
+
+    def test_payload_file_vanishing_mid_check_is_corruption(
+            self, store, fast_fit, monkeypatch):
+        """A payload file removed between the presence check and the
+        size check (a writer replacing the entry) is a corrupt entry,
+        not a ``FileNotFoundError`` out of ``load``."""
+        final = store.save(CityAssets(fast_fit.dataset, fast_fit.item_index,
+                                      fast_fit.arrays),
+                           city="paris", **FAST)
+        (final / _SEGMENT).unlink()
+        monkeypatch.setattr(Path, "is_file", lambda self: True)
+        with pytest.raises(StoreCorruption, match="vanished"):
+            store._manifest(final, None)
+        assert store.load("paris", **FAST) is None
 
 
 class TestShardConfigStore:
