@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.fuzzy_cmeans import FuzzyCMeans
-from repro.core.assembly import assemble_composite_item
+from repro.core.assembly import assemble_composite_items
 from repro.core.query import DEFAULT_QUERY
 from repro.profiles.consensus import ConsensusMethod, consensus_scores
 
@@ -35,8 +35,8 @@ def test_kfc_build(benchmark, paris_app, group_profile):
 def test_ci_assembly_arrays(benchmark, paris_app, group_profile):
     center = paris_app.dataset.coordinates().mean(axis=0)
     benchmark(
-        assemble_composite_item,
-        paris_app.dataset, (float(center[0]), float(center[1])),
+        assemble_composite_items,
+        paris_app.dataset, [(float(center[0]), float(center[1]))],
         DEFAULT_QUERY, group_profile, paris_app.item_index,
         arrays=paris_app.arrays,
     )

@@ -20,19 +20,29 @@ whenever one exists.
 
 Scoring runs against the city's :class:`~repro.core.arrays.CityArrays`
 bundle (the pooled ``CityArrays.of(dataset, item_index)`` when none is
-passed), batched across the whole package: per category, the profile
-mat-vec is computed *once* and shared by every centroid, the distance
-pass is one broadcast ``(k_centroids, n)`` matrix, and the candidate
-pool is cut with a partition + lexsort (preserving the exact
-``(-score, id)`` order).  Pools stay arrays (the ids, costs and scores
-of their rows), so the budget repair scans one masked ratio vector per
-slot, and on both paths ``POI`` objects are materialized only for the
-final picks.
+passed), and one call assembles a whole package round as a few
+whole-array operations:
+
+* ``gamma * cos(item, g)`` depends only on the profile, so a KFC build
+  computes it once per category (:func:`gamma_sims`) and every round
+  reuses it;
+* the round makes one distance pass, a ``(k, N)`` closeness matrix over
+  the city-wide columns; a category's scores are its column slice plus
+  its ``gamma * cos``;
+* each category's candidates for all ``k`` centroids come from one
+  row-wise partition and one row-keyed lexsort, in the exact
+  ``(-score, id)`` order;
+* under a budget, each repair pass scores every swap of the CI in one
+  padded ``(slots, max pool)`` ratio matrix and takes its first
+  ``argmax`` -- the ``(category, slot, position)`` tie rule.
+
+``POI`` objects are materialized only for the final picks.
 
 The per-``POI`` object-path scorer and its Python-loop repair live in
 ``tests/assembly_oracle.py`` as the reference the property tests compare
-this kernel against bit for bit; the golden package fixtures pin the
-bytes of both.
+this kernel against bit for bit, next to the kernel's former
+per-category distance pass, per-centroid selection and per-slot repair;
+the golden package fixtures pin the bytes of all of them.
 :func:`collect_assembly_counters` exposes how many candidate rows the
 scans scored so serving stacks can report assembly work.
 """
@@ -132,18 +142,29 @@ def _gamma_sims(ca: CategoryArrays, profile_vec: np.ndarray,
     return gamma * sims
 
 
-def _totals_matrix(ca: CategoryArrays, cents: np.ndarray, gsims: np.ndarray,
-                   beta: float, max_distance_km: float) -> np.ndarray:
-    """``(k, n)`` score matrix for every centroid at once: one broadcast
-    distance pass amortized across the package.  Every element runs the
-    exact elementwise ops of the per-centroid pass, so each row is
-    bit-identical to scoring that centroid alone."""
-    dist = equirectangular_km(ca.lats[None, :], ca.lons[None, :],
+def gamma_sims(arrays: CityArrays, profile: GroupProfile,
+               categories: tuple[Category, ...],
+               gamma: float) -> dict[Category, np.ndarray]:
+    """:func:`_gamma_sims` for each of ``categories`` -- computed once
+    per build, since the profile is fixed across every assembly
+    round."""
+    return {cat: _gamma_sims(arrays.categories[cat], profile.vector(cat),
+                             gamma)
+            for cat in categories}
+
+
+def _near_matrix(arrays: CityArrays, cents: np.ndarray,
+                 beta: float) -> np.ndarray:
+    """``beta * (1 - dist_norm)`` as one ``(k, N)`` matrix over the
+    city-wide columns: the round's only distance pass.  Each element
+    runs the elementwise ops of a per-category pass, so a category's
+    column slice plus its ``gamma * cos`` is bit-identical to scoring
+    that category alone."""
+    dist = equirectangular_km(arrays.lats[None, :], arrays.lons[None, :],
                               cents[:, 0][:, None], cents[:, 1][:, None])
-    if max_distance_km > 0:
-        dist = dist / max_distance_km
-    closeness = 1.0 - np.clip(dist, 0.0, 1.0)
-    return beta * closeness + gsims[None, :]
+    if arrays.max_distance_km > 0:
+        dist = dist / arrays.max_distance_km
+    return beta * (1.0 - np.clip(dist, 0.0, 1.0))
 
 
 class _Pool(NamedTuple):
@@ -156,57 +177,26 @@ class _Pool(NamedTuple):
     count: int
 
 
-def _pools_batched(ca: CategoryArrays, cents: np.ndarray,
-                   profile_vec: np.ndarray, beta: float, gamma: float,
-                   max_distance_km: float, candidate_pool: int,
-                   needed: int, has_budget: bool) -> list[_Pool]:
-    """Candidate pools for one category across *all* centroids: one
-    profile mat-vec and one broadcast ``(k, n)`` distance matrix.
+def _select_rows(totals: np.ndarray, ids: np.ndarray,
+                 cut: int) -> np.ndarray:
+    """Each row's best ``min(cut, n)`` columns in exact ``(-score, id)``
+    order, as a ``(k, min(cut, n))`` matrix.
 
-    Without a budget a pool is just the ``needed`` greedy winners.
-    Under a budget it is the ``pool`` top scorers followed by the
-    ``pool`` cheapest rows (in the precomputed ``(cost, id)`` order)
-    not already among them, so cheap candidates stay reachable for the
-    repair phase; ``pool`` is ``candidate_pool`` raised to ``needed``,
-    so every pool can fill its slots.
+    One partition per row finds the ``cut``-th best value, so every
+    column scoring at least that much (boundary ties included) stays in
+    contention; one lexsort keyed by row orders all candidates at once,
+    and each row keeps its first ``cut``.
     """
-    pool = max(candidate_pool, needed)
-    gsims = _gamma_sims(ca, profile_vec, gamma)
-    totals = _totals_matrix(ca, cents, gsims, beta, max_distance_km)
-    _record_scans(totals.size)
-    cheap = ca.cost_order[:pool]
-    pools = []
-    for total in totals:
-        rows = _top_rows(total, ca.ids, pool)
-        if has_budget:
-            seen = np.zeros(len(ca), dtype=bool)
-            seen[rows] = True
-            rows = np.concatenate([rows, cheap[~seen[cheap]]])
-        else:
-            rows = rows[:needed]
-        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
-    return pools
-
-
-def _top_rows(total: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:
-    """The ``pool`` best rows in exact ``(-score, id)`` order.
-
-    A partition cuts the field down to the rows that can reach the top
-    ``pool`` (everything scoring at least the ``pool``-th best value,
-    so score ties at the boundary stay in contention), then a lexsort
-    applies the id tie-break -- the same total order the object path
-    gets from sorting ``(-score, poi.id)`` tuples.
-    """
-    n = total.shape[0]
-    if pool <= 0 or n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n > pool:
-        threshold = np.partition(total, n - pool)[n - pool]
-        keep = np.flatnonzero(total >= threshold)
+    k, n = totals.shape
+    if n > cut:
+        threshold = np.partition(totals, n - cut, axis=1)[:, n - cut]
+        r, c = np.nonzero(totals >= threshold[:, None])
     else:
-        keep = np.arange(n)
-    order = keep[np.lexsort((ids[keep], -total[keep]))]
-    return order[:pool]
+        r, c = np.divmod(np.arange(k * n), n)
+    order = np.lexsort((ids[c], -totals[r, c], r))
+    r, c = r[order], c[order]
+    rank = np.arange(r.size) - np.searchsorted(r, r)
+    return c[rank < cut].reshape(k, -1)
 
 
 def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
@@ -225,18 +215,22 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
             )
 
 
-def _finish_assembly(dataset: POIDataset, pools: tuple[_Pool, ...],
-                     query: GroupQuery,
-                     centroid: tuple[float, float]) -> CompositeItem:
-    """Greedy fill (+ budget repair) over already-scored pools; ``POI``
-    objects are built only for the final picks."""
-    if query.has_budget:
-        picks = _repair_budget(pools, query.budget)
-    else:
-        picks = [range(p.count) for p in pools]
-    pois = [dataset[int(p.ids[i])] for p, chosen in zip(pools, picks)
-            for i in chosen]
-    return CompositeItem(pois, centroid=centroid)
+def _budget_pools(ca: CategoryArrays, totals: np.ndarray, pool: int,
+                  needed: int) -> list[_Pool]:
+    """One category's candidate pool per centroid under a budget: the
+    ``pool`` top scorers, followed by the ``pool`` cheapest rows (in
+    the precomputed ``(cost, id)`` order) not already among them, so
+    cheap candidates stay reachable for the repair phase."""
+    top = _select_rows(totals, ca.ids, pool)
+    cheap = ca.cost_order[:pool]
+    seen = np.zeros(totals.shape, dtype=bool)
+    seen[np.arange(len(top))[:, None], top] = True
+    unseen = ~seen[:, cheap]
+    pools = []
+    for total, best, extra in zip(totals, top, unseen):
+        rows = np.concatenate([best, cheap[extra]])
+        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
+    return pools
 
 
 def assemble_composite_items(dataset: POIDataset, centroids,
@@ -244,21 +238,29 @@ def assemble_composite_items(dataset: POIDataset, centroids,
                              item_index: ItemVectorIndex,
                              beta: float = 1.0, gamma: float = 1.0,
                              candidate_pool: int = 60,
-                             arrays: CityArrays | None = None
+                             arrays: CityArrays | None = None,
+                             gsims: dict[Category, np.ndarray] | None = None
                              ) -> list[CompositeItem]:
-    """Build one valid CI around each of ``centroids`` -- the batched
-    kernel behind a whole-package assembly pass.
+    """Build one valid CI around each of ``centroids`` -- one assembly
+    round of a whole package.
 
-    Each category's profile mat-vec runs once for the whole batch and
-    the distance work is one broadcast ``(k, n)`` matrix instead of
-    ``k`` independent passes.  Results are bit-identical to calling
-    :func:`assemble_composite_item` once per centroid (pinned by golden
-    fixtures and property tests).
+    The round is one ``(k, N)`` distance pass over the city, one
+    partition + lexsort selection per category for all ``k`` centroids
+    and, under a budget, one padded ratio matrix per repair pass.
+    Results are bit-identical to the object-path oracle run once per
+    centroid (pinned by golden fixtures and property tests).
 
     Args:
         centroids: ``(k, 2)`` array (or sequence) of ``(lat, lon)``.
+        beta, gamma: Equation 1's CI-term weights.
+        candidate_pool: Under a finite budget, each category's pool is
+            its top-scoring and its cheapest candidates, this many (or
+            the category's count, when larger) of each.
         arrays: The city bundle to score against; defaults to the
             pooled ``CityArrays.of(dataset, item_index)``.
+        gsims: :func:`gamma_sims` of ``profile`` for the requested
+            categories at this ``gamma``, when the caller already has
+            them (a KFC build computes them once for all its rounds).
 
     Raises:
         InfeasibleQueryError: If no valid CI exists for this query.
@@ -268,52 +270,38 @@ def assemble_composite_items(dataset: POIDataset, centroids,
         raise ValueError("centroids must be a (k, 2) array of (lat, lon)")
     requested = query.requested_categories()
     _check_feasible_categories(dataset, query, requested)
-    k = cents.shape[0]
-    if k == 0:
+    if cents.shape[0] == 0:
         return []
     if arrays is None:
         arrays = CityArrays.of(dataset, item_index)
+    if gsims is None:
+        gsims = gamma_sims(arrays, profile, requested, gamma)
 
-    per_category = [
-        _pools_batched(arrays.categories[cat], cents, profile.vector(cat),
-                       beta, gamma, arrays.max_distance_km, candidate_pool,
-                       query.count(cat), query.has_budget)
-        for cat in requested
-    ]
-    return [_finish_assembly(dataset, pools, query, (lat, lon))
-            for (lat, lon), pools in zip(cents.tolist(), zip(*per_category))]
+    near = _near_matrix(arrays, cents, beta)
+    picked = []  # per category: (k, count) ids, or k budget pools
+    for cat in requested:
+        ca = arrays.categories[cat]
+        needed = query.count(cat)
+        totals = near[:, ca.rows] + gsims[cat]
+        _record_scans(totals.size)
+        if query.has_budget:
+            picked.append(_budget_pools(ca, totals,
+                                        max(candidate_pool, needed), needed))
+        else:
+            picked.append(ca.ids[_select_rows(totals, ca.ids, needed)])
 
-
-def assemble_composite_item(dataset: POIDataset, centroid: tuple[float, float],
-                            query: GroupQuery, profile: GroupProfile,
-                            item_index: ItemVectorIndex,
-                            beta: float = 1.0, gamma: float = 1.0,
-                            candidate_pool: int = 60,
-                            arrays: CityArrays | None = None) -> CompositeItem:
-    """Build the best valid CI around ``centroid``.
-
-    Args:
-        dataset: The city's POIs.
-        centroid: ``(lat, lon)`` to anchor the CI.
-        query: Validity specification.
-        profile: Group profile for the personalization term.
-        item_index: Item vectors matching the profile's schema.
-        beta, gamma: Equation 1's CI-term weights.
-        candidate_pool: Per category, only the top-scoring (and, under a
-            finite budget, the cheapest) candidates of this many (or of
-            the category's count, when larger) are considered -- a
-            large pool at city scale, bounded for speed.
-        arrays: The city bundle to score against; defaults to the
-            pooled ``CityArrays.of(dataset, item_index)``.
-
-    Raises:
-        InfeasibleQueryError: If no valid CI exists for this query.
-    """
-    return assemble_composite_items(
-        dataset, np.asarray([centroid], dtype=float), query, profile,
-        item_index, beta=beta, gamma=gamma, candidate_pool=candidate_pool,
-        arrays=arrays,
-    )[0]
+    cis = []
+    for (lat, lon), per_category in zip(cents.tolist(), zip(*picked)):
+        if query.has_budget:
+            ids = [int(p.ids[i]) for p, chosen in
+                   zip(per_category, _repair_budget(per_category,
+                                                    query.budget))
+                   for i in chosen]
+        else:
+            ids = np.concatenate(per_category).tolist()
+        cis.append(CompositeItem([dataset[i] for i in ids],
+                                 centroid=(lat, lon)))
+    return cis
 
 
 def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
@@ -322,71 +310,84 @@ def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
     positions in slot order.
 
     Each pass applies the swap saving the most cost per unit of score
-    lost (:func:`_best_swap`).  Terminates: every swap strictly reduces
-    the affected slot's cost through its pool's at most ``len(pool)``
-    distinct values, so ``sum(count * len(pool))`` passes suffice; the
-    explicit bound is a guard against pathological inputs, after which
-    (as when no cheaper alternative exists anywhere) the cheapest
-    conforming selection is installed outright.
+    lost (:func:`_best_swap`) over one ``(slots, max pool)`` matrix: a
+    slot's row holds its category's pool, padded with ``inf`` costs
+    that the free mask excludes.  Terminates: every swap strictly
+    reduces the affected slot's cost through its pool's at most
+    ``len(pool)`` distinct values, so ``sum(count * len(pool))`` passes
+    suffice; the explicit bound is a guard against pathological inputs,
+    after which (as when no cheaper alternative exists anywhere) the
+    cheapest conforming selection is installed outright.
 
     Raises:
         InfeasibleQueryError: If even the cheapest conforming selection
             exceeds ``budget``.
     """
-    cost_lists = [p.costs.tolist() for p in pools]
-
-    def total_cost(picks: list[list[int]]) -> float:
-        return ordered_sum(costs[i] for costs, chosen in zip(cost_lists, picks)
-                           for i in chosen)
-
     # The cheapest conforming selection, in (cost, id) order, bounds
     # feasibility.  Its floor is summed as repair sums any selection,
     # so when the floor fits, installing the selection fits too.
     cheapest = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
                 for p in pools]
-    floor = total_cost(cheapest)
+    floor = ordered_sum(c for p, chosen in zip(pools, cheapest)
+                        for c in p.costs[chosen].tolist())
     if floor > budget:
         raise InfeasibleQueryError(
             f"even the cheapest valid CI costs {floor:.2f}, over the "
             f"budget {budget:.2f}"
         )
 
+    counts = [p.count for p in pools]
+    slot_pool = np.repeat(np.arange(len(pools)), counts)
+    width = max(len(p.costs) for p in pools)
+    cost = np.full((len(pools), width), np.inf)
+    score = np.zeros((len(pools), width))
+    free = np.zeros((len(pools), width), dtype=bool)
+    for j, p in enumerate(pools):
+        cost[j, :len(p.costs)] = p.costs
+        score[j, :len(p.costs)] = p.scores
+        free[j, :len(p.costs)] = True
     # Greedy fill: each pool leads with its best-scoring rows.
-    picks = [list(range(p.count)) for p in pools]
+    picks = np.concatenate([np.arange(c) for c in counts])
+    free[slot_pool, picks] = False
+    cost, score = cost[slot_pool], score[slot_pool]
+    slots = np.arange(len(picks))
+
     max_passes = sum(p.count * len(p.costs) for p in pools)
     passes = 0
-    while total_cost(picks) > budget:
-        best = _best_swap(pools, picks) if passes < max_passes else None
+    while ordered_sum(cost[slots, picks].tolist()) > budget:
+        best = (_best_swap(cost, score, free[slot_pool], picks)
+                if passes < max_passes else None)
         if best is None:
             return cheapest
         passes += 1
-        j, slot, alt = best
-        picks[j][slot] = alt
-    return picks
+        slot, alt = best
+        free[slot_pool[slot], picks[slot]] = True
+        free[slot_pool[slot], alt] = False
+        picks[slot] = alt
+    return [chosen.tolist()
+            for chosen in np.split(picks, np.cumsum(counts)[:-1])]
 
 
-def _best_swap(pools: tuple[_Pool, ...],
-               picks: list[list[int]]) -> tuple[int, int, int] | None:
-    """The ``(pool, slot, position)`` swap with the best ratio of cost
-    saved to score lost, or ``None`` when no pick has a cheaper unpicked
+def _best_swap(cost: np.ndarray, score: np.ndarray, free: np.ndarray,
+               picks: np.ndarray) -> tuple[int, int] | None:
+    """The ``(slot, position)`` swap with the best ratio of cost saved
+    to score lost, or ``None`` when no pick has a cheaper free
     alternative.
 
-    One masked ratio vector per slot; a slot's first ``argmax`` replaces
-    the best so far only when strictly greater, so ties resolve in
-    ``(category, slot, pool position)`` order.
+    ``cost``, ``score`` and ``free`` are ``(slots, width)``: row ``s``
+    is the pool of slot ``s``'s category; ``picks[s]`` is the slot's
+    current position.  The flat first ``argmax`` resolves ties in
+    ``(category, slot, pool position)`` order -- a later candidate wins
+    only when strictly greater.
     """
-    best = None
-    best_ratio = -np.inf
-    for j, (p, chosen) in enumerate(zip(pools, picks)):
-        c, sc = p.costs, p.scores
-        free = np.ones(len(c), dtype=bool)
-        free[chosen] = False
-        for slot, cur in enumerate(chosen):
-            ratio = np.where((c < c[cur]) & free,
-                             (c[cur] - c) / (np.maximum(sc[cur] - sc, 0.0)
-                                             + 1e-9),
-                             -np.inf)
-            alt = int(np.argmax(ratio))
-            if ratio[alt] > best_ratio:
-                best_ratio, best = ratio[alt], (j, slot, alt)
-    return best
+    slots = np.arange(len(picks))
+    cur_cost = cost[slots, picks][:, None]
+    cur_score = score[slots, picks][:, None]
+    ratio = np.where((cost < cur_cost) & free,
+                     (cur_cost - cost) / (np.maximum(cur_score - score, 0.0)
+                                          + 1e-9),
+                     -np.inf)
+    best = int(np.argmax(ratio))
+    if ratio.flat[best] == -np.inf:
+        return None
+    return divmod(best, ratio.shape[1])

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.arrays import CityArrays
-from repro.core.assembly import assemble_composite_item
+from repro.core.assembly import assemble_composite_items
 from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
@@ -195,10 +195,10 @@ class CustomizationSession:
         q = query or self.package.query
         if q is None:
             raise ValueError("GENERATE needs a query (none stored on the package)")
-        ci = assemble_composite_item(
-            self.dataset, rect.center, q, self.profile, self.item_index,
+        ci = assemble_composite_items(
+            self.dataset, [rect.center], q, self.profile, self.item_index,
             beta=self.beta, gamma=self.gamma, arrays=self.arrays,
-        )
+        )[0]
         self.package = self.package.appending(ci)
         new_index = self.package.k - 1
         self.interactions.append(Interaction(

@@ -13,8 +13,11 @@ the Composite Items:
 2. **CI assembly** (the beta + gamma terms).  Around each centroid,
    :func:`repro.core.assembly.assemble_composite_items` picks the valid
    POI set maximizing proximity-to-centroid plus profile/item-vector
-   cosine, under the query's category counts and budget -- one batched
-   kernel call for all ``k`` centroids per round.
+   cosine, under the query's category counts and budget.  A round is
+   one kernel call for all ``k`` centroids: one city-wide distance
+   pass, one batched selection per category.  The profile term
+   ``gamma * cos`` does not move between rounds, so a build computes
+   it once, after the query's categories pass the feasibility check.
 
 3. **Centroid update.**  Holding the CIs fixed, each centroid moves to
    the maximizer of its Equation 1 terms -- approximated by the
@@ -47,7 +50,11 @@ from repro.clustering.fuzzy_cmeans import (
     sq_distances,
 )
 from repro.core.arrays import CityArrays, project_points, unproject_points
-from repro.core.assembly import assemble_composite_items
+from repro.core.assembly import (
+    _check_feasible_categories,
+    assemble_composite_items,
+    gamma_sims,
+)
 from repro.core.composite import CompositeItem
 from repro.core.objective import ObjectiveWeights
 from repro.core.package import TravelPackage
@@ -136,19 +143,18 @@ class KFCBuilder:
         return self._unproject(self._centroid_cache[key])
 
     def _assemble_all(self, centroids: np.ndarray, query: GroupQuery,
-                      profile: GroupProfile,
-                      weights: ObjectiveWeights) -> list[CompositeItem]:
-        """Step 2: one valid CI per centroid.
+                      profile: GroupProfile, weights: ObjectiveWeights,
+                      gsims: dict) -> list[CompositeItem]:
+        """Step 2: one valid CI per centroid, in one kernel call.
 
-        The batched kernel amortizes each category's profile mat-vec
-        and distance pass across all ``k`` centroids at once; since
-        every refine round re-enters here, the refine loop is
-        vectorized on the same kernel.
+        ``gsims`` is the build's ``gamma * cos`` per requested
+        category, shared by every round.
         """
         return assemble_composite_items(
             self.dataset, centroids, query, profile, self.item_index,
             beta=weights.beta, gamma=weights.gamma,
             candidate_pool=self.candidate_pool, arrays=self.arrays,
+            gsims=gsims,
         )
 
     def _ci_xy_sum(self, ci: CompositeItem) -> np.ndarray:
@@ -213,9 +219,12 @@ class KFCBuilder:
         query cannot be satisfied anywhere in the city.
         """
         w = weights or self.weights
+        requested = query.requested_categories()
+        _check_feasible_categories(self.dataset, query, requested)
+        gsims = gamma_sims(self.arrays, profile, requested, w.gamma)
         centroids = self.place_centroids(k=k, seed=seed)
-        cis = self._assemble_all(centroids, query, profile, w)
+        cis = self._assemble_all(centroids, query, profile, w, gsims)
         for _ in range(self.refine_iterations):
             centroids = self._recenter(centroids, cis, w)
-            cis = self._assemble_all(centroids, query, profile, w)
+            cis = self._assemble_all(centroids, query, profile, w, gsims)
         return TravelPackage(cis, query=query)

@@ -37,8 +37,12 @@ class GroupQuery:
                 raise ValueError(f"count for {cat} must be non-negative")
             normalized[cat] = int(count)
         object.__setattr__(self, "counts", normalized)
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        # "not >=", not "< 0": NaN fails every comparison, so "< 0"
+        # would admit it, and has_budget (false for NaN) would then
+        # skip the budget repair.
+        if not self.budget >= 0:
+            raise ValueError(
+                f"budget must be non-negative, got {self.budget!r}")
         if self.total_items() == 0:
             raise ValueError("a query must request at least one POI")
 

@@ -38,6 +38,8 @@ from repro.service.engine import PackageService, UnknownSessionError
 from repro.service.loadgen import LoadgenConfig, LoadgenReport, build_workload
 from repro.service.registry import CityEntry, CityRegistry, populate_store
 from repro.service.schema import (
+    MAX_GROUP_SIZE,
+    MAX_K,
     BuildRequest,
     CustomizeOp,
     CustomizeRequest,
@@ -58,6 +60,8 @@ __all__ = [
     "GroupSpec",
     "LoadgenConfig",
     "LoadgenReport",
+    "MAX_GROUP_SIZE",
+    "MAX_K",
     "PackageCache",
     "PackageResponse",
     "PackageServer",

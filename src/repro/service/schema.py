@@ -78,6 +78,29 @@ def trace_limit(payload: dict) -> int | None:
     return limit
 
 
+def _wire_int(value, name: str) -> int:
+    """``value`` as a wire integer field, under ``trace_limit``'s rule.
+
+    Raises:
+        ValueError: For anything but an int -- a bool (``true`` would
+            build one of something), a float (``2.7`` would silently
+            truncate) or a string.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _wire_query(data) -> GroupQuery:
+    """A wire query, with every category count a :func:`_wire_int`
+    (checked inline first: every build, warm hits included, parses a
+    query, so the field name is formatted only for a bad count)."""
+    for cat, count in data["counts"].items():
+        if type(count) is not int:
+            _wire_int(count, f"query count for {cat}")
+    return GroupQuery.from_dict(data)
+
+
 class ErrorCode(str, enum.Enum):
     """Machine-readable classification of error responses.
 
@@ -99,6 +122,17 @@ class ErrorCode(str, enum.Enum):
     STALE_EPOCH = "stale_epoch"
 
 
+#: Largest group a :class:`GroupSpec` may ask for: the paper's largest
+#: group.  A non-uniform group's admission is cubic in its size, and one
+#: shard serves one request at a time.
+MAX_GROUP_SIZE = 100
+
+#: Most Composite Items a :class:`BuildRequest` may ask for (the paper's
+#: default is 5).  Assembly holds ``(k, N)`` temporaries per round and
+#: FCM seeding grows with ``k``, so ``k`` is priced before it runs.
+MAX_K = 20
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A server-resolved synthetic group (Section 4.1 generators).
@@ -118,8 +152,9 @@ class GroupSpec:
     w1: float | None = None
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("group size must be at least 1")
+        if not 1 <= self.size <= MAX_GROUP_SIZE:
+            raise ValueError(f"group size must be between 1 and "
+                             f"{MAX_GROUP_SIZE}, got {self.size}")
         ConsensusMethod(self.method)  # validate early, not at resolve time
 
     def to_dict(self) -> dict:
@@ -130,9 +165,9 @@ class GroupSpec:
     def from_dict(cls, data: dict) -> "GroupSpec":
         w1 = data.get("w1")
         return cls(
-            size=int(data.get("size", 5)),
+            size=_wire_int(data.get("size", 5), "group size"),
             uniform=bool(data.get("uniform", True)),
-            seed=int(data.get("seed", 0)),
+            seed=_wire_int(data.get("seed", 0), "group seed"),
             method=str(data.get("method", ConsensusMethod.AVERAGE.value)),
             w1=float(w1) if w1 is not None else None,
         )
@@ -172,6 +207,9 @@ class BuildRequest:
             raise ValueError(
                 "a build request needs exactly one of profile / group_spec"
             )
+        if self.k is not None and not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must be between 1 and {MAX_K}, "
+                             f"got {self.k}")
 
     def to_dict(self) -> dict:
         return {
@@ -194,13 +232,13 @@ class BuildRequest:
         seed = data.get("seed")
         return cls(
             city=str(data["city"]),
-            query=(GroupQuery.from_dict(data["query"])
+            query=(_wire_query(data["query"])
                    if data.get("query") is not None else DEFAULT_QUERY),
             profile=GroupProfile.from_dict(profile) if profile else None,
             group_spec=GroupSpec.from_dict(spec) if spec else None,
             weights=ObjectiveWeights.from_dict(weights) if weights else None,
-            k=int(k) if k is not None else None,
-            seed=int(seed) if seed is not None else None,
+            k=_wire_int(k, "k") if k is not None else None,
+            seed=_wire_int(seed, "seed") if seed is not None else None,
             request_id=data.get("request_id"),
         )
 

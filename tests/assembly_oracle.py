@@ -14,9 +14,17 @@ fill's costs in ``(cost, id)`` order, so a floor within budget means
 the cheapest fill is within budget too.
 
 :func:`assemble_composite_items` has the kernel's signature (``arrays``
-is accepted and ignored), so a test can drop it in for
+and ``gsims`` are accepted and ignored), so a test can drop it in for
 ``repro.core.kfc.assemble_composite_items`` and run whole KFC builds on
 the object path.
+
+The second half keeps the array kernel's former per-category and
+per-slot pieces verbatim -- :func:`_totals_matrix` (one distance pass
+per category), :func:`_pools_batched` and :func:`_top_rows` (one
+partition + lexsort per centroid) and :func:`_repair_budget_per_slot`
+with its per-slot :func:`_best_swap` -- as the references the kernel's
+city-wide distance pass, batched selection and padded repair matrix
+must match index for index and byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assembly import InfeasibleQueryError, _check_feasible_categories
+from repro.core.arrays import CategoryArrays
+from repro.core.assembly import (
+    InfeasibleQueryError,
+    _check_feasible_categories,
+    _gamma_sims,
+    _Pool,
+    _record_scans,
+)
 from repro.core.composite import CompositeItem
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
@@ -33,6 +48,7 @@ from repro.data.poi import POI, Category
 from repro.geo.distance import equirectangular_km
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
+from repro.reduction import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -152,9 +168,9 @@ def assemble_composite_items(dataset: POIDataset, centroids,
                              item_index: ItemVectorIndex,
                              beta: float = 1.0, gamma: float = 1.0,
                              candidate_pool: int = 60,
-                             arrays=None) -> list[CompositeItem]:
+                             arrays=None, gsims=None) -> list[CompositeItem]:
     """One object-path CI per centroid (drop-in for the batched kernel;
-    ``arrays`` is ignored)."""
+    ``arrays`` and ``gsims`` are ignored)."""
     return [assemble_composite_item(dataset, (lat, lon), query, profile,
                                     item_index, beta=beta, gamma=gamma,
                                     candidate_pool=candidate_pool)
@@ -229,3 +245,149 @@ def _repair_budget(selected: dict[Category, list[_Candidate]],
             return
         _, cat, slot, alt = best
         selected[cat][slot] = alt
+
+
+# -- the array kernel's former per-category and per-slot pieces ---------------
+
+def _totals_matrix(ca: CategoryArrays, cents: np.ndarray, gsims: np.ndarray,
+                   beta: float, max_distance_km: float) -> np.ndarray:
+    """``(k, n)`` score matrix for every centroid at once: one broadcast
+    distance pass amortized across the package.  Every element runs the
+    exact elementwise ops of the per-centroid pass, so each row is
+    bit-identical to scoring that centroid alone."""
+    dist = equirectangular_km(ca.lats[None, :], ca.lons[None, :],
+                              cents[:, 0][:, None], cents[:, 1][:, None])
+    if max_distance_km > 0:
+        dist = dist / max_distance_km
+    closeness = 1.0 - np.clip(dist, 0.0, 1.0)
+    return beta * closeness + gsims[None, :]
+
+
+def _pools_batched(ca: CategoryArrays, cents: np.ndarray,
+                   profile_vec: np.ndarray, beta: float, gamma: float,
+                   max_distance_km: float, candidate_pool: int,
+                   needed: int, has_budget: bool) -> list[_Pool]:
+    """Candidate pools for one category across *all* centroids: one
+    profile mat-vec and one broadcast ``(k, n)`` distance matrix.
+
+    Without a budget a pool is just the ``needed`` greedy winners.
+    Under a budget it is the ``pool`` top scorers followed by the
+    ``pool`` cheapest rows (in the precomputed ``(cost, id)`` order)
+    not already among them, so cheap candidates stay reachable for the
+    repair phase; ``pool`` is ``candidate_pool`` raised to ``needed``,
+    so every pool can fill its slots.
+    """
+    pool = max(candidate_pool, needed)
+    gsims = _gamma_sims(ca, profile_vec, gamma)
+    totals = _totals_matrix(ca, cents, gsims, beta, max_distance_km)
+    _record_scans(totals.size)
+    cheap = ca.cost_order[:pool]
+    pools = []
+    for total in totals:
+        rows = _top_rows(total, ca.ids, pool)
+        if has_budget:
+            seen = np.zeros(len(ca), dtype=bool)
+            seen[rows] = True
+            rows = np.concatenate([rows, cheap[~seen[cheap]]])
+        else:
+            rows = rows[:needed]
+        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
+    return pools
+
+
+def _top_rows(total: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:
+    """The ``pool`` best rows in exact ``(-score, id)`` order.
+
+    A partition cuts the field down to the rows that can reach the top
+    ``pool`` (everything scoring at least the ``pool``-th best value,
+    so score ties at the boundary stay in contention), then a lexsort
+    applies the id tie-break -- the same total order the object path
+    gets from sorting ``(-score, poi.id)`` tuples.
+    """
+    n = total.shape[0]
+    if pool <= 0 or n == 0:
+        return np.empty(0, dtype=np.int64)
+    if n > pool:
+        threshold = np.partition(total, n - pool)[n - pool]
+        keep = np.flatnonzero(total >= threshold)
+    else:
+        keep = np.arange(n)
+    order = keep[np.lexsort((ids[keep], -total[keep]))]
+    return order[:pool]
+
+
+def _repair_budget_per_slot(pools: tuple[_Pool, ...],
+                            budget: float) -> list[list[int]]:
+    """Greedy fill, then swap picks for cheaper same-category pool
+    members until the CI fits ``budget``; returns each pool's chosen
+    positions in slot order.
+
+    Each pass applies the swap saving the most cost per unit of score
+    lost (:func:`_best_swap`).  Terminates: every swap strictly reduces
+    the affected slot's cost through its pool's at most ``len(pool)``
+    distinct values, so ``sum(count * len(pool))`` passes suffice; the
+    explicit bound is a guard against pathological inputs, after which
+    (as when no cheaper alternative exists anywhere) the cheapest
+    conforming selection is installed outright.
+
+    Raises:
+        InfeasibleQueryError: If even the cheapest conforming selection
+            exceeds ``budget``.
+    """
+    cost_lists = [p.costs.tolist() for p in pools]
+
+    def total_cost(picks: list[list[int]]) -> float:
+        return ordered_sum(costs[i] for costs, chosen in zip(cost_lists, picks)
+                           for i in chosen)
+
+    # The cheapest conforming selection, in (cost, id) order, bounds
+    # feasibility.  Its floor is summed as repair sums any selection,
+    # so when the floor fits, installing the selection fits too.
+    cheapest = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
+                for p in pools]
+    floor = total_cost(cheapest)
+    if floor > budget:
+        raise InfeasibleQueryError(
+            f"even the cheapest valid CI costs {floor:.2f}, over the "
+            f"budget {budget:.2f}"
+        )
+
+    # Greedy fill: each pool leads with its best-scoring rows.
+    picks = [list(range(p.count)) for p in pools]
+    max_passes = sum(p.count * len(p.costs) for p in pools)
+    passes = 0
+    while total_cost(picks) > budget:
+        best = _best_swap(pools, picks) if passes < max_passes else None
+        if best is None:
+            return cheapest
+        passes += 1
+        j, slot, alt = best
+        picks[j][slot] = alt
+    return picks
+
+
+def _best_swap(pools: tuple[_Pool, ...],
+               picks: list[list[int]]) -> tuple[int, int, int] | None:
+    """The ``(pool, slot, position)`` swap with the best ratio of cost
+    saved to score lost, or ``None`` when no pick has a cheaper unpicked
+    alternative.
+
+    One masked ratio vector per slot; a slot's first ``argmax`` replaces
+    the best so far only when strictly greater, so ties resolve in
+    ``(category, slot, pool position)`` order.
+    """
+    best = None
+    best_ratio = -np.inf
+    for j, (p, chosen) in enumerate(zip(pools, picks)):
+        c, sc = p.costs, p.scores
+        free = np.ones(len(c), dtype=bool)
+        free[chosen] = False
+        for slot, cur in enumerate(chosen):
+            ratio = np.where((c < c[cur]) & free,
+                             (c[cur] - c) / (np.maximum(sc[cur] - sc, 0.0)
+                                             + 1e-9),
+                             -np.inf)
+            alt = int(np.argmax(ratio))
+            if ratio[alt] > best_ratio:
+                best_ratio, best = ratio[alt], (j, slot, alt)
+    return best

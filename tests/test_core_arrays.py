@@ -27,7 +27,7 @@ import pytest
 import assembly_oracle as oracle
 import repro.core.kfc as kfc
 from repro.core.arrays import CityArrays, project_coords
-from repro.core.assembly import InfeasibleQueryError, assemble_composite_item
+from repro.core.assembly import InfeasibleQueryError, assemble_composite_items
 from repro.core.baselines import random_package
 from repro.core.builder import GroupTravel
 from repro.core.kfc import KFCBuilder
@@ -152,9 +152,9 @@ class TestEquivalence:
 
     def test_assembly_identical(self, app, arrays, profile, center,
                                 default_query):
-        with_arrays = assemble_composite_item(
-            app.dataset, center, default_query, profile, app.item_index,
-            arrays=arrays)
+        with_arrays = assemble_composite_items(
+            app.dataset, [center], default_query, profile, app.item_index,
+            arrays=arrays)[0]
         without = oracle.assemble_composite_item(
             app.dataset, center, default_query, profile, app.item_index)
         assert [p.id for p in with_arrays.pois] == [p.id for p in without.pois]
@@ -163,9 +163,9 @@ class TestEquivalence:
     def test_assembly_identical_under_budget(self, app, arrays, profile,
                                              center):
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=15.0)
-        with_arrays = assemble_composite_item(
-            app.dataset, center, query, profile, app.item_index,
-            arrays=arrays)
+        with_arrays = assemble_composite_items(
+            app.dataset, [center], query, profile, app.item_index,
+            arrays=arrays)[0]
         without = oracle.assemble_composite_item(
             app.dataset, center, query, profile, app.item_index)
         assert [p.id for p in with_arrays.pois] == [p.id for p in without.pois]
@@ -178,9 +178,9 @@ class TestEquivalence:
         for _ in range(5):
             lat = float(rng.uniform(coords[:, 0].min(), coords[:, 0].max()))
             lon = float(rng.uniform(coords[:, 1].min(), coords[:, 1].max()))
-            a = assemble_composite_item(app.dataset, (lat, lon),
-                                        default_query, profile,
-                                        app.item_index, arrays=arrays)
+            a = assemble_composite_items(app.dataset, [(lat, lon)],
+                                         default_query, profile,
+                                         app.item_index, arrays=arrays)[0]
             b = oracle.assemble_composite_item(app.dataset, (lat, lon),
                                                default_query, profile,
                                                app.item_index)
@@ -300,9 +300,9 @@ class TestEmptyCategoryGuard:
     def test_empty_category_raises_before_scoring(self, app,
                                                   no_trans_dataset):
         with pytest.raises(InfeasibleQueryError, match="only 0"):
-            assemble_composite_item(
-                no_trans_dataset, (48.85, 2.35), DEFAULT_QUERY,
-                _ExplodingProfile(), app.item_index)
+            assemble_composite_items(
+                no_trans_dataset, [(48.85, 2.35)], DEFAULT_QUERY,
+                _ExplodingProfile(), app.item_index)[0]
 
     def test_empty_category_raises_on_array_path(self, no_trans_dataset):
         index = ItemVectorIndex.fit(no_trans_dataset, lda_iterations=5,
@@ -310,16 +310,16 @@ class TestEmptyCategoryGuard:
         arrays = CityArrays.build(no_trans_dataset, index)
         assert len(arrays.categories[Category.TRANSPORTATION]) == 0
         with pytest.raises(InfeasibleQueryError, match="only 0"):
-            assemble_composite_item(
-                no_trans_dataset, (48.85, 2.35), DEFAULT_QUERY,
-                _ExplodingProfile(), index, arrays=arrays)
+            assemble_composite_items(
+                no_trans_dataset, [(48.85, 2.35)], DEFAULT_QUERY,
+                _ExplodingProfile(), index, arrays=arrays)[0]
 
     def test_undersized_category_raises_before_scoring(self, app):
         huge = GroupQuery.of(acco=10_000)
         with pytest.raises(InfeasibleQueryError, match="only"):
-            assemble_composite_item(
-                app.dataset, (48.85, 2.35), huge, _ExplodingProfile(),
-                app.item_index, arrays=app.arrays)
+            assemble_composite_items(
+                app.dataset, [(48.85, 2.35)], huge, _ExplodingProfile(),
+                app.item_index, arrays=app.arrays)[0]
 
 
 class TestRepairBudget:
@@ -348,8 +348,8 @@ class TestRepairBudget:
                     for cat, costs in pools.items())
         tight = GroupQuery.of(acco=1, trans=1, rest=1, attr=3,
                               budget=floor * 1.0001)
-        ci = assemble_composite_item(app.dataset, center, tight, profile,
-                                     app.item_index, arrays=arrays)
+        ci = assemble_composite_items(app.dataset, [center], tight, profile,
+                                      app.item_index, arrays=arrays)[0]
         assert ci.is_valid(tight)
         legacy_ci = oracle.assemble_composite_item(app.dataset, center, tight,
                                                    profile, app.item_index)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.assembly import InfeasibleQueryError, assemble_composite_item
+from repro.core.assembly import InfeasibleQueryError, assemble_composite_items
 from repro.core.kfc import KFCBuilder
 from repro.core.objective import ObjectiveWeights
 from repro.core.query import GroupQuery
@@ -23,37 +23,37 @@ def center(small_city):
 
 class TestAssembly:
     def test_produces_valid_ci(self, app, profile, center, default_query):
-        ci = assemble_composite_item(app.dataset, center, default_query,
-                                     profile, app.item_index)
+        ci = assemble_composite_items(app.dataset, [center], default_query,
+                                      profile, app.item_index)[0]
         assert ci.is_valid(default_query)
         assert ci.centroid == center
 
     def test_respects_budget(self, app, profile, center):
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=15.0)
-        ci = assemble_composite_item(app.dataset, center, query, profile,
-                                     app.item_index)
+        ci = assemble_composite_items(app.dataset, [center], query, profile,
+                                      app.item_index)[0]
         assert ci.is_valid(query)
         assert ci.total_cost() <= 15.0
 
     def test_infeasible_budget_raises(self, app, profile, center):
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=0.01)
         with pytest.raises(InfeasibleQueryError, match="budget"):
-            assemble_composite_item(app.dataset, center, query, profile,
-                                    app.item_index)
+            assemble_composite_items(app.dataset, [center], query, profile,
+                                     app.item_index)[0]
 
     def test_missing_category_volume_raises(self, app, profile, center):
         huge = GroupQuery.of(acco=10_000)
         with pytest.raises(InfeasibleQueryError, match="only"):
-            assemble_composite_item(app.dataset, center, huge, profile,
-                                    app.item_index)
+            assemble_composite_items(app.dataset, [center], huge, profile,
+                                     app.item_index)[0]
 
     def test_prefers_nearby_items(self, app, profile, center, default_query):
         """With a large beta the CI should hug the centroid."""
         from repro.geo.distance import equirectangular_km
 
-        near = assemble_composite_item(app.dataset, center, default_query,
-                                       profile, app.item_index,
-                                       beta=50.0, gamma=0.0)
+        near = assemble_composite_items(app.dataset, [center], default_query,
+                                        profile, app.item_index,
+                                        beta=50.0, gamma=0.0)[0]
         mean_dist = np.mean([
             float(equirectangular_km(p.lat, p.lon, center[0], center[1]))
             for p in near.pois
@@ -78,17 +78,17 @@ class TestAssembly:
         available = {p.type for p in app.dataset.by_category("acco")}
         if wanted_type not in available:
             pytest.skip("small city lacks the wanted type")
-        ci = assemble_composite_item(app.dataset, center, default_query,
-                                     profile, app.item_index,
-                                     beta=0.0, gamma=50.0)
+        ci = assemble_composite_items(app.dataset, [center], default_query,
+                                      profile, app.item_index,
+                                      beta=0.0, gamma=50.0)[0]
         acco = [p for p in ci.pois if p.cat == Category.ACCOMMODATION][0]
         assert acco.type == wanted_type
 
     def test_deterministic(self, app, profile, center, default_query):
-        a = assemble_composite_item(app.dataset, center, default_query,
-                                    profile, app.item_index)
-        b = assemble_composite_item(app.dataset, center, default_query,
-                                    profile, app.item_index)
+        a = assemble_composite_items(app.dataset, [center], default_query,
+                                     profile, app.item_index)[0]
+        b = assemble_composite_items(app.dataset, [center], default_query,
+                                     profile, app.item_index)[0]
         assert a.poi_ids == b.poi_ids
 
 

@@ -301,8 +301,8 @@ class TestBindingBudget:
         seen = []
         best_swap = assembly._best_swap
 
-        def spy(pools, picks):
-            seen.append(best_swap(pools, picks))
+        def spy(cost, score, free, picks):
+            seen.append(best_swap(cost, score, free, picks))
             return seen[-1]
 
         monkeypatch.setattr(assembly, "_best_swap", spy)

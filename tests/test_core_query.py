@@ -41,6 +41,10 @@ class TestGroupQuery:
         with pytest.raises(ValueError, match="budget"):
             GroupQuery.of(rest=1, budget=-5)
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            GroupQuery.of(rest=1, budget=float("nan"))
+
     def test_string_form(self):
         q = GroupQuery.of(acco=1, trans=1, rest=2, attr=1, budget=120)
         assert str(q) == "<1 acco, 1 trans, 2 rest, 1 attr, $120>"

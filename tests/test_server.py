@@ -557,6 +557,94 @@ class TestPackageServer:
         assert response["code"] == ErrorCode.BAD_REQUEST.value
         assert "alpha" in response["error"]
 
+    def test_nan_budget_line_is_a_bad_request(self, cluster):
+        """``NaN < 0`` is false, so a NaN budget used to pass the query
+        check, skip budget repair (it is not finite) and come back as
+        an ok reply whose package is ``valid: false``, then be cached."""
+        line = ('{"op": "build", "id": "nanb", "request": {"city": "paris",'
+                ' "group_spec": {"size": 4, "seed": 5}, "query": {"counts":'
+                ' {"acco": 1, "trans": 1, "rest": 1, "attr": 3},'
+                ' "budget": NaN}}}')
+
+        async def scenario():
+            server = PackageServer(cluster)
+            try:
+                return [await server.handle_line(line) for _ in range(2)]
+            finally:
+                server.tracer.close()
+
+        for response in json.loads(json.dumps(asyncio.run(scenario()))):
+            assert response["id"] == "nanb"
+            assert response["code"] == ErrorCode.BAD_REQUEST.value
+            assert "budget" in response["error"]
+            assert response.get("package") is None
+
+    @pytest.mark.parametrize("field, value, words", [
+        ("k", "true", "k must be an integer"),
+        ("k", "2.7", "k must be an integer"),
+        ("k", "2.0", "k must be an integer"),
+        ("k", '"3"', "k must be an integer"),
+        ("k", "0", "between 1 and 20"),
+        ("k", "21", "between 1 and 20"),
+        ("k", "150", "between 1 and 20"),
+        ("seed", "false", "seed must be an integer"),
+        ("seed", "1.5", "seed must be an integer"),
+        ("size", "true", "group size must be an integer"),
+        ("size", "2.5", "group size must be an integer"),
+        ("size", "0", "between 1 and 100"),
+        ("size", "101", "between 1 and 100"),
+        ("size", "1024", "between 1 and 100"),
+        ("spec_seed", "true", "group seed must be an integer"),
+        ("spec_seed", "0.5", "group seed must be an integer"),
+        ("attr", "true", "query count for attr must be an integer"),
+        ("attr", "1.5", "query count for attr must be an integer"),
+    ])
+    def test_work_fields_are_typed_and_bounded(self, cluster, field, value,
+                                               words):
+        """``"k": true`` used to build k=1, ``"k": 2.7`` two CIs and
+        ``"size": true`` a group of one; an unbounded ``k`` or ``size``
+        priced the whole shard."""
+        request = {"city": "paris", "group_spec": {"size": 4, "seed": 5},
+                   "query": {"counts": {"acco": 1, "trans": 1, "rest": 1,
+                                        "attr": 2}}}
+        target = {"k": request, "seed": request,
+                  "size": request["group_spec"],
+                  "spec_seed": request["group_spec"],
+                  "attr": request["query"]["counts"]}[field]
+        target[field.removeprefix("spec_")] = "VALUE"
+        element = json.dumps(request).replace('"VALUE"', value)
+        build = f'{{"op": "build", "id": "b", "request": {element}}}'
+        good = json.dumps(spec_payload("paris", 11, request_id="good"))
+        batch = ('{"op": "batch", "id": "B", "request": {"requests": '
+                 f'[{good}, {element}]}}}}')
+
+        async def scenario():
+            server = PackageServer(cluster)
+            try:
+                return (await server.handle_line(build),
+                        await server.handle_line(batch))
+            finally:
+                server.tracer.close()
+
+        single, batched = json.loads(json.dumps(asyncio.run(scenario())))
+        assert single["code"] == ErrorCode.BAD_REQUEST.value
+        assert words in single["error"]
+        first, second = batched["responses"]
+        assert first["error"] is None and first["request_id"] == "good"
+        assert second["code"] == ErrorCode.BAD_REQUEST.value
+        assert words in second["error"]
+
+    def test_work_bounds_admit_the_bounds(self):
+        """The bounds themselves are servable requests."""
+        from repro.service import MAX_GROUP_SIZE, MAX_K, BuildRequest
+
+        request = BuildRequest.from_dict({
+            "city": "paris", "k": MAX_K, "seed": 3,
+            "group_spec": {"size": MAX_GROUP_SIZE, "uniform": False,
+                           "seed": 2}})
+        assert (request.k, request.group_spec.size) == (MAX_K,
+                                                        MAX_GROUP_SIZE)
+
     @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_profile_line_is_a_bad_request(self, cluster, app,
                                                       score):
