@@ -32,8 +32,9 @@ whole-array operations:
 * each category's candidates for all ``k`` centroids come from one
   row-wise partition and one row-keyed lexsort, in the exact
   ``(-score, id)`` order;
-* under a budget, each repair pass scores every swap of the CI in one
-  padded ``(slots, max pool)`` ratio matrix and takes its first
+* under a budget, one repair serves all ``k`` centroids: each pass
+  scores every swap of every centroid still over budget in one
+  ``(k, slots, width)`` ratio tensor and takes each centroid's first
   ``argmax`` -- the ``(category, slot, position)`` tie rule.
 
 ``POI`` objects are materialized only for the final picks.
@@ -41,8 +42,9 @@ whole-array operations:
 The per-``POI`` object-path scorer and its Python-loop repair live in
 ``tests/assembly_oracle.py`` as the reference the property tests compare
 this kernel against bit for bit, next to the kernel's former
-per-category distance pass, per-centroid selection and per-slot repair;
-the golden package fixtures pin the bytes of all of them.
+per-category distance pass, per-centroid selection, per-slot repair and
+per-centroid pools and repair; the golden package fixtures pin the
+bytes of all of them.
 :func:`collect_assembly_counters` exposes how many candidate rows the
 scans scored so serving stacks can report assembly work.
 """
@@ -167,14 +169,18 @@ def _near_matrix(arrays: CityArrays, cents: np.ndarray,
     return beta * (1.0 - np.clip(dist, 0.0, 1.0))
 
 
-class _Pool(NamedTuple):
-    """One category's candidate pool for one centroid, pool-aligned:
-    the POI ids, costs and scores of its rows, plus the slots to fill."""
+#: Elements of one repair tensor (centroids x slots x width); a larger
+#: round repairs in centroid chunks.  A default query is one chunk.
+_REPAIR_ELEMENTS = 1 << 16
+
+
+class _Pools(NamedTuple):
+    """``(k, categories, width)`` blocks: row ``[c, j]`` is centroid
+    ``c``'s pool of category ``j``, ``inf`` costs where no candidate."""
 
     ids: np.ndarray
     costs: np.ndarray
     scores: np.ndarray
-    count: int
 
 
 def _select_rows(totals: np.ndarray, ids: np.ndarray,
@@ -215,22 +221,52 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
             )
 
 
-def _budget_pools(ca: CategoryArrays, totals: np.ndarray, pool: int,
-                  needed: int) -> list[_Pool]:
-    """One category's candidate pool per centroid under a budget: the
-    ``pool`` top scorers, followed by the ``pool`` cheapest rows (in
-    the precomputed ``(cost, id)`` order) not already among them, so
-    cheap candidates stay reachable for the repair phase."""
-    top = _select_rows(totals, ca.ids, pool)
-    cheap = ca.cost_order[:pool]
-    seen = np.zeros(totals.shape, dtype=bool)
-    seen[np.arange(len(top))[:, None], top] = True
-    unseen = ~seen[:, cheap]
-    pools = []
-    for total, best, extra in zip(totals, top, unseen):
-        rows = np.concatenate([best, cheap[extra]])
-        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
-    return pools
+def _cheapest_fill(cas: list[CategoryArrays], counts: list[int],
+                   budget: float) -> np.ndarray:
+    """The ids of the cheapest conforming selection (each category's
+    first ``count`` rows in ``(cost, id)`` order), every centroid's
+    fallback.  Its floor is summed as repair sums a selection, so a
+    floor within ``budget`` means the fallback fits; else this raises
+    :class:`InfeasibleQueryError`."""
+    rows = [ca.cost_order[:count] for ca, count in zip(cas, counts)]
+    floor = ordered_sum(c for ca, r in zip(cas, rows)
+                        for c in ca.costs[r].tolist())
+    if floor > budget:
+        raise InfeasibleQueryError(
+            f"even the cheapest valid CI costs {floor:.2f}, over the "
+            f"budget {budget:.2f}"
+        )
+    return np.concatenate([ca.ids[r] for ca, r in zip(cas, rows)])
+
+
+def _budget_pools(cas: list[CategoryArrays], totals: list[np.ndarray],
+                  cuts: np.ndarray) -> _Pools:
+    """Every centroid's candidate pool of every category under a
+    budget: the ``cut`` top scorers, then the ``cut`` cheapest rows (in
+    the precomputed ``(cost, id)`` order), so cheap candidates stay
+    reachable for the repair phase -- all rows as top scorers when the
+    cut spans the category.  A cheap row already among the top scorers
+    keeps its position at an ``inf`` cost."""
+    k = len(totals[0])
+    cheaps = [cut if cut < len(ca) else 0 for ca, cut in zip(cas, cuts)]
+    shape = (k, len(cas), max(min(cut, len(ca)) + c
+                              for ca, cut, c in zip(cas, cuts, cheaps)))
+    ids = np.zeros(shape, dtype=np.int64)
+    costs = np.full(shape, np.inf)
+    scores = np.zeros(shape)
+    rows = np.arange(k)[:, None]
+    for j, (ca, total, cut, c) in enumerate(zip(cas, totals, cuts, cheaps)):
+        top = _select_rows(total, ca.ids, cut)
+        cheap = ca.cost_order[:c]
+        pool = np.hstack([top, np.broadcast_to(cheap, (k, c))])
+        t, w = top.shape[1], pool.shape[1]
+        ids[:, j, :w] = ca.ids[pool]
+        costs[:, j, :w] = ca.costs[pool]
+        scores[:, j, :w] = total[rows, pool]
+        seen = np.zeros(total.shape, dtype=bool)
+        seen[rows, top] = True
+        costs[:, j, t:w][seen[:, cheap]] = np.inf
+    return _Pools(ids, costs, scores)
 
 
 def assemble_composite_items(dataset: POIDataset, centroids,
@@ -246,7 +282,7 @@ def assemble_composite_items(dataset: POIDataset, centroids,
 
     The round is one ``(k, N)`` distance pass over the city, one
     partition + lexsort selection per category for all ``k`` centroids
-    and, under a budget, one padded ratio matrix per repair pass.
+    and, under a budget, one repair for all ``k`` centroids.
     Results are bit-identical to the object-path oracle run once per
     centroid (pinned by golden fixtures and property tests).
 
@@ -277,117 +313,94 @@ def assemble_composite_items(dataset: POIDataset, centroids,
     if gsims is None:
         gsims = gamma_sims(arrays, profile, requested, gamma)
 
+    cas = [arrays.categories[cat] for cat in requested]
+    counts = [query.count(cat) for cat in requested]
+    if query.has_budget:
+        cheapest = _cheapest_fill(cas, counts, query.budget)
+
     near = _near_matrix(arrays, cents, beta)
-    picked = []  # per category: (k, count) ids, or k budget pools
-    for cat in requested:
-        ca = arrays.categories[cat]
-        needed = query.count(cat)
-        totals = near[:, ca.rows] + gsims[cat]
-        _record_scans(totals.size)
-        if query.has_budget:
-            picked.append(_budget_pools(ca, totals,
-                                        max(candidate_pool, needed), needed))
-        else:
-            picked.append(ca.ids[_select_rows(totals, ca.ids, needed)])
-
-    cis = []
-    for (lat, lon), per_category in zip(cents.tolist(), zip(*picked)):
-        if query.has_budget:
-            ids = [int(p.ids[i]) for p, chosen in
-                   zip(per_category, _repair_budget(per_category,
-                                                    query.budget))
-                   for i in chosen]
-        else:
-            ids = np.concatenate(per_category).tolist()
-        cis.append(CompositeItem([dataset[i] for i in ids],
-                                 centroid=(lat, lon)))
-    return cis
+    totals = []
+    for cat, ca in zip(requested, cas):
+        totals.append(near[:, ca.rows] + gsims[cat])
+        _record_scans(totals[-1].size)
+    if query.has_budget:
+        pools = _budget_pools(cas, totals,
+                              np.maximum(candidate_pool, counts))
+        picked = _repair_budget(pools, counts, cheapest, query.budget)
+    else:
+        picked = np.concatenate(
+            [ca.ids[_select_rows(total, ca.ids, needed)]
+             for ca, total, needed in zip(cas, totals, counts)], axis=1)
+    return [CompositeItem([dataset[i] for i in row], centroid=(lat, lon))
+            for (lat, lon), row in zip(cents.tolist(), picked.tolist())]
 
 
-def _repair_budget(pools: tuple[_Pool, ...], budget: float) -> list[list[int]]:
+def _repair_budget(pools: _Pools, counts: list[int], cheapest: np.ndarray,
+                   budget: float) -> np.ndarray:
     """Greedy fill, then swap picks for cheaper same-category pool
-    members until the CI fits ``budget``; returns each pool's chosen
-    positions in slot order.
-
-    Each pass applies the swap saving the most cost per unit of score
-    lost (:func:`_best_swap`) over one ``(slots, max pool)`` matrix: a
-    slot's row holds its category's pool, padded with ``inf`` costs
-    that the free mask excludes.  Terminates: every swap strictly
-    reduces the affected slot's cost through its pool's at most
-    ``len(pool)`` distinct values, so ``sum(count * len(pool))`` passes
-    suffice; the explicit bound is a guard against pathological inputs,
-    after which (as when no cheaper alternative exists anywhere) the
-    cheapest conforming selection is installed outright.
-
-    Raises:
-        InfeasibleQueryError: If even the cheapest conforming selection
-            exceeds ``budget``.
+    members until each centroid's CI fits ``budget``; returns the
+    ``(k, slots)`` chosen ids in slot order.  All centroids repair at
+    once, in chunks of :data:`_REPAIR_ELEMENTS`.  Consumes ``pools``.
     """
-    # The cheapest conforming selection, in (cost, id) order, bounds
-    # feasibility.  Its floor is summed as repair sums any selection,
-    # so when the floor fits, installing the selection fits too.
-    cheapest = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
-                for p in pools]
-    floor = ordered_sum(c for p, chosen in zip(pools, cheapest)
-                        for c in p.costs[chosen].tolist())
-    if floor > budget:
-        raise InfeasibleQueryError(
-            f"even the cheapest valid CI costs {floor:.2f}, over the "
-            f"budget {budget:.2f}"
-        )
+    k, _, width = pools.costs.shape
+    step = max(1, _REPAIR_ELEMENTS // (len(cheapest) * width))
+    return np.concatenate([
+        _repair_chunk(_Pools(*(a[lo:lo + step] for a in pools)), counts,
+                      cheapest, budget)
+        for lo in range(0, k, step)])
 
-    counts = [p.count for p in pools]
-    slot_pool = np.repeat(np.arange(len(pools)), counts)
-    width = max(len(p.costs) for p in pools)
-    cost = np.full((len(pools), width), np.inf)
-    score = np.zeros((len(pools), width))
-    free = np.zeros((len(pools), width), dtype=bool)
-    for j, p in enumerate(pools):
-        cost[j, :len(p.costs)] = p.costs
-        score[j, :len(p.costs)] = p.scores
-        free[j, :len(p.costs)] = True
+
+def _repair_chunk(pools: _Pools, counts: list[int], cheapest: np.ndarray,
+                  budget: float) -> np.ndarray:
+    """:func:`_repair_budget` for one chunk of centroids, over one
+    ``(centroids, slots, width)`` tensor: slot ``s`` holds its
+    category's pool, ``avail`` the costs with taken positions at
+    ``inf``.  Each pass retires the centroids that fit (a ``cumsum``
+    adds left to right, like :func:`~repro.reduction.ordered_sum`) or
+    have no cheaper alternative left (they install the cheapest fill);
+    each other centroid applies the swap with the best ratio of cost
+    saved to score lost, its first ``argmax`` over the flattened
+    ``(slot, position)`` ratios.  A swap strictly lowers one slot's
+    cost, so the loop ends.
+    """
+    ids, avail, score = pools
+    slot_pool = np.repeat(np.arange(len(counts)), counts)
+    slots = np.arange(len(slot_pool))
     # Greedy fill: each pool leads with its best-scoring rows.
-    picks = np.concatenate([np.arange(c) for c in counts])
-    free[slot_pool, picks] = False
-    cost, score = cost[slot_pool], score[slot_pool]
-    slots = np.arange(len(picks))
-
-    max_passes = sum(p.count * len(p.costs) for p in pools)
-    passes = 0
-    while ordered_sum(cost[slots, picks].tolist()) > budget:
-        best = (_best_swap(cost, score, free[slot_pool], picks)
-                if passes < max_passes else None)
-        if best is None:
-            return cheapest
-        passes += 1
-        slot, alt = best
-        free[slot_pool[slot], picks[slot]] = True
-        free[slot_pool[slot], alt] = False
-        picks[slot] = alt
-    return [chosen.tolist()
-            for chosen in np.split(picks, np.cumsum(counts)[:-1])]
-
-
-def _best_swap(cost: np.ndarray, score: np.ndarray, free: np.ndarray,
-               picks: np.ndarray) -> tuple[int, int] | None:
-    """The ``(slot, position)`` swap with the best ratio of cost saved
-    to score lost, or ``None`` when no pick has a cheaper free
-    alternative.
-
-    ``cost``, ``score`` and ``free`` are ``(slots, width)``: row ``s``
-    is the pool of slot ``s``'s category; ``picks[s]`` is the slot's
-    current position.  The flat first ``argmax`` resolves ties in
-    ``(category, slot, pool position)`` order -- a later candidate wins
-    only when strictly greater.
-    """
-    slots = np.arange(len(picks))
-    cur_cost = cost[slots, picks][:, None]
-    cur_score = score[slots, picks][:, None]
-    ratio = np.where((cost < cur_cost) & free,
-                     (cur_cost - cost) / (np.maximum(cur_score - score, 0.0)
-                                          + 1e-9),
-                     -np.inf)
-    best = int(np.argmax(ratio))
-    if ratio.flat[best] == -np.inf:
-        return None
-    return divmod(best, ratio.shape[1])
+    greedy = np.concatenate([np.arange(c) for c in counts])
+    picks = np.tile(greedy, (len(ids), 1))
+    cur_cost = avail[:, slot_pool, greedy]
+    avail[:, slot_pool, greedy] = np.inf
+    score = np.take(score, slot_pool, axis=1)
+    out = np.empty_like(picks)
+    live = np.arange(len(ids))
+    stuck = np.zeros(len(ids), dtype=bool)
+    while True:
+        over = np.cumsum(cur_cost, axis=1)[:, -1] > budget
+        stay = over & ~stuck
+        if not stay.all():
+            gone = ~stay
+            out[live[gone]] = np.where(
+                over[gone, None], cheapest,
+                ids[live[gone, None], slot_pool, picks[gone]])
+            if not stay.any():
+                return out
+            live, avail, score, picks, cur_cost = (
+                a[stay] for a in (live, avail, score, picks, cur_cost))
+        r = np.arange(len(live))
+        cost = np.take(avail, slot_pool, axis=1)
+        cur = cur_cost[..., None]
+        lost = score[r[:, None], slots, picks][..., None] - score
+        ratio = np.where(cost < cur, (cur - cost) / (np.maximum(lost, 0.0)
+                                                     + 1e-9),
+                         -np.inf).reshape(len(live), -1)
+        best = ratio.argmax(axis=1)
+        stuck = ratio[r, best] == -np.inf
+        r, best = r[~stuck], best[~stuck]
+        slot, alt = np.divmod(best, avail.shape[2])
+        cat = slot_pool[slot]
+        new_cost = avail[r, cat, alt]
+        avail[r, cat, picks[r, slot]] = cur_cost[r, slot]
+        avail[r, cat, alt] = np.inf
+        picks[r, slot] = alt
+        cur_cost[r, slot] = new_cost

@@ -86,24 +86,6 @@ class GroupTravel:
         """Build from an explicit (e.g. refined) group profile."""
         return self.kfc.build(profile, query, k=k, seed=seed)
 
-    def build_many(self, groups: list[Group],
-                   query: GroupQuery = DEFAULT_QUERY,
-                   method: ConsensusMethod | str = ConsensusMethod.AVERAGE,
-                   w1: float | None = None, k: int | None = None,
-                   seed: int | None = None) -> list[TravelPackage]:
-        """Batch entry point: one package per group over shared precompute.
-
-        Every build reuses the city's :class:`CityArrays` bundle and the
-        FCM centroid seeding (cached on ``(k, seed)``), so a sweep over
-        many groups pays the query-independent work once; each package
-        then runs the batched assembly kernel, which amortizes one
-        profile mat-vec and one broadcast distance matrix per category
-        across all of its centroids.
-        """
-        return [self.build_package(group, query, method=method, w1=w1,
-                                   k=k, seed=seed)
-                for group in groups]
-
     # -- customization -----------------------------------------------------------
 
     def customize(self, package: TravelPackage,

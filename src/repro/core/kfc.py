@@ -40,6 +40,7 @@ per city instead of once per builder.
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -64,8 +65,12 @@ from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
 
 #: FCM seeds shared by geometry: ``id(xy)`` -> fuzzifier -> ``{(k, seed):
-#: projected centroids}``.  An entry lives as long as its ``xy`` array.
+#: projected centroids}``, least recently used first.  An entry lives as
+#: long as its ``xy`` array; a wire ``seed`` is client-chosen, so each map
+#: keeps only the :data:`SEED_CACHE_SIZE` most recently used seeds.
 _SEEDS: dict[int, dict[float, dict[tuple[int, int], np.ndarray]]] = {}
+_SEEDS_LOCK = threading.Lock()
+SEED_CACHE_SIZE = 64
 
 
 class KFCBuilder:
@@ -135,27 +140,17 @@ class KFCBuilder:
         """
         k = self.k if k is None else k
         seed = self.seed if seed is None else seed
-        key = (k, seed)
-        if key not in self._centroid_cache:
-            fcm = FuzzyCMeans(n_clusters=k, m=self.weights.fuzzifier,
-                              seed=seed)
-            self._centroid_cache[key] = fcm.fit(self.arrays.xy).centroids
-        return self._unproject(self._centroid_cache[key])
-
-    def _assemble_all(self, centroids: np.ndarray, query: GroupQuery,
-                      profile: GroupProfile, weights: ObjectiveWeights,
-                      gsims: dict) -> list[CompositeItem]:
-        """Step 2: one valid CI per centroid, in one kernel call.
-
-        ``gsims`` is the build's ``gamma * cos`` per requested
-        category, shared by every round.
-        """
-        return assemble_composite_items(
-            self.dataset, centroids, query, profile, self.item_index,
-            beta=weights.beta, gamma=weights.gamma,
-            candidate_pool=self.candidate_pool, arrays=self.arrays,
-            gsims=gsims,
-        )
+        key, cache = (k, seed), self._centroid_cache
+        with _SEEDS_LOCK:
+            fitted = cache.pop(key, None)
+        if fitted is None:
+            fitted = FuzzyCMeans(n_clusters=k, m=self.weights.fuzzifier,
+                                 seed=seed).fit(self.arrays.xy).centroids
+        with _SEEDS_LOCK:  # (re)insert as the most recent, evict the oldest
+            cache[key] = fitted
+            if len(cache) > SEED_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        return self._unproject(fitted)
 
     def _ci_xy_sum(self, ci: CompositeItem) -> np.ndarray:
         """Summed projected coordinates of a CI's members.
@@ -223,8 +218,12 @@ class KFCBuilder:
         _check_feasible_categories(self.dataset, query, requested)
         gsims = gamma_sims(self.arrays, profile, requested, w.gamma)
         centroids = self.place_centroids(k=k, seed=seed)
-        cis = self._assemble_all(centroids, query, profile, w, gsims)
-        for _ in range(self.refine_iterations):
-            centroids = self._recenter(centroids, cis, w)
-            cis = self._assemble_all(centroids, query, profile, w, gsims)
+        for refine in range(1 + self.refine_iterations):
+            if refine:
+                centroids = self._recenter(centroids, cis, w)
+            # Step 2: one valid CI per centroid, in one kernel call.
+            cis = assemble_composite_items(
+                self.dataset, centroids, query, profile, self.item_index,
+                beta=w.beta, gamma=w.gamma, arrays=self.arrays, gsims=gsims,
+                candidate_pool=self.candidate_pool)
         return TravelPackage(cis, query=query)

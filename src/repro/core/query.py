@@ -37,6 +37,9 @@ class GroupQuery:
                 raise ValueError(f"count for {cat} must be non-negative")
             normalized[cat] = int(count)
         object.__setattr__(self, "counts", normalized)
+        self._check()
+
+    def _check(self) -> None:
         # "not >=", not "< 0": NaN fails every comparison, so "< 0"
         # would admit it, and has_budget (false for NaN) would then
         # skip the budget repair.
@@ -87,11 +90,18 @@ class GroupQuery:
     def from_dict(cls, data: Mapping) -> "GroupQuery":
         """Inverse of :meth:`to_dict`."""
         budget = data.get("budget")
-        return cls(
-            counts={Category.parse(cat): int(n)
-                    for cat, n in data["counts"].items()},
-            budget=math.inf if budget is None else float(budget),
-        )
+        counts = {Category.parse(cat): int(n)
+                  for cat, n in data["counts"].items()}
+        # Built without __post_init__, which would parse every key again.
+        query = object.__new__(cls)
+        object.__setattr__(query, "counts", counts)
+        object.__setattr__(query, "budget",
+                           math.inf if budget is None else float(budget))
+        for cat, count in counts.items():
+            if count < 0:
+                raise ValueError(f"count for {cat} must be non-negative")
+        query._check()
+        return query
 
     def __str__(self) -> str:
         parts = [f"{n} {cat.value}" for cat in CATEGORIES

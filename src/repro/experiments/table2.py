@@ -68,13 +68,6 @@ class Table2Result:
         return "\n".join(lines)
 
 
-def _collect_dimension(sweep: SweepResult, method: str, uniform: bool,
-                       dim: str) -> list[float]:
-    """Normalized values of one dimension for one method/uniformity."""
-    return [sweep.normalized(r)[dim]
-            for r in sweep.select(uniform=uniform, method=method)]
-
-
 def run(ctx: ExperimentContext, sweep: SweepResult | None = None) -> Table2Result:
     """Run (or reuse) the sweep and derive Table 2."""
     sweep = sweep or ctx.synthetic_sweep()

@@ -18,18 +18,23 @@ and ``gsims`` are accepted and ignored), so a test can drop it in for
 ``repro.core.kfc.assemble_composite_items`` and run whole KFC builds on
 the object path.
 
-The second half keeps the array kernel's former per-category and
-per-slot pieces verbatim -- :func:`_totals_matrix` (one distance pass
-per category), :func:`_pools_batched` and :func:`_top_rows` (one
-partition + lexsort per centroid) and :func:`_repair_budget_per_slot`
-with its per-slot :func:`_best_swap` -- as the references the kernel's
-city-wide distance pass, batched selection and padded repair matrix
-must match index for index and byte for byte.
+The second half keeps the array kernel's former per-category,
+per-centroid and per-slot pieces verbatim -- :func:`_totals_matrix`
+(one distance pass per category), :func:`_pools_batched` and
+:func:`_top_rows` (one partition + lexsort per centroid),
+:func:`_repair_budget_per_slot` with its per-slot :func:`_best_swap`,
+and :func:`_budget_pools_per_centroid` with
+:func:`_repair_budget_padded` and :func:`_best_swap_padded` (one
+``_Pool`` per centroid, one padded ``(slots, max pool)`` repair per
+centroid) -- as the references the kernel's city-wide distance pass,
+batched selection and one-per-round repair must match index for index
+and byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from repro.core.assembly import (
     InfeasibleQueryError,
     _check_feasible_categories,
     _gamma_sims,
-    _Pool,
     _record_scans,
+    _select_rows,
 )
 from repro.core.composite import CompositeItem
 from repro.core.query import GroupQuery
@@ -49,6 +54,16 @@ from repro.geo.distance import equirectangular_km
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
 from repro.reduction import ordered_sum
+
+
+class _Pool(NamedTuple):
+    """One category's candidate pool for one centroid, pool-aligned:
+    the POI ids, costs and scores of its rows, plus the slots to fill."""
+
+    ids: np.ndarray
+    costs: np.ndarray
+    scores: np.ndarray
+    count: int
 
 
 @dataclass(frozen=True)
@@ -391,3 +406,112 @@ def _best_swap(pools: tuple[_Pool, ...],
             if ratio[alt] > best_ratio:
                 best_ratio, best = ratio[alt], (j, slot, alt)
     return best
+
+
+def _budget_pools_per_centroid(ca: CategoryArrays, totals: np.ndarray,
+                               pool: int, needed: int) -> list[_Pool]:
+    """One category's candidate pool per centroid under a budget: the
+    ``pool`` top scorers, followed by the ``pool`` cheapest rows (in
+    the precomputed ``(cost, id)`` order) not already among them, so
+    cheap candidates stay reachable for the repair phase."""
+    top = _select_rows(totals, ca.ids, pool)
+    cheap = ca.cost_order[:pool]
+    seen = np.zeros(totals.shape, dtype=bool)
+    seen[np.arange(len(top))[:, None], top] = True
+    unseen = ~seen[:, cheap]
+    pools = []
+    for total, best, extra in zip(totals, top, unseen):
+        rows = np.concatenate([best, cheap[extra]])
+        pools.append(_Pool(ca.ids[rows], ca.costs[rows], total[rows], needed))
+    return pools
+
+
+def _repair_budget_padded(pools: tuple[_Pool, ...],
+                          budget: float) -> list[list[int]]:
+    """Greedy fill, then swap picks for cheaper same-category pool
+    members until the CI fits ``budget``; returns each pool's chosen
+    positions in slot order.
+
+    Each pass applies the swap saving the most cost per unit of score
+    lost (:func:`_best_swap_padded`) over one ``(slots, max pool)``
+    matrix: a slot's row holds its category's pool, padded with ``inf``
+    costs that the free mask excludes.  Terminates: every swap strictly
+    reduces the affected slot's cost through its pool's at most
+    ``len(pool)`` distinct values, so ``sum(count * len(pool))`` passes
+    suffice; the explicit bound is a guard against pathological inputs,
+    after which (as when no cheaper alternative exists anywhere) the
+    cheapest conforming selection is installed outright.
+
+    Raises:
+        InfeasibleQueryError: If even the cheapest conforming selection
+            exceeds ``budget``.
+    """
+    # The cheapest conforming selection, in (cost, id) order, bounds
+    # feasibility.  Its floor is summed as repair sums any selection,
+    # so when the floor fits, installing the selection fits too.
+    cheapest = [np.lexsort((p.ids, p.costs))[:p.count].tolist()
+                for p in pools]
+    floor = ordered_sum(c for p, chosen in zip(pools, cheapest)
+                        for c in p.costs[chosen].tolist())
+    if floor > budget:
+        raise InfeasibleQueryError(
+            f"even the cheapest valid CI costs {floor:.2f}, over the "
+            f"budget {budget:.2f}"
+        )
+
+    counts = [p.count for p in pools]
+    slot_pool = np.repeat(np.arange(len(pools)), counts)
+    width = max(len(p.costs) for p in pools)
+    cost = np.full((len(pools), width), np.inf)
+    score = np.zeros((len(pools), width))
+    free = np.zeros((len(pools), width), dtype=bool)
+    for j, p in enumerate(pools):
+        cost[j, :len(p.costs)] = p.costs
+        score[j, :len(p.costs)] = p.scores
+        free[j, :len(p.costs)] = True
+    # Greedy fill: each pool leads with its best-scoring rows.
+    picks = np.concatenate([np.arange(c) for c in counts])
+    free[slot_pool, picks] = False
+    cost, score = cost[slot_pool], score[slot_pool]
+    slots = np.arange(len(picks))
+
+    max_passes = sum(p.count * len(p.costs) for p in pools)
+    passes = 0
+    while ordered_sum(cost[slots, picks].tolist()) > budget:
+        best = (_best_swap_padded(cost, score, free[slot_pool], picks)
+                if passes < max_passes else None)
+        if best is None:
+            return cheapest
+        passes += 1
+        slot, alt = best
+        free[slot_pool[slot], picks[slot]] = True
+        free[slot_pool[slot], alt] = False
+        picks[slot] = alt
+    return [chosen.tolist()
+            for chosen in np.split(picks, np.cumsum(counts)[:-1])]
+
+
+def _best_swap_padded(cost: np.ndarray, score: np.ndarray,
+                      free: np.ndarray,
+                      picks: np.ndarray) -> tuple[int, int] | None:
+    """The ``(slot, position)`` swap with the best ratio of cost saved
+    to score lost, or ``None`` when no pick has a cheaper free
+    alternative.
+
+    ``cost``, ``score`` and ``free`` are ``(slots, width)``: row ``s``
+    is the pool of slot ``s``'s category; ``picks[s]`` is the slot's
+    current position.  The flat first ``argmax`` resolves ties in
+    ``(category, slot, pool position)`` order -- a later candidate wins
+    only when strictly greater.
+    """
+    slots = np.arange(len(picks))
+    cur_cost = cost[slots, picks][:, None]
+    cur_score = score[slots, picks][:, None]
+    ratio = np.where((cost < cur_cost) & free,
+                     (cur_cost - cost) / (np.maximum(cur_score - score, 0.0)
+                                          + 1e-9),
+                     -np.inf)
+    best = int(np.argmax(ratio))
+    if ratio.flat[best] == -np.inf:
+        return None
+    return divmod(best, ratio.shape[1])

@@ -1,7 +1,8 @@
-"""The assembly kernel's whole-array pieces vs their former per-category
-and per-slot forms, kept verbatim in ``tests/assembly_oracle.py``.
+"""The assembly kernel's whole-array pieces vs their former per-category,
+per-centroid and per-slot forms, kept verbatim in
+``tests/assembly_oracle.py``.
 
-Three properties, each compared by ``tobytes`` or index equality:
+Four properties, each compared by ``tobytes`` or index equality:
 
 1. batched selection (one partition and one row-keyed lexsort for all
    centroids) returns, row for row, what ``_top_rows`` returns for one
@@ -9,16 +10,24 @@ Three properties, each compared by ``tobytes`` or index equality:
    every cut from 1 to ``n + 1``;
 2. each category's column slice of the city-wide ``near`` matrix, plus
    its ``gamma * cos``, is ``_totals_matrix`` byte for byte, and the
-   budget pools built from it are ``_pools_batched``'s;
-3. the padded ``(slots, width)`` repair picks exactly what the per-slot
-   repair picks, across 1-4 categories with unequal pool lengths and
-   tie-heavy integer costs and scores, fallbacks and infeasible floors
-   included.
+   padded budget pool blocks built from it hold ``_pools_batched``'s
+   pools row by row;
+3. the former per-centroid padded ``(slots, width)`` repair picks
+   exactly what the per-slot repair picks, across 1-4 categories with
+   unequal pool lengths and tie-heavy integer costs and scores,
+   fallbacks and infeasible floors included;
+4. one repair per round for all centroids picks, centroid by centroid,
+   exactly what the per-centroid pools and repair pick, over 1-6
+   centroids that converge at different passes, fall back or share an
+   infeasible floor (same message), at every chunking of the centroid
+   batch.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,16 +35,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import assembly_oracle as oracle
+import repro.core.assembly as assembly
 from repro.core.assembly import (
     InfeasibleQueryError,
     _budget_pools,
+    _cheapest_fill,
     _near_matrix,
-    _Pool,
     _repair_budget,
     _select_rows,
     gamma_sims,
 )
 from repro.data.poi import CATEGORIES
+from repro.reduction import ordered_sum
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +100,24 @@ def test_near_slice_matches_totals_matrix(data, app, profile, small_city):
         want = oracle._totals_matrix(ca, cents, sims[cat], beta,
                                      arrays.max_distance_km)
         assert totals.tobytes() == want.tobytes()
-        cut = max(pool, needed)
-        got = _budget_pools(ca, totals, cut, needed)
+        got = _budget_pools([ca], [totals], np.array([max(pool, needed)]))
         ref = oracle._pools_batched(ca, cents, profile.vector(cat), beta,
                                     gamma, arrays.max_distance_km, pool,
                                     needed, True)
-        assert len(got) == len(ref) == k
-        for a, b in zip(got, ref):
-            assert a.count == b.count
-            for name in ("ids", "costs", "scores"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert len(got.ids) == len(ref) == k
+        _assert_rows_hold(got, 0, ref)
+
+
+def _assert_rows_hold(block, j, pools):
+    """Category ``j`` of centroid ``c`` in a pool block holds
+    ``pools[c]``: its candidates, in order, are the positions with a
+    finite cost (every test cost is finite)."""
+    for c, p in enumerate(pools):
+        real = np.isfinite(block.costs[c, j])
+        assert real.sum() == len(p.ids)
+        for name in ("ids", "costs", "scores"):
+            assert getattr(block, name)[c, j][real].tobytes() == \
+                getattr(p, name).tobytes()
 
 
 @st.composite
@@ -114,7 +133,7 @@ def _pools(draw):
                               max_size=size), label=f"costs{j}")
         scores = draw(st.lists(st.integers(0, 4), min_size=size,
                                max_size=size), label=f"scores{j}")
-        pools.append(_Pool(np.arange(next_id, next_id + size,
+        pools.append(oracle._Pool(np.arange(next_id, next_id + size,
                                      dtype=np.int64),
                            np.array(costs, dtype=float),
                            np.array(scores, dtype=float), count))
@@ -132,7 +151,91 @@ def test_padded_repair_matches_per_slot_repair(case):
         want = oracle._repair_budget_per_slot(pools, budget)
     except InfeasibleQueryError as exc:
         with pytest.raises(InfeasibleQueryError) as raised:
-            _repair_budget(pools, budget)
+            oracle._repair_budget_padded(pools, budget)
         assert str(raised.value) == str(exc)
         return
-    assert _repair_budget(pools, budget) == want
+    assert oracle._repair_budget_padded(pools, budget) == want
+
+
+@dataclass(frozen=True)
+class _Category:
+    """The columns of ``CategoryArrays`` that budget pools read."""
+
+    ids: np.ndarray
+    costs: np.ndarray
+    cost_order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+#: Decimal costs whose float sums depend on the order of addition.
+_COSTS = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 2.2, 3.3])
+
+
+@st.composite
+def _round(draw):
+    """One budgeted round: 1-6 centroids over 1-4 categories, each a
+    stand-in ``CategoryArrays`` (shuffled ids, decimal costs with
+    repeats, its ``(cost, id)`` order) with a tie-heavy ``(k, n)``
+    score matrix, a pool cut, and a budget that is either arbitrary or
+    exactly on (or one ulp under) the greedy cost of one centroid or
+    the floor -- where a budget test that adds in another order, or a
+    centroid that takes another centroid's swap, picks differently."""
+    k = draw(st.integers(1, 6), label="k")
+    cas, counts, totals, cuts = [], [], [], []
+    next_id = 0
+    for j in range(draw(st.integers(1, 4), label="categories")):
+        count = draw(st.integers(1, 4), label=f"count{j}")
+        n = draw(st.integers(count, count + 6), label=f"n{j}")
+        ids = np.array(draw(st.permutations(range(next_id, next_id + n)),
+                            label=f"ids{j}"), dtype=np.int64)
+        next_id += n
+        costs = np.array(draw(st.lists(_COSTS, min_size=n, max_size=n),
+                              label=f"costs{j}"))
+        cas.append(_Category(ids, costs, np.lexsort((ids, costs))))
+        counts.append(count)
+        totals.append(np.array(draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            min_size=k, max_size=k), label=f"totals{j}"), dtype=float))
+        cuts.append(max(draw(st.integers(1, n + 1), label=f"pool{j}"),
+                        count))
+    greedy = [ordered_sum(c for ca, t, cut, count in
+                          zip(cas, totals, cuts, counts)
+                          for c in ca.costs[_select_rows(t, ca.ids, cut)[
+                              row, :count]].tolist())
+              for row in range(k)]
+    floor = ordered_sum(c for ca, count in zip(cas, counts)
+                        for c in ca.costs[ca.cost_order[:count]].tolist())
+    edge = draw(st.sampled_from(greedy + [floor]), label="edge")
+    budget = draw(st.one_of(st.floats(0.0, max(greedy)), st.just(edge),
+                            st.just(math.nextafter(edge, 0.0))),
+                  label="budget")
+    return cas, counts, totals, cuts, budget
+
+
+@given(case=_round(),
+       elements=st.sampled_from([1, 40, assembly._REPAIR_ELEMENTS]))
+@settings(max_examples=400, deadline=None)
+def test_one_repair_per_round_matches_per_centroid_repair(case, elements):
+    cas, counts, totals, cuts, budget = case
+    per_category = [oracle._budget_pools_per_centroid(ca, t, cut, count)
+                    for ca, t, cut, count in zip(cas, totals, cuts, counts)]
+    try:
+        want = []
+        for pools in zip(*per_category):
+            chosen = oracle._repair_budget_padded(pools, budget)
+            want.append([int(p.ids[i]) for p, picks in zip(pools, chosen)
+                         for i in picks])
+    except InfeasibleQueryError as exc:
+        with pytest.raises(InfeasibleQueryError) as raised:
+            _cheapest_fill(cas, counts, budget)
+        assert str(raised.value) == str(exc)
+        return
+    pools = _budget_pools(cas, totals, np.array(cuts))
+    for j, per_centroid in enumerate(per_category):
+        _assert_rows_hold(pools, j, per_centroid)
+    cheapest = _cheapest_fill(cas, counts, budget)
+    with mock.patch.object(assembly, "_REPAIR_ELEMENTS", elements):
+        got = _repair_budget(pools, np.array(counts), cheapest, budget)
+    assert got.tolist() == want

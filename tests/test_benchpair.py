@@ -9,6 +9,7 @@ last digit may differ by one).
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,50 @@ def test_paired_row_alternates_and_reads_bounds(monkeypatch):
         assert summary["unit"] == m["unit"]
         assert summary["change_wins"] == (4 if m["better"] == "higher"
                                           else 0)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_run_once_refuses_a_non_finite_metric(monkeypatch, constant):
+    """A run whose last line carries a bare non-JSON constant fails,
+    naming the tree, workload and seed; a clean line parses."""
+    line = '{"correct": true, "metrics": {"a": {"value": %s}}}'
+
+    def fake(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout="booting\n" + line % stdout_value, stderr="")
+
+    monkeypatch.setattr(benchpair.subprocess, "run", fake)
+    stdout_value = "1.5"
+    assert benchpair.run_once(Path("tree-a"), "cold_build", 5, 1.0, 1) == {
+        "correct": True, "metrics": {"a": {"value": 1.5}}}
+    stdout_value = constant
+    with pytest.raises(RuntimeError) as raised:
+        benchpair.run_once(Path("tree-a"), "cold_build", 5, 1.0, 1)
+    message = str(raised.value)
+    assert "tree-a" in message and "cold_build" in message
+    assert "seed 5" in message and constant in message
+
+
+def test_parent_checkout_adds_and_removes_a_worktree(monkeypatch):
+    """Without ``--parent-tree`` the parent is a detached ``git
+    worktree`` of the revision in a temporary directory, removed on
+    exit even when the run fails."""
+    calls = []
+
+    def fake(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(benchpair.subprocess, "run", fake)
+    with pytest.raises(RuntimeError):
+        with benchpair.parent_checkout("abc123", None) as tree:
+            assert tree.name == "parent"
+            raise RuntimeError("perfbench failed")
+    (add, add_cwd), (remove, remove_cwd) = calls
+    assert add == ["git", "worktree", "add", "--detach", str(tree), "abc123"]
+    assert remove == ["git", "worktree", "remove", "--force", str(tree)]
+    assert add_cwd == remove_cwd == benchpair.ROOT
+    calls.clear()
+    with benchpair.parent_checkout("abc123", "some/tree") as given:
+        assert given == Path("some/tree").resolve()
+    assert calls == []

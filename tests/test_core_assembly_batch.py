@@ -25,6 +25,7 @@ Four guarantees:
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,31 +296,17 @@ class TestBindingBudget:
             assert ci.total_cost() <= budget
             assert ci.is_valid(query)
 
-    @staticmethod
-    def _spy_swaps(monkeypatch) -> list:
-        """Record every ``_best_swap`` result of the kernel."""
-        seen = []
-        best_swap = assembly._best_swap
-
-        def spy(cost, score, free, picks):
-            seen.append(best_swap(cost, score, free, picks))
-            return seen[-1]
-
-        monkeypatch.setattr(assembly, "_best_swap", spy)
-        return seen
-
-    def test_no_cheaper_swap_falls_back_to_cheapest_fill(self, monkeypatch):
+    def test_no_cheaper_swap_falls_back_to_cheapest_fill(self):
         """Repair swaps to the three cheapest rests in slot order 0.7,
-        1.1, 0.1, which sums one ulp over the floor (0.1 + 0.7 + 1.1);
-        no cheaper swap is left, so the cheapest fill installs them in
-        ``(cost, id)`` order, which fits."""
+        1.1, 0.1 (ids 5, 4, 3), which sums one ulp over the floor
+        (0.1 + 0.7 + 1.1); no cheaper swap is left, so the cheapest fill
+        installs them in ``(cost, id)`` order (ids 3, 5, 4), which
+        fits."""
         dataset, index, prof = _stepped_city([9.0, 9.0, 9.0, 0.1, 1.1, 0.7])
         query = GroupQuery.of(rest=3, budget=_floor(dataset,
                                                     GroupQuery.of(rest=3)))
-        swaps = self._spy_swaps(monkeypatch)
         _compare(dataset, index, prof, np.array([[48.85, 2.35]]), query,
                  gamma=0.0)
-        assert swaps[-1] is None
         ci = assemble_composite_items(dataset, np.array([[48.85, 2.35]]),
                                       query, prof, index, gamma=0.0)[0]
         assert [p.id for p in ci.pois] == [3, 5, 4]
@@ -373,6 +360,63 @@ class TestBindingBudget:
                                       arrays=arrays)[0]
         assert ci.category_counts()[Category.ATTRACTION] == 3
         assert ci.is_valid(query)
+
+
+    def test_full_count_round_repairs_in_bounded_chunks(self, app, arrays,
+                                                        profile,
+                                                        monkeypatch):
+        """Every category at full count for 20 centroids: each repair
+        chunk holds as many centroids as fit the element bound (at
+        least one), and the picks do not depend on the cut."""
+        counts = {cat: len(app.dataset.by_category(cat))
+                  for cat in Category}
+        query = GroupQuery(counts=counts, budget=1e9)
+        rng = np.random.default_rng(4)
+        coords = app.dataset.coordinates()
+        cents = coords[rng.choice(len(coords), size=20)]
+        chunks = []
+        repair_chunk = assembly._repair_chunk
+
+        def spy(pools, *args):
+            chunks.append(pools.ids.shape)
+            return repair_chunk(pools, *args)
+
+        monkeypatch.setattr(assembly, "_repair_chunk", spy)
+        got = assemble_composite_items(app.dataset, cents, query, profile,
+                                       app.item_index, arrays=arrays)
+        per_centroid = sum(counts.values()) * chunks[0][2]
+        step = max(1, assembly._REPAIR_ELEMENTS // per_centroid)
+        assert [shape[0] for shape in chunks] == (
+            [step] * (20 // step) + ([20 % step] if 20 % step else []))
+        monkeypatch.setattr(assembly, "_REPAIR_ELEMENTS", 1 << 40)
+        chunks.clear()
+        whole = assemble_composite_items(app.dataset, cents, query, profile,
+                                         app.item_index, arrays=arrays)
+        assert [shape[0] for shape in chunks] == [20]
+        assert _keys(got) == _keys(whole)
+        assert all(ci.is_valid(query) for ci in got)
+
+
+    def test_full_count_round_peak_does_not_scale_with_k(self, app,
+                                                          arrays, profile):
+        """Every category at full count, at its floor budget so a repair
+        pass runs: 20 centroids peak at no more than twice the memory
+        of one, where one tensor for all of them would take ~20x."""
+        counts = {cat: len(app.dataset.by_category(cat)) for cat in Category}
+        query = GroupQuery(counts=counts,
+                           budget=_floor(app.dataset, GroupQuery(counts)))
+        coords = app.dataset.coordinates()
+        peaks = []
+        for k in (1, 20):
+            cents = coords[np.random.default_rng(5).choice(len(coords), k)]
+            tracemalloc.start()
+            try:
+                assemble_composite_items(app.dataset, cents, query, profile,
+                                         app.item_index, arrays=arrays)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestCounterPlumbing:

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.composite import CompositeItem
 from repro.core.query import DEFAULT_QUERY, GroupQuery
-from repro.data.poi import Category
+from repro.data.poi import CATEGORIES, Category
 
 
 class TestGroupQuery:
@@ -53,6 +55,65 @@ class TestGroupQuery:
     def test_counts_accept_string_keys(self):
         q = GroupQuery(counts={"rest": 2})
         assert q.count(Category.RESTAURANT) == 2
+
+
+def _two_pass_from_dict(data):
+    """``GroupQuery.from_dict`` as it was before it parsed each category
+    once: every key parsed and every count made an ``int``, then the
+    constructor parses and checks them all again."""
+    budget = data.get("budget")
+    return GroupQuery(
+        counts={Category.parse(cat): int(n)
+                for cat, n in data["counts"].items()},
+        budget=math.inf if budget is None else float(budget),
+    )
+
+
+_QUERIES = st.builds(
+    GroupQuery,
+    counts=st.dictionaries(st.sampled_from(CATEGORIES),
+                           st.integers(0, 9)).filter(
+                               lambda c: sum(c.values()) > 0),
+    budget=st.one_of(st.just(math.inf),
+                     st.floats(0.0, 1e6, allow_nan=False)))
+
+#: Wire-ish counts, good and bad: unknown and non-string keys,
+#: negative, float, string, bool and missing counts.
+_RAW_COUNTS = st.dictionaries(
+    st.one_of(st.sampled_from([c.value for c in CATEGORIES]),
+              st.sampled_from(["museum", "", "ACCO"]), st.integers(0, 3)),
+    st.one_of(st.integers(-2, 5), st.floats(-2.0, 5.0, allow_nan=False),
+              st.sampled_from(["3", "x", None, True])),
+    max_size=5)
+
+
+class TestWireParse:
+    @given(query=_QUERIES)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, query):
+        again = GroupQuery.from_dict(query.to_dict())
+        assert again == query
+        assert list(again.counts) == list(query.counts)
+        assert all(type(c) is Category and type(n) is int
+                   for c, n in again.counts.items())
+
+    @given(counts=_RAW_COUNTS,
+           budget=st.one_of(st.none(), st.floats(allow_nan=True),
+                            st.integers(-5, 50), st.just("12")))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_and_accepts_as_the_two_pass_parse(self, counts,
+                                                       budget):
+        data = {"counts": counts, "budget": budget}
+        try:
+            want = _two_pass_from_dict(data)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            with pytest.raises(type(exc)) as raised:
+                GroupQuery.from_dict(data)
+            assert str(raised.value) == str(exc)
+            return
+        got = GroupQuery.from_dict(data)
+        assert got == want
+        assert list(got.counts) == list(want.counts)
 
 
 class TestCompositeItem:

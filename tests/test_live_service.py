@@ -30,7 +30,9 @@ from repro.core import kfc
 from repro.core.arrays import CityArrays
 from repro.core.kfc import KFCBuilder
 from repro.core.objective import ObjectiveWeights
+from repro.data.dataset import POIDataset
 from repro.live import AddPoi, ClosePoi, MutationError, RepricePoi
+from repro.profiles.vectors import ItemVectorIndex
 from repro.service import (
     BuildRequest,
     CityRegistry,
@@ -217,6 +219,27 @@ class TestSeedCache:
             assert service.build(spec_request).ok
             assert service.build(other).ok
             assert fits == [5], mutation.kind
+
+    def test_seed_map_keeps_a_bounded_lru(self, fits):
+        """10,000 distinct seeds leave at most the bound's entries; a
+        seed in steady use is never evicted, an old one refits."""
+        pois = [make_poi(i, cat="rest", lat=48.85 + 0.001 * i,
+                         lon=2.35 + 0.002 * (i % 3)) for i in range(6)]
+        dataset = POIDataset(pois, city="tiny")
+        builder = KFCBuilder(dataset, ItemVectorIndex.fit(
+            dataset, lda_iterations=2, seed=1), k=1)
+        hot = builder.place_centroids(seed=0)
+        for seed in range(1, 10_001):
+            builder.place_centroids(seed=seed)
+            if seed % 50 == 0:
+                builder.place_centroids(seed=0)
+        assert len(builder._centroid_cache) <= kfc.SEED_CACHE_SIZE
+        assert (1, 0) in builder._centroid_cache
+        assert len(fits) == 10_001
+        assert np.array_equal(builder.place_centroids(seed=0), hot)
+        assert (1, 1) not in builder._centroid_cache
+        builder.place_centroids(seed=1)
+        assert len(fits) == 10_002
 
     def test_builders_share_seeds_by_geometry(self, app, fits):
         arrays = CityArrays.build(app.dataset, app.item_index)

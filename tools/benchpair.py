@@ -84,9 +84,16 @@ def summarize(parent: list[float], change: list[float], better: str,
 
 # -- running ------------------------------------------------------------------
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its last stdout line."""
+    """One ``perfbench/run.py`` run in ``tree``: its last stdout line,
+    parsed strictly.  ``json.dumps`` prints a NaN or infinite metric as
+    a bare ``NaN``/``Infinity`` that ``json.loads`` would accept, so
+    those constants are refused here and the run is named."""
     proc = subprocess.run(
         RUN + ["--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)],
@@ -95,7 +102,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"perfbench failed in {tree} "
                            f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise RuntimeError(
+            f"perfbench in {tree}, workload {workload}, seed {seed}: "
+            f"malformed last line ({exc}): {lines[-1][:300]!r}") from None
 
 
 def paired_row(trees: dict[str, Path], workload: str, seed: int, pairs: int,
