@@ -61,6 +61,7 @@ from repro.core.objective import ObjectiveWeights
 from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
+from repro.obs import stage
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
 
@@ -141,16 +142,17 @@ class KFCBuilder:
         k = self.k if k is None else k
         seed = self.seed if seed is None else seed
         key, cache = (k, seed), self._centroid_cache
-        with _SEEDS_LOCK:
-            fitted = cache.pop(key, None)
-        if fitted is None:
-            fitted = FuzzyCMeans(n_clusters=k, m=self.weights.fuzzifier,
-                                 seed=seed).fit(self.arrays.xy).centroids
-        with _SEEDS_LOCK:  # (re)insert as the most recent, evict the oldest
-            cache[key] = fitted
-            if len(cache) > SEED_CACHE_SIZE:
-                del cache[next(iter(cache))]
-        return self._unproject(fitted)
+        with stage("fcm_seed"):
+            with _SEEDS_LOCK:
+                fitted = cache.pop(key, None)
+            if fitted is None:
+                fitted = FuzzyCMeans(n_clusters=k, m=self.weights.fuzzifier,
+                                     seed=seed).fit(self.arrays.xy).centroids
+            with _SEEDS_LOCK:  # reinsert as the newest, evict the oldest
+                cache[key] = fitted
+                if len(cache) > SEED_CACHE_SIZE:
+                    del cache[next(iter(cache))]
+            return self._unproject(fitted)
 
     def _ci_xy_sum(self, ci: CompositeItem) -> np.ndarray:
         """Summed projected coordinates of a CI's members.
@@ -220,7 +222,8 @@ class KFCBuilder:
         centroids = self.place_centroids(k=k, seed=seed)
         for refine in range(1 + self.refine_iterations):
             if refine:
-                centroids = self._recenter(centroids, cis, w)
+                with stage("recenter"):
+                    centroids = self._recenter(centroids, cis, w)
             # Step 2: one valid CI per centroid, in one kernel call.
             cis = assemble_composite_items(
                 self.dataset, centroids, query, profile, self.item_index,

@@ -9,6 +9,7 @@ a bag of ``tags``, and a visiting ``cost``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -80,8 +81,9 @@ class POI:
             raise ValueError(f"latitude {self.lat} out of range for POI {self.id}")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon} out of range for POI {self.id}")
-        if self.cost < 0:
-            raise ValueError(f"cost must be non-negative for POI {self.id}")
+        if not (math.isfinite(self.cost) and self.cost >= 0):
+            raise ValueError(f"cost must be finite and non-negative for POI "
+                             f"{self.id}, got {self.cost!r}")
 
     @property
     def coordinates(self) -> tuple[float, float]:

@@ -6,8 +6,8 @@ Three pieces, designed to cross process boundaries cleanly:
   minted at the front-end, propagated through the wire envelope into
   shard workers, where every serving stage (queue wait, cache lookup,
   store hydrate vs. LDA fit, array build, assembly, serialization)
-  records a :class:`Span`; a bounded ring retains the slowest-N
-  completed span trees per process.
+  is timed; a bounded ring retains the slowest-N completed span trees
+  per process.
 * **Histograms** (:mod:`repro.obs.histogram`): log-bucketed latency
   distributions whose bucket counts **merge exactly** across shards,
   so cluster-wide p50/p90/p99 are real percentiles, not averages of
@@ -53,7 +53,6 @@ from repro.obs.resources import ResourceSampler
 from repro.obs.slo import SLOConfig, SLOMonitor, merge_verdicts, worst_state
 from repro.obs.trace import (
     SlowTraceRing,
-    Span,
     TraceContext,
     Tracer,
     current_activation,
@@ -114,7 +113,6 @@ __all__ = [
     "SLOConfig",
     "SLOMonitor",
     "SlowTraceRing",
-    "Span",
     "TraceContext",
     "Tracer",
     "WindowConfig",

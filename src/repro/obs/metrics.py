@@ -33,7 +33,7 @@ recorded into that window -- out-of-order arrival does not corrupt
 alignment -- while a sample older than the whole ring is dropped from
 the windows and counted in ``dropped_late``.  Every sample, late or
 not, counts in its series' all-time total.  A histogram series fed
-only through :meth:`MetricsRegistry.observe_total` (the tracer's
+only through :meth:`MetricsRegistry.record_batch` (the tracer's
 per-stage series) has the all-time slot and no windows.
 
 When the registry is given an :class:`~repro.obs.events.EventLog`, each
@@ -161,6 +161,8 @@ class MetricsRegistry:
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = _Series(name, kind)
+        if start == series.latest_start:
+            return series, start
         if start > series.latest_start:
             self._emit_closed(series)
             series.latest_start = start
@@ -202,11 +204,7 @@ class MetricsRegistry:
                     ts: float | None = None) -> None:
         """Add ``n`` events to a counter's total and its current (or
         late) window."""
-        with self._lock:
-            series, start = self._locate(name, "counter", ts)
-            series.total += n
-            if start is not None:
-                series.windows[start] = series.windows.get(start, 0) + n
+        self.record_batch((), ((name, n),), ts)
 
     def gauge_set(self, name: str, value: float,
                   ts: float | None = None) -> None:
@@ -245,12 +243,26 @@ class MetricsRegistry:
         only: the series keeps no window ring and emits no ``metrics``
         record, so its snapshot stays one histogram however long the
         process runs."""
-        index = bucket_index(seconds)
+        self.record_batch(((name, bucket_index(seconds), seconds),))
+
+    def record_batch(self, points: Iterable[tuple[str, int, float]],
+                     counters: Iterable[tuple[str, int]] = (),
+                     ts: float | None = None) -> None:
+        """Record all-time ``(series, bucket index, seconds)`` points
+        and ``(series, n)`` counter increments under one lock (the
+        tracer's one flush per request; the caller computes the
+        :func:`~repro.obs.histogram.bucket_index` outside it)."""
         with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = self._series[name] = _Series(name, "histogram")
-            series.total.add(index, seconds)
+            for name, index, seconds in points:
+                series = self._series.get(name)
+                if series is None:
+                    series = self._series[name] = _Series(name, "histogram")
+                series.total.add(index, seconds)
+            for name, n in counters:
+                series, start = self._locate(name, "counter", ts)
+                series.total += n
+                if start is not None:
+                    series.windows[start] = series.windows.get(start, 0) + n
 
     # -- views -------------------------------------------------------------
 

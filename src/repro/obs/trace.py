@@ -1,42 +1,44 @@
-"""Trace contexts, spans and the per-process :class:`Tracer`.
+"""Trace contexts, stage records and the per-process :class:`Tracer`.
 
 A **trace** follows one request across the serving stack: the front-end
 mints a ``trace_id``, ships it through the wire envelope into the shard
 worker, and every instrumented stage (queue wait, cache lookup, store
-hydrate, LDA fit, assembly, serialization ...) records a **span** --
-``(trace_id, span_id, parent_id, name, start, duration)`` -- so the
-request's time can be attributed layer by layer.
+hydrate, LDA fit, assembly, serialization ...) can become a **span** --
+``(trace_id, span_id, parent_id, name, start, duration)``.  Entry points
+call :meth:`Tracer.activate`, which parks the root in a
+:mod:`contextvars` variable; deeper layers call :func:`stage` without
+threading a tracer through their signatures (one context-variable read
+and a shared no-op when nothing is active).
 
-Propagation is implicit: entry points call :meth:`Tracer.activate`,
-which parks an activation in a :mod:`contextvars` variable; deeper
-layers (the registry, the asset store, the package cache) call the
-module-level :func:`stage` context manager without threading any
-tracer object through their signatures.  When nothing is active,
-:func:`stage` costs one context-variable read and returns a shared
-no-op -- library code stays instrumentable without a service attached.
-
-Every stage records into the process's ``MetricsRegistry`` (all-time
-``stage:<name>`` and ``stage_city:<city>`` histograms, ``obs.*``
-counters), so p50/p90/p99 cover *every* request.  Spans and event-log
-records are only produced for **sampled** traces (deterministic by
-trace-id hash, so all processes agree without coordination); completed
-sampled traces also enter a bounded ring of the slowest-N span trees
-that the ``trace`` wire op exposes.
+One request costs one registry flush per process.  A stage is its own
+record: on exit it appends itself (name, city, parent, perf-counter
+start, duration, error) to its root's list -- no span, no span id, no
+wall clock, no registry call.  When the root exits, every
+``stage:<name>``/``stage_city:<city>`` point and the ``obs.*`` counts
+go into the process's ``MetricsRegistry`` under one lock, so the
+histograms cover *every* request.  Span ids and span dicts are built
+only for a **sampled** trace (deterministic by trace-id hash, so all
+processes agree) that the ring of the slowest-N trees admits, or for
+every sampled trace when an event log is attached; starts are one
+``time.time()`` per trace plus perf-counter offsets.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import time
 import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass
 from threading import Lock
+from time import perf_counter
+from typing import NamedTuple
 
+from repro.obs.histogram import bucket_index
 from repro.obs.metrics import MetricsRegistry
 
 #: Series prefixes of the stage and per-city histograms (never
@@ -66,9 +68,9 @@ def new_span_id() -> str:
     return f"{os.getpid():x}-{next(_span_counter)}"
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The wire form of a trace: what crosses a process boundary.
+class TraceContext(NamedTuple):
+    """The wire form of a trace: what crosses a process boundary
+    (immutable; a named tuple because one is parsed per request).
 
     Attributes:
         trace_id: The request's end-to-end identity.
@@ -104,77 +106,166 @@ class TraceContext:
             return None
         span_id = data.get("span_id")
         sent = data.get("sent_s")
-        return cls(
-            trace_id=trace_id,
-            span_id=span_id if isinstance(span_id, str) else None,
-            sent_s=float(sent) if isinstance(sent, (int, float)) else None,
-            sampled=bool(data.get("sampled", True)),
-        )
+        return cls(trace_id,
+                   span_id if isinstance(span_id, str) else None,
+                   float(sent) if isinstance(sent, (int, float)) else None,
+                   bool(data.get("sampled", True)))
 
 
-@dataclass
-class Span:
-    """One completed, named segment of a trace."""
+class _StageTimer:
+    """One timed stage, and the record it leaves in its root's list.
+    In a sampled trace an open stage is also the frame that stages
+    opened under it parent to; its span id is minted on first use."""
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    name: str
-    start_s: float
-    duration_ms: float
-    city: str | None = None
-    error: str | None = None
+    __slots__ = ("root", "parent", "name", "city", "started", "duration",
+                 "error", "span_id", "_token")
 
-    def to_dict(self) -> dict:
-        record = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_ms": self.duration_ms,
-        }
-        if self.city is not None:
-            record["city"] = self.city
-        if self.error is not None:
-            record["error"] = self.error
-        return record
+    def __init__(self, parent, name: str, city: str | None) -> None:
+        self.root = parent.root
+        self.parent = parent
+        self.name = name
+        self.city = city
+        self.error = self.span_id = self._token = None
 
+    @property
+    def trace_id(self) -> str:
+        return self.root.trace_id
 
-class _Activation:
-    """The live trace state a context variable carries."""
-
-    __slots__ = ("tracer", "trace_id", "parent_id", "spans", "sampled")
-
-    def __init__(self, tracer: "Tracer", trace_id: str,
-                 parent_id: str | None, spans: list | None,
-                 sampled: bool) -> None:
-        self.tracer = tracer
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-        self.spans = spans
-        self.sampled = sampled
+    def span_id_now(self) -> str:
+        if self.span_id is None:
+            self.span_id = new_span_id()
+        return self.span_id
 
     def child_wire(self, stamp_time: bool = True) -> dict:
-        """The ``_trace`` dict to ship to the next hop."""
-        return TraceContext(
-            trace_id=self.trace_id, span_id=self.parent_id,
-            sent_s=time.time() if stamp_time else None,
-            sampled=self.sampled,
-        ).to_wire()
+        """The ``_trace`` dict to ship to the next hop (the remote
+        portion parents to this frame)."""
+        root = self.root
+        wire: dict = {"trace_id": root.trace_id, "sampled": root.sampled}
+        if root.sampled:
+            wire["span_id"] = self.span_id_now()
+        if stamp_time:
+            wire["sent_s"] = time.time()
+        return wire
+
+    def __enter__(self) -> "_StageTimer":
+        if self.root.sampled:
+            self._token = _ACTIVE.set(self)
+        self.started = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration = perf_counter() - self.started
+        if self._token is not None:
+            _ACTIVE.reset(self._token)
+        if exc_type is not None:
+            self.error = f"{exc_type.__name__}: {exc}"
+        records = self.root.records
+        if records is not None:  # None once the root has completed
+            records.append(self)
 
 
-_ACTIVE: ContextVar[_Activation | None] = ContextVar("repro_obs_active",
+class _Activation(_StageTimer):
+    """One process's portion of a trace: the context manager
+    :meth:`Tracer.activate` returns and, when the tracer is enabled,
+    the root frame it yields.  On exit it hands its records to
+    :meth:`Tracer.complete` in one piece."""
+
+    __slots__ = ("tracer", "trace_id", "sampled", "records", "_ctx",
+                 "_anchor")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 ctx: TraceContext | None) -> None:
+        self.tracer = tracer
+        self.name = name
+        self._ctx = ctx
+        self.records: list | None = None
+
+    @property
+    def root(self) -> "_Activation":
+        return self
+
+    def __enter__(self) -> "_Activation | None":
+        tracer = self.tracer
+        if not tracer.enabled:
+            return None
+        ctx = self._ctx
+        self.records = []
+        self.city = self.error = self.span_id = self._anchor = None
+        if ctx is None:
+            self.trace_id = new_trace_id()
+            self.parent = None
+            self.sampled = tracer.elects(self.trace_id)
+        else:
+            self.trace_id, self.parent = ctx.trace_id, ctx.span_id
+            self.sampled = ctx.sampled
+        self._token = _ACTIVE.set(self)
+        self.started = perf_counter()
+        if ctx is not None and ctx.sent_s is not None:
+            # Admission-to-service wait, observed receiver-side: a
+            # record under the sender's span, ending as this one starts.
+            now = time.time()
+            self._anchor = (now, self.started)
+            wait = max(0.0, now - ctx.sent_s)
+            queued = _StageTimer(self, "queue_wait", None)
+            queued.parent = ctx.span_id
+            queued.started = self.started - wait
+            queued.duration = wait
+            self.records.append(queued)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        records = self.records
+        if records is None:
+            return
+        self.duration = perf_counter() - self.started
+        _ACTIVE.reset(self._token)
+        if exc_type is not None:
+            self.error = f"{exc_type.__name__}: {exc}"
+        # Stages point back at this root; dropping the list breaks the
+        # cycle so a finished request is freed by reference counting.
+        self.records = None
+        self.tracer.complete(self, records)
+
+    def spans(self, records: list) -> list[dict]:
+        """The span dicts of this portion: its records in completion
+        order, then the root."""
+        frames = (*records, self)
+        for frame in frames:
+            frame.span_id_now()
+        wall, perf = self._anchor or (time.time(), perf_counter())
+        spans = []
+        for frame in frames:
+            parent = frame.parent
+            span = {
+                "trace_id": self.trace_id,
+                "span_id": frame.span_id,
+                "parent_id": (parent if parent is None
+                              or isinstance(parent, str)
+                              else parent.span_id),
+                "name": frame.name,
+                "start_s": wall + (frame.started - perf),
+                "duration_ms": frame.duration * 1000.0,
+            }
+            if frame.city is not None:
+                span["city"] = frame.city
+            if frame.error is not None:
+                span["error"] = frame.error
+            spans.append(span)
+        return spans
+
+
+_ACTIVE: ContextVar[_StageTimer | None] = ContextVar("repro_obs_active",
                                                      default=None)
 
 
-def current_activation() -> _Activation | None:
-    """The trace activation of the calling context, if any."""
+def current_activation() -> _StageTimer | None:
+    """The trace frame of the calling context, if any: the root, or the
+    innermost open stage of a sampled trace."""
     return _ACTIVE.get()
 
 
 @contextmanager
-def use_activation(act: _Activation | None) -> Iterator[None]:
+def use_activation(act: _StageTimer | None) -> Iterator[None]:
     """Rebind an activation in another thread (the batch pool's worker
     threads do not inherit the submitting context)."""
     if act is None:
@@ -191,53 +282,6 @@ def use_activation(act: _Activation | None) -> Iterator[None]:
 _NULL_TIMER = nullcontext()
 
 
-class _StageTimer:
-    """One timed stage: histogram always, a Span when sampled."""
-
-    __slots__ = ("_act", "name", "city", "span_id", "_parent_id", "_token",
-                 "_started", "_start_ts")
-
-    def __init__(self, act: _Activation, name: str, city: str | None) -> None:
-        self._act = act
-        self.name = name
-        self.city = city
-        self.span_id: str | None = None
-        self._token = None
-
-    def __enter__(self) -> "_StageTimer":
-        act = self._act
-        if act.sampled:
-            self._start_ts = time.time()
-            self.span_id = new_span_id()
-            self._parent_id = act.parent_id
-            # Children opened inside this stage parent to it.
-            self._token = _ACTIVE.set(_Activation(
-                act.tracer, act.trace_id, self.span_id, act.spans, True
-            ))
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        duration = time.perf_counter() - self._started
-        act = self._act
-        # A stage that raised may have been rejecting the city's name,
-        # so only a completed stage counts toward a city breakdown.
-        act.tracer.record_stage(
-            self.name, duration,
-            city=self.city if exc_type is None else None)
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-            act.spans.append(Span(
-                trace_id=act.trace_id, span_id=self.span_id,
-                parent_id=self._parent_id, name=self.name,
-                start_s=self._start_ts, duration_ms=duration * 1000.0,
-                city=self.city,
-                error=(f"{exc_type.__name__}: {exc}"
-                       if exc_type is not None else None),
-            ))
-        return None
-
-
 def stage(name: str, city: str | None = None):
     """Time a block as one named stage of the active trace.
 
@@ -245,10 +289,10 @@ def stage(name: str, city: str | None = None):
     :meth:`Tracer.activate`; a no-op (one context-variable read) when
     nothing is active.
     """
-    act = _ACTIVE.get()
-    if act is None:
+    frame = _ACTIVE.get()
+    if frame is None:
         return _NULL_TIMER
-    return _StageTimer(act, name, city)
+    return _StageTimer(frame, name, city)
 
 
 class SlowTraceRing:
@@ -261,6 +305,15 @@ class SlowTraceRing:
         self._heap: list[tuple[float, int, dict]] = []
         self._seq = itertools.count()
         self._lock = Lock()
+        # The fastest retained duration once full, -inf before.  It only
+        # rises, so a stale read merely admits a trace offer() drops.
+        self._floor_ms = -math.inf
+
+    def admits(self, duration_ms: float) -> bool:
+        """Whether :meth:`offer` would keep a trace this slow: the ring
+        has room, or the trace is at least as slow as the fastest one
+        retained (on a tie the older trace goes)."""
+        return duration_ms >= self._floor_ms
 
     def offer(self, trace: dict) -> None:
         """Consider one finished trace (keyed by its root duration)."""
@@ -269,6 +322,8 @@ class SlowTraceRing:
             heapq.heappush(self._heap, entry)
             if len(self._heap) > self.capacity:
                 heapq.heappop(self._heap)
+            if len(self._heap) == self.capacity:
+                self._floor_ms = self._heap[0][0]
 
     def slowest(self, limit: int | None = None) -> list[dict]:
         """Retained traces, slowest first."""
@@ -280,71 +335,6 @@ class SlowTraceRing:
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
-
-
-class _RootActivation:
-    """Context manager behind :meth:`Tracer.activate`."""
-
-    __slots__ = ("_tracer", "_name", "_ctx", "_act", "_token",
-                 "_started", "_start_ts", "_root_span_id", "_root_parent")
-
-    def __init__(self, tracer: "Tracer", name: str,
-                 ctx: TraceContext | None) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._ctx = ctx
-        self._act: _Activation | None = None
-
-    def __enter__(self) -> _Activation | None:
-        tracer = self._tracer
-        if not tracer.enabled:
-            return None
-        self._start_ts = time.time()
-        ctx = self._ctx
-        queue_wait = None
-        if ctx is not None:
-            trace_id, parent, sampled = ctx.trace_id, ctx.span_id, ctx.sampled
-            if ctx.sent_s is not None:
-                # Admission-to-service wait, observed receiver-side.
-                queue_wait = tracer.record_queue_wait(ctx, self._start_ts)
-        else:
-            trace_id = new_trace_id()
-            parent = None
-            sampled = tracer.elects(trace_id)
-        span_id = new_span_id()
-        # A queue-wait span exists only for a sampled trace.
-        spans = ([queue_wait] if queue_wait is not None
-                 else [] if sampled else None)
-        act = _Activation(tracer, trace_id, span_id, spans, sampled)
-        self._act = act
-        # Remember the root ids: act.parent_id aliases the *current*
-        # parent and stage timers rebind the context, so finalization
-        # must not read them back from a mutated activation.
-        self._root_span_id = span_id
-        self._root_parent = parent
-        self._token = _ACTIVE.set(act)
-        self._started = time.perf_counter()
-        return act
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        act = self._act
-        if act is None:
-            return None
-        duration = time.perf_counter() - self._started
-        _ACTIVE.reset(self._token)
-        tracer = self._tracer
-        tracer.record_stage(self._name, duration)
-        if act.sampled:
-            root = Span(
-                trace_id=act.trace_id, span_id=self._root_span_id,
-                parent_id=self._root_parent, name=self._name,
-                start_s=self._start_ts, duration_ms=duration * 1000.0,
-                error=(f"{exc_type.__name__}: {exc}"
-                       if exc_type is not None else None),
-            )
-            act.spans.append(root)
-            tracer.finalize(root, act.spans)
-        return None
 
 
 class Tracer:
@@ -373,8 +363,9 @@ class Tracer:
         self.log = self.metrics.log
         self.shard = shard
         self.ring = SlowTraceRing(slowest)
-        self._names: dict[str, set[str]] = {STAGE_PREFIX: set(),
-                                            CITY_PREFIX: set()}
+        # name -> the series it records into, per prefix.
+        self._series: dict[str, dict[str, str]] = {STAGE_PREFIX: {},
+                                                   CITY_PREFIX: {}}
         self._names_lock = Lock()
 
     # -- election ----------------------------------------------------------
@@ -389,77 +380,74 @@ class Tracer:
         bucket = zlib.crc32(trace_id.encode("utf-8", "replace")) % 1_000_000
         return bucket < self.sample_rate * 1_000_000
 
-    def mint(self) -> TraceContext:
-        """A fresh root context (the front-end's per-request mint)."""
-        trace_id = new_trace_id()
-        return TraceContext(trace_id=trace_id, sampled=self.elects(trace_id))
-
     # -- recording ---------------------------------------------------------
 
     def record_stage(self, name: str, seconds: float,
                      city: str | None = None) -> None:
         """Count one stage duration (and its per-city breakdown)."""
-        if not self.enabled:
-            return
-        self.metrics.observe_total(self._bounded(STAGE_PREFIX, name),
-                                   seconds)
-        if city is not None:
-            self.metrics.observe_total(self._bounded(CITY_PREFIX, city),
-                                       seconds)
+        if self.enabled:
+            index = bucket_index(seconds)
+            self.metrics.record_batch([
+                (self._bounded(prefix, key), index, seconds)
+                for prefix, key in ((STAGE_PREFIX, name), (CITY_PREFIX, city))
+                if key is not None])
 
     def _bounded(self, prefix: str, name: str) -> str:
         """The series ``name`` records into: its own for the first
         ``_MAX_NAMES`` distinct names per prefix, ``__other__`` after."""
-        names = self._names[prefix]
-        if name not in names:
+        series = self._series[prefix].get(name)
+        if series is None:
             with self._names_lock:
-                if name not in names and len(names) >= _MAX_NAMES:
-                    name = _OTHER
-                else:
-                    names.add(name)
-        return prefix + name
-
-    def record_queue_wait(self, ctx: TraceContext,
-                          now_s: float) -> Span | None:
-        """Admission/queue wait derived from the sender's hand-off
-        stamp: a histogram point, and the span returned for a sampled
-        trace (``None`` otherwise)."""
-        wait = max(0.0, now_s - float(ctx.sent_s or now_s))
-        self.record_stage("queue_wait", wait)
-        if not ctx.sampled:
-            return None
-        return Span(trace_id=ctx.trace_id, span_id=new_span_id(),
-                    parent_id=ctx.span_id, name="queue_wait",
-                    start_s=now_s - wait, duration_ms=wait * 1000.0)
+                known = self._series[prefix]
+                if name not in known and len(known) >= _MAX_NAMES:
+                    return prefix + _OTHER
+                series = known.setdefault(name, prefix + name)
+        return series
 
     def activate(self, name: str,
-                 ctx: TraceContext | None = None) -> _RootActivation:
+                 ctx: TraceContext | None = None) -> _Activation:
         """Open this process's root span for one request.
 
         Returns a context manager yielding the activation (``None``
-        when the tracer is disabled).  On exit the local span tree is
-        finalized: fed to the slowest ring and the event log.
+        when the tracer is disabled).  On exit the request's stages are
+        flushed to the registry and, for a sampled trace, its span tree
+        offered to the slowest ring and the event log.
         """
-        return _RootActivation(self, name, ctx)
+        return _Activation(self, name, ctx)
 
-    def finalize(self, root: Span, spans: list[Span]) -> None:
-        """Complete a sampled trace: ring + event log."""
-        self.metrics.counter_inc("obs.traces")
-        self.metrics.counter_inc("obs.spans", len(spans))
-        trace = {
-            "trace_id": root.trace_id,
-            "name": root.name,
-            "duration_ms": root.duration_ms,
-            "shard": self.shard,
-            "spans": [span.to_dict() for span in spans],
-        }
-        self.ring.offer(trace)
+    def complete(self, root: _Activation, records: list) -> None:
+        """Flush one finished portion in one registry batch, then build
+        its spans if anyone will read them.  A stage that raised may
+        have rejected the city's name, so it counts toward no city."""
+        stages, cities = self._series[STAGE_PREFIX], self._series[CITY_PREFIX]
+        bounded = self._bounded
+        points = []
+        for record in (*records, root):
+            name, city, duration = record.name, record.city, record.duration
+            index = bucket_index(duration)
+            points.append((stages.get(name) or bounded(STAGE_PREFIX, name),
+                           index, duration))
+            if city is not None and record.error is None:
+                points.append((cities.get(city) or bounded(CITY_PREFIX, city),
+                               index, duration))
+        if not root.sampled:
+            self.metrics.record_batch(points)
+            return
+        self.metrics.record_batch(points, (("obs.traces", 1),
+                                           ("obs.spans", len(records) + 1)))
+        duration_ms = root.duration * 1000.0
+        kept = self.ring.admits(duration_ms)
+        if not kept and self.log is None:
+            return
+        spans = root.spans(records)
+        if kept:
+            self.ring.offer({"trace_id": root.trace_id, "name": root.name,
+                             "duration_ms": duration_ms,
+                             "shard": self.shard, "spans": spans})
         if self.log is not None:
             for span in spans:
-                record = span.to_dict()
-                if self.shard is not None:
-                    record["shard"] = self.shard
-                self.log.write("span", record)
+                self.log.write("span", span if self.shard is None
+                               else dict(span, shard=self.shard))
 
     def error(self, message: str, code: str | None = None,
               city: str | None = None) -> None:

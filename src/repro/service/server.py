@@ -58,7 +58,6 @@ from repro.obs import (
     TraceContext,
     Tracer,
     WindowConfig,
-    current_activation,
     merge_verdicts,
     stage,
 )
@@ -233,6 +232,7 @@ class PackageServer:
             # The cluster must union untrimmed; this front-end applies
             # the client's limit after folding in its own ring below.
             payload = {k: v for k, v in payload.items() if k != "limit"}
+        act = None
         try:
             with self.tracer.activate(f"request:{op}", ctx) as act:
                 if act is None:
@@ -244,11 +244,9 @@ class PackageServer:
                     # so the worker's spans parent under it; its
                     # hand-off stamp is what the worker turns into
                     # queue_wait.
-                    with stage("dispatch"):
-                        payload = dict(
-                            payload,
-                            _trace=current_activation().child_wire(),
-                        )
+                    with stage("dispatch") as dispatch:
+                        payload = dict(payload,
+                                       _trace=dispatch.child_wire())
                         response = await asyncio.wrap_future(
                             self.cluster.submit(op, payload)
                         )
@@ -273,27 +271,24 @@ class PackageServer:
             response = dict(response, server=self.stats())
         if op == "health":
             response = self._fold_health(response)
-        if ctx is not None:
-            response = dict(response, trace_id=ctx.trace_id)
+        if act is not None and response.get("trace_id") != act.trace_id:
+            # A shard's reply usually echoes the id already.
+            response = dict(response, trace_id=act.trace_id)
         if envelope_id is not None:
             response = dict(response, id=envelope_id)
         return response
 
     def _trace_context(self, envelope: dict) -> TraceContext | None:
-        """The request's trace context: the envelope's own ``trace``
-        member (client-tagged ids still go through this tracer's
-        sampling election unless the client pinned a decision), else a
-        freshly minted one."""
-        if not self.tracer.enabled:
-            return None
+        """The envelope's own ``trace`` member, if it is one
+        (client-tagged ids still go through this tracer's sampling
+        election unless the client pinned a decision); ``None`` lets
+        the activation mint a fresh trace."""
         raw = envelope.get("trace")
+        if raw is None or not self.tracer.enabled:
+            return None
         ctx = TraceContext.from_wire(raw)
-        if ctx is None:
-            return self.tracer.mint()
-        if isinstance(raw, dict) and "sampled" not in raw:
-            ctx = TraceContext(trace_id=ctx.trace_id, span_id=ctx.span_id,
-                               sent_s=ctx.sent_s,
-                               sampled=self.tracer.elects(ctx.trace_id))
+        if ctx is not None and "sampled" not in raw:
+            ctx = ctx._replace(sampled=self.tracer.elects(ctx.trace_id))
         return ctx
 
     async def _process_line(self, line: bytes, writer: asyncio.StreamWriter,

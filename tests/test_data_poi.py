@@ -49,6 +49,12 @@ class TestPOI:
         with pytest.raises(ValueError, match="non-negative"):
             POI(id=1, name="x", cat="rest", lat=0.0, lon=0.0, cost=-1.0)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_rejects_non_finite_cost(self, cost):
+        with pytest.raises(ValueError, match="finite"):
+            POI(id=1, name="x", cat="rest", lat=0.0, lon=0.0, cost=cost)
+
     def test_dict_roundtrip(self, poi_factory):
         poi = poi_factory(poi_id=9, cat="attr", cost=3.5,
                           tags=("museum", "art"))

@@ -331,6 +331,23 @@ class TestMutateWireOp:
         assert no_city["error"] is not None
         assert service.stats()["live"]["mutations_applied"] == 0
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_add_poi_cost_is_invalid(self, service, literal):
+        """A wire ``add_poi`` whose cost is a bare ``NaN``/``Infinity``
+        literal (Python's json reads both) is refused like a bad
+        reprice: an ``invalid`` error reply, and the epoch stays put."""
+        registry = service.registry
+        next_id = max(p.id for p in registry.dataset("paris")) + 1
+        poi = dict(make_poi(next_id).to_dict(), cost="@COST@")
+        line = json.dumps({"city": "paris",
+                           "mutation": {"kind": "add_poi", "poi": poi}})
+        payload = json.loads(line.replace('"@COST@"', literal))
+        out = service.dispatch("mutate", payload)
+        assert out["error"] and out["code"] == "invalid"
+        assert "finite" in out["error"]
+        assert registry.epoch("paris") == 0
+        assert service.stats()["live"]["mutations_applied"] == 0
+
     def test_cluster_routes_mutate_and_merges_live_stats(self, app):
         registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
         registry.register(app.dataset, copy.deepcopy(app.item_index),
