@@ -29,6 +29,7 @@ lets any replica rebuild a mutated city from ``(base, log)`` alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -217,12 +218,13 @@ class MutationLog:
     city to compact: the current dataset becomes the new base).
     """
 
-    def __init__(self, city: str, capacity: int = 1024) -> None:
+    def __init__(self, city: str, capacity: int = 1024,
+                 entries: Iterable[Mutation] = ()) -> None:
         if capacity < 1:
             raise ValueError("MutationLog capacity must be >= 1")
         self.city = city
         self.capacity = int(capacity)
-        self._entries: list[Mutation] = []
+        self._entries: list[Mutation] = list(entries)
 
     def __len__(self) -> int:
         return len(self._entries)

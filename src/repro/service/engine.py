@@ -784,8 +784,9 @@ class PackageService:
         The payload is ``{"city": ..., "mutation": {<Mutation wire
         form>}, "request_id": ...}``; the response echoes the registry's
         receipt (new ``epoch``, log ``seq``, whether the arrays were
-        incrementally ``patched``, ``patch_ms``, ``n_pois``, the new
-        ``dataset_hash`` when a store wrote it back).  Failures come
+        incrementally ``patched``, ``patch_ms``, ``n_pois``); with a
+        store attached the mutation is also appended to the city's
+        journal.  Failures come
         back as error responses: an unknown city is ``not_found``, a
         malformed or inapplicable mutation ``invalid``.
         """

@@ -19,34 +19,30 @@ explicitly (e.g. loaded from JSON dumps of real data).
 
 Two optional knobs bound the cost of that materialization:
 
-* ``store`` -- a persistent :class:`~repro.store.AssetStore`.  Template
-  cities are **loaded from disk before fitting** (and written back on a
-  miss, still under the per-city lock), so a restarted server or a
-  freshly-forked shard worker hydrates in milliseconds instead of
-  paying LDA again.  Explicitly registered datasets persist too: their
-  content is client-controlled, so their store key carries a **dataset
-  content hash** (:func:`~repro.store.dataset_content_hash`) instead of
-  relying on the generation parameters -- re-registering the same bytes
-  after a restart hydrates the fitted index from disk.
+* ``store`` -- a persistent :class:`~repro.store.AssetStore`.  Cities
+  are **loaded from disk before fitting** (and written back on a miss,
+  under the per-city lock), so a restarted server or a fresh shard
+  worker hydrates in milliseconds.  Registered datasets are keyed by a
+  **dataset content hash** (:func:`~repro.store.dataset_content_hash`).
+  Live mutations are appended to the entry's journal, which a fresh
+  process replays (see :meth:`CityRegistry.mutate`).
 * ``max_cities`` -- LRU residency bound.  Cities registered over the
   wire are client-controlled server state; beyond the bound the
   least-recently-used entry is evicted (cheap to bring back when a
   store is attached).  ``stats()`` reports per-entry byte estimates so
   operators can size the bound.
 
-Cities are immutable *per epoch*, not forever: :meth:`CityRegistry.
-mutate` applies a :mod:`repro.live` mutation (close / reprice / add
-POI) by incrementally patching the ``CityArrays`` bundle, journaling
-the record in a per-city :class:`~repro.live.mutations.MutationLog`,
-bumping the city's epoch and publishing a new entry -- downstream
-caches and sessions key on the epoch to stay coherent.
+Cities are immutable *per epoch*: :meth:`CityRegistry.mutate` patches
+the ``CityArrays`` bundle, journals the mutation in a per-city
+:class:`~repro.live.mutations.MutationLog`, bumps the city's epoch and
+publishes a new entry; caches and sessions key on the epoch.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from threading import Lock
 
@@ -84,6 +80,10 @@ class CityEntry:
     arrays: CityArrays
     builder: KFCBuilder
     epoch: int = 0
+    #: The stored base the journal extends (``None``: not in the
+    #: store) and its key's dataset hash (``None`` for templates).
+    base: CityAssets | None = None
+    base_hash: str | None = None
 
     @property
     def schema(self) -> ProfileSchema:
@@ -164,14 +164,9 @@ class CityRegistry:
             return lock
 
     def _discard_lock(self, city: str) -> None:
-        """Drop a per-city lock slot after a failed load.
-
-        City names are client-controlled, so a lock entry must never
-        outlive a failed ``entry``/``register`` call: otherwise every
-        bad city name in traffic leaks one Lock forever.  A concurrent
-        loader that still holds the discarded Lock object at worst
-        refits the city once more; it cannot corrupt ``_entries``.
-        """
+        """Drop a per-city lock slot after a failed load, so bad
+        (client-controlled) city names leak no Lock.  A loader still
+        holding the discarded Lock at worst refits the city once more."""
         with self._lock:
             if city not in self._entries:
                 self._city_locks.pop(city, None)
@@ -212,10 +207,9 @@ class CityRegistry:
         be retried or registered with a valid dataset later.
 
         With a store attached (and no caller-supplied index), the fit
-        is keyed on a **content hash** of the dataset: a registration
-        whose exact bytes were fitted before -- typically by a previous
-        process life -- hydrates from disk, and a fresh fit is written
-        back under the hash key for the next restart.
+        is keyed on a **content hash** of the dataset, so bytes fitted
+        by a previous process life hydrate from disk.  The registered
+        dataset is a new base: the entry's journal is dropped.
         """
         city = (name or dataset.city).lower()
         if not city:
@@ -235,25 +229,26 @@ class CityRegistry:
                         # that does not describe the new base.
                         self._epochs[city] = self._epochs.get(city, 0) + 1
                         self._mutation_logs.pop(city, None)
-                entry = None
-                dataset_hash = None
+                base = dataset_hash = None
                 if (item_index is None and self.store is not None
                         and len(dataset) > 0):
                     dataset_hash = dataset_content_hash(dataset)
-                    entry = self._store_load(city, dataset_hash=dataset_hash)
-                if entry is None:
-                    entry = self._make_entry(city, dataset, item_index)
-                    if dataset_hash is not None:
-                        self._store_save(city, entry,
-                                         dataset_hash=dataset_hash)
+                    base = self._store_load(city, dataset_hash)
+                if base is None:
+                    base = self._fit(city, dataset, item_index)
+                stored = dataset_hash is not None and self._store_save(
+                    city, replace(base, journal=()), dataset_hash)
+                entry = self._assemble_entry(
+                    city, base.dataset, base.item_index, base.arrays,
+                    base if stored else None, dataset_hash)
                 self._install(city, entry)
                 return entry
         except BaseException:
             self._discard_lock(city)
             raise
 
-    def _make_entry(self, city: str, dataset: POIDataset,
-                    item_index: ItemVectorIndex | None = None) -> CityEntry:
+    def _fit(self, city: str, dataset: POIDataset,
+             item_index: ItemVectorIndex | None = None) -> CityAssets:
         if len(dataset) == 0:
             # Catch this at load time: an empty dataset "fits" a
             # degenerate LDA and then NaN-poisons every centroid the
@@ -272,11 +267,13 @@ class CityRegistry:
         # duplicated.
         with stage("arrays_build", city=city):
             arrays = CityArrays.of(dataset, item_index)
-        return self._assemble_entry(city, dataset, item_index, arrays)
+        return CityAssets(dataset=dataset, item_index=item_index,
+                          arrays=arrays)
 
     def _assemble_entry(self, city: str, dataset: POIDataset,
-                        item_index: ItemVectorIndex,
-                        arrays: CityArrays) -> CityEntry:
+                        item_index: ItemVectorIndex, arrays: CityArrays,
+                        base: CityAssets | None = None,
+                        base_hash: str | None = None) -> CityEntry:
         builder = KFCBuilder(
             dataset, item_index, weights=self.weights, k=self.k,
             seed=self.seed, candidate_pool=self.candidate_pool,
@@ -285,56 +282,42 @@ class CityRegistry:
         with self._lock:
             epoch = self._epochs.get(city, 0)
         return CityEntry(name=city, dataset=dataset, item_index=item_index,
-                         arrays=arrays, builder=builder, epoch=epoch)
+                         arrays=arrays, builder=builder, epoch=epoch,
+                         base=base, base_hash=base_hash)
 
     # -- the persistent store ----------------------------------------------
 
     def _store_load(self, city: str,
-                    dataset_hash: str | None = None) -> CityEntry | None:
-        """A store-hydrated entry, or ``None``.  ``dataset_hash`` keys
-        wire-registered cities; template cities pass ``None``.
-
-        Called under the city's lock.  A hit skips city generation, LDA
-        and the array precompute entirely; the builder (cheap -- its
-        projection comes from the loaded bundle) is rebuilt around the
-        loaded assets with this registry's serving knobs.  The arrays
-        arrive as read-only ``mmap`` views of the store's segment file
-        (zero copies), so N workers hydrating one city share its bytes
-        through the OS page cache; the store's ``bytes_mapped`` counter
-        (surfaced in :meth:`stats` under ``store``) tracks how much of
-        the resident footprint is shared that way.
-        """
+                    dataset_hash: str | None = None) -> CityAssets | None:
+        """The stored base and its journal, or ``None`` (called under
+        the city's lock; ``dataset_hash`` keys wire-registered cities).
+        A hit skips generation, LDA and the array precompute: the arrays
+        are read-only ``mmap`` views that N workers share through the
+        OS page cache (the store's ``bytes_mapped`` counter)."""
         if self.store is None:
             return None
         with stage("store_hydrate", city=city):
             assets = self.store.load(city, seed=self.seed, scale=self.scale,
                                      lda_iterations=self.lda_iterations,
                                      dataset_hash=dataset_hash)
-        if assets is None:
-            self._count("store_misses")
-            return None
-        self._count("store_hits")
-        return self._assemble_entry(city, assets.dataset, assets.item_index,
-                                    assets.arrays)
+        self._count("store_misses" if assets is None else "store_hits")
+        return assets
 
-    def _store_save(self, city: str, entry: CityEntry,
-                    dataset_hash: str | None = None) -> None:
-        """Write a freshly-fitted entry back (best-effort: a full disk
-        must not fail the request that paid the fit)."""
+    def _store_save(self, city: str, assets: CityAssets,
+                    dataset_hash: str | None = None) -> bool:
+        """Publish a base and/or its journal; whether the store holds
+        the base (best-effort: a full disk must not fail a request)."""
         if self.store is None:
-            return
+            return False
         try:
             with stage("store_save", city=city):
-                self.store.save(
-                    CityAssets(dataset=entry.dataset,
-                               item_index=entry.item_index,
-                               arrays=entry.arrays),
-                    city=city, seed=self.seed, scale=self.scale,
-                    lda_iterations=self.lda_iterations,
-                    dataset_hash=dataset_hash,
-                )
+                self.store.save(assets, city=city, seed=self.seed,
+                                scale=self.scale,
+                                lda_iterations=self.lda_iterations,
+                                dataset_hash=dataset_hash)
         except OSError:
-            pass
+            return False
+        return True
 
     def entry(self, city: str) -> CityEntry:
         """The pooled assets for ``city``, generating and fitting them
@@ -357,75 +340,67 @@ class CityRegistry:
     def _entry_locked(self, city: str) -> CityEntry:
         """:meth:`entry`'s load-or-fit body; the caller holds the
         city's lock (which is not reentrant, so :meth:`mutate` calls
-        this directly instead of :meth:`entry`)."""
+        this directly instead of :meth:`entry`).  Eviction, restart and
+        shard respawn reload alike: the base, then the journal -- this
+        process's log, or in a process that never served the city the
+        stored journal, whose length becomes the epoch."""
         with self._lock:
             existing = self._entries.get(city)
             if existing is not None:  # lost the race
                 self._entries.move_to_end(city)
                 return existing
             log = self._mutation_logs.get(city)
+            fresh = city not in self._ever_installed
         # Resolve the name before any city-tagged stage runs: a name
         # that is no template must not enter the per-city breakdown.
         get_template(city)
-        entry = self._store_load(city)
-        if entry is None:
+        base = self._store_load(city)
+        stored = base is not None
+        if base is None:
             with stage("city_generate", city=city):
                 dataset = generate_city(city, seed=self.seed,
                                         scale=self.scale)
-            entry = self._make_entry(city, dataset)
-            self._store_save(city, entry)
-        if log is not None and len(log) > 0:
-            # Both paths above recover the pre-mutation *base*: the
-            # store keys mutated versions only under their content
-            # hash, and generation knows nothing of mutations.  A
-            # mutated city evicted and reloaded must replay its
-            # journal, or the persisted epoch would be stamped onto
-            # base data -- the structural stale read the epoch
-            # mechanism exists to rule out.
-            entry = self._replay_log(city, entry, log)
+            base = self._fit(city, dataset)
+            stored = self._store_save(city, base if log is None else replace(
+                base, journal=log.entries))
+        elif log is None and fresh and base.journal:
+            log = MutationLog(city, max(self.mutation_log_capacity,
+                                        len(base.journal)), base.journal)
+            with self._lock:
+                self._mutation_logs[city] = log
+                self._epochs[city] = self._epochs.get(city, 0) + len(log)
+        entry = self._replay_log(city, base, log, stored)
         self._install(city, entry)
         return entry
 
-    def _replay_log(self, city: str, base: CityEntry,
-                    log: MutationLog) -> CityEntry:
-        """Reproduce a mutated city's current dataset after eviction
-        (called under the city's lock).
-
-        ``(base, log)`` deterministically yields the dataset the
-        current epoch promises.  The mutated version :meth:`mutate`
-        wrote back under its content hash is preferred when the store
-        still holds a loadable copy; otherwise added POIs are folded
-        into the item index again (same fold-in ``mutate`` performed
-        live) and the arrays rebuilt.  If the journal no longer
-        applies to the reloaded base, the epoch is bumped and the log
-        dropped: an epoch whose dataset cannot be reproduced is
-        retired, never served with mismatched data.
+    def _replay_log(self, city: str, base: CityAssets,
+                    log: MutationLog | None, stored: bool) -> CityEntry:
+        """The entry ``(base, log)`` deterministically yields: the log
+        replayed over the base, added POIs folded into the item index
+        as ``mutate`` did live, one array build.  A log that no longer
+        applies retires its epoch: the epoch is bumped and the log (and
+        the stored journal) dropped, never served with mismatched data.
         """
-        try:
-            dataset = log.replay(base.dataset)
-        except MutationError:
-            with self._lock:
-                self._epochs[city] = self._epochs.get(city, 0) + 1
-                self._mutation_logs.pop(city, None)
-            return self._assemble_entry(city, base.dataset,
-                                        base.item_index, base.arrays)
-        self._count("log_replays")
-        dataset_hash = None
-        if self.store is not None:
-            dataset_hash = dataset_content_hash(dataset)
-            hydrated = self._store_load(city, dataset_hash=dataset_hash)
-            if hydrated is not None:
-                return hydrated
-        item_index = base.item_index
-        for mutation in log.entries:
-            if isinstance(mutation, AddPoi):
-                item_index.extend_with(mutation.poi, seed=self.seed)
-        with stage("arrays_build", city=city):
-            arrays = CityArrays.of(dataset, item_index)
-        entry = self._assemble_entry(city, dataset, item_index, arrays)
-        if dataset_hash is not None:
-            self._store_save(city, entry, dataset_hash=dataset_hash)
-        return entry
+        dataset, arrays = base.dataset, base.arrays
+        if log is not None and len(log) > 0:
+            try:
+                dataset = log.replay(base.dataset)
+            except MutationError:
+                with self._lock:
+                    self._epochs[city] = self._epochs.get(city, 0) + 1
+                    self._mutation_logs.pop(city, None)
+                if stored:
+                    self._store_save(city, replace(base, journal=()))
+            else:
+                self._count("log_replays")
+                for mutation in log.entries:
+                    if isinstance(mutation, AddPoi):
+                        base.item_index.extend_with(mutation.poi,
+                                                    seed=self.seed)
+                with stage("arrays_build", city=city):
+                    arrays = CityArrays.of(dataset, base.item_index)
+        return self._assemble_entry(city, dataset, base.item_index, arrays,
+                                    base if stored else None)
 
     # -- live mutations ------------------------------------------------------
 
@@ -453,12 +428,11 @@ class CityRegistry:
         re-estimates the entry's resident bytes, so LRU eviction
         pressure tracks patched array growth instead of going stale.
 
-        With a store attached, the new version is written back under
-        its new dataset content hash (best-effort, like every store
-        save).  Returns a JSON-able receipt::
+        When the city's base is in the store, the record is appended
+        to its journal (about 100 bytes, best-effort).  Returns a
+        JSON-able receipt::
 
-            {"city", "epoch", "seq", "patched", "patch_ms", "n_pois",
-             "dataset_hash"}
+            {"city", "epoch", "seq", "patched", "patch_ms", "n_pois"}
 
         Raises :class:`~repro.live.mutations.MutationError` (a
         ``ValueError``) for mutations that do not apply, including a
@@ -505,14 +479,12 @@ class CityRegistry:
                     epoch = self._epochs.get(city, 0) + 1
                     self._epochs[city] = epoch
                     self._counters["mutations"] += 1
-                new_entry = self._assemble_entry(city, new_dataset,
-                                                 entry.item_index, arrays)
-                self._install(city, new_entry)
-                dataset_hash = None
-                if self.store is not None:
-                    dataset_hash = dataset_content_hash(new_dataset)
-                    self._store_save(city, new_entry,
-                                     dataset_hash=dataset_hash)
+                self._install(city, self._assemble_entry(
+                    city, new_dataset, entry.item_index, arrays,
+                    entry.base, entry.base_hash))
+                if entry.base is not None:
+                    self._store_save(city, replace(
+                        entry.base, journal=log.entries), entry.base_hash)
                 return {
                     "city": city,
                     "epoch": epoch,
@@ -520,7 +492,6 @@ class CityRegistry:
                     "patched": patched,
                     "patch_ms": patch_ms,
                     "n_pois": len(new_dataset),
-                    "dataset_hash": dataset_hash,
                 }
         except BaseException:
             self._discard_lock(city)

@@ -8,7 +8,7 @@ recovery::
     python -m repro.store --root ./assets inspect paris-seed2019-...
     python -m repro.store --root ./assets verify [--deep] [NAME ...]
     python -m repro.store --root ./assets prune [--max-entries N]
-        [--max-bytes B] [--tmp-ttl SECS] [--keep-latest-only] [--dry-run]
+        [--max-bytes B] [--tmp-ttl SECS] [--dry-run]
     python -m repro.store --root ./assets repair [--dry-run] [NAME ...]
 
 Exit status is non-zero when ``verify`` finds an invalid entry or
@@ -25,11 +25,13 @@ import time
 from pathlib import Path
 
 from repro.store.assets import (
+    _JOURNAL,
     _MANIFEST,
     _SEGMENT,
     FORMAT_VERSION,
     AssetStore,
     StoreCorruption,
+    read_journal,
 )
 from repro.store.repair import repair_store
 from repro.store.segment import Segment, SegmentError
@@ -38,7 +40,8 @@ from repro.store.segment import Segment, SegmentError
 def _entry_row(store: AssetStore, name: str) -> dict:
     entry = store.root / name
     row = {"name": name, "bytes": 0, "pages": None, "valid": False,
-           "city": None, "last_used": None, "problem": ""}
+           "city": None, "last_used": None, "problem": "",
+           "journal": len(read_journal(entry / _JOURNAL)[0])}
     for child in entry.glob("*"):
         try:
             row["bytes"] += child.stat().st_size
@@ -70,7 +73,8 @@ def _cmd_ls(store: AssetStore, args) -> int:
         age = (f"{(now - row['last_used']) / 3600.0:8.1f}h"
                if row["last_used"] else "       ?")
         state = "ok     " if row["valid"] else "INVALID"
-        print(f"{state} {row['bytes']:>12,} B {age}  {row['name']}"
+        print(f"{state} {row['bytes']:>12,} B {age} {row['journal']:>5} "
+              f"mut  {row['name']}"
               + (f"  [{row['problem']}]" if row["problem"] else ""))
     for name in tmp:
         print(f"tmp                            {name}")
@@ -165,17 +169,15 @@ def _cmd_prune(store: AssetStore, args) -> int:
     report = store.prune(max_entries=args.max_entries,
                          max_bytes=args.max_bytes,
                          tmp_ttl_s=args.tmp_ttl,
-                         keep_latest_only=args.keep_latest_only,
                          dry_run=args.dry_run)
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
     verb = "would remove" if args.dry_run else "removed"
-    for kind in ("stale_version", "superseded", "lru", "tmp"):
+    for kind in ("stale_version", "lru", "tmp"):
         for name in report[kind]:
             print(f"{verb} [{kind}] {name}")
-    removed = (len(report["stale_version"]) + len(report["superseded"])
-               + len(report["lru"]))
+    removed = len(report["stale_version"]) + len(report["lru"])
     print(f"{verb} {removed} entr{'y' if removed == 1 else 'ies'} "
           f"+ {len(report['tmp'])} tmp dir(s), "
           f"{report['freed_bytes']:,} bytes freed; "
@@ -236,11 +238,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="keep at most B bytes of current entries")
     p_prune.add_argument("--tmp-ttl", type=float, default=3600.0,
                          help="reap .tmp-* dirs older than SECS (default 1h)")
-    p_prune.add_argument("--keep-latest-only", action="store_true",
-                         help="drop superseded versions: entries sharing a "
-                              "city identity but an older dataset content "
-                              "hash (live mutations write each epoch back "
-                              "under a new hash)")
     p_prune.add_argument("--dry-run", action="store_true")
 
     p_repair = sub.add_parser("repair",

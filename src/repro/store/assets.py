@@ -3,22 +3,23 @@
 Everything a city's serving entry needs that is query-independent --
 the POI dataset, the fitted :class:`~repro.profiles.vectors.ItemVectorIndex`
 (both LDA models) and the :class:`~repro.core.arrays.CityArrays`
-compute bundle -- is a pure function of ``(city, seed, scale,
-lda_iterations)`` for template cities, and of ``(dataset content,
-seed, lda_iterations)`` for wire-registered ones (the key carries a
-dataset content hash; LDA is deterministic in the dataset and seed).
-:class:`AssetStore` persists that function's value once and serves it
-forever: the same pay-at-registration move as OBDA's precomputed exact
-mappings, extended across process restarts.  A warm registry or shard
-worker hydrates a city from disk in milliseconds instead of refitting
-LDA for seconds.
+bundle -- is a pure function of ``(city, seed, scale, lda_iterations)``
+for template cities, and of ``(dataset content hash, seed,
+lda_iterations)`` for wire-registered ones.  :class:`AssetStore`
+persists it once (OBDA's pay-at-registration move, across process
+restarts), so a warm registry or shard worker hydrates a city in
+milliseconds instead of refitting LDA for seconds.
 
 Layout (one directory per content key)::
 
     <root>/
-      paris-seed2019-scale0.35-lda50-c90ff4c1-v4/
+      paris-seed2019-scale0.35-lda50-c90ff4c1-v5/
         manifest.json   # format version, key, sha256 + size per file
         segment.bin     # page-structured binary segment (see below)
+        journal.ndjson  # {"seq", "mutation"} per live mutation applied
+                        # to the base (optional, append-only)
+
+The segment is the city's *base* and never changes once published.
 
 ``segment.bin`` is a :mod:`repro.store.segment` file: a 64-byte header,
 page-aligned regions (the dataset JSON, the meta JSON, and every array
@@ -39,9 +40,8 @@ Guarantees:
   Segment bytes themselves are deterministic in the assets, so
   concurrent writers publish identical files.
 * **Atomic publication.**  Writers assemble a hidden temp directory
-  and ``rename`` it into place; readers see either nothing or a
-  complete entry, never a half-written one.  Temp directories leaked
-  by crashed writers are reaped (age-gated) on store init and by
+  and ``rename`` it into place; readers never see a half-written base.
+  Leaked temp directories are reaped (age-gated) on init and by
   ``prune``.
 * **Corruption safety.**  :meth:`AssetStore.load` checks the manifest
   and every data page's crc32; any mismatch, truncation, missing file,
@@ -64,7 +64,7 @@ import re
 import shutil
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from threading import Lock
 
@@ -73,6 +73,7 @@ import numpy as np
 from repro.core.arrays import CityArrays
 from repro.data.dataset import POIDataset
 from repro.data.poi import CATEGORIES, Category
+from repro.live.mutations import Mutation, mutation_from_dict
 from repro.obs import stage
 from repro.profiles.schema import ProfileSchema
 from repro.profiles.vectors import ItemVectorIndex
@@ -88,10 +89,14 @@ from repro.store.segment import Segment, SegmentError, write_segment
 #: v4: ``CityArrays`` exports dropped the per-category grid cells and
 #: the city-wide cell buckets; only the columns assembly scores against
 #: remain.
-FORMAT_VERSION = 4
+#: v5: an entry is a base segment plus an append-only
+#: ``journal.ndjson`` of the live mutations applied to it; mutated
+#: versions are no longer written back under their content hash.
+FORMAT_VERSION = 5
 
 _MANIFEST = "manifest.json"
 _SEGMENT = "segment.bin"
+_JOURNAL = "journal.ndjson"
 _PAYLOAD_FILES = (_SEGMENT,)
 
 #: Temp directories older than this are considered crash litter and
@@ -114,17 +119,11 @@ _VERSION_SUFFIX = re.compile(r"-v(\d+)$")
 
 @dataclass(frozen=True)
 class StoreKey:
-    """The content key one stored entry answers for.
-
+    """The content key one stored entry answers for: its directory
+    name and the equality check a loader makes before trusting it.
     Template-city assets are deterministic in the four generation
-    fields (plus the format version), so the key doubles as the
-    directory name and as the equality check a loader performs before
-    trusting an entry.  Wire-registered cities carry arbitrary caller
-    data instead; their identity is ``dataset_hash`` -- a content hash
-    of the dataset JSON -- which makes the fitted artifacts a pure
-    function of the key again (LDA is deterministic in the dataset,
-    seed and iteration count).
-    """
+    fields; a wire-registered city's identity is ``dataset_hash``, which
+    makes its fitted artifacts a pure function of the key again."""
 
     city: str
     seed: int
@@ -159,25 +158,50 @@ class StoreKey:
 
 @dataclass(frozen=True)
 class CityAssets:
-    """The query-independent artifacts one store entry holds."""
+    """The query-independent artifacts one store entry holds: the base
+    city and the journal of mutations applied to it (``None``: unknown,
+    and :meth:`AssetStore.save` leaves the stored journal as it is)."""
 
     dataset: POIDataset
     item_index: ItemVectorIndex
     arrays: CityArrays
+    journal: tuple[Mutation, ...] | None = None
 
 
 def dataset_content_hash(dataset: POIDataset) -> str:
-    """The content identity of a non-template dataset.
-
-    A short, stable sha256 of the canonical JSON form -- the same bytes
-    the store persists, so a loaded entry's dataset re-hashes to its own
-    key.  16 hex chars (64 bits) keeps directory names readable while
-    making accidental collision across a store's handful of cities
-    astronomically unlikely.
-    """
+    """The content identity of a non-template dataset: 16 hex chars of
+    the sha256 of the JSON the store persists (a loaded base re-hashes
+    to its own key)."""
     return hashlib.sha256(
         dataset.to_json().encode("utf-8")
     ).hexdigest()[:16]
+
+
+def _journal_line(seq: int, mutation: Mutation) -> bytes:
+    return (json.dumps({"seq": seq, "mutation": mutation.to_dict()},
+                       sort_keys=True) + "\n").encode("utf-8")
+
+
+def read_journal(path: Path) -> tuple[tuple[Mutation, ...], int]:
+    """The longest valid prefix of a journal file, and its length in
+    bytes.  A torn or malformed line ends the prefix: a writer killed
+    mid-append loses at most the record it was writing."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return (), 0
+    records: list[Mutation] = []
+    nbytes = 0
+    for line in data.splitlines(keepends=True):
+        try:
+            record = json.loads(line)
+            if not line.endswith(b"\n") or record["seq"] != len(records) + 1:
+                break
+            records.append(mutation_from_dict(record["mutation"]))
+        except (ValueError, KeyError, TypeError):
+            break
+        nbytes += len(line)
+    return tuple(records), nbytes
 
 
 def _sha256(path: Path) -> str:
@@ -272,6 +296,9 @@ class AssetStore:
         self._counters = {"hits": 0, "misses": 0, "corrupt": 0,
                           "writes": 0, "write_races": 0, "bytes_mapped": 0,
                           "reaped_tmp": 0, "pruned": 0, "repairs": 0}
+        # Entries this store loaded or published, with the journal
+        # (records, bytes) it last saw on disk (``None``: unknown).
+        self._journals: dict[Path, tuple[int, int] | None] = {}
         try:
             self.reap_tmp()
         except OSError:  # pragma: no cover - init stays best-effort
@@ -300,11 +327,9 @@ class AssetStore:
                  verify_digests: bool = False) -> bool:
         """Whether an entry exists for the key.
 
-        The default check is **manifest-only** (parse, key/version
-        match, payload files present with their recorded sizes) -- a
-        few stat calls, so registry warmup pre-checks cost nothing.
-        ``verify_digests=True`` additionally checksums every data page
-        and the whole-file sha256, the full ``load``-grade guarantee.
+        The default check is **manifest-only** (a few stat calls);
+        ``verify_digests=True`` adds the page checksums and the
+        whole-file sha256, the full ``load``-grade guarantee.
         """
         key = self.key(city, seed=seed, scale=scale,
                        lda_iterations=lda_iterations,
@@ -333,24 +358,38 @@ class AssetStore:
 
     def save(self, assets: CityAssets, *, city: str, seed: int, scale: float,
              lda_iterations: int, dataset_hash: str | None = None) -> Path:
-        """Persist one city's assets under their content key.
+        """Persist one city's base assets under their content key, then
+        bring the entry's journal to ``assets.journal`` (unless ``None``).
 
-        Publication is atomic (write to a hidden temp directory, then
-        ``rename``).  If a valid entry already exists -- e.g. a
-        concurrent writer won the race -- the write is discarded; the
-        content is deterministic in the key, so both copies are equal.
+        With a journal, for an entry this store loaded or published, a
+        save only appends the records the file lacks: no payload, no
+        re-hash.  Otherwise the base is published atomically (temp
+        directory, then ``rename``) unless a verified entry is there --
+        e.g. a concurrent writer won the race; the content is
+        deterministic in the key, so both copies are equal.
         Non-template datasets must pass ``dataset_hash`` (see
-        :func:`dataset_content_hash`) so the key states what the entry
-        actually holds.  Returns the published directory.
+        :func:`dataset_content_hash`).  Returns the entry's directory.
         """
         key = self.key(city, seed=seed, scale=scale,
                        lda_iterations=lda_iterations,
                        dataset_hash=dataset_hash)
         final = self.path(key)
+        try:
+            if assets.journal is None or final not in self._journals:
+                raise StoreCorruption("not known to hold this base")
+            self._manifest(final, key)
+        except StoreCorruption:
+            self._publish(final, key, assets)
+        if assets.journal is not None:
+            self._sync_journal(final, assets.journal)
+        return final
+
+    def _publish(self, final: Path, key: StoreKey,
+                 assets: CityAssets) -> None:
         tmp = self._tmp_path(key)
         tmp.mkdir()
         try:
-            with stage("store_write", city=city):
+            with stage("store_write", city=key.city):
                 self._write_payload(tmp, key, assets)
             present = final.exists()
             try:
@@ -364,13 +403,14 @@ class AssetStore:
                     # or nothing; never a blend.  An entry found
                     # missing is never removed: it may be a concurrent
                     # writer's valid entry published since the check.
+                    # Its journal moves into the (equal) replacement.
                     aside = self._tmp_path(key)
                     try:
                         os.rename(final, aside)
+                        os.replace(aside / _JOURNAL, tmp / _JOURNAL)
                     except OSError:
-                        pass  # already moved aside by another writer
-                    else:
-                        shutil.rmtree(aside, ignore_errors=True)
+                        pass  # moved aside by another writer, or no journal
+                    shutil.rmtree(aside, ignore_errors=True)
                 try:
                     os.rename(tmp, final)
                 except OSError:
@@ -384,7 +424,35 @@ class AssetStore:
         finally:
             if tmp.exists():
                 shutil.rmtree(tmp, ignore_errors=True)
-        return final
+        self._journals[final] = None
+
+    def _sync_journal(self, entry: Path,
+                      journal: tuple[Mutation, ...]) -> None:
+        """Make ``entry``'s journal file hold exactly ``journal``: an
+        append of the records past those this store last wrote, once a
+        ``stat`` shows the file as it left it; otherwise the file's
+        valid prefix is kept if ``journal`` extends it (a torn tail is
+        cut) and the file is rewritten if not (a dropped journal)."""
+        path = entry / _JOURNAL
+        known = self._journals.get(entry)
+        self._journals[entry] = None  # unknown until the write lands
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if known is None or known[1] != size or known[0] > len(journal):
+            records, nbytes = read_journal(path)
+            if records != journal[:len(records)]:
+                records, nbytes = (), 0
+            if nbytes != size:
+                os.truncate(path, nbytes)
+            known = (len(records), nbytes)
+        tail = b"".join(_journal_line(seq, mutation) for seq, mutation
+                        in enumerate(journal[known[0]:], start=known[0] + 1))
+        if tail:
+            with path.open("ab") as out:
+                out.write(tail)
+        self._journals[entry] = (len(journal), known[1] + len(tail))
 
     def _tmp_path(self, key: StoreKey) -> Path:
         """A fresh hidden ``.tmp-*`` directory name under the root
@@ -498,18 +566,13 @@ class AssetStore:
     def load(self, city: str, *, seed: int, scale: float,
              lda_iterations: int,
              dataset_hash: str | None = None) -> CityAssets | None:
-        """The assets stored for a key, or ``None``.
-
-        ``None`` covers the honest miss (nothing published) and every
-        defect -- corruption, truncation, version skew, key mismatch,
-        unparseable payload.  The caller's contract is simply "fit when
-        the store cannot serve"; a bad entry must degrade to a refit,
-        never to an exception on the serving path.
-
-        A hit costs one crc32 pass over the segment (the page
-        checksums) and *zero array copies*: the returned arrays are
-        read-only views onto the shared memory mapping.
-        """
+        """The assets stored for a key (``journal``: the journal's
+        longest valid prefix), or ``None`` -- for the honest miss and
+        for every defect (corruption, truncation, version skew, key
+        mismatch, unparseable payload): a bad entry degrades to a refit,
+        never to an exception on the serving path.  A hit costs one
+        crc32 pass over the segment and *zero array copies*: the arrays
+        are read-only views onto the shared memory mapping."""
         key = self.key(city, seed=seed, scale=scale,
                        lda_iterations=lda_iterations,
                        dataset_hash=dataset_hash)
@@ -522,11 +585,14 @@ class AssetStore:
             with stage("store_read", city=city):
                 assets, mapped = self._read_payload(entry)
         except StoreCorruption:
+            self._journals.pop(entry, None)
             self._count("corrupt")
             return None
+        journal, nbytes = read_journal(entry / _JOURNAL)
+        self._journals[entry] = (len(journal), nbytes)
         self._count("hits")
         self._count("bytes_mapped", mapped)
-        return assets
+        return replace(assets, journal=journal)
 
     def _read_payload(self, entry: Path) -> tuple[CityAssets, int]:
         try:
@@ -555,14 +621,10 @@ class AssetStore:
 
     def reap_tmp(self, ttl_s: float = TMP_TTL_S,
                  dry_run: bool = False) -> list[str]:
-        """Remove writer temp directories older than ``ttl_s``.
-
-        A SIGKILL between payload write and rename leaks the hidden
-        ``.tmp-*`` directory forever otherwise -- ``keys()``/``stats()``
-        skip dot-dirs, so nothing else would ever notice the disk.
-        The age gate keeps live writers (which publish in seconds)
-        safe.  Returns the names reaped (or that would be).
-        """
+        """Remove writer temp directories older than ``ttl_s`` (a
+        SIGKILL between payload write and rename leaks one, and nothing
+        else notices dot-dirs); the age gate keeps live writers safe.
+        Returns the names reaped (or that would be)."""
         now = time.time()
         reaped: list[str] = []
         for tmp in self.tmp_dirs():
@@ -581,19 +643,10 @@ class AssetStore:
 
     def prune(self, *, max_entries: int | None = None,
               max_bytes: int | None = None, tmp_ttl_s: float = TMP_TTL_S,
-              keep_latest_only: bool = False, dry_run: bool = False) -> dict:
+              dry_run: bool = False) -> dict:
         """Reclaim disk: stale format versions, crash litter, and --
         when ``max_entries``/``max_bytes`` are set -- least-recently-used
         current entries (by segment atime, falling back to mtime).
-
-        ``keep_latest_only`` additionally drops *superseded* versions:
-        when several entries share one city identity (city, seed, scale,
-        LDA iterations) but differ in dataset content hash -- live
-        mutations write each epoch back under a new hash -- only the
-        most recently *written* survives (segment mtime; atime is
-        deliberately ignored, a stale epoch recently read is still
-        stale).  Unreadable manifests are left alone: "cannot group"
-        must not escalate to "delete".
 
         Returns a JSON-ready report of what was (or would be) removed.
         Never touches the entry another process is mid-way through
@@ -615,29 +668,6 @@ class AssetStore:
                 last_used = 0.0
             current.append((last_used, _tree_bytes(entry), name))
 
-        superseded: list[str] = []
-        if keep_latest_only:
-            groups: dict[tuple, list[tuple[float, str]]] = {}
-            for _, _, name in current:
-                entry = self.root / name
-                try:
-                    key = self._manifest(entry, None)["key"]
-                except StoreCorruption:
-                    continue
-                ident = (key.get("city"), key.get("seed"),
-                         key.get("scale"), key.get("lda_iterations"))
-                try:
-                    written = (entry / _SEGMENT).stat().st_mtime
-                except OSError:
-                    written = 0.0
-                groups.setdefault(ident, []).append((written, name))
-            for versions in groups.values():
-                versions.sort()  # oldest write first; name breaks ties
-                superseded.extend(name for _, name in versions[:-1])
-            superseded.sort()
-            dropped = set(superseded)
-            current = [item for item in current if item[2] not in dropped]
-
         current.sort()  # oldest first
         lru: list[str] = []
         kept = len(current)
@@ -652,7 +682,7 @@ class AssetStore:
             kept_bytes -= size
 
         freed = 0
-        removed = stale + superseded + lru
+        removed = stale + lru
         for name in removed:
             freed += _tree_bytes(self.root / name)
             if not dry_run:
@@ -660,8 +690,7 @@ class AssetStore:
         tmp = self.reap_tmp(tmp_ttl_s, dry_run=dry_run)
         if removed and not dry_run:
             self._count("pruned", len(removed))
-        return {"stale_version": stale, "superseded": superseded,
-                "lru": lru, "tmp": tmp,
+        return {"stale_version": stale, "lru": lru, "tmp": tmp,
                 "kept": kept, "kept_bytes": kept_bytes,
                 "freed_bytes": freed, "dry_run": dry_run}
 

@@ -48,7 +48,6 @@ from repro.service import (
     PackageService,
 )
 from repro.service.registry import CityEntry
-from repro.store import AssetStore
 
 CITY = "paris"
 FAST = dict(seed=11, scale=0.1, lda_iterations=6)
@@ -91,6 +90,11 @@ class Lifecycle(RuleBasedStateMachine):
         shutil.copytree(self.template, self.root / "assets")
         self.store_root = self.root / "assets"
         self.journal: list = []
+        # The store's journals: one beside the template base, one beside
+        # the hash-keyed base a registration publishes.  ``key`` names
+        # the one the resident entry appends to (``None``: no store).
+        self.disk = {"template": [], "hash": []}
+        self.key = "template"
         self.added = 0
         self.fresh_seeds = 1000
         self.models: dict[int, PackageService] = {}
@@ -104,6 +108,7 @@ class Lifecycle(RuleBasedStateMachine):
 
     def _start(self, with_store: bool) -> None:
         self.with_store = with_store
+        self.key = "template" if with_store else None
         self.registry = CityRegistry(
             store=self.store_root if with_store else None, **FAST)
         self.service = PackageService(self.registry)
@@ -140,6 +145,8 @@ class Lifecycle(RuleBasedStateMachine):
         receipt = self.registry.mutate(CITY, mutation)
         self.journal.append(mutation)
         self.models.clear()
+        if self.key is not None:
+            self.disk[self.key] = list(self.journal)
         assert receipt["n_pois"] == len(self.dataset())
 
     # -- rules: mutations ----------------------------------------------------
@@ -181,26 +188,38 @@ class Lifecycle(RuleBasedStateMachine):
                                           city=self.base.city))
         self.journal = []
         self.models.clear()
+        if self.with_store:
+            self.key = "hash"
+            self.disk["hash"] = []
 
     # -- rules: residency ----------------------------------------------------
 
+    def _evict(self):
+        force_evict(self.registry, CITY)
+        # A template name reloads from the template base, whatever
+        # registration it held before.
+        if self.with_store:
+            self.key = "template"
+
     @rule()
     def evict(self):
-        force_evict(self.registry, CITY)
+        self._evict()
 
     @rule()
     def reload(self):
-        force_evict(self.registry, CITY)
+        self._evict()
         entry = self.registry.entry(CITY)
         assert entry.dataset.to_json() == self.dataset().to_json()
 
     @rule(with_store=st.booleans())
     def restart(self, with_store):
         self._start(with_store)
-        # A fresh process serves the base: the mutations lived only in
-        # the old process's memory.
-        self.journal = []
+        # A fresh process over the store replays the template base's
+        # journal; without a store it serves the base.
+        self.journal = list(self.disk["template"]) if with_store else []
         self.models.clear()
+        entry = self.registry.entry(CITY)
+        assert entry.epoch == len(self.journal)
 
     # -- rules: serving ------------------------------------------------------
 
@@ -327,8 +346,11 @@ def _seed_cache_keyed_on_city(monkeypatch):
 
 def _reload_skips_the_journal(monkeypatch):
     """Mutant: an evicted city reloads as its base."""
-    monkeypatch.setattr(CityRegistry, "_replay_log",
-                        lambda self, city, base, log: base)
+    replay = CityRegistry._replay_log
+    monkeypatch.setattr(
+        CityRegistry, "_replay_log",
+        lambda self, city, base, log, stored: replay(self, city, base, None,
+                                                     stored))
 
 
 @pytest.mark.parametrize("plant", [_seed_cache_keyed_on_city,

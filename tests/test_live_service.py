@@ -9,8 +9,7 @@ Cache
 entries stop matching (the key carries the epoch), open sessions are
 replayed onto the new epoch or fail with the structured
 ``stale_epoch`` code, byte accounting tracks patched array growth, and
-an attached store receives the new version under its new dataset
-content hash.
+an attached store appends each mutation to the city's journal.
 """
 
 from __future__ import annotations
@@ -406,7 +405,8 @@ class TestEvictionReload:
 
     FAST = dict(seed=11, scale=0.2, lda_iterations=8)
 
-    def _mutate_twice(self, registry):
+    @staticmethod
+    def _mutate_twice(registry):
         base = registry.entry("paris").dataset
         poi = next(iter(base))
         added_id = max(p.id for p in base) + 1
@@ -479,23 +479,91 @@ class TestEvictionReload:
         assert reloaded.dataset.to_json() == base
 
 
-class TestStoreWriteback:
-    def test_mutation_writes_back_under_new_hash(self, app, tmp_path):
-        store = AssetStore(tmp_path / "assets")
-        registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30,
-                                store=store)
-        registry.register(app.dataset, copy.deepcopy(app.item_index),
-                          name="paris")
+def _store_bytes(root) -> int:
+    return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
+
+
+class TestStoreJournal:
+    """A stored city is its base entry plus a journal of mutations."""
+
+    FAST = TestEvictionReload.FAST
+
+    def test_a_reprice_appends_a_journal_record(self, tmp_path):
+        root = tmp_path / "assets"
+        registry = CityRegistry(store=AssetStore(root), **self.FAST)
         poi = next(iter(registry.dataset("paris")))
+        before = _store_bytes(root)
         receipt = registry.mutate(
             "paris", RepricePoi(poi_id=poi.id, cost=poi.cost + 0.5))
-        assert receipt["dataset_hash"]
-        assert any(f"-d{receipt['dataset_hash'][:8]}" in name
-                   for name in store.keys())
-        loaded = store.load("paris", seed=7, scale=0.4, lda_iterations=30,
-                            dataset_hash=receipt["dataset_hash"])
-        assert loaded is not None
-        assert loaded.dataset[poi.id].cost == pytest.approx(poi.cost + 0.5)
+        assert "dataset_hash" not in receipt
+        assert 0 < _store_bytes(root) - before <= 200
+        (entry,) = root.iterdir()
+        record = json.loads((entry / "journal.ndjson").read_text())
+        assert record == {"seq": 1, "mutation": {
+            "kind": "reprice_poi", "poi_id": poi.id, "cost": poi.cost + 0.5}}
+
+    def test_closing_a_restaurant_reloads_without_a_corrupt_count(
+            self, tmp_path):
+        store = AssetStore(tmp_path / "assets")
+        registry = CityRegistry(store=store, **self.FAST)
+        rest = next(p for p in registry.dataset("paris")
+                    if p.cat.value == "rest")
+        registry.mutate("paris", ClosePoi(poi_id=rest.id))
+        live = registry.entry("paris")
+        registry._entries.pop("paris")  # force-evict
+        reloaded = registry.entry("paris")
+        assert store.stats()["corrupt"] == 0
+        assert registry.stats()["counters"]["fits"] == 1
+        assert reloaded.epoch == live.epoch == 1
+        assert reloaded.dataset.to_json() == live.dataset.to_json()
+        expected = live.arrays.export_arrays()
+        for name, array in reloaded.arrays.export_arrays().items():
+            assert array.tobytes() == expected[name].tobytes(), name
+
+    def test_a_restart_restores_the_journal_and_its_epoch(self, tmp_path):
+        root = tmp_path / "assets"
+        registry = CityRegistry(store=AssetStore(root), **self.FAST)
+        _, added_id, expected = TestEvictionReload._mutate_twice(
+            registry)
+        restarted = CityRegistry(store=AssetStore(root), **self.FAST)
+        entry = restarted.entry("paris")
+        assert entry.epoch == 2 == restarted.epoch("paris")
+        assert len(restarted.mutation_log("paris")) == 2
+        assert entry.dataset.to_json() == expected
+        assert restarted.stats()["counters"]["fits"] == 0
+        # The restored log keeps journaling where the old one stopped.
+        receipt = restarted.mutate("paris", ClosePoi(poi_id=added_id))
+        assert (receipt["epoch"], receipt["seq"]) == (3, 3)
+
+    def test_a_torn_tail_is_truncated_to_the_valid_prefix(self, tmp_path):
+        root = tmp_path / "assets"
+        registry = CityRegistry(store=AssetStore(root), **self.FAST)
+        _, _, expected = TestEvictionReload._mutate_twice(registry)
+        (entry,) = root.iterdir()
+        journal = entry / "journal.ndjson"
+        intact = journal.read_bytes()
+        journal.write_bytes(intact + b'{"seq": 3, "mutat')
+        restarted = CityRegistry(store=AssetStore(root), **self.FAST)
+        assert restarted.entry("paris").dataset.to_json() == expected
+        poi = next(iter(restarted.dataset("paris")))
+        restarted.mutate("paris", RepricePoi(poi_id=poi.id, cost=1.0))
+        lines = journal.read_bytes().splitlines()
+        assert journal.read_bytes().startswith(intact)
+        assert [json.loads(line)["seq"] for line in lines] == [1, 2, 3]
+
+    def test_re_registration_drops_the_stored_journal(self, app, tmp_path):
+        root = tmp_path / "assets"
+        registry = CityRegistry(store=AssetStore(root), seed=7, scale=0.4,
+                                lda_iterations=30)
+        dataset = copy.deepcopy(app.dataset)
+        registry.register(dataset, name="paris")
+        poi = next(iter(dataset))
+        registry.mutate("paris", RepricePoi(poi_id=poi.id, cost=9.0))
+        (entry,) = root.iterdir()
+        assert (entry / "journal.ndjson").read_bytes()
+        registry.register(dataset, name="paris")
+        assert (entry / "journal.ndjson").read_bytes() == b""
+        assert registry.dataset("paris").to_json() == dataset.to_json()
 
 
 class TestLoadgenLive:

@@ -468,58 +468,6 @@ class TestPrune:
         assert report["lru"] == [paths["paris"].name]   # oldest goes first
         assert report["kept_bytes"] <= per_entry + 16
 
-    def _publish_versions(self, store, fast_fit):
-        """Two dataset versions of one paris identity (as live
-        mutations leave behind) plus an unrelated rome entry."""
-        assets = CityAssets(fast_fit.dataset, fast_fit.item_index,
-                            fast_fit.arrays)
-        old = store.save(assets, city="paris", dataset_hash="aaaa1111",
-                         **FAST)
-        new = store.save(assets, city="paris", dataset_hash="bbbb2222",
-                         **FAST)
-        other = store.save(assets, city="rome", **FAST)
-        now = time.time()
-        # The stale version is the most recently *read* but an older
-        # *write*: keep-latest-only must key on mtime, never atime (a
-        # stale epoch someone just looked at is still stale).
-        os.utime(old / _SEGMENT, (now, now - 3000))
-        os.utime(new / _SEGMENT, (now - 3000, now - 10))
-        return old, new, other
-
-    def test_prune_keep_latest_only_drops_superseded(self, store, fast_fit):
-        old, new, other = self._publish_versions(store, fast_fit)
-
-        report = store.prune(keep_latest_only=True, dry_run=True)
-        assert report["superseded"] == [old.name]
-        assert report["dry_run"] and old.exists()
-
-        report = store.prune(keep_latest_only=True)
-        assert report["superseded"] == [old.name]
-        assert report["freed_bytes"] > 0 and report["kept"] == 2
-        assert not old.exists() and new.exists() and other.exists()
-        assert store.load("paris", dataset_hash="bbbb2222",
-                          **FAST) is not None
-        assert store.load("paris", dataset_hash="aaaa1111", **FAST) is None
-        # Without the flag, versions coexist (the default stays safe).
-        assert store.prune()["superseded"] == []
-
-    def test_prune_keep_latest_only_cli(self, store, fast_fit, capsys):
-        from repro.store.__main__ import main as store_main
-
-        old, new, other = self._publish_versions(store, fast_fit)
-        status = store_main(["--root", str(store.root), "--json", "prune",
-                             "--keep-latest-only", "--dry-run"])
-        assert status == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["superseded"] == [old.name] and report["dry_run"]
-        assert old.exists()
-
-        status = store_main(["--root", str(store.root), "prune",
-                             "--keep-latest-only"])
-        assert status == 0
-        assert "superseded" in capsys.readouterr().out
-        assert not old.exists() and new.exists() and other.exists()
-
 
 class TestRegistryIntegration:
     def test_miss_fits_and_writes_back_hit_skips_the_fit(self, store):
