@@ -19,23 +19,29 @@ explicitly (e.g. loaded from JSON dumps of real data).
 
 Two optional knobs bound the cost of that materialization:
 
-* ``store`` -- a persistent :class:`~repro.store.AssetStore`.  Cities
-  are **loaded from disk before fitting** (and written back on a miss,
-  under the per-city lock), so a restarted server or a fresh shard
-  worker hydrates in milliseconds.  Registered datasets are keyed by a
-  **dataset content hash** (:func:`~repro.store.dataset_content_hash`).
-  Live mutations are appended to the entry's journal, which a fresh
-  process replays (see :meth:`CityRegistry.mutate`).
+* ``store`` -- a persistent :class:`~repro.store.AssetStore`.  Template
+  cities are **loaded from disk before fitting** (and written back on a
+  miss, still under the per-city lock), so a restarted server or a
+  freshly-forked shard worker hydrates in milliseconds instead of
+  paying LDA again.  Explicitly registered datasets persist too: their
+  content is client-controlled, so their store key carries a **dataset
+  content hash** (:func:`~repro.store.dataset_content_hash`) instead of
+  relying on the generation parameters -- re-registering the same bytes
+  after a restart hydrates the fitted index from disk.  Live mutations
+  are appended to the entry's journal, which a fresh process replays
+  (see :meth:`CityRegistry.mutate`).
 * ``max_cities`` -- LRU residency bound.  Cities registered over the
   wire are client-controlled server state; beyond the bound the
   least-recently-used entry is evicted (cheap to bring back when a
   store is attached).  ``stats()`` reports per-entry byte estimates so
   operators can size the bound.
 
-Cities are immutable *per epoch*: :meth:`CityRegistry.mutate` patches
-the ``CityArrays`` bundle, journals the mutation in a per-city
-:class:`~repro.live.mutations.MutationLog`, bumps the city's epoch and
-publishes a new entry; caches and sessions key on the epoch.
+Cities are immutable *per epoch*, not forever: :meth:`CityRegistry.
+mutate` applies a :mod:`repro.live` mutation (close / reprice / add
+POI) by incrementally patching the ``CityArrays`` bundle, journaling
+the record in a per-city :class:`~repro.live.mutations.MutationLog`,
+bumping the city's epoch and publishing a new entry -- downstream
+caches and sessions key on the epoch to stay coherent.
 """
 
 from __future__ import annotations
@@ -164,9 +170,14 @@ class CityRegistry:
             return lock
 
     def _discard_lock(self, city: str) -> None:
-        """Drop a per-city lock slot after a failed load, so bad
-        (client-controlled) city names leak no Lock.  A loader still
-        holding the discarded Lock at worst refits the city once more."""
+        """Drop a per-city lock slot after a failed load.
+
+        City names are client-controlled, so a lock entry must never
+        outlive a failed ``entry``/``register`` call: otherwise every
+        bad city name in traffic leaks one Lock forever.  A concurrent
+        loader that still holds the discarded Lock object at worst
+        refits the city once more; it cannot corrupt ``_entries``.
+        """
         with self._lock:
             if city not in self._entries:
                 self._city_locks.pop(city, None)

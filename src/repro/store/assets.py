@@ -3,12 +3,15 @@
 Everything a city's serving entry needs that is query-independent --
 the POI dataset, the fitted :class:`~repro.profiles.vectors.ItemVectorIndex`
 (both LDA models) and the :class:`~repro.core.arrays.CityArrays`
-bundle -- is a pure function of ``(city, seed, scale, lda_iterations)``
-for template cities, and of ``(dataset content hash, seed,
-lda_iterations)`` for wire-registered ones.  :class:`AssetStore`
-persists it once (OBDA's pay-at-registration move, across process
-restarts), so a warm registry or shard worker hydrates a city in
-milliseconds instead of refitting LDA for seconds.
+compute bundle -- is a pure function of ``(city, seed, scale,
+lda_iterations)`` for template cities, and of ``(dataset content,
+seed, lda_iterations)`` for wire-registered ones (the key carries a
+dataset content hash; LDA is deterministic in the dataset and seed).
+:class:`AssetStore` persists that function's value once and serves it
+forever: the same pay-at-registration move as OBDA's precomputed exact
+mappings, extended across process restarts.  A warm registry or shard
+worker hydrates a city from disk in milliseconds instead of refitting
+LDA for seconds.
 
 Layout (one directory per content key)::
 
@@ -40,8 +43,9 @@ Guarantees:
   Segment bytes themselves are deterministic in the assets, so
   concurrent writers publish identical files.
 * **Atomic publication.**  Writers assemble a hidden temp directory
-  and ``rename`` it into place; readers never see a half-written base.
-  Leaked temp directories are reaped (age-gated) on init and by
+  and ``rename`` it into place; readers see either nothing or a
+  complete entry, never a half-written one.  Temp directories leaked
+  by crashed writers are reaped (age-gated) on store init and by
   ``prune``.
 * **Corruption safety.**  :meth:`AssetStore.load` checks the manifest
   and every data page's crc32; any mismatch, truncation, missing file,
@@ -119,11 +123,17 @@ _VERSION_SUFFIX = re.compile(r"-v(\d+)$")
 
 @dataclass(frozen=True)
 class StoreKey:
-    """The content key one stored entry answers for: its directory
-    name and the equality check a loader makes before trusting it.
+    """The content key one stored entry answers for.
+
     Template-city assets are deterministic in the four generation
-    fields; a wire-registered city's identity is ``dataset_hash``, which
-    makes its fitted artifacts a pure function of the key again."""
+    fields (plus the format version), so the key doubles as the
+    directory name and as the equality check a loader performs before
+    trusting an entry.  Wire-registered cities carry arbitrary caller
+    data instead; their identity is ``dataset_hash`` -- a content hash
+    of the dataset JSON -- which makes the fitted artifacts a pure
+    function of the key again (LDA is deterministic in the dataset,
+    seed and iteration count).
+    """
 
     city: str
     seed: int
@@ -169,9 +179,14 @@ class CityAssets:
 
 
 def dataset_content_hash(dataset: POIDataset) -> str:
-    """The content identity of a non-template dataset: 16 hex chars of
-    the sha256 of the JSON the store persists (a loaded base re-hashes
-    to its own key)."""
+    """The content identity of a non-template dataset.
+
+    A short, stable sha256 of the canonical JSON form -- the same bytes
+    the store persists, so a loaded entry's dataset re-hashes to its own
+    key.  16 hex chars (64 bits) keeps directory names readable while
+    making accidental collision across a store's handful of cities
+    astronomically unlikely.
+    """
     return hashlib.sha256(
         dataset.to_json().encode("utf-8")
     ).hexdigest()[:16]
@@ -327,9 +342,11 @@ class AssetStore:
                  verify_digests: bool = False) -> bool:
         """Whether an entry exists for the key.
 
-        The default check is **manifest-only** (a few stat calls);
-        ``verify_digests=True`` adds the page checksums and the
-        whole-file sha256, the full ``load``-grade guarantee.
+        The default check is **manifest-only** (parse, key/version
+        match, payload files present with their recorded sizes) -- a
+        few stat calls, so registry warmup pre-checks cost nothing.
+        ``verify_digests=True`` additionally checksums every data page
+        and the whole-file sha256, the full ``load``-grade guarantee.
         """
         key = self.key(city, seed=seed, scale=scale,
                        lda_iterations=lda_iterations,
@@ -621,10 +638,14 @@ class AssetStore:
 
     def reap_tmp(self, ttl_s: float = TMP_TTL_S,
                  dry_run: bool = False) -> list[str]:
-        """Remove writer temp directories older than ``ttl_s`` (a
-        SIGKILL between payload write and rename leaks one, and nothing
-        else notices dot-dirs); the age gate keeps live writers safe.
-        Returns the names reaped (or that would be)."""
+        """Remove writer temp directories older than ``ttl_s``.
+
+        A SIGKILL between payload write and rename leaks the hidden
+        ``.tmp-*`` directory forever otherwise -- ``keys()``/``stats()``
+        skip dot-dirs, so nothing else would ever notice the disk.
+        The age gate keeps live writers (which publish in seconds)
+        safe.  Returns the names reaped (or that would be).
+        """
         now = time.time()
         reaped: list[str] = []
         for tmp in self.tmp_dirs():

@@ -90,11 +90,10 @@ class Lifecycle(RuleBasedStateMachine):
         shutil.copytree(self.template, self.root / "assets")
         self.store_root = self.root / "assets"
         self.journal: list = []
-        # The store's journals: one beside the template base, one beside
-        # the hash-keyed base a registration publishes.  ``key`` names
-        # the one the resident entry appends to (``None``: no store).
-        self.disk = {"template": [], "hash": []}
-        self.key = "template"
+        # The journal beside the template base in the store, and whether
+        # the resident entry appends to it: a registration appends beside
+        # its own hash-keyed base, a registry without a store nowhere.
+        self.template_journal: list = []
         self.added = 0
         self.fresh_seeds = 1000
         self.models: dict[int, PackageService] = {}
@@ -107,8 +106,7 @@ class Lifecycle(RuleBasedStateMachine):
     # -- the system ----------------------------------------------------------
 
     def _start(self, with_store: bool) -> None:
-        self.with_store = with_store
-        self.key = "template" if with_store else None
+        self.with_store = self.on_template = with_store
         self.registry = CityRegistry(
             store=self.store_root if with_store else None, **FAST)
         self.service = PackageService(self.registry)
@@ -145,8 +143,8 @@ class Lifecycle(RuleBasedStateMachine):
         receipt = self.registry.mutate(CITY, mutation)
         self.journal.append(mutation)
         self.models.clear()
-        if self.key is not None:
-            self.disk[self.key] = list(self.journal)
+        if self.on_template:
+            self.template_journal = list(self.journal)
         assert receipt["n_pois"] == len(self.dataset())
 
     # -- rules: mutations ----------------------------------------------------
@@ -188,9 +186,7 @@ class Lifecycle(RuleBasedStateMachine):
                                           city=self.base.city))
         self.journal = []
         self.models.clear()
-        if self.with_store:
-            self.key = "hash"
-            self.disk["hash"] = []
+        self.on_template = False
 
     # -- rules: residency ----------------------------------------------------
 
@@ -198,8 +194,7 @@ class Lifecycle(RuleBasedStateMachine):
         force_evict(self.registry, CITY)
         # A template name reloads from the template base, whatever
         # registration it held before.
-        if self.with_store:
-            self.key = "template"
+        self.on_template = self.with_store
 
     @rule()
     def evict(self):
@@ -216,7 +211,7 @@ class Lifecycle(RuleBasedStateMachine):
         self._start(with_store)
         # A fresh process over the store replays the template base's
         # journal; without a store it serves the base.
-        self.journal = list(self.disk["template"]) if with_store else []
+        self.journal = list(self.template_journal) if with_store else []
         self.models.clear()
         entry = self.registry.entry(CITY)
         assert entry.epoch == len(self.journal)

@@ -312,6 +312,38 @@ class TestShardSelfHealing:
             assert stats["restarted"] == 1
             assert stats["shards"][0]["restarted"] == 1
 
+    def test_a_respawned_worker_replays_the_stored_journal(self, tmp_path):
+        """A healed shard hydrates its cities from the store, base plus
+        journal: it serves the mutated city at the epoch it had, byte
+        for byte, and its next mutation continues the journal."""
+        import os
+        import signal
+
+        config = ShardConfig(scale=0.15, lda_iterations=5, seed=3,
+                             store_path=str(tmp_path / "assets"))
+        with ShardCluster(shards=1, config=config,
+                          use_processes=True) as cluster:
+            built = cluster.dispatch("build", spec_payload("paris"))
+            poi = built["package"]["composite_items"][0]["pois"][0]
+            for mutation in ({"kind": "reprice_poi", "poi_id": poi["id"],
+                              "cost": poi["cost"] + 3.0},
+                             {"kind": "close_poi", "poi_id": poi["id"]}):
+                receipt = cluster.dispatch("mutate", {
+                    "city": "paris", "mutation": mutation})
+                assert receipt.get("error") is None, receipt
+            before = cluster.dispatch("build", spec_payload("paris", seed=8))
+            for pid in list(cluster._shards[0]._pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            assert cluster.dispatch("ping", {})["ok"] is True
+            after = cluster.dispatch("build", spec_payload("paris", seed=8))
+            assert cluster.stats()["restarted"] == 1
+            assert after["cached"] is False
+            assert after["package"] == before["package"]
+            other = after["package"]["composite_items"][0]["pois"][0]
+            receipt = cluster.dispatch("mutate", {"city": "paris", "mutation": {
+                "kind": "reprice_poi", "poi_id": other["id"], "cost": 1.0}})
+            assert (receipt["epoch"], receipt["seq"]) == (3, 3)
+
     def test_sessions_die_with_their_worker(self):
         """Self-healing trades session state for availability: a healed
         shard answers, but sessions opened on the dead worker come back
