@@ -17,16 +17,19 @@ identical to the object-path oracle in ``tests/assembly_oracle.py``
 (the golden determinism tests in ``tests/test_core_arrays.py`` pin
 this).  It is the only representation assembly scores against.
 
-Contents, all row-aligned with the dataset's iteration order:
+It holds exactly what KFC scores with -- distance to a centroid, item
+cosine to the group profile, cost -- and nothing else.  Contents, all
+row-aligned with the dataset's iteration order:
 
-* ``ids`` / ``lats`` / ``lons`` / ``costs`` -- city-wide columns;
+* ``ids`` / ``lats`` / ``lons`` -- city-wide columns (every distance
+  pass runs over the whole city, then slices by category rows);
 * ``xy`` / ``origin`` -- the local equirectangular projection the KFC
   builder and fuzzy c-means run in (km east/north of the city centre);
 * ``max_distance_km`` -- the paper's distance normalizer;
-* per-category :class:`CategoryArrays` -- the same columns restricted
-  to one category (in ``dataset.by_category`` order) plus the stacked
-  item-vector matrix, precomputed row norms and the cost-sorted
-  candidate order the budget-repair phase needs.
+* per-category :class:`CategoryArrays` -- ids, city-wide rows and costs
+  in ``dataset.by_category`` order, the stacked item-vector matrix, and
+  the row norms and cost-sorted candidate order
+  :meth:`CategoryArrays.from_columns` derives from them.
 """
 
 from __future__ import annotations
@@ -58,13 +61,11 @@ def project_coords(coords: np.ndarray) -> tuple[np.ndarray, tuple[float, float, 
     cos0)`` origin needed to project further points consistently.
     """
     lat0 = float(coords[:, 0].mean())
-    lon0 = float(coords[:, 1].mean())
-    cos0 = float(np.cos(np.radians(lat0)))
-    x = (coords[:, 1] - lon0) * _KM_PER_DEG_LAT * cos0
-    y = (coords[:, 0] - lat0) * _KM_PER_DEG_LAT
-    xy = np.column_stack([x, y])
+    origin = (lat0, float(coords[:, 1].mean()),
+              float(np.cos(np.radians(lat0))))
+    xy = project_points(coords, origin)
     xy.flags.writeable = False  # KFC shares FCM seeds by its identity
-    return xy, (lat0, lon0, cos0)
+    return xy, origin
 
 
 def project_points(latlon: np.ndarray,
@@ -93,7 +94,7 @@ class CategoryArrays:
         category: The category the rows belong to.
         ids: ``(n,)`` POI ids.
         rows: ``(n,)`` indices into the city-wide arrays.
-        lats, lons, costs: ``(n,)`` per-POI columns.
+        costs: ``(n,)`` per-POI costs.
         vectors: ``(n, d)`` stacked item-vector matrix (the profile
             coordinate system for this category).
         vector_norms: ``(n,)`` precomputed row norms of ``vectors``.
@@ -104,12 +105,23 @@ class CategoryArrays:
     category: Category
     ids: np.ndarray
     rows: np.ndarray
-    lats: np.ndarray
-    lons: np.ndarray
     costs: np.ndarray
     vectors: np.ndarray
     vector_norms: np.ndarray
     cost_order: np.ndarray
+
+    @classmethod
+    def from_columns(cls, category: Category, ids: np.ndarray,
+                     rows: np.ndarray, costs: np.ndarray,
+                     vectors: np.ndarray) -> "CategoryArrays":
+        """One category from its source columns, deriving the row norms
+        and the ``(cost, id)`` order.  ``CityArrays.build`` and the live
+        patcher both construct categories here, so a patched category
+        is a built one by construction."""
+        return cls(category=category, ids=ids, rows=rows, costs=costs,
+                   vectors=vectors,
+                   vector_norms=np.linalg.norm(vectors, axis=1),
+                   cost_order=np.lexsort((ids, costs)))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -127,7 +139,6 @@ class CityArrays:
     ids: np.ndarray
     lats: np.ndarray
     lons: np.ndarray
-    costs: np.ndarray
     xy: np.ndarray
     origin: tuple[float, float, float]
     max_distance_km: float
@@ -150,9 +161,7 @@ class CityArrays:
         bit-identical to the object path.
         """
         coords = dataset.coordinates()
-        pois = list(dataset)
-        ids = np.array([p.id for p in pois], dtype=np.int64)
-        costs = np.array([p.cost for p in pois], dtype=float)
+        ids = np.array([p.id for p in dataset], dtype=np.int64)
         if coords.size:
             lats = np.ascontiguousarray(coords[:, 0])
             lons = np.ascontiguousarray(coords[:, 1])
@@ -167,28 +176,18 @@ class CityArrays:
         categories: dict[Category, CategoryArrays] = {}
         for cat in CATEGORIES:
             cat_pois = dataset.by_category(cat)
-            cat_ids = np.array([p.id for p in cat_pois], dtype=np.int64)
-            cat_rows = np.array([row_of[p.id] for p in cat_pois],
-                                dtype=np.int64)
-            # Stack item vectors exactly as ItemVectorIndex.matrix()
-            # does per call, one time.
-            vectors = item_index.stacked(
-                (p.id for p in cat_pois),
-                dim=item_index.schema.size(cat),
-            )
-            cat_lats = np.array([p.lat for p in cat_pois], dtype=float)
-            cat_lons = np.array([p.lon for p in cat_pois], dtype=float)
-            cat_costs = np.array([p.cost for p in cat_pois], dtype=float)
-            categories[cat] = CategoryArrays(
-                category=cat,
-                ids=cat_ids,
-                rows=cat_rows,
-                lats=cat_lats,
-                lons=cat_lons,
-                costs=cat_costs,
-                vectors=vectors,
-                vector_norms=np.linalg.norm(vectors, axis=1),
-                cost_order=np.lexsort((cat_ids, cat_costs)),
+            categories[cat] = CategoryArrays.from_columns(
+                cat,
+                ids=np.array([p.id for p in cat_pois], dtype=np.int64),
+                rows=np.array([row_of[p.id] for p in cat_pois],
+                              dtype=np.int64),
+                costs=np.array([p.cost for p in cat_pois], dtype=float),
+                # Stack item vectors exactly as ItemVectorIndex.matrix()
+                # does per call, one time.
+                vectors=item_index.stacked(
+                    (p.id for p in cat_pois),
+                    dim=item_index.schema.size(cat),
+                ),
             )
 
         return cls(
@@ -196,7 +195,6 @@ class CityArrays:
             ids=ids,
             lats=lats,
             lons=lons,
-            costs=costs,
             xy=xy,
             origin=origin,
             max_distance_km=dataset.max_distance_km,
@@ -226,8 +224,8 @@ class CityArrays:
     # -- persistence --------------------------------------------------------
 
     #: Per-category array fields, in the order they are exported.
-    _CATEGORY_FIELDS = ("ids", "rows", "lats", "lons", "costs", "vectors",
-                        "vector_norms", "cost_order")
+    _CATEGORY_FIELDS = ("ids", "rows", "costs", "vectors", "vector_norms",
+                        "cost_order")
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         """Every array of the bundle under a flat string key -- the
@@ -235,7 +233,7 @@ class CityArrays:
         ``ids`` and not exported."""
         payload: dict[str, np.ndarray] = {
             "ids": self.ids, "lats": self.lats, "lons": self.lons,
-            "costs": self.costs, "xy": self.xy,
+            "xy": self.xy,
         }
         for cat, ca in self.categories.items():
             for name in self._CATEGORY_FIELDS:
@@ -280,7 +278,6 @@ class CityArrays:
             ids=ids,
             lats=np.asarray(payload["lats"], dtype=float),
             lons=np.asarray(payload["lons"], dtype=float),
-            costs=np.asarray(payload["costs"], dtype=float),
             xy=np.asarray(payload["xy"], dtype=float),
             origin=(float(origin[0]), float(origin[1]), float(origin[2])),
             max_distance_km=float(meta["max_distance_km"]),
@@ -293,7 +290,7 @@ class CityArrays:
         """Total bytes of every array in the bundle (residency
         accounting for registry eviction)."""
         total = (self.ids.nbytes + self.lats.nbytes + self.lons.nbytes
-                 + self.costs.nbytes + self.xy.nbytes)
+                 + self.xy.nbytes)
         for ca in self.categories.values():
             total += sum(getattr(ca, name).nbytes
                          for name in self._CATEGORY_FIELDS)

@@ -16,7 +16,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.arrays import CityArrays
 from repro.core.composite import CompositeItem
 from repro.core.kfc import KFCBuilder
 from repro.core.package import TravelPackage
@@ -27,36 +26,24 @@ from repro.profiles.group import GroupProfile
 
 
 def _random_valid_ci(dataset: POIDataset, query: GroupQuery,
-                     rng: np.random.Generator, max_attempts: int = 200,
-                     arrays: CityArrays | None = None) -> CompositeItem:
+                     rng: np.random.Generator,
+                     max_attempts: int = 200) -> CompositeItem:
     """One valid CI with uniformly random member POIs.
 
     Rejection-samples against the budget; with the experiments' infinite
-    budget the first draw always succeeds.  With a
-    :class:`~repro.core.arrays.CityArrays` bundle the category sizes
-    and id draws come from the precomputed columns (which are aligned
-    with ``by_category`` order, so the same seed picks the same POIs).
+    budget the first draw always succeeds.
     """
     for _ in range(max_attempts):
         pois = []
         for cat in query.requested_categories():
             needed = query.count(cat)
-            if arrays is not None:
-                ca = arrays.categories[cat]
-                if len(ca) < needed:
-                    raise ValueError(
-                        f"dataset lacks {cat.value} POIs for the query"
-                    )
-                picks = rng.choice(len(ca), size=needed, replace=False)
-                pois.extend(dataset[int(ca.ids[int(i)])] for i in picks)
-            else:
-                pool = dataset.by_category(cat)
-                if len(pool) < needed:
-                    raise ValueError(
-                        f"dataset lacks {cat.value} POIs for the query"
-                    )
-                picks = rng.choice(len(pool), size=needed, replace=False)
-                pois.extend(pool[int(i)] for i in picks)
+            pool = dataset.by_category(cat)
+            if len(pool) < needed:
+                raise ValueError(
+                    f"dataset lacks {cat.value} POIs for the query"
+                )
+            picks = rng.choice(len(pool), size=needed, replace=False)
+            pois.extend(pool[int(i)] for i in picks)
         ci = CompositeItem(pois)
         if ci.total_cost() <= query.budget:
             return ci
@@ -67,19 +54,17 @@ def _random_valid_ci(dataset: POIDataset, query: GroupQuery,
 
 
 def random_package(dataset: POIDataset, query: GroupQuery, k: int = 5,
-                   seed: int = 0,
-                   arrays: CityArrays | None = None) -> TravelPackage:
+                   seed: int = 0) -> TravelPackage:
     """A package of ``k`` random valid CIs."""
     rng = np.random.default_rng(seed)
     return TravelPackage(
-        (_random_valid_ci(dataset, query, rng, arrays=arrays)
-         for _ in range(k)), query=query
+        (_random_valid_ci(dataset, query, rng) for _ in range(k)),
+        query=query,
     )
 
 
 def invalid_random_package(dataset: POIDataset, query: GroupQuery, k: int = 5,
-                           seed: int = 0,
-                           arrays: CityArrays | None = None) -> TravelPackage:
+                           seed: int = 0) -> TravelPackage:
     """A random package whose CIs *violate* the query (attention check).
 
     The corruption moves one required slot from the first requested
@@ -101,8 +86,7 @@ def invalid_random_package(dataset: POIDataset, query: GroupQuery, k: int = 5,
                            budget=query.budget)
 
     package = TravelPackage(
-        (_random_valid_ci(dataset, corrupted, rng, arrays=arrays)
-         for _ in range(k)),
+        (_random_valid_ci(dataset, corrupted, rng) for _ in range(k)),
         query=query,  # evaluated against the *original* query -> invalid
     )
     assert not package.is_valid(query)

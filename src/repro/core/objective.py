@@ -87,31 +87,18 @@ def fuzzy_memberships(distances: np.ndarray, fuzzifier: float = 2.0) -> np.ndarr
     return fcm_memberships(d, 2.0 / (fuzzifier - 1.0)).T.copy()
 
 
-def normalized_distances_to_centroids(dataset: POIDataset,
-                                      centroids: np.ndarray,
-                                      arrays: CityArrays | None = None) -> np.ndarray:
-    """``(n_items, k)`` equirectangular distances scaled by the dataset's
-    largest pairwise distance (the paper's normalizer).
-
-    With a :class:`~repro.core.arrays.CityArrays` bundle the coordinate
-    columns and the normalizer come from the precompute instead of
-    being rebuilt from the POI objects (same values, same result).
-    """
+def normalized_distances_to_centroids(arrays: CityArrays,
+                                      centroids: np.ndarray) -> np.ndarray:
+    """``(n_items, k)`` equirectangular distances from every POI of the
+    city's bundle, scaled by its largest pairwise distance (the paper's
+    normalizer)."""
     cents = np.asarray(centroids, dtype=float)
-    if arrays is not None:
-        lats = arrays.lats[:, None]
-        lons = arrays.lons[:, None]
-        largest = arrays.max_distance_km
-    else:
-        coords = dataset.coordinates()
-        lats = coords[:, 0][:, None]
-        lons = coords[:, 1][:, None]
-        largest = dataset.max_distance_km
     dist = equirectangular_km(
-        lats, lons, cents[:, 0][None, :], cents[:, 1][None, :],
+        arrays.lats[:, None], arrays.lons[:, None],
+        cents[:, 0][None, :], cents[:, 1][None, :],
     )
-    if largest > 0:
-        dist = dist / largest
+    if arrays.max_distance_km > 0:
+        dist = dist / arrays.max_distance_km
     return np.clip(dist, 0.0, None)
 
 
@@ -123,13 +110,14 @@ def evaluate_objective(dataset: POIDataset, package: TravelPackage,
 
     The membership matrix ``W`` is reconstructed from the package's
     centroids with the standard FCM update (the optimal ``W`` for fixed
-    ``M``), so the score depends only on the package itself.  Passing
-    the city's :class:`~repro.core.arrays.CityArrays` avoids rebuilding
-    the coordinate matrix for the clustering term.
+    ``M``), so the score depends only on the package itself.  The
+    clustering term reads the city's
+    :class:`~repro.core.arrays.CityArrays` (the pooled bundle of
+    ``(dataset, item_index)`` unless one is passed).
     """
-    centroids = package.centroids()
-    dist = normalized_distances_to_centroids(dataset, centroids,
-                                             arrays=arrays)
+    if arrays is None:
+        arrays = CityArrays.of(dataset, item_index)
+    dist = normalized_distances_to_centroids(arrays, package.centroids())
     closeness = 1.0 - np.clip(dist, 0.0, 1.0)
 
     memberships = fuzzy_memberships(dist, weights.fuzzifier)
@@ -137,8 +125,7 @@ def evaluate_objective(dataset: POIDataset, package: TravelPackage,
         ((memberships ** weights.fuzzifier) * closeness).sum()
     )
 
-    largest = (arrays.max_distance_km if arrays is not None
-               else dataset.max_distance_km)
+    largest = arrays.max_distance_km
     ci_term = 0.0
     for j, ci in enumerate(package.composite_items):
         mu_lat, mu_lon = ci.centroid

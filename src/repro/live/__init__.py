@@ -9,7 +9,8 @@ re-registration.  Three layers:
   bounded, deterministically replayable per-city :class:`MutationLog`;
 * :mod:`repro.live.patch` -- incremental
   :class:`~repro.core.arrays.CityArrays` patching, byte-identical to a
-  fresh build over the mutated dataset;
+  fresh build over the mutated dataset and the only path a mutation
+  takes to the bundle;
 * epoch-versioned coherence, wired through
   :class:`~repro.service.registry.CityRegistry` (per-city epoch bumps,
   ``mutate()``), the package cache (epoch-keyed entries), customization
@@ -25,7 +26,7 @@ from repro.live.mutations import (
     RepricePoi,
     mutation_from_dict,
 )
-from repro.live.patch import PatchUnsupported, patch_arrays
+from repro.live.patch import patch_arrays
 
 __all__ = [
     "AddPoi",
@@ -33,7 +34,6 @@ __all__ = [
     "Mutation",
     "MutationError",
     "MutationLog",
-    "PatchUnsupported",
     "RepricePoi",
     "mutation_from_dict",
     "patch_arrays",

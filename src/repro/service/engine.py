@@ -79,8 +79,7 @@ MAX_BATCH_REQUESTS = 64
 
 #: Live-mutation counters ``stats()["live"]`` reports, each the all-time
 #: total of the ``live.<name>`` series.
-_LIVE_COUNTERS = ("mutations_applied", "full_rebuilds", "sessions_replayed",
-                  "sessions_stale")
+_LIVE_COUNTERS = ("mutations_applied", "sessions_replayed", "sessions_stale")
 
 
 def stats_sections(snapshot: Mapping) -> dict:
@@ -783,12 +782,11 @@ class PackageService:
 
         The payload is ``{"city": ..., "mutation": {<Mutation wire
         form>}, "request_id": ...}``; the response echoes the registry's
-        receipt (new ``epoch``, log ``seq``, whether the arrays were
-        incrementally ``patched``, ``patch_ms``, ``n_pois``); with a
-        store attached the mutation is also appended to the city's
-        journal.  Failures come
-        back as error responses: an unknown city is ``not_found``, a
-        malformed or inapplicable mutation ``invalid``.
+        receipt (new ``epoch``, log ``seq``, ``patch_ms``, ``n_pois``);
+        with a store attached the mutation is also appended to the
+        city's journal.  Failures come back as error responses: an
+        unknown city is ``not_found``, a malformed or inapplicable
+        mutation ``invalid``.
         """
         start = time.perf_counter()
         city = str(payload.get("city", ""))
@@ -813,8 +811,6 @@ class PackageService:
     def _record_mutation(self, result: dict) -> None:
         """Count one applied mutation under the ``live.*`` series."""
         self.metrics.counter_inc("live.mutations_applied")
-        if not result["patched"]:
-            self.metrics.counter_inc("live.full_rebuilds")
         # observe() takes seconds; patch_ms is the registry's receipt.
         self.metrics.observe("live.patch_ms", result["patch_ms"] / 1000.0)
 

@@ -27,9 +27,10 @@ Two optional knobs bound the cost of that materialization:
   content is client-controlled, so their store key carries a **dataset
   content hash** (:func:`~repro.store.dataset_content_hash`) instead of
   relying on the generation parameters -- re-registering the same bytes
-  after a restart hydrates the fitted index from disk.  Live mutations
-  are appended to the entry's journal, which a fresh process replays
-  (see :meth:`CityRegistry.mutate`).
+  after a restart hydrates the fitted index from disk, and an evicted
+  registration reloads from its own base, never from the template of
+  the same name.  Live mutations are appended to the entry's journal,
+  which a fresh process replays (see :meth:`CityRegistry.mutate`).
 * ``max_cities`` -- LRU residency bound.  Cities registered over the
   wire are client-controlled server state; beyond the bound the
   least-recently-used entry is evicted (cheap to bring back when a
@@ -148,10 +149,13 @@ class CityRegistry:
         # replays the journal so the entry served under that version is
         # the dataset the version promises (see _replay_log).  Names
         # ever installed are remembered too, so re-registering an
-        # evicted city still invalidates epoch-keyed state.
+        # evicted city still invalidates epoch-keyed state, and so is
+        # each registered name's stored base hash (None: the base is
+        # not in the store), so a reload never serves a template.
         self._epochs: dict[str, int] = {}
         self._mutation_logs: dict[str, MutationLog] = {}
         self._ever_installed: set[str] = set()
+        self._registered: dict[str, str | None] = {}
         self._counters = {"fits": 0, "store_hits": 0, "store_misses": 0,
                           "evictions": 0, "mutations": 0, "log_replays": 0}
 
@@ -220,7 +224,9 @@ class CityRegistry:
         With a store attached (and no caller-supplied index), the fit
         is keyed on a **content hash** of the dataset, so bytes fitted
         by a previous process life hydrate from disk.  The registered
-        dataset is a new base: the entry's journal is dropped.
+        dataset is a new base: the entry's journal is dropped.  After
+        eviction the name reloads from that stored base; a registration
+        the store does not hold cannot reload and must be repeated.
         """
         city = (name or dataset.city).lower()
         if not city:
@@ -252,6 +258,8 @@ class CityRegistry:
                 entry = self._assemble_entry(
                     city, base.dataset, base.item_index, base.arrays,
                     base if stored else None, dataset_hash)
+                with self._lock:
+                    self._registered[city] = dataset_hash if stored else None
                 self._install(city, entry)
                 return entry
         except BaseException:
@@ -334,7 +342,11 @@ class CityRegistry:
         """The pooled assets for ``city``, generating and fitting them
         on first use (template cities only; other names must be
         registered first).  With a store attached, the fit is replaced
-        by a disk load whenever a valid entry exists."""
+        by a disk load whenever a valid entry exists.
+
+        Raises ``KeyError`` for a name that is neither resident nor a
+        template, and for an evicted registration the store cannot
+        reload."""
         city = city.lower()
         with self._lock:
             existing = self._entries.get(city)
@@ -354,7 +366,8 @@ class CityRegistry:
         this directly instead of :meth:`entry`).  Eviction, restart and
         shard respawn reload alike: the base, then the journal -- this
         process's log, or in a process that never served the city the
-        stored journal, whose length becomes the epoch."""
+        stored journal, whose length becomes the epoch.  A registered
+        name reloads its own stored base and this process's log."""
         with self._lock:
             existing = self._entries.get(city)
             if existing is not None:  # lost the race
@@ -362,6 +375,18 @@ class CityRegistry:
                 return existing
             log = self._mutation_logs.get(city)
             fresh = city not in self._ever_installed
+            registered = city in self._registered
+            base_hash = self._registered.get(city)
+        if registered:
+            base = (self._store_load(city, base_hash)
+                    if base_hash is not None else None)
+            if base is None:
+                raise KeyError(f"city {city!r} was registered and then "
+                               "evicted, and the store does not hold it: "
+                               "re-register it")
+            entry = self._replay_log(city, base, log, True, base_hash)
+            self._install(city, entry)
+            return entry
         # Resolve the name before any city-tagged stage runs: a name
         # that is no template must not enter the per-city breakdown.
         get_template(city)
@@ -385,7 +410,8 @@ class CityRegistry:
         return entry
 
     def _replay_log(self, city: str, base: CityAssets,
-                    log: MutationLog | None, stored: bool) -> CityEntry:
+                    log: MutationLog | None, stored: bool,
+                    base_hash: str | None = None) -> CityEntry:
         """The entry ``(base, log)`` deterministically yields: the log
         replayed over the base, added POIs folded into the item index
         as ``mutate`` did live, one array build.  A log that no longer
@@ -401,7 +427,8 @@ class CityRegistry:
                     self._epochs[city] = self._epochs.get(city, 0) + 1
                     self._mutation_logs.pop(city, None)
                 if stored:
-                    self._store_save(city, replace(base, journal=()))
+                    self._store_save(city, replace(base, journal=()),
+                                     base_hash)
             else:
                 self._count("log_replays")
                 for mutation in log.entries:
@@ -411,7 +438,7 @@ class CityRegistry:
                 with stage("arrays_build", city=city):
                     arrays = CityArrays.of(dataset, base.item_index)
         return self._assemble_entry(city, dataset, base.item_index, arrays,
-                                    base if stored else None)
+                                    base if stored else None, base_hash)
 
     # -- live mutations ------------------------------------------------------
 
@@ -432,18 +459,18 @@ class CityRegistry:
 
         Under the city's lock: validates the mutation against the
         current dataset, derives the mutated dataset, **patches** the
-        ``CityArrays`` bundle incrementally (falling back to a full
-        rebuild if the patcher declines or fails -- the result is
-        byte-identical either way), journals the mutation, bumps the
-        city's epoch and installs the new entry.  ``_install`` also
-        re-estimates the entry's resident bytes, so LRU eviction
-        pressure tracks patched array growth instead of going stale.
+        ``CityArrays`` bundle incrementally (byte-identical to a full
+        build), journals the mutation, bumps the city's epoch and
+        installs the new entry.  ``_install`` also re-estimates the
+        entry's resident bytes, so LRU eviction pressure tracks patched
+        array growth instead of going stale.  A failed patch raises
+        before anything is journaled or published.
 
         When the city's base is in the store, the record is appended
         to its journal (about 100 bytes, best-effort).  Returns a
         JSON-able receipt::
 
-            {"city", "epoch", "seq", "patched", "patch_ms", "n_pois"}
+            {"city", "epoch", "seq", "patch_ms", "n_pois"}
 
         Raises :class:`~repro.live.mutations.MutationError` (a
         ``ValueError``) for mutations that do not apply, including a
@@ -456,37 +483,28 @@ class CityRegistry:
                 mutation.validate(entry.dataset)
                 with self._lock:
                     log = self._mutation_logs.get(city)
-                    if log is None:
-                        log = self._mutation_logs[city] = MutationLog(
-                            city, capacity=self.mutation_log_capacity
-                        )
+                if log is None:  # published with its first record
+                    log = MutationLog(city,
+                                      capacity=self.mutation_log_capacity)
                 # A full journal must reject *before* the in-place
-                # item-index extension and the patch/rebuild work, not
-                # at the append below -- by then the shared index has
-                # already been mutated for an epoch that never happens.
+                # item-index extension and the patch, not at the append
+                # below -- by then the shared index has already been
+                # mutated for an epoch that never happens.
                 log.raise_if_full()
                 new_dataset = mutation.apply(entry.dataset)
                 if isinstance(mutation, AddPoi):
                     # Embed the new POI in the already-fitted coordinate
-                    # system before either array path stacks it.
+                    # system before the patch stacks it.
                     entry.item_index.extend_with(mutation.poi,
                                                  seed=self.seed)
-                patched = True
                 started = time.perf_counter()
                 with stage("live_patch", city=city):
-                    try:
-                        arrays = patch_arrays(entry.arrays, mutation,
-                                              entry.dataset, new_dataset,
-                                              entry.item_index)
-                    except Exception:
-                        # PatchUnsupported, or any patcher defect: the
-                        # full rebuild is the always-correct fallback.
-                        patched = False
-                        arrays = CityArrays.build(new_dataset,
-                                                  entry.item_index)
+                    arrays = patch_arrays(entry.arrays, mutation,
+                                          entry.dataset, entry.item_index)
                 patch_ms = (time.perf_counter() - started) * 1000.0
                 seq = log.append(mutation)
                 with self._lock:
+                    self._mutation_logs[city] = log
                     epoch = self._epochs.get(city, 0) + 1
                     self._epochs[city] = epoch
                     self._counters["mutations"] += 1
@@ -500,7 +518,6 @@ class CityRegistry:
                     "city": city,
                     "epoch": epoch,
                     "seq": seq,
-                    "patched": patched,
                     "patch_ms": patch_ms,
                     "n_pois": len(new_dataset),
                 }

@@ -16,7 +16,7 @@ LDA for seconds.
 Layout (one directory per content key)::
 
     <root>/
-      paris-seed2019-scale0.35-lda50-c90ff4c1-v5/
+      paris-seed2019-scale0.35-lda50-c90ff4c1-v6/
         manifest.json   # format version, key, sha256 + size per file
         segment.bin     # page-structured binary segment (see below)
         journal.ndjson  # {"seq", "mutation"} per live mutation applied
@@ -96,7 +96,9 @@ from repro.store.segment import Segment, SegmentError, write_segment
 #: v5: an entry is a base segment plus an append-only
 #: ``journal.ndjson`` of the live mutations applied to it; mutated
 #: versions are no longer written back under their content hash.
-FORMAT_VERSION = 5
+#: v6: ``CityArrays`` exports dropped the city-wide ``costs`` and the
+#: per-category ``lats``/``lons``, which no scoring path reads.
+FORMAT_VERSION = 6
 
 _MANIFEST = "manifest.json"
 _SEGMENT = "segment.bin"

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.arrays import CategoryArrays
+from repro.core.arrays import CategoryArrays, CityArrays
 from repro.core.assembly import (
     InfeasibleQueryError,
     _check_feasible_categories,
@@ -264,24 +264,26 @@ def _repair_budget(selected: dict[Category, list[_Candidate]],
 
 # -- the array kernel's former per-category and per-slot pieces ---------------
 
-def _totals_matrix(ca: CategoryArrays, cents: np.ndarray, gsims: np.ndarray,
-                   beta: float, max_distance_km: float) -> np.ndarray:
+def _totals_matrix(arrays: CityArrays, ca: CategoryArrays, cents: np.ndarray,
+                   gsims: np.ndarray, beta: float) -> np.ndarray:
     """``(k, n)`` score matrix for every centroid at once: one broadcast
-    distance pass amortized across the package.  Every element runs the
-    exact elementwise ops of the per-centroid pass, so each row is
-    bit-identical to scoring that centroid alone."""
-    dist = equirectangular_km(ca.lats[None, :], ca.lons[None, :],
+    distance pass over the category's rows, amortized across the
+    package.  Every element runs the exact elementwise ops of the
+    per-centroid pass, so each row is bit-identical to scoring that
+    centroid alone."""
+    dist = equirectangular_km(arrays.lats[ca.rows][None, :],
+                              arrays.lons[ca.rows][None, :],
                               cents[:, 0][:, None], cents[:, 1][:, None])
-    if max_distance_km > 0:
-        dist = dist / max_distance_km
+    if arrays.max_distance_km > 0:
+        dist = dist / arrays.max_distance_km
     closeness = 1.0 - np.clip(dist, 0.0, 1.0)
     return beta * closeness + gsims[None, :]
 
 
-def _pools_batched(ca: CategoryArrays, cents: np.ndarray,
+def _pools_batched(arrays: CityArrays, ca: CategoryArrays, cents: np.ndarray,
                    profile_vec: np.ndarray, beta: float, gamma: float,
-                   max_distance_km: float, candidate_pool: int,
-                   needed: int, has_budget: bool) -> list[_Pool]:
+                   candidate_pool: int, needed: int,
+                   has_budget: bool) -> list[_Pool]:
     """Candidate pools for one category across *all* centroids: one
     profile mat-vec and one broadcast ``(k, n)`` distance matrix.
 
@@ -294,7 +296,7 @@ def _pools_batched(ca: CategoryArrays, cents: np.ndarray,
     """
     pool = max(candidate_pool, needed)
     gsims = _gamma_sims(ca, profile_vec, gamma)
-    totals = _totals_matrix(ca, cents, gsims, beta, max_distance_km)
+    totals = _totals_matrix(arrays, ca, cents, gsims, beta)
     _record_scans(totals.size)
     cheap = ca.cost_order[:pool]
     pools = []

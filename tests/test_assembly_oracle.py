@@ -97,13 +97,11 @@ def test_near_slice_matches_totals_matrix(data, app, profile, small_city):
     for cat in CATEGORIES:
         ca = arrays.categories[cat]
         totals = near[:, ca.rows] + sims[cat]
-        want = oracle._totals_matrix(ca, cents, sims[cat], beta,
-                                     arrays.max_distance_km)
+        want = oracle._totals_matrix(arrays, ca, cents, sims[cat], beta)
         assert totals.tobytes() == want.tobytes()
         got = _budget_pools([ca], [totals], np.array([max(pool, needed)]))
-        ref = oracle._pools_batched(ca, cents, profile.vector(cat), beta,
-                                    gamma, arrays.max_distance_km, pool,
-                                    needed, True)
+        ref = oracle._pools_batched(arrays, ca, cents, profile.vector(cat),
+                                    beta, gamma, pool, needed, True)
         assert len(got.ids) == len(ref) == k
         _assert_rows_hold(got, 0, ref)
 

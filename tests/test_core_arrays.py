@@ -28,7 +28,6 @@ import assembly_oracle as oracle
 import repro.core.kfc as kfc
 from repro.core.arrays import CityArrays, project_coords
 from repro.core.assembly import InfeasibleQueryError, assemble_composite_items
-from repro.core.baselines import random_package
 from repro.core.builder import GroupTravel
 from repro.core.kfc import KFCBuilder
 from repro.core.objective import (
@@ -39,6 +38,7 @@ from repro.core.query import DEFAULT_QUERY, GroupQuery
 from repro.data.dataset import POIDataset
 from repro.data.poi import CATEGORIES, Category
 from repro.data.synthetic import generate_city
+from repro.geo.distance import equirectangular_km
 from repro.profiles.generator import GroupGenerator
 from repro.profiles.vectors import ItemVectorIndex
 
@@ -87,7 +87,8 @@ class TestBundle:
             assert list(ca.ids) == [p.id for p in pois]
             assert ca.vectors.shape == (len(pois), app.schema.size(cat))
             for row, poi in enumerate(pois):
-                assert ca.lats[row] == poi.lat
+                assert arrays.lats[ca.rows[row]] == poi.lat
+                assert arrays.lons[ca.rows[row]] == poi.lon
                 assert ca.costs[row] == poi.cost
                 assert np.array_equal(ca.vectors[row],
                                       app.item_index.vector(poi))
@@ -132,8 +133,8 @@ class TestPickle:
         assert clone.row_of == arrays.row_of
         for cat in CATEGORIES:
             ca, cb = arrays.categories[cat], clone.categories[cat]
-            for field in ("ids", "rows", "lats", "lons", "costs",
-                          "vectors", "vector_norms", "cost_order"):
+            for field in ("ids", "rows", "costs", "vectors", "vector_norms",
+                          "cost_order"):
                 assert np.array_equal(getattr(ca, field), getattr(cb, field))
 
     def test_unpickled_bundle_builds_identical_packages(self, app, profile):
@@ -196,12 +197,6 @@ class TestEquivalence:
         assert [ci.centroid for ci in a.composite_items] \
             == [ci.centroid for ci in b.composite_items]
 
-    def test_random_package_identical(self, app, arrays, default_query):
-        a = random_package(app.dataset, default_query, seed=3, arrays=arrays)
-        b = random_package(app.dataset, default_query, seed=3)
-        assert ([[p.id for p in ci.pois] for ci in a.composite_items]
-                == [[p.id for p in ci.pois] for ci in b.composite_items])
-
     def test_objective_identical(self, app, arrays, profile, default_query):
         package = app.kfc.build(profile, default_query)
         with_arrays = evaluate_objective(app.dataset, package, profile,
@@ -211,11 +206,16 @@ class TestEquivalence:
         assert with_arrays == without
 
     def test_normalized_distances_identical(self, app, arrays):
+        """The bundle's columns give the distances the POI coordinates
+        give."""
         centroids = app.kfc.place_centroids()
-        a = normalized_distances_to_centroids(app.dataset, centroids,
-                                              arrays=arrays)
-        b = normalized_distances_to_centroids(app.dataset, centroids)
-        assert np.array_equal(a, b)
+        coords = app.dataset.coordinates()
+        want = equirectangular_km(
+            coords[:, 0][:, None], coords[:, 1][:, None],
+            centroids[:, 0][None, :], centroids[:, 1][None, :],
+        ) / app.dataset.max_distance_km
+        got = normalized_distances_to_centroids(arrays, centroids)
+        assert np.array_equal(got, np.clip(want, 0.0, None))
 
 
 class TestGoldenDeterminism:

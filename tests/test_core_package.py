@@ -149,7 +149,7 @@ class TestObjective:
         assert np.array_equal(got, want)
 
     def test_normalized_distances_in_unit_range(self, app, package):
-        dist = normalized_distances_to_centroids(app.dataset,
+        dist = normalized_distances_to_centroids(app.arrays,
                                                  package.centroids())
         assert dist.shape == (len(app.dataset), package.k)
         assert dist.min() >= 0.0

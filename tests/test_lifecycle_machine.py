@@ -1,18 +1,23 @@
 """The city lifecycle, tested against a model.
 
 A Hypothesis ``RuleBasedStateMachine`` drives one ``CityRegistry`` and
-its ``PackageService`` through register, reprice/close/add, forced
-eviction, reload (with and without a store), restart (a new registry
-over the same store), builds with repeated and fresh FCM seeds, and
+its ``PackageService`` through register (a drawn subset of the template
+city under the template's name), reprice/close/add, forced eviction,
+reload (with and without a store), restart (a new registry over the
+same store), builds with repeated and fresh FCM seeds, and
 customization sessions.
 
-The model is the city's base dataset plus the journal of mutations
-applied to it.  Every package the system serves must be byte-identical
-to the package a fresh registry builds from ``replay(base, journal)``,
-or the request must fail with ``stale_epoch``.  Two planted mutants
-show the machine has teeth: an FCM seed cache keyed on the city name
-(instead of the geometry it was fitted to) and a reload that forgets
-the journal.
+The model is the city's base dataset -- the template, or the last
+registration -- plus the journal of mutations applied to it.  Every
+package the system serves must be byte-identical to the package a
+fresh registry builds from ``replay(base, journal)``, or the request
+must fail with ``stale_epoch``.  An evicted registration reloads its
+own base and journal from the store; without a store it is gone
+(``not_found``) until registered again, and never served as the
+template of its name.  Three planted mutants show the machine has
+teeth: an FCM seed cache keyed on the city name (instead of the
+geometry it was fitted to), a reload that forgets the journal, and a
+reload by template name.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.core import kfc
 from repro.data.dataset import POIDataset
 from repro.data.poi import POI, Category
 from repro.live import AddPoi, ClosePoi, RepricePoi
+from repro.profiles.vectors import ItemVectorIndex
 from repro.service import (
     BuildRequest,
     CityRegistry,
@@ -57,6 +63,8 @@ REPEATED_SEEDS = (1, 2)
 #: A close keeps at least this many POIs per category, so the default
 #: query (one acco/trans/rest, three attr) stays feasible at k = 3.
 MIN_PER_CATEGORY = 6
+#: A registration drops at most this many of the template's POIs.
+MAX_DROPPED = 5
 
 
 def stable_poi_id(seed: int, n: int) -> int:
@@ -77,12 +85,23 @@ def force_evict(registry: CityRegistry, city: str) -> None:
         registry._entry_bytes.pop(city, None)
 
 
+def assert_not_found(call) -> None:
+    """``call`` must fail the way an unknown city does."""
+    try:
+        call()
+    except KeyError:
+        return
+    raise AssertionError("an evicted registration was served")
+
+
 class Lifecycle(RuleBasedStateMachine):
-    #: A store holding the city's fitted base, copied per example so
-    #: no example pays the LDA fit for a store-backed start.
+    #: A store holding the template city's fitted base, copied per
+    #: example so no example pays the LDA fit for a store-backed start.
     template: Path
-    base: POIDataset
-    base_index = None
+    template_base: POIDataset
+    template_index = None
+    #: Item indexes fitted for registered subsets, by dropped POI ids.
+    subset_indexes: dict = {}
 
     def __init__(self) -> None:
         super().__init__()
@@ -90,9 +109,10 @@ class Lifecycle(RuleBasedStateMachine):
         shutil.copytree(self.template, self.root / "assets")
         self.store_root = self.root / "assets"
         self.journal: list = []
-        # The journal beside the template base in the store, and whether
-        # the resident entry appends to it: a registration appends beside
-        # its own hash-keyed base, a registry without a store nowhere.
+        # The journal beside the template base in the store.  The city
+        # appends to it while it serves the template from a store; a
+        # registration appends beside its own hash-keyed base, a
+        # registry without a store nowhere.
         self.template_journal: list = []
         self.added = 0
         self.fresh_seeds = 1000
@@ -106,7 +126,11 @@ class Lifecycle(RuleBasedStateMachine):
     # -- the system ----------------------------------------------------------
 
     def _start(self, with_store: bool) -> None:
-        self.with_store = self.on_template = with_store
+        self.with_store = with_store
+        self.base, self.base_index = self.template_base, self.template_index
+        # ``registered``: the name holds a registration in this registry.
+        # ``gone``: that registration was evicted and cannot reload.
+        self.registered = self.gone = False
         self.registry = CityRegistry(
             store=self.store_root if with_store else None, **FAST)
         self.service = PackageService(self.registry)
@@ -140,10 +164,13 @@ class Lifecycle(RuleBasedStateMachine):
         return service
 
     def _mutated(self, mutation) -> None:
+        if self.gone:
+            assert_not_found(lambda: self.registry.mutate(CITY, mutation))
+            return
         receipt = self.registry.mutate(CITY, mutation)
         self.journal.append(mutation)
         self.models.clear()
-        if self.on_template:
+        if self.with_store and not self.registered:
             self.template_journal = list(self.journal)
         assert receipt["n_pois"] == len(self.dataset())
 
@@ -179,22 +206,35 @@ class Lifecycle(RuleBasedStateMachine):
                   tags=like.tags, cost=cost / 4.0)
         self._mutated(AddPoi(poi=poi))
 
-    @rule()
-    def register(self):
-        """Re-register the base bytes: the journal is compacted away."""
-        self.registry.register(POIDataset(list(self.base),
-                                          city=self.base.city))
+    @rule(drop=st.lists(st.integers(0, 10 ** 6), unique=True,
+                        max_size=MAX_DROPPED))
+    def register(self, drop):
+        """Register the template minus some drawn POIs under the
+        template's name (no drops: its own bytes).  The new base
+        compacts the journal away."""
+        pois = sorted(self.template_base, key=lambda p: p.id)
+        dropped = frozenset(pois[i % len(pois)].id for i in drop)
+        dataset = POIDataset([p for p in self.template_base
+                              if p.id not in dropped],
+                             city=self.template_base.city)
+        index = self.subset_indexes.get(dropped)
+        if index is None:
+            index = self.subset_indexes[dropped] = ItemVectorIndex.fit(
+                dataset, lda_iterations=FAST["lda_iterations"],
+                seed=FAST["seed"])
+        self.registry.register(dataset)
+        self.base, self.base_index = dataset, index
         self.journal = []
         self.models.clear()
-        self.on_template = False
+        self.registered, self.gone = True, False
 
     # -- rules: residency ----------------------------------------------------
 
     def _evict(self):
         force_evict(self.registry, CITY)
-        # A template name reloads from the template base, whatever
-        # registration it held before.
-        self.on_template = self.with_store
+        # A registration reloads from its stored base; with no store to
+        # reload from, the name is unknown until registered again.
+        self.gone = self.registered and not self.with_store
 
     @rule()
     def evict(self):
@@ -203,8 +243,12 @@ class Lifecycle(RuleBasedStateMachine):
     @rule()
     def reload(self):
         self._evict()
+        if self.gone:
+            assert_not_found(lambda: self.registry.entry(CITY))
+            return
         entry = self.registry.entry(CITY)
         assert entry.dataset.to_json() == self.dataset().to_json()
+        assert entry.epoch == self.registry.epoch(CITY)
 
     @rule(with_store=st.booleans())
     def restart(self, with_store):
@@ -224,6 +268,9 @@ class Lifecycle(RuleBasedStateMachine):
 
     def _check_build(self, request: BuildRequest) -> None:
         response = self.service.build(request)
+        if self.gone:
+            assert response.code == "not_found", response.error
+            return
         model = self.model().build(request)
         assert model.ok, model.error
         assert response.ok, response.error
@@ -246,6 +293,9 @@ class Lifecycle(RuleBasedStateMachine):
     def open_session(self, group_seed, seed):
         request = self._request(group_seed, seed)
         response = self.service.open_session(request)
+        if self.gone:
+            assert response.code == "not_found", response.error
+            return
         assert response.ok, response.error
         expected = self.model().build(request)
         assert package_json(response.package) == package_json(
@@ -263,6 +313,9 @@ class Lifecycle(RuleBasedStateMachine):
         edit = dict(op="replace", ci_index=0, poi_id=poi)
         response = self.service.apply(CustomizeRequest(session_id=sid,
                                                        **edit))
+        if self.gone:
+            assert response.code == "not_found", response.error
+            return
         if response.code == "stale_epoch":
             self.service.close_session(sid)
             del self.sessions[sid]
@@ -315,10 +368,9 @@ def lifecycle(tmp_path_factory):
     root = tmp_path_factory.mktemp("lifecycle") / "assets"
     registry = CityRegistry(store=root, **FAST)
     entry: CityEntry = registry.entry(CITY)
-    registry.register(POIDataset(list(entry.dataset), city=entry.dataset.city))
     Lifecycle.template = root
-    Lifecycle.base = entry.dataset
-    Lifecycle.base_index = copy.deepcopy(entry.item_index)
+    Lifecycle.template_base = entry.dataset
+    Lifecycle.template_index = copy.deepcopy(entry.item_index)
     return Lifecycle
 
 
@@ -344,12 +396,26 @@ def _reload_skips_the_journal(monkeypatch):
     replay = CityRegistry._replay_log
     monkeypatch.setattr(
         CityRegistry, "_replay_log",
-        lambda self, city, base, log, stored: replay(self, city, base, None,
-                                                     stored))
+        lambda self, city, base, log, *rest: replay(self, city, base, None,
+                                                    *rest))
+
+
+def _reload_by_template_name(monkeypatch):
+    """Mutant: an evicted registration reloads as the template of its
+    name (the registry forgets what was registered)."""
+    entry_locked = CityRegistry._entry_locked
+
+    def by_name(self, city):
+        with self._lock:
+            self._registered.pop(city, None)
+        return entry_locked(self, city)
+
+    monkeypatch.setattr(CityRegistry, "_entry_locked", by_name)
 
 
 @pytest.mark.parametrize("plant", [_seed_cache_keyed_on_city,
-                                   _reload_skips_the_journal])
+                                   _reload_skips_the_journal,
+                                   _reload_by_template_name])
 def test_the_machine_catches_a_planted_mutant(lifecycle, monkeypatch, plant):
     plant(monkeypatch)
     # No shrinking: a found failure is the whole point here.

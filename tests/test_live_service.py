@@ -30,6 +30,7 @@ from repro.core.arrays import CityArrays
 from repro.core.kfc import KFCBuilder
 from repro.core.objective import ObjectiveWeights
 from repro.data.dataset import POIDataset
+from repro.data.synthetic import generate_city
 from repro.live import AddPoi, ClosePoi, MutationError, RepricePoi
 from repro.profiles.vectors import ItemVectorIndex
 from repro.service import (
@@ -39,6 +40,7 @@ from repro.service import (
     GroupSpec,
     PackageService,
 )
+import repro.service.registry as registry_module
 from repro.service.engine import StaleEpochError
 from repro.service.loadgen import LoadgenConfig, build_workload, run_sync
 from repro.service.shard import ShardCluster, ShardConfig
@@ -303,12 +305,11 @@ class TestMutateWireOp:
         })
         assert out.get("error") is None
         assert out["epoch"] == 1 and out["seq"] == 1
-        assert out["patched"] is True and out["patch_ms"] >= 0.0
+        assert out["patch_ms"] >= 0.0 and "patched" not in out
         assert out["request_id"] == "m-1" and out["latency_ms"] > 0
 
         stats = service.stats()
         assert stats["live"]["mutations_applied"] == 1
-        assert stats["live"]["full_rebuilds"] == 0
         assert stats["registry"]["epochs"] == {"paris": 1}
 
     def test_mutate_error_responses(self, service):
@@ -461,6 +462,59 @@ class TestEvictionReload:
         assert registry.mutation_log("paris") is None
         assert registry.entry("paris").epoch == 2
 
+    def _subset(self) -> POIDataset:
+        """A dataset registered under a template name: Paris without
+        its first five POIs."""
+        paris = generate_city("paris", seed=self.FAST["seed"],
+                              scale=self.FAST["scale"])
+        return POIDataset(list(paris)[5:], city="paris")
+
+    def test_evicted_registration_reloads_its_own_base(self, tmp_path):
+        registry = CityRegistry(store=AssetStore(tmp_path / "assets"),
+                                max_cities=1, **self.FAST)
+        subset = self._subset()
+        registry.register(subset)
+        poi = next(iter(subset))
+        registry.mutate("paris",
+                        RepricePoi(poi_id=poi.id, cost=poi.cost + 2.0))
+        expected = registry.dataset("paris").to_json()
+        registry.entry("rome")  # max_cities=1: evicts registered paris
+
+        reloaded = registry.entry("paris")
+        assert reloaded.epoch == 1 == registry.epoch("paris")
+        assert len(reloaded.dataset) == len(subset)
+        assert reloaded.dataset.to_json() == expected
+        # The reloaded entry keeps appending beside its own base.
+        registry.mutate("paris", ClosePoi(poi_id=poi.id))
+        registry.entry("rome")
+        assert registry.entry("paris").dataset.to_json() == \
+            ClosePoi(poi_id=poi.id).apply(reloaded.dataset).to_json()
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_evicted_registration_the_store_lacks_is_not_found(
+            self, tmp_path, with_store):
+        """No store, or a caller-supplied index (which bypasses it):
+        the registration cannot reload, so the name answers
+        ``not_found`` -- never the template of the same name."""
+        registry = CityRegistry(
+            store=AssetStore(tmp_path / "assets") if with_store else None,
+            max_cities=1, **self.FAST)
+        service = PackageService(registry)
+        subset = self._subset()
+        index = (ItemVectorIndex.fit(subset, lda_iterations=8, seed=11)
+                 if with_store else None)
+        registry.register(subset, index)
+        registry.entry("rome")  # max_cities=1: evicts registered paris
+
+        with pytest.raises(KeyError, match="re-register"):
+            registry.entry("paris")
+        response = service.build(BuildRequest(
+            city="paris", group_spec=GroupSpec(size=3, seed=1)))
+        assert response.code == "not_found"
+        assert registry.epoch("paris") == 0
+        registry.register(subset, index)
+        assert len(registry.dataset("paris")) == len(subset)
+
     def test_unreplayable_journal_retires_the_epoch_on_reload(self):
         registry = CityRegistry(max_cities=1, **self.FAST)
         base = registry.entry("paris").dataset.to_json()
@@ -564,6 +618,58 @@ class TestStoreJournal:
         registry.register(dataset, name="paris")
         assert (entry / "journal.ndjson").read_bytes() == b""
         assert registry.dataset("paris").to_json() == dataset.to_json()
+
+
+class TestFailedPatch:
+    """A patch that raises leaves no trace: the epoch, the mutation
+    log, the resident entry and the stored journal are as they were,
+    and the wire answers with an error."""
+
+    @staticmethod
+    def _state(registry, root):
+        log = registry.mutation_log("paris")
+        (entry,) = root.iterdir()
+        journal = entry / "journal.ndjson"
+        return (registry.epoch("paris"),
+                None if log is None else list(log.entries),
+                registry.entry("paris"),
+                journal.read_bytes() if journal.exists() else None)
+
+    @pytest.mark.parametrize("kind", ["reprice_poi", "close_poi", "add_poi"])
+    def test_a_failed_patch_leaves_no_trace(self, tmp_path, monkeypatch,
+                                            kind):
+        root = tmp_path / "assets"
+        registry = CityRegistry(store=AssetStore(root),
+                                **TestEvictionReload.FAST)
+        service = PackageService(registry)
+        poi = next(iter(registry.entry("paris").dataset))
+        mutation = {
+            "reprice_poi": {"kind": kind, "poi_id": poi.id, "cost": 9.0},
+            "close_poi": {"kind": kind, "poi_id": poi.id},
+            "add_poi": {"kind": kind, "poi": make_poi(10 ** 6).to_dict()},
+        }[kind]
+
+        def broken(*args):
+            raise RuntimeError("patch failed")
+
+        original = registry_module.patch_arrays
+        for journaled in (False, True):
+            if journaled:  # a journal and a log exist before the failure
+                monkeypatch.setattr(registry_module, "patch_arrays",
+                                    original)
+                registry.mutate("paris", RepricePoi(poi_id=poi.id,
+                                                    cost=poi.cost + 1.0))
+            before = self._state(registry, root)
+            monkeypatch.setattr(registry_module, "patch_arrays", broken)
+            out = service.dispatch("mutate", {"city": "paris",
+                                              "mutation": mutation})
+            assert out["error"] and out["code"] == "failed"
+            after = self._state(registry, root)
+            assert after[:2] == before[:2]
+            assert after[2] is before[2]
+            assert after[3] == before[3]
+        assert before[0] == 1 and before[3]
+        assert service.stats()["live"]["mutations_applied"] == 0
 
 
 class TestLoadgenLive:

@@ -111,8 +111,8 @@ class TestRoundTrip:
         assert np.array_equal(loaded.arrays.xy, fast_fit.arrays.xy)
         for cat, ca in fast_fit.arrays.categories.items():
             cb = loaded.arrays.categories[cat]
-            for field in ("ids", "rows", "lats", "lons", "costs",
-                          "vectors", "vector_norms", "cost_order"):
+            for field in ("ids", "rows", "costs", "vectors", "vector_norms",
+                          "cost_order"):
                 assert np.array_equal(getattr(ca, field), getattr(cb, field))
 
     def test_loaded_assets_build_identical_packages(self, store, fast_fit):
