@@ -7,7 +7,7 @@ a plane and taking the Euclidean norm is accurate to a fraction of a
 percent while being dramatically cheaper.  This subpackage implements
 
 * :mod:`repro.geo.distance` -- haversine (ground truth), equirectangular
-  (the paper's fast path), pairwise matrices and normalization helpers;
+  (the paper's fast path) and the distance normalizer;
 * :mod:`repro.geo.grid` -- a uniform spatial grid index used by the
   customization operators (``ADD``, ``REPLACE``, ``GENERATE``) to find
   POIs near a location without scanning the whole city;
@@ -18,11 +18,8 @@ percent while being dramatically cheaper.  This subpackage implements
 from repro.geo.distance import (
     EARTH_RADIUS_KM,
     equirectangular_km,
-    equirectangular_matrix,
     haversine_km,
-    haversine_matrix,
     max_pairwise_distance,
-    normalized_distance_matrix,
 )
 from repro.geo.grid import SpatialGrid
 from repro.geo.rectangle import Rectangle
@@ -32,9 +29,6 @@ __all__ = [
     "Rectangle",
     "SpatialGrid",
     "equirectangular_km",
-    "equirectangular_matrix",
     "haversine_km",
-    "haversine_matrix",
     "max_pairwise_distance",
-    "normalized_distance_matrix",
 ]

@@ -48,7 +48,7 @@ def equirectangular_km(lat1, lon1, lat2, lon2):
 
     Projects the longitude delta by ``cos`` of the mean latitude and takes
     the Euclidean norm.  Accurate to well under 0.1% for intra-city
-    distances (see ``tests/geo/test_distance.py``), and much cheaper than
+    distances (see ``tests/test_geo_distance.py``), and much cheaper than
     the haversine because it avoids the ``arcsin``/``sqrt``-of-``sin``
     chain.
 
@@ -70,43 +70,41 @@ def _as_coord_array(coords) -> np.ndarray:
     return arr
 
 
-def haversine_matrix(coords) -> np.ndarray:
-    """Symmetric pairwise haversine distance matrix for ``(lat, lon)`` pairs."""
-    arr = _as_coord_array(coords)
-    lat = arr[:, 0][:, None]
-    lon = arr[:, 1][:, None]
-    return haversine_km(lat, lon, lat.T, lon.T)
+#: Pairs per block of the exact scan: bounds its temporaries to under
+#: 1 MB whatever the city's size, instead of one n x n matrix.
+_BLOCK_PAIRS = 1 << 14
 
 
-def equirectangular_matrix(coords) -> np.ndarray:
-    """Symmetric pairwise equirectangular distance matrix."""
-    arr = _as_coord_array(coords)
-    lat = arr[:, 0][:, None]
-    lon = arr[:, 1][:, None]
-    return equirectangular_km(lat, lon, lat.T, lon.T)
-
-
-def max_pairwise_distance(coords) -> float:
+def max_pairwise_distance(coords, previous: float | None = None,
+                          added=None, removed=None) -> float:
     """Largest pairwise equirectangular distance among ``(lat, lon)`` pairs.
 
     The paper normalizes every distance by "the largest observed distance
     value"; this helper computes that normalizer.  Returns 0.0 for fewer
     than two points so callers can divide defensively.
+
+    Without ``previous`` it scans the upper triangle in row blocks, in
+    O(n) memory.  Given the ``previous`` maximum of a set that one point
+    joined (``added``, a row of ``coords``) or left (``removed``), it
+    costs O(n): ``max(previous, max_j d(added, j))``, or ``previous``
+    when the removed point's farthest partner is nearer than it.  Only a
+    removed endpoint of a maximal pair rescans.  Every answer is the
+    same float a full scan gives: ``equirectangular_km`` is bitwise
+    symmetric and ``max`` is exact (finite coordinates only).
     """
     arr = _as_coord_array(coords)
-    if len(arr) < 2:
-        return 0.0
-    return float(equirectangular_matrix(arr).max())
-
-
-def normalized_distance_matrix(coords) -> np.ndarray:
-    """Pairwise equirectangular distances scaled into ``[0, 1]``.
-
-    Divides by the largest observed distance, per Section 3.2.  If all
-    points coincide the matrix is all zeros.
-    """
-    mat = equirectangular_matrix(coords)
-    largest = mat.max()
-    if largest <= 0.0:
-        return np.zeros_like(mat)
-    return mat / largest
+    lat, lon = arr[:, 0], arr[:, 1]
+    if previous is not None:
+        lat0, lon0 = added if removed is None else removed
+        farthest = float(equirectangular_km(lat0, lon0, lat, lon)
+                         .max(initial=0.0))
+        if removed is None or farthest < previous:
+            return max(previous, farthest)
+    rows = max(1, _BLOCK_PAIRS // max(len(arr), 1))
+    largest = 0.0
+    for start in range(0, len(arr) - 1, rows):
+        block = equirectangular_km(lat[start:start + rows, None],
+                                   lon[start:start + rows, None],
+                                   lat[start + 1:], lon[start + 1:])
+        largest = max(largest, float(block.max()))
+    return largest

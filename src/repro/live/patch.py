@@ -28,16 +28,19 @@ Per-kind cost profile:
   one lexsort; no geometry changes, every other array reused.  This is
   the hot path ``benchmarks/bench_live.py`` gates at >= 5x a full
   rebuild.
-* ``close_poi`` / ``add_poi`` -- O(n) column edits plus the O(n^2)
-  distance-normalizer recompute (``max_pairwise_distance`` is the same
-  vectorized kernel ``build`` itself pays through
-  ``dataset.max_distance_km``); still no LDA work, no re-stacking of
-  unaffected categories' vector matrices.
+* ``close_poi`` / ``add_poi`` -- O(n) column edits, the projection,
+  and an O(n) update of the distance normalizer: an add takes
+  ``max(old, max_j d(new, j))``; a close keeps the old maximum unless
+  the removed POI ends a maximal pair, and only then rescans the city
+  in O(n) memory (``max_pairwise_distance``, the scan ``build`` itself
+  pays through ``dataset.max_distance_km``).  No LDA work, no
+  re-stacking of unaffected categories' vector matrices.
 
-For ``add_poi`` the new POI's item vector must already be registered in
-the shared :class:`~repro.profiles.vectors.ItemVectorIndex` (see
-``ItemVectorIndex.extend_with``); the patcher reads it back so patched
-and fresh builds stack the identical vector bytes.
+For ``add_poi`` the caller passes the new POI's item vector
+(``ItemVectorIndex.embed``), and stores it in the shared
+:class:`~repro.profiles.vectors.ItemVectorIndex` only once the patch
+succeeded, so a failed add leaves the index untouched.  A fresh build
+over that index then stacks the identical vector bytes.
 """
 
 from __future__ import annotations
@@ -55,17 +58,17 @@ from repro.data.dataset import POIDataset
 from repro.data.poi import Category
 from repro.geo.distance import max_pairwise_distance
 from repro.live.mutations import AddPoi, ClosePoi, Mutation, RepricePoi
-from repro.profiles.vectors import ItemVectorIndex
 
 __all__ = ["patch_arrays"]
 
 
 def patch_arrays(arrays: CityArrays, mutation: Mutation,
                  dataset: POIDataset,
-                 item_index: ItemVectorIndex) -> CityArrays:
+                 vector: np.ndarray | None = None) -> CityArrays:
     """Patch ``arrays`` (built from ``dataset``) into the bundle
     ``CityArrays.build(mutation.apply(dataset), item_index)`` would
-    produce.
+    produce, where ``item_index`` holds ``vector`` -- the added POI's
+    item vector, required for ``add_poi`` and unused otherwise.
 
     ``arrays`` is never modified (it may be a read-only mmap-backed
     hydrated bundle); every changed array is freshly allocated.
@@ -76,7 +79,7 @@ def patch_arrays(arrays: CityArrays, mutation: Mutation,
     if isinstance(mutation, ClosePoi):
         return _patch_close(arrays, mutation, dataset)
     if isinstance(mutation, AddPoi):
-        return _patch_add(arrays, mutation, item_index)
+        return _patch_add(arrays, mutation, vector)
     raise TypeError(f"no patch for mutation kind {type(mutation).__name__}")
 
 
@@ -111,7 +114,9 @@ def _patch_close(arrays: CityArrays, mutation: ClosePoi,
     # and normalizer arithmetic below is bit-identical to build()'s.
     coords = np.column_stack([lats, lons])
     xy, origin = project_coords(coords)
-    max_distance_km = max_pairwise_distance(coords)
+    max_distance_km = max_pairwise_distance(
+        coords, previous=arrays.max_distance_km,
+        removed=(arrays.lats[row], arrays.lons[row]))
 
     categories: dict[Category, CategoryArrays] = {}
     for c, ca in arrays.categories.items():
@@ -134,15 +139,17 @@ def _patch_close(arrays: CityArrays, mutation: ClosePoi,
         ids=ids, lats=lats, lons=lons,
         xy=xy, origin=origin, max_distance_km=max_distance_km,
         categories=categories,
-        row_of={int(i): r for r, i in enumerate(ids)},
+        row_of=dict(zip(ids.tolist(), range(len(ids)))),
     )
 
 
 def _patch_add(arrays: CityArrays, mutation: AddPoi,
-               item_index: ItemVectorIndex) -> CityArrays:
+               vector: np.ndarray | None) -> CityArrays:
     """Row append: new last row city-wide and in its category; the
     projection/normalizer re-derive, but no existing row moves, so
     ``row_of`` extends in place."""
+    if vector is None:
+        raise ValueError("add_poi needs the new POI's item vector")
     poi = mutation.poi
     new_row = len(arrays)
 
@@ -151,14 +158,14 @@ def _patch_add(arrays: CityArrays, mutation: AddPoi,
     lons = np.concatenate([arrays.lons, np.array([poi.lon], dtype=float)])
     coords = np.column_stack([lats, lons])
     xy, origin = project_coords(coords)
-    max_distance_km = max_pairwise_distance(coords)
+    max_distance_km = max_pairwise_distance(
+        coords, previous=arrays.max_distance_km, added=(poi.lat, poi.lon))
 
     row_of = dict(arrays.row_of)
     row_of[int(poi.id)] = new_row
 
     cat = poi.cat
     ca = arrays.categories[cat]
-    vector = item_index.vector(poi.id)
     categories = dict(arrays.categories)
     categories[cat] = CategoryArrays.from_columns(
         cat,

@@ -147,16 +147,15 @@ class ItemVectorIndex:
                     )
         return cls(source.schema, vectors, dict(source._topic_models))
 
-    def extend_with(self, poi: POI, seed: int = 0) -> np.ndarray:
-        """Embed one *new* POI into the fitted coordinate system.
+    def embed(self, poi: POI, seed: int = 0) -> np.ndarray:
+        """Embed one *new* POI into the fitted coordinate system, without
+        storing it (see :meth:`store`).
 
         The live-mutation (``add_poi``) counterpart of :meth:`transfer`:
         accommodation / transportation POIs get the usual one-hot type
         vector, restaurants / attractions a fold-in LDA inference under
         the already-fitted topic model (uniform when no model was
-        fitted).  The vector is stored in the index -- overwriting any
-        previous embedding of the same id, so a close-then-reopen POI
-        re-embeds with its current tags -- and a copy is returned.
+        fitted).
 
         The topic models themselves are **not** refitted; the new POI is
         expressed in the existing coordinate system, which is what keeps
@@ -178,8 +177,21 @@ class ItemVectorIndex:
             slot = type_index.get(poi.type)
             if slot is not None:
                 vec[slot] = 1.0
-        self._vectors[poi.id] = vec
-        self._norms[poi.id] = np.linalg.norm(vec)
+        return vec
+
+    def store(self, poi_id: int, vector: np.ndarray) -> None:
+        """Store ``vector`` as the POI's embedding, overwriting any
+        previous one, so a close-then-reopen POI re-embeds with its
+        current tags.  The index keeps ``vector`` itself: callers must
+        not modify it afterwards."""
+        self._vectors[poi_id] = vector
+        self._norms[poi_id] = np.linalg.norm(vector)
+
+    def extend_with(self, poi: POI, seed: int = 0) -> np.ndarray:
+        """:meth:`embed` then :meth:`store`; returns a copy of the
+        stored vector."""
+        vec = self.embed(poi, seed=seed)
+        self.store(poi.id, vec)
         return vec.copy()
 
     # -- persistence ----------------------------------------------------------

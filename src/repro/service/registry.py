@@ -486,22 +486,23 @@ class CityRegistry:
                 if log is None:  # published with its first record
                     log = MutationLog(city,
                                       capacity=self.mutation_log_capacity)
-                # A full journal must reject *before* the in-place
-                # item-index extension and the patch, not at the append
-                # below -- by then the shared index has already been
-                # mutated for an epoch that never happens.
+                # A full journal must reject *before* the patch, not at
+                # the append below.
                 log.raise_if_full()
                 new_dataset = mutation.apply(entry.dataset)
-                if isinstance(mutation, AddPoi):
-                    # Embed the new POI in the already-fitted coordinate
-                    # system before the patch stacks it.
-                    entry.item_index.extend_with(mutation.poi,
-                                                 seed=self.seed)
+                # An added POI is embedded in the already-fitted
+                # coordinate system, but joins the shared index only
+                # once its patch succeeded: a failed add leaves no
+                # vector that no dataset row owns.
+                vector = (entry.item_index.embed(mutation.poi, seed=self.seed)
+                          if isinstance(mutation, AddPoi) else None)
                 started = time.perf_counter()
                 with stage("live_patch", city=city):
                     arrays = patch_arrays(entry.arrays, mutation,
-                                          entry.dataset, entry.item_index)
+                                          entry.dataset, vector)
                 patch_ms = (time.perf_counter() - started) * 1000.0
+                if vector is not None:
+                    entry.item_index.store(mutation.poi.id, vector)
                 seq = log.append(mutation)
                 with self._lock:
                     self._mutation_logs[city] = log

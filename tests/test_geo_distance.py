@@ -1,23 +1,44 @@
-"""Unit and property tests for the distance substrate."""
+"""Unit and property tests for the distance substrate.
+
+The full-matrix helpers live in ``tests/geo_oracle.py``: ``src/`` only
+needs the largest pairwise distance, which it finds without building
+the n x n matrix, and must find bit for bit.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geo_oracle import (
+    equirectangular_matrix,
+    haversine_matrix,
+    normalized_distance_matrix,
+)
 from repro.geo.distance import (
     equirectangular_km,
-    equirectangular_matrix,
     haversine_km,
-    haversine_matrix,
     max_pairwise_distance,
-    normalized_distance_matrix,
 )
 
 # Paris-ish coordinate strategies: the regime the paper's approximation
 # claim covers.
 _city_lat = st.floats(48.7, 49.0)
 _city_lon = st.floats(2.1, 2.6)
+
+
+def random_city(seed: int, n: int, duplicates: float) -> np.ndarray:
+    """``n`` Paris-ish points, a ``duplicates`` share of them copies of
+    earlier ones (coincident POIs tie the maximum)."""
+    rng = np.random.default_rng(seed)
+    coords = np.column_stack([rng.uniform(48.7, 49.0, n),
+                              rng.uniform(2.1, 2.6, n)])
+    copies = rng.random(n) < duplicates
+    copies[0] = False
+    coords[copies] = coords[rng.integers(0, np.flatnonzero(copies))]
+    return coords
 
 
 class TestHaversine:
@@ -85,16 +106,60 @@ class TestMatrices:
 
     def test_rejects_malformed_coords(self):
         with pytest.raises(ValueError, match="lat, lon"):
-            haversine_matrix([[1.0, 2.0, 3.0]])
+            max_pairwise_distance([[1.0, 2.0, 3.0]])
 
     def test_max_pairwise_distance_single_point(self):
         assert max_pairwise_distance([(48.85, 2.35)]) == 0.0
 
-    def test_max_pairwise_distance_matches_matrix_max(self):
-        coords = [(48.85, 2.35), (48.90, 2.40), (48.80, 2.30)]
-        assert max_pairwise_distance(coords) == pytest.approx(
-            equirectangular_matrix(coords).max()
-        )
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.one_of(st.integers(2, 12), st.integers(13, 600)),
+           duplicates=st.sampled_from([0.0, 0.3, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_max_pairwise_distance_matches_matrix_max(self, seed, n,
+                                                      duplicates):
+        """The block scan returns the full matrix's maximum exactly,
+        across sizes that span many blocks and sets full of ties."""
+        coords = random_city(seed, n, duplicates)
+        assert max_pairwise_distance(coords) == equirectangular_matrix(
+            coords).max()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           steps=st.lists(st.tuples(st.booleans(), st.floats(0, 0.999)),
+                          min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_update_matches_a_fresh_scan(self, seed, n, steps):
+        """Adding or removing one point, the O(n) update from the
+        previous maximum equals a scan of the new set, bit for bit --
+        including the removal of a farthest-pair endpoint."""
+        pool = random_city(seed, n + len(steps), duplicates=0.3)
+        coords, spare = pool[:n], list(pool[n:])
+        largest = max_pairwise_distance(coords)
+        for add, pick in steps:
+            if add or len(coords) == 1:
+                point = spare.pop()
+                coords = np.vstack([coords, point])
+                largest = max_pairwise_distance(
+                    coords, previous=largest, added=tuple(point))
+            else:
+                victim = int(pick * len(coords))
+                point = coords[victim]
+                coords = np.delete(coords, victim, axis=0)
+                largest = max_pairwise_distance(
+                    coords, previous=largest, removed=tuple(point))
+            assert largest == max_pairwise_distance(coords)
+
+    def test_max_pairwise_distance_memory_is_linear(self):
+        """6,000 points: one n x n float64 temporary would be 288 MB;
+        the scan peaks at a small multiple of the n-row column bytes."""
+        n = 6000
+        coords = random_city(0, n, duplicates=0.0)
+        tracemalloc.start()
+        try:
+            max_pairwise_distance(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * coords.itemsize
 
     def test_normalized_matrix_in_unit_interval(self):
         coords = [(48.85, 2.35), (48.90, 2.40), (48.80, 2.30)]

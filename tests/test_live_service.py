@@ -622,8 +622,8 @@ class TestStoreJournal:
 
 class TestFailedPatch:
     """A patch that raises leaves no trace: the epoch, the mutation
-    log, the resident entry and the stored journal are as they were,
-    and the wire answers with an error."""
+    log, the resident entry, the stored journal and the shared item
+    index are as they were, and the wire answers with an error."""
 
     @staticmethod
     def _state(registry, root):
@@ -668,6 +668,8 @@ class TestFailedPatch:
             assert after[:2] == before[:2]
             assert after[2] is before[2]
             assert after[3] == before[3]
+            # A failed add embedded nothing into the shared index.
+            assert 10 ** 6 not in registry.entry("paris").item_index
         assert before[0] == 1 and before[3]
         assert service.stats()["live"]["mutations_applied"] == 0
 
