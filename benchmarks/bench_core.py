@@ -2,7 +2,8 @@
 
 Not a paper table, but the numbers downstream users care about: how
 long one KFC package build takes, how fuzzy c-means scales, the
-throughput of CI assembly and consensus aggregation.  Run with
+throughput of CI assembly and consensus aggregation, and the latency of
+the system's REPLACE recommendation.  Run with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_core.py -q
 -o python_files="bench_*.py"``.  End-to-end serving numbers come from
 ``perfbench/run.py``.
@@ -55,8 +56,8 @@ def test_consensus_aggregation(benchmark):
               ConsensusMethod.PAIRWISE_DISAGREEMENT)
 
 
-def test_spatial_grid_nearest(benchmark, paris_app):
-    dataset = paris_app.dataset
-    grid = dataset.grid
-    lat, lon = dataset.coordinates().mean(axis=0)
-    benchmark(grid.nearest, float(lat), float(lon), 10)
+def test_recommend_replacement(benchmark, paris_app, group_profile):
+    session = paris_app.customize(
+        paris_app.kfc.build(group_profile, DEFAULT_QUERY), group_profile)
+    target = session.package[0].pois[0]
+    assert benchmark(session.recommend_replacement, 0, target.id) is not None

@@ -43,8 +43,8 @@ from repro.data.dataset import POIDataset
 from repro.data.poi import CATEGORIES, Category
 from repro.profiles.vectors import ItemVectorIndex
 
-#: Kilometres per degree of latitude (constant over the sphere); shared
-#: with :mod:`repro.geo.grid` and the KFC builder.
+#: Kilometres per degree of latitude (constant over the sphere); the
+#: scale of the local projection the KFC builder runs in.
 _KM_PER_DEG_LAT = 111.195
 
 

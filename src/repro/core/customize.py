@@ -20,7 +20,10 @@ profile-refinement strategies in :mod:`repro.core.refine`.
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.arrays import CityArrays
 from repro.core.assembly import assemble_composite_items
@@ -28,6 +31,7 @@ from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
 from repro.data.poi import POI, Category
+from repro.geo.distance import equirectangular_km
 from repro.geo.rectangle import Rectangle
 from repro.profiles.group import GroupProfile
 from repro.profiles.vectors import ItemVectorIndex
@@ -99,10 +103,12 @@ class CustomizationSession:
             personalized.
         item_index: Item vectors matching the profile schema.
         beta, gamma: Equation 1 CI-term weights for GENERATE.
-        arrays: Optional precomputed
-            :class:`~repro.core.arrays.CityArrays` bundle; GENERATE
-            scores against it when present (the serving layers always
-            pass the pooled per-city bundle).
+        arrays: The :class:`~repro.core.arrays.CityArrays` bundle of
+            ``dataset``; the nearest-POI recommendations read its
+            ``ids``/``lats``/``lons`` columns and GENERATE scores
+            against it.  Defaults to the pooled
+            ``CityArrays.of(dataset, item_index)`` (the serving layers
+            pass their per-city bundle).
     """
 
     package: TravelPackage
@@ -113,6 +119,39 @@ class CustomizationSession:
     gamma: float = 1.0
     arrays: CityArrays | None = None
     interactions: list[Interaction] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.arrays is None:
+            self.arrays = CityArrays.of(self.dataset, self.item_index)
+
+    def _nearest(self, lat: float, lon: float, k: int,
+                 category: Category | str | None = None,
+                 poi_type: str | None = None,
+                 exclude: Collection[int] = ()) -> list[POI]:
+        """The ``k`` dataset POIs nearest to ``(lat, lon)``, nearest
+        first, ties broken by id; fewer when the filters leave fewer.
+
+        One vectorized distance pass over the bundle's rows of
+        ``category`` (every row when it is ``None``).  The ``poi_type``
+        mask is built over ``dataset.by_category`` (or ``dataset``),
+        which is row-aligned with those columns by construction.
+        """
+        if k <= 0:
+            return []
+        arrays = self.arrays
+        if category is None:
+            ids, rows, pois = arrays.ids, np.arange(len(arrays)), self.dataset
+        else:
+            ca = arrays.category(category)
+            ids, rows = ca.ids, ca.rows
+            pois = self.dataset.by_category(category)
+        keep = ~np.isin(ids, list(exclude))
+        if poi_type is not None:
+            keep &= np.fromiter((p.type == poi_type for p in pois),
+                                dtype=bool, count=len(ids))
+        ids, rows = ids[keep], rows[keep]
+        d = equirectangular_km(lat, lon, arrays.lats[rows], arrays.lons[rows])
+        return [self.dataset[int(i)] for i in ids[np.lexsort((ids, d))[:k]]]
 
     # -- operators -------------------------------------------------------------
 
@@ -137,10 +176,8 @@ class CustomizationSession:
         matching the user's filter, excluding current members."""
         ci = self.package[ci_index]
         lat, lon = ci.centroid
-        return self.dataset.nearest(
-            lat, lon, k=k, category=category, poi_type=poi_type,
-            exclude=set(ci.poi_ids),
-        )
+        return self._nearest(lat, lon, k, category=category,
+                             poi_type=poi_type, exclude=ci.poi_ids)
 
     def add(self, ci_index: int, poi: POI, actor: int | None = None) -> None:
         """``ADD(i, CI)``: insert ``poi`` into the CI."""
@@ -155,10 +192,8 @@ class CustomizationSession:
         closest POI of the same category not already in the CI."""
         ci = self.package[ci_index]
         current = next(p for p in ci.pois if p.id == poi_id)
-        matches = self.dataset.nearest(
-            current.lat, current.lon, k=1, category=current.cat,
-            exclude=set(ci.poi_ids),
-        )
+        matches = self._nearest(current.lat, current.lon, 1,
+                                category=current.cat, exclude=ci.poi_ids)
         return matches[0] if matches else None
 
     def replace(self, ci_index: int, poi_id: int,

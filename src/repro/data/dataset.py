@@ -2,8 +2,10 @@
 
 A thin, well-indexed collection of POIs for one city: constant-time id
 lookup, per-category views, coordinate matrices for the clustering code,
-a lazily-built spatial grid for neighbourhood queries, and JSON
-round-tripping so generated cities can be cached on disk.
+the distance normalizer, and JSON round-tripping so generated cities can
+be cached on disk.  Neighbourhood queries run over the city's
+:class:`~repro.core.arrays.CityArrays` columns instead
+(:class:`~repro.core.customize.CustomizationSession`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from repro.data.poi import CATEGORIES, POI, Category
 from repro.geo.distance import max_pairwise_distance
-from repro.geo.grid import SpatialGrid
 
 
 class POIDataset:
@@ -38,7 +39,6 @@ class POIDataset:
             cat: tuple(p for p in self._pois.values() if p.cat == cat)
             for cat in CATEGORIES
         }
-        self._grid: SpatialGrid | None = None
         self._max_distance: float | None = None
 
     # -- basic container protocol ------------------------------------------
@@ -93,43 +93,6 @@ class POIDataset:
         if self._max_distance is None:
             self._max_distance = max_pairwise_distance(self.coordinates())
         return self._max_distance
-
-    @property
-    def grid(self) -> SpatialGrid:
-        """A spatial grid over all POIs, built lazily and cached."""
-        if self._grid is None:
-            self._grid = SpatialGrid.from_points(
-                (p.id, p.lat, p.lon) for p in self._pois.values()
-            )
-        return self._grid
-
-    def nearest(self, lat: float, lon: float, k: int = 1,
-                category: Category | str | None = None,
-                poi_type: str | None = None,
-                exclude: set[int] | None = None) -> list[POI]:
-        """The ``k`` POIs nearest to a point, optionally filtered.
-
-        Args:
-            lat, lon: Query point.
-            k: Number of POIs to return.
-            category: Restrict to a category if given.
-            poi_type: Restrict to a POI type if given.
-            exclude: POI ids to skip (e.g. items already in a CI).
-        """
-        want_cat = Category.parse(category) if category is not None else None
-
-        def _accept(poi_id: int) -> bool:
-            poi = self._pois[poi_id]
-            if want_cat is not None and poi.cat != want_cat:
-                return False
-            if poi_type is not None and poi.type != poi_type:
-                return False
-            if exclude and poi_id in exclude:
-                return False
-            return True
-
-        ids = self.grid.nearest(lat, lon, k=k, predicate=_accept)
-        return [self._pois[i] for i in ids]
 
     # -- persistence ------------------------------------------------------------
 

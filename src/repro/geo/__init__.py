@@ -8,9 +8,6 @@ percent while being dramatically cheaper.  This subpackage implements
 
 * :mod:`repro.geo.distance` -- haversine (ground truth), equirectangular
   (the paper's fast path) and the distance normalizer;
-* :mod:`repro.geo.grid` -- a uniform spatial grid index used by the
-  customization operators (``ADD``, ``REPLACE``, ``GENERATE``) to find
-  POIs near a location without scanning the whole city;
 * :mod:`repro.geo.rectangle` -- axis-aligned map rectangles backing the
   ``GENERATE(RECTANGLE(x, y, w, h))`` operator.
 """
@@ -21,13 +18,11 @@ from repro.geo.distance import (
     haversine_km,
     max_pairwise_distance,
 )
-from repro.geo.grid import SpatialGrid
 from repro.geo.rectangle import Rectangle
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "Rectangle",
-    "SpatialGrid",
     "equirectangular_km",
     "haversine_km",
     "max_pairwise_distance",

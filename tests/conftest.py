@@ -54,6 +54,14 @@ def non_uniform_group(schema):
     return GroupGenerator(schema, seed=22).non_uniform_group(5)
 
 
+@pytest.fixture()
+def session(app, uniform_group, default_query):
+    """A fresh customization session on the uniform group's package."""
+    profile = uniform_group.profile()
+    package = app.kfc.build(profile, default_query)
+    return app.customize(package, profile)
+
+
 def make_poi(poi_id: int = 0, cat: Category | str = Category.RESTAURANT,
              lat: float = 48.85, lon: float = 2.35, cost: float = 1.0,
              poi_type: str = "french",

@@ -13,13 +13,6 @@ from repro.core.collaboration import (
 from repro.core.customize import InteractionKind
 
 
-@pytest.fixture()
-def session(app, uniform_group, default_query):
-    profile = uniform_group.profile()
-    package = app.kfc.build(profile, default_query)
-    return app.customize(package, profile)
-
-
 def remove_request(session, actor=0, ci=0, slot=0):
     return CustomizationRequest(
         actor=actor, kind=InteractionKind.REMOVE, ci_index=ci,

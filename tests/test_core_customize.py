@@ -10,13 +10,6 @@ from repro.geo.rectangle import Rectangle
 from repro.profiles.consensus import ConsensusMethod
 
 
-@pytest.fixture()
-def session(app, uniform_group, default_query):
-    profile = uniform_group.profile()
-    package = app.kfc.build(profile, default_query)
-    return app.customize(package, profile)
-
-
 class TestRemove:
     def test_remove_drops_poi_and_logs(self, session):
         victim = session.package[0].pois[0]

@@ -5,6 +5,8 @@ import pytest
 from repro.data.dataset import POIDataset
 from repro.data.poi import Category
 
+from geo_oracle import nearest_pois
+
 
 class TestContainer:
     def test_len_iter_contains(self, small_city):
@@ -55,24 +57,32 @@ class TestGeometry:
         assert first > 0
         assert small_city.max_distance_km == first
 
-    def test_nearest_respects_category(self, small_city):
-        lat, lon = small_city.coordinates().mean(axis=0)
-        found = small_city.nearest(float(lat), float(lon), k=3,
-                                   category="rest")
+    # Nearest-POI queries run in the customization session, over the
+    # city's bundle columns; the oracle is a scalar brute force.
+
+    def test_nearest_respects_category(self, session, small_city):
+        lat, lon = session.package[0].centroid
+        found = session.suggest_additions(0, k=3, category="rest")
         assert len(found) == 3
         assert all(p.cat == Category.RESTAURANT for p in found)
+        assert found == nearest_pois(small_city, lat, lon, 3, category="rest",
+                                     exclude=session.package[0].poi_ids)
 
-    def test_nearest_excludes_ids(self, small_city):
-        lat, lon = small_city.coordinates().mean(axis=0)
-        top = small_city.nearest(float(lat), float(lon), k=1)[0]
-        found = small_city.nearest(float(lat), float(lon), k=1,
-                                   exclude={top.id})
-        assert found[0].id != top.id
+    def test_nearest_excludes_ids(self, session, small_city):
+        ci = session.package[0]
+        target = ci.pois[0]
+        top = nearest_pois(small_city, target.lat, target.lon, 1,
+                           category=target.cat)[0]
+        assert top.id == target.id  # distance 0 to itself
+        found = session.recommend_replacement(0, target.id)
+        assert found.id not in ci.poi_ids
+        assert found == nearest_pois(small_city, target.lat, target.lon, 1,
+                                     category=target.cat,
+                                     exclude=ci.poi_ids)[0]
 
-    def test_nearest_by_type(self, small_city):
+    def test_nearest_by_type(self, session, small_city):
         some = small_city.by_category("acco")[0]
-        found = small_city.nearest(some.lat, some.lon, k=1,
-                                   poi_type=some.type)
+        found = session.suggest_additions(0, k=1, poi_type=some.type)
         assert found[0].type == some.type
 
 

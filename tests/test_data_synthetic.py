@@ -7,6 +7,8 @@ from repro.data.cities import CITY_TEMPLATES, city_names, get_template
 from repro.data.poi import CATEGORIES, Category
 from repro.data.synthetic import generate_city
 
+from geo_oracle import brute_force_nearest
+
 
 class TestCityTemplates:
     def test_eight_tourpedia_cities(self):
@@ -74,11 +76,12 @@ class TestGenerateCity:
         far below what a uniform scatter would give."""
         city = generate_city("paris", seed=6, scale=1.0)
         coords = city.coordinates()
-        # Nearest-neighbour distances via the dataset's grid.
+        # Nearest-neighbour distances via the brute-force oracle.
+        points = [(p.id, p.lat, p.lon) for p in city]
         dists = []
         for poi in list(city)[:150]:
-            nearest = city.nearest(poi.lat, poi.lon, k=2)
-            other = [p for p in nearest if p.id != poi.id][0]
+            nearest = brute_force_nearest(points, poi.lat, poi.lon, k=2)
+            other = city[[i for i in nearest if i != poi.id][0]]
             dists.append(abs(other.lat - poi.lat) + abs(other.lon - poi.lon))
         spread = coords.std(axis=0).sum()
         assert np.mean(dists) < spread / 4

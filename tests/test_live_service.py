@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import make_poi
+from geo_oracle import nearest_pois
 from repro.clustering.fuzzy_cmeans import FuzzyCMeans
 from repro.core import kfc
 from repro.core.arrays import CityArrays
@@ -168,6 +169,47 @@ class TestSessionReplay:
         # refine() on the same pinned session surfaces the same state.
         with pytest.raises(StaleEpochError):
             service.refine(session_id)
+
+    def test_replace_reads_the_patched_bundle(self, registry, service,
+                                              spec_request):
+        opened = service.open_session(spec_request)
+        sid = opened.session_id
+        editor = service._session(sid).editor
+        closed = editor.recommend_replacement(0, editor.package[0].pois[0].id)
+        registry.mutate("paris", ClosePoi(poi_id=closed.id))
+
+        # The next request replays the session onto the close's epoch;
+        # no POI of the replayed package is offered the closed one.
+        service.suggest_additions(sid, ci_index=0)
+        editor = service._session(sid).editor
+        current = registry.dataset("paris")
+        assert editor.dataset is current and closed.id not in current
+        for ci_index, ci in enumerate(editor.package.composite_items):
+            for poi in ci.pois:
+                recommended = editor.recommend_replacement(ci_index, poi.id)
+                assert recommended.id != closed.id
+                assert recommended == nearest_pois(
+                    current, poi.lat, poi.lon, 1, category=poi.cat,
+                    exclude=ci.poi_ids)[0]
+
+        # A same-category POI added at a member's exact coordinates is
+        # at distance 0 from it: the system REPLACE now picks it.
+        target = editor.package[0].pois[0]
+        twin = make_poi(max(current.ids) + 1, target.cat, lat=target.lat,
+                        lon=target.lon, poi_type="pop-up",
+                        tags=("never-seen-tag",))
+        registry.mutate("paris", AddPoi(poi=twin))
+        service.suggest_additions(sid, ci_index=0)
+        editor = service._session(sid).editor
+        ci_index = next(i for i, ci in enumerate(editor.package.composite_items)
+                        if target.id in ci and twin.id not in ci)
+        response = service.apply(CustomizeRequest(
+            session_id=sid, op="replace", ci_index=ci_index,
+            poi_id=target.id))
+        assert response.ok
+        replaced = response.package.composite_items[ci_index]
+        assert twin.id in replaced and target.id not in replaced
+        assert service.stats()["live"]["sessions_replayed"] == 2
 
 
 class TestSeedCache:

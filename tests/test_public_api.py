@@ -23,7 +23,7 @@ from repro import (
 
 class TestPublicAPI:
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -55,6 +55,17 @@ class TestPublicAPI:
 
     def test_dataset_type_exported(self, small_city):
         assert isinstance(small_city, POIDataset)
+
+    def test_geo_exports(self):
+        import repro.geo
+
+        # Nearest-POI queries read the city bundle; no grid index ships.
+        assert repro.geo.__all__ == [
+            "EARTH_RADIUS_KM", "Rectangle", "equirectangular_km",
+            "haversine_km", "max_pairwise_distance",
+        ]
+        for name in repro.geo.__all__:
+            assert getattr(repro.geo, name) is not None
 
     def test_profile_types_exported(self, uniform_group):
         assert isinstance(uniform_group, Group)
