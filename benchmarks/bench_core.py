@@ -9,6 +9,9 @@ the system's REPLACE recommendation.  Run with
 ``perfbench/run.py``.
 """
 
+import json
+import timeit
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,15 @@ from repro.clustering.fuzzy_cmeans import FuzzyCMeans
 from repro.core.assembly import assemble_composite_items
 from repro.core.query import DEFAULT_QUERY
 from repro.profiles.consensus import ConsensusMethod, consensus_scores
+from repro.service.schema import Encoded
+
+#: A build miss encodes its package text by splicing the POIs' cached
+#: JSON texts; the gate holds that splice to at least this many times
+#: faster than ``json.dumps(package.to_dict())``.  Measured on a 2-vCPU
+#: VM (Python 3.11.7) for a 5-CI Paris package: the splice 5-7x, the
+#: whole wire form a miss caches (the dict, which the splice does not
+#: read, plus the splice) 3-4.4x.
+MIN_SPLICE_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +73,27 @@ def test_recommend_replacement(benchmark, paris_app, group_profile):
         paris_app.kfc.build(group_profile, DEFAULT_QUERY), group_profile)
     target = session.package[0].pois[0]
     assert benchmark(session.recommend_replacement, 0, target.id) is not None
+
+
+def test_spliced_package_encode_gate(paris_app, group_profile):
+    """A built 5-CI package's text spliced from the POIs' cached texts
+    against ``json.dumps`` of its dict, best of seven blocks each; the
+    whole wire form a miss caches is printed beside them."""
+    package = paris_app.kfc.build(group_profile, DEFAULT_QUERY)
+    assert package.k == 5
+    wire = Encoded.spliced(package.to_dict(), package.to_json())
+    assert wire.json == json.dumps(package.to_dict())
+
+    def best(fn) -> float:
+        return min(timeit.repeat(fn, number=200, repeat=7)) / 200
+
+    spliced = best(package.to_json)
+    dumped = best(lambda: json.dumps(package.to_dict()))
+    whole = best(lambda: Encoded.spliced(package.to_dict(),
+                                         package.to_json()))
+    print(f"\nspliced encode {spliced * 1e6:.1f} us, json.dumps(to_dict) "
+          f"{dumped * 1e6:.1f} us: {dumped / spliced:.1f}x (wire form "
+          f"{whole * 1e6:.1f} us: {dumped / whole:.1f}x)")
+    assert dumped / spliced >= MIN_SPLICE_SPEEDUP, (
+        f"spliced encode only {dumped / spliced:.1f}x faster than "
+        f"json.dumps(package.to_dict()), below {MIN_SPLICE_SPEEDUP}x")

@@ -302,14 +302,6 @@ class CityArrays:
         """One category's columns."""
         return self.categories[Category.parse(category)]
 
-    def rows_for(self, poi_ids) -> np.ndarray:
-        """City-wide row indices for an iterable of POI ids.
-
-        Raises ``KeyError`` for ids outside the dataset.
-        """
-        return np.array([self.row_of[int(i)] for i in poi_ids],
-                        dtype=np.int64)
-
 
 #: Process-wide bundle pool: item_index -> dataset -> CityArrays, all
 #: weakly referenced so serving stacks share one bundle per city and

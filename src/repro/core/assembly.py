@@ -37,7 +37,11 @@ whole-array operations:
   ``(k, slots, width)`` ratio tensor and takes each centroid's first
   ``argmax`` -- the ``(category, slot, position)`` tie rule.
 
-``POI`` objects are materialized only for the final picks.
+The kernel returns the round as a ``(k, slots)`` matrix of city-wide
+bundle rows, slots in the query's category order, so KFC rounds pass
+rows to each other and no round builds objects; :func:`composite_items`
+looks up the ``POI`` objects and builds the CIs once, for the picks of
+the last round.
 
 The per-``POI`` object-path scorer and its Python-loop repair live in
 ``tests/assembly_oracle.py`` as the reference the property tests compare
@@ -176,9 +180,10 @@ _REPAIR_ELEMENTS = 1 << 16
 
 class _Pools(NamedTuple):
     """``(k, categories, width)`` blocks: row ``[c, j]`` is centroid
-    ``c``'s pool of category ``j``, ``inf`` costs where no candidate."""
+    ``c``'s pool of category ``j`` as city-wide rows, ``inf`` costs
+    where no candidate."""
 
-    ids: np.ndarray
+    rows: np.ndarray
     costs: np.ndarray
     scores: np.ndarray
 
@@ -223,9 +228,9 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
 
 def _cheapest_fill(cas: list[CategoryArrays], counts: list[int],
                    budget: float) -> np.ndarray:
-    """The ids of the cheapest conforming selection (each category's
-    first ``count`` rows in ``(cost, id)`` order), every centroid's
-    fallback.  Its floor is summed as repair sums a selection, so a
+    """The city-wide rows of the cheapest conforming selection (each
+    category's first ``count`` rows in ``(cost, id)`` order), every
+    centroid's fallback.  Its floor is summed as repair sums a selection, so a
     floor within ``budget`` means the fallback fits; else this raises
     :class:`InfeasibleQueryError`."""
     rows = [ca.cost_order[:count] for ca, count in zip(cas, counts)]
@@ -236,7 +241,7 @@ def _cheapest_fill(cas: list[CategoryArrays], counts: list[int],
             f"even the cheapest valid CI costs {floor:.2f}, over the "
             f"budget {budget:.2f}"
         )
-    return np.concatenate([ca.ids[r] for ca, r in zip(cas, rows)])
+    return np.concatenate([ca.rows[r] for ca, r in zip(cas, rows)])
 
 
 def _budget_pools(cas: list[CategoryArrays], totals: list[np.ndarray],
@@ -251,7 +256,7 @@ def _budget_pools(cas: list[CategoryArrays], totals: list[np.ndarray],
     cheaps = [cut if cut < len(ca) else 0 for ca, cut in zip(cas, cuts)]
     shape = (k, len(cas), max(min(cut, len(ca)) + c
                               for ca, cut, c in zip(cas, cuts, cheaps)))
-    ids = np.zeros(shape, dtype=np.int64)
+    city_rows = np.zeros(shape, dtype=np.int64)
     costs = np.full(shape, np.inf)
     scores = np.zeros(shape)
     rows = np.arange(k)[:, None]
@@ -260,13 +265,13 @@ def _budget_pools(cas: list[CategoryArrays], totals: list[np.ndarray],
         cheap = ca.cost_order[:c]
         pool = np.hstack([top, np.broadcast_to(cheap, (k, c))])
         t, w = top.shape[1], pool.shape[1]
-        ids[:, j, :w] = ca.ids[pool]
+        city_rows[:, j, :w] = ca.rows[pool]
         costs[:, j, :w] = ca.costs[pool]
         scores[:, j, :w] = total[rows, pool]
         seen = np.zeros(total.shape, dtype=bool)
         seen[rows, top] = True
         costs[:, j, t:w][seen[:, cheap]] = np.inf
-    return _Pools(ids, costs, scores)
+    return _Pools(city_rows, costs, scores)
 
 
 def assemble_composite_items(dataset: POIDataset, centroids,
@@ -276,9 +281,12 @@ def assemble_composite_items(dataset: POIDataset, centroids,
                              candidate_pool: int = 60,
                              arrays: CityArrays | None = None,
                              gsims: dict[Category, np.ndarray] | None = None
-                             ) -> list[CompositeItem]:
-    """Build one valid CI around each of ``centroids`` -- one assembly
-    round of a whole package.
+                             ) -> np.ndarray:
+    """Pick one valid CI around each of ``centroids`` -- one assembly
+    round of a whole package -- as a ``(k, slots)`` matrix of city-wide
+    bundle rows.  Slots follow ``query.requested_categories()``, each
+    category's ``count`` slots in pick order; :func:`composite_items`
+    turns the matrix into ``CompositeItem`` objects.
 
     The round is one ``(k, N)`` distance pass over the city, one
     partition + lexsort selection per category for all ``k`` centroids
@@ -306,15 +314,15 @@ def assemble_composite_items(dataset: POIDataset, centroids,
         raise ValueError("centroids must be a (k, 2) array of (lat, lon)")
     requested = query.requested_categories()
     _check_feasible_categories(dataset, query, requested)
+    counts = [query.count(cat) for cat in requested]
     if cents.shape[0] == 0:
-        return []
+        return np.empty((0, sum(counts)), dtype=np.int64)
     if arrays is None:
         arrays = CityArrays.of(dataset, item_index)
     if gsims is None:
         gsims = gamma_sims(arrays, profile, requested, gamma)
 
     cas = [arrays.categories[cat] for cat in requested]
-    counts = [query.count(cat) for cat in requested]
     if query.has_budget:
         cheapest = _cheapest_fill(cas, counts, query.budget)
 
@@ -326,21 +334,29 @@ def assemble_composite_items(dataset: POIDataset, centroids,
     if query.has_budget:
         pools = _budget_pools(cas, totals,
                               np.maximum(candidate_pool, counts))
-        picked = _repair_budget(pools, counts, cheapest, query.budget)
-    else:
-        picked = np.concatenate(
-            [ca.ids[_select_rows(total, ca.ids, needed)]
-             for ca, total, needed in zip(cas, totals, counts)], axis=1)
+        return _repair_budget(pools, counts, cheapest, query.budget)
+    return np.concatenate(
+        [ca.rows[_select_rows(total, ca.ids, needed)]
+         for ca, total, needed in zip(cas, totals, counts)], axis=1)
+
+
+def composite_items(dataset: POIDataset, arrays: CityArrays, centroids,
+                    rows: np.ndarray) -> list[CompositeItem]:
+    """The ``CompositeItem`` objects of an assembly round: CI ``c`` holds
+    the POIs at bundle rows ``rows[c]``, in slot order, around
+    ``centroids[c]``."""
+    cents = np.asarray(centroids, dtype=float).tolist()
     return [CompositeItem([dataset[i] for i in row], centroid=(lat, lon))
-            for (lat, lon), row in zip(cents.tolist(), picked.tolist())]
+            for (lat, lon), row in zip(cents, arrays.ids[rows].tolist())]
 
 
 def _repair_budget(pools: _Pools, counts: list[int], cheapest: np.ndarray,
                    budget: float) -> np.ndarray:
     """Greedy fill, then swap picks for cheaper same-category pool
     members until each centroid's CI fits ``budget``; returns the
-    ``(k, slots)`` chosen ids in slot order.  All centroids repair at
-    once, in chunks of :data:`_REPAIR_ELEMENTS`.  Consumes ``pools``.
+    ``(k, slots)`` chosen city-wide rows in slot order.  All centroids
+    repair at once, in chunks of :data:`_REPAIR_ELEMENTS`.  Consumes
+    ``pools``.
     """
     k, _, width = pools.costs.shape
     step = max(1, _REPAIR_ELEMENTS // (len(cheapest) * width))
@@ -363,18 +379,18 @@ def _repair_chunk(pools: _Pools, counts: list[int], cheapest: np.ndarray,
     ``(slot, position)`` ratios.  A swap strictly lowers one slot's
     cost, so the loop ends.
     """
-    ids, avail, score = pools
+    rows, avail, score = pools
     slot_pool = np.repeat(np.arange(len(counts)), counts)
     slots = np.arange(len(slot_pool))
     # Greedy fill: each pool leads with its best-scoring rows.
     greedy = np.concatenate([np.arange(c) for c in counts])
-    picks = np.tile(greedy, (len(ids), 1))
+    picks = np.tile(greedy, (len(rows), 1))
     cur_cost = avail[:, slot_pool, greedy]
     avail[:, slot_pool, greedy] = np.inf
     score = np.take(score, slot_pool, axis=1)
     out = np.empty_like(picks)
-    live = np.arange(len(ids))
-    stuck = np.zeros(len(ids), dtype=bool)
+    live = np.arange(len(rows))
+    stuck = np.zeros(len(rows), dtype=bool)
     while True:
         over = np.cumsum(cur_cost, axis=1)[:, -1] > budget
         stay = over & ~stuck
@@ -382,7 +398,7 @@ def _repair_chunk(pools: _Pools, counts: list[int], cheapest: np.ndarray,
             gone = ~stay
             out[live[gone]] = np.where(
                 over[gone, None], cheapest,
-                ids[live[gone, None], slot_pool, picks[gone]])
+                rows[live[gone, None], slot_pool, picks[gone]])
             if not stay.any():
                 return out
             live, avail, score, picks, cur_cost = (

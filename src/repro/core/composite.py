@@ -8,6 +8,8 @@ category and (ii) total cost within budget.
 
 from __future__ import annotations
 
+import json
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
@@ -90,6 +92,14 @@ class CompositeItem:
             "centroid": list(self.centroid),
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, spliced from the members'
+        cached :meth:`POI.to_json` texts."""
+        lat, lon = self.centroid
+        return ('{"pois": [' + ", ".join([p.to_json() for p in self.pois])
+                + '], "centroid": [' + _float_json(lat) + ", "
+                + _float_json(lon) + "]}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "CompositeItem":
         """Inverse of :meth:`to_dict`."""
@@ -129,3 +139,9 @@ class CompositeItem:
             self.category_counts().items(), key=lambda kv: kv[0].value))
         return (f"CompositeItem(n={len(self)}, {cats}, "
                 f"cost={self.total_cost():.2f})")
+
+
+def _float_json(value: float) -> str:
+    """``json.dumps(value)`` for a float: its ``repr``, or the spelling
+    ``json`` gives the non-finite ones."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)

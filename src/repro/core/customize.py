@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.arrays import CityArrays
-from repro.core.assembly import assemble_composite_items
+from repro.core.assembly import assemble_composite_items, composite_items
 from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
@@ -230,10 +230,12 @@ class CustomizationSession:
         q = query or self.package.query
         if q is None:
             raise ValueError("GENERATE needs a query (none stored on the package)")
-        ci = assemble_composite_items(
+        rows = assemble_composite_items(
             self.dataset, [rect.center], q, self.profile, self.item_index,
             beta=self.beta, gamma=self.gamma, arrays=self.arrays,
-        )[0]
+        )
+        (ci,) = composite_items(self.dataset, self.arrays, [rect.center],
+                                rows)
         self.package = self.package.appending(ci)
         new_index = self.package.k - 1
         self.interactions.append(Interaction(

@@ -8,7 +8,8 @@ the Composite Items:
 1. **Centroid seeding** (the alpha term).  Fuzzy c-means over the
    city's POI coordinates positions ``k`` starting centroids that cover
    the dataset; fuzziness lets one POI (a hotel, a twice-visited
-   museum) participate in several Composite Items.
+   museum) participate in several Composite Items.  It runs at the
+   build's fuzzifier (a per-call ``weights`` override included).
 
 2. **CI assembly** (the beta + gamma terms).  Around each centroid,
    :func:`repro.core.assembly.assemble_composite_items` picks the valid
@@ -18,12 +19,17 @@ the Composite Items:
    pass, one batched selection per category.  The profile term
    ``gamma * cos`` does not move between rounds, so a build computes
    it once, after the query's categories pass the feasibility check.
+   A round hands back a ``(k, slots)`` matrix of bundle rows, not
+   objects.
 
 3. **Centroid update.**  Holding the CIs fixed, each centroid moves to
    the maximizer of its Equation 1 terms -- approximated by the
    weighted mean of (i) all items under their fuzzy memberships,
    weighted ``alpha``, and (ii) the CI's own members, weighted
-   ``beta``.  Steps 2-3 repeat for ``refine_iterations`` rounds.
+   ``beta``, gathered from the projected coordinates by the round's
+   rows.  Steps 2-3 repeat for ``refine_iterations`` rounds, and the
+   package's ``CompositeItem`` objects are built once, from the last
+   round's rows, which the package keeps (``TravelPackage.rows``).
 
 The coupling in step 3 is what produces the paper's observed tension
 between personalization and geometry: a strongly personalized profile
@@ -40,8 +46,10 @@ per city instead of once per builder.
 
 from __future__ import annotations
 
+import copy
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,9 +62,9 @@ from repro.core.arrays import CityArrays, project_points, unproject_points
 from repro.core.assembly import (
     _check_feasible_categories,
     assemble_composite_items,
+    composite_items,
     gamma_sims,
 )
-from repro.core.composite import CompositeItem
 from repro.core.objective import ObjectiveWeights
 from repro.core.package import TravelPackage
 from repro.core.query import GroupQuery
@@ -67,11 +75,30 @@ from repro.profiles.vectors import ItemVectorIndex
 
 #: FCM seeds shared by geometry: ``id(xy)`` -> fuzzifier -> ``{(k, seed):
 #: projected centroids}``, least recently used first.  An entry lives as
-#: long as its ``xy`` array; a wire ``seed`` is client-chosen, so each map
-#: keeps only the :data:`SEED_CACHE_SIZE` most recently used seeds.
+#: long as its ``xy`` array; a wire ``seed`` and fuzzifier are
+#: client-chosen, so each geometry keeps the :data:`FUZZIFIER_CACHE_SIZE`
+#: most recently used fuzzifiers, and each of their maps the
+#: :data:`SEED_CACHE_SIZE` most recently used seeds.
 _SEEDS: dict[int, dict[float, dict[tuple[int, int], np.ndarray]]] = {}
 _SEEDS_LOCK = threading.Lock()
 SEED_CACHE_SIZE = 64
+FUZZIFIER_CACHE_SIZE = 4
+
+
+def _seed_cache(xy: np.ndarray,
+                fuzzifier: float) -> dict[tuple[int, int], np.ndarray]:
+    """The shared ``(k, seed)`` map of FCM fits over ``xy`` at
+    ``fuzzifier``, made the geometry's most recently used one."""
+    with _SEEDS_LOCK:
+        per_xy = _SEEDS.get(id(xy))
+        if per_xy is None:
+            per_xy = _SEEDS[id(xy)] = {}
+            weakref.finalize(xy, _SEEDS.pop, id(xy), None)
+        cache = per_xy.pop(fuzzifier, None)
+        per_xy[fuzzifier] = cache = {} if cache is None else cache
+        if len(per_xy) > FUZZIFIER_CACHE_SIZE:
+            del per_xy[next(iter(per_xy))]
+        return cache
 
 
 class KFCBuilder:
@@ -115,10 +142,7 @@ class KFCBuilder:
         self._origin = arrays.origin
         # FCM seeds depend only on (xy, k, seed, fuzzifier): builders
         # over one xy (a reprice's patched bundle keeps it) share them.
-        per_xy = _SEEDS.setdefault(id(arrays.xy), {})
-        if not per_xy:
-            weakref.finalize(arrays.xy, _SEEDS.pop, id(arrays.xy), None)
-        self._centroid_cache = per_xy.setdefault(weights.fuzzifier, {})
+        self._centroid_cache = _seed_cache(arrays.xy, weights.fuzzifier)
 
     # -- coordinate projection -------------------------------------------------
 
@@ -154,52 +178,49 @@ class KFCBuilder:
                     del cache[next(iter(cache))]
             return self._unproject(fitted)
 
-    def _ci_xy_sum(self, ci: CompositeItem) -> np.ndarray:
-        """Summed projected coordinates of a CI's members.
+    def _seeder(self, fuzzifier: float) -> "KFCBuilder":
+        """This builder, or a shallow copy of it that seeds FCM at
+        ``fuzzifier`` (a request's weights may override the builder's),
+        so every seeding goes through :meth:`place_centroids`."""
+        if fuzzifier == self.weights.fuzzifier:
+            return self
+        seeder = copy.copy(self)
+        seeder.weights = replace(self.weights, fuzzifier=fuzzifier)
+        seeder._centroid_cache = _seed_cache(self.arrays.xy, fuzzifier)
+        return seeder
 
-        Reads the shared projected rows when every member is in the
-        bundle (the build path always is); falls back to projecting the
-        member coordinates directly (e.g. a customization session that
-        introduced out-of-dataset POIs).
-        """
-        try:
-            rows = self.arrays.rows_for(p.id for p in ci.pois)
-        except KeyError:
-            pass
-        else:
-            return self.arrays.xy[rows].sum(axis=0)
-        return self._project_points(
-            np.array([[p.lat, p.lon] for p in ci.pois])
-        ).sum(axis=0)
-
-    def _recenter(self, centroids: np.ndarray, cis: list[CompositeItem],
+    def _recenter(self, centroids: np.ndarray, rows: np.ndarray,
                   weights: ObjectiveWeights) -> np.ndarray:
         """Step 3: move each centroid to the alpha/beta-weighted mean of
-        its fuzzy members and its CI's members (in projected km space)."""
+        its fuzzy members and its CI's members (in projected km space).
+
+        ``rows`` is the last round's ``(k, slots)`` bundle rows; one
+        gather sums every CI's member coordinates, each CI's in slot
+        order (as ``xy[ci_rows].sum(axis=0)`` adds them).
+        """
         cent_xy = self._project_points(centroids)
         # sqrt of the ordered squared sum is np.linalg.norm(axis=2).
         dists = np.sqrt(sq_distances(self._projected_t, cent_xy))
         memberships = fcm_memberships(dists,
                                       2.0 / (weights.fuzzifier - 1.0))
         weighted = np.ascontiguousarray(memberships.T) ** weights.fuzzifier
+        ci_xy_sums = self.arrays.xy[rows].sum(axis=1)
+        members = rows.shape[1]
 
         new_xy = cent_xy.copy()
-        for j, ci in enumerate(cis):
+        for j in range(len(rows)):
             column = weighted[:, j]
-            pull_weight = weights.alpha * column.sum()
+            mass = column.sum()
+            pull_weight = weights.alpha * mass
             if pull_weight > 0:
-                fcm_pull = (column @ self.arrays.xy) / column.sum()
+                fcm_pull = (column @ self.arrays.xy) / mass
             else:
                 fcm_pull = cent_xy[j]
-            # An empty CI (after whole-CI deletion in a customization
-            # session) has no beta pull, and np.array([]) must not reach
-            # the projection as a 1-D array.
-            ci_xy_sum = self._ci_xy_sum(ci) if ci.pois else np.zeros(2)
-            total = pull_weight + weights.beta * len(ci.pois)
+            total = pull_weight + weights.beta * members
             if total <= 0:
                 continue  # the centroid stays put
             new_xy[j] = (pull_weight * fcm_pull
-                         + weights.beta * ci_xy_sum) / total
+                         + weights.beta * ci_xy_sums[j]) / total
         return self._unproject(new_xy)
 
     def build(self, profile: GroupProfile, query: GroupQuery,
@@ -219,14 +240,16 @@ class KFCBuilder:
         requested = query.requested_categories()
         _check_feasible_categories(self.dataset, query, requested)
         gsims = gamma_sims(self.arrays, profile, requested, w.gamma)
-        centroids = self.place_centroids(k=k, seed=seed)
+        centroids = self._seeder(w.fuzzifier).place_centroids(k=k, seed=seed)
         for refine in range(1 + self.refine_iterations):
             if refine:
                 with stage("recenter"):
-                    centroids = self._recenter(centroids, cis, w)
+                    centroids = self._recenter(centroids, rows, w)
             # Step 2: one valid CI per centroid, in one kernel call.
-            cis = assemble_composite_items(
+            rows = assemble_composite_items(
                 self.dataset, centroids, query, profile, self.item_index,
                 beta=w.beta, gamma=w.gamma, arrays=self.arrays, gsims=gsims,
                 candidate_pool=self.candidate_pool)
-        return TravelPackage(cis, query=query)
+        return TravelPackage(
+            composite_items(self.dataset, self.arrays, centroids, rows),
+            query=query, rows=rows)

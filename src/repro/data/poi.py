@@ -9,6 +9,7 @@ a bag of ``tags``, and a visiting ``cost``.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -102,6 +103,18 @@ class POI:
             "tags": list(self.tags),
             "cost": self.cost,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, computed on first use and kept
+        with this POI.  A POI never changes (a reprice, close or add
+        makes a new one), so the text cannot go stale, and it is freed
+        with the POI.  Threads racing on the first use compute the same
+        text, so either may be kept."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_dict())
+            object.__setattr__(self, "_json", text)
+        return text
 
     @classmethod
     def from_dict(cls, data: dict) -> "POI":

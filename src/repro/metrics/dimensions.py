@@ -85,6 +85,15 @@ def raw_cohesiveness_sum(composite_items: Iterable[Sequence[POI]]) -> float:
     return _pair_distance_sum(lat, lon, [len(pois) for pois in cis])
 
 
+def raw_cohesiveness_rows(lat: np.ndarray, lon: np.ndarray) -> float:
+    """:func:`raw_cohesiveness_sum` of CIs given as ``(k, n)`` coordinate
+    matrices, row ``c`` holding CI ``c``'s members in order: the same
+    pairs in the same order, one ``(k, pairs)`` distance call."""
+    a, b = _pairs(lat.shape[1])
+    distances = equirectangular_km(lat[:, a], lon[:, a], lat[:, b], lon[:, b])
+    return ordered_sum(distances.ravel().tolist())
+
+
 def cohesiveness(composite_items: Iterable[Sequence[POI]], s_constant: float) -> float:
     """Equation 3: ``S - sum_CI sum_{i,j in CI} dist(i, j)``.
 

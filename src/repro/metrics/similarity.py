@@ -49,6 +49,26 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / norm)
 
 
+def cosine_rows(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine(row, b)`` for every row of a C-contiguous ``(m, d)``
+    matrix, bit for bit.
+
+    Each row's dot products run numpy's 1-D ``dot`` kernel (a ``matmul``
+    of ``(1, d)`` by ``(d, 1)`` blocks calls it per block), so norms and
+    products are the ones :func:`cosine` computes.  When a norm is one
+    ``cosine`` would rescale, every row goes through ``cosine`` itself.
+    """
+    if rows.shape[1:] != b.shape:
+        raise ValueError(f"shape mismatch: {rows.shape[1:]} vs {b.shape}")
+    stacked = rows[:, None, :]
+    norms = np.sqrt(np.matmul(stacked, rows[:, :, None]).ravel())
+    norm_b = np.sqrt(b.dot(b))
+    if not (rows.size and _NORM_LOW <= norm_b <= _NORM_HIGH
+            and _NORM_LOW <= norms.min() and norms.max() <= _NORM_HIGH):
+        return np.array([cosine(row, b) for row in rows], dtype=float)
+    return np.matmul(stacked, b[:, None]).ravel() / (norms * norm_b)
+
+
 def cosine_matrix(rows: np.ndarray) -> np.ndarray:
     """Pairwise cosine matrix for the rows of an ``(n, d)`` array.
 

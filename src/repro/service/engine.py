@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.assembly import AssemblyCounters, collect_assembly_counters
 from repro.core.customize import CustomizationSession, Interaction
-from repro.core.package import TravelPackage
+from repro.core.package import TravelPackage, bundle_metrics
 from repro.core.query import DEFAULT_QUERY, GroupQuery
 from repro.core.refine import refine_batch
 from repro.data.poi import POI, Category
@@ -271,16 +271,27 @@ class PackageService:
 
     def _package_metrics(self, entry: CityEntry, package: TravelPackage,
                          profile: GroupProfile) -> dict:
-        """The Section 4.2 quality measures reported with a response."""
+        """The Section 4.2 quality measures reported with a response.
+
+        A package fresh from ``entry.builder`` carries its bundle rows,
+        and validity, cohesiveness and personalization read them from
+        the builder's bundle; an edited package reads its POIs.
+        """
+        if package.rows is not None:
+            valid, within_ci, personalization = bundle_metrics(
+                package, entry.builder.arrays, profile)
+        else:
+            valid = (package.is_valid()
+                     if package.query is not None else None)
+            within_ci = package.raw_cohesiveness_sum()
+            personalization = package.personalization(profile,
+                                                      entry.item_index)
         return {
             "k": package.k,
             "representativity_km": package.representativity(),
-            "within_ci_km": package.raw_cohesiveness_sum(),
-            "personalization": package.personalization(
-                profile, entry.item_index
-            ),
-            "valid": (package.is_valid()
-                      if package.query is not None else None),
+            "within_ci_km": within_ci,
+            "personalization": personalization,
+            "valid": valid,
         }
 
     def build(self, request: BuildRequest) -> PackageResponse:
@@ -318,7 +329,8 @@ class PackageService:
                     package_metrics = self._package_metrics(entry, package,
                                                             profile)
                 with stage("encode", city=entry.name):
-                    wire = Encoded(package.to_dict())
+                    wire = Encoded.spliced(package.to_dict(),
+                                           package.to_json())
                     package_metrics = Encoded(package_metrics)
                 self.cache.put(key, (package, wire, package_metrics))
             else:

@@ -60,6 +60,17 @@ class Encoded(dict):
         super().__init__(*args, **kwargs)
         self.json = json.dumps(self)
 
+    @classmethod
+    def spliced(cls, value: dict, text: str) -> "Encoded":
+        """``value`` with ``text`` as its JSON, for a caller that already
+        has ``json.dumps(value)`` -- e.g. a package's
+        :meth:`~repro.core.package.TravelPackage.to_json`, spliced from
+        per-POI texts."""
+        encoded = cls.__new__(cls)
+        dict.update(encoded, value)
+        encoded.json = text
+        return encoded
+
 
 def trace_limit(payload: dict) -> int | None:
     """The ``limit`` of a ``trace`` request: ``None`` when absent or

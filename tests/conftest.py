@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.arrays import CityArrays
+from repro.core.assembly import assemble_composite_items, composite_items
 from repro.core.builder import GroupTravel
 from repro.core.query import GroupQuery
 from repro.data.poi import POI, Category
@@ -74,3 +76,14 @@ def make_poi(poi_id: int = 0, cat: Category | str = Category.RESTAURANT,
 @pytest.fixture()
 def poi_factory():
     return make_poi
+
+
+def assemble_cis(dataset, centroids, query, profile, item_index, **kwargs):
+    """The assembly kernel's round as ``CompositeItem`` objects: its
+    ``(k, slots)`` row matrix, materialized."""
+    arrays = kwargs.get("arrays")
+    if arrays is None:
+        arrays = CityArrays.of(dataset, item_index)
+    rows = assemble_composite_items(dataset, centroids, query, profile,
+                                    item_index, **kwargs)
+    return composite_items(dataset, arrays, centroids, rows)

@@ -102,18 +102,20 @@ def test_near_slice_matches_totals_matrix(data, app, profile, small_city):
         got = _budget_pools([ca], [totals], np.array([max(pool, needed)]))
         ref = oracle._pools_batched(arrays, ca, cents, profile.vector(cat),
                                     beta, gamma, pool, needed, True)
-        assert len(got.ids) == len(ref) == k
-        _assert_rows_hold(got, 0, ref)
+        assert len(got.rows) == len(ref) == k
+        _assert_rows_hold(got, 0, ref, arrays.ids)
 
 
-def _assert_rows_hold(block, j, pools):
+def _assert_rows_hold(block, j, pools, row_ids):
     """Category ``j`` of centroid ``c`` in a pool block holds
     ``pools[c]``: its candidates, in order, are the positions with a
-    finite cost (every test cost is finite)."""
+    finite cost (every test cost is finite), and their city-wide rows
+    hold the pool's ids (``row_ids[row]``)."""
     for c, p in enumerate(pools):
         real = np.isfinite(block.costs[c, j])
         assert real.sum() == len(p.ids)
-        for name in ("ids", "costs", "scores"):
+        assert row_ids[block.rows[c, j][real]].tobytes() == p.ids.tobytes()
+        for name in ("costs", "scores"):
             assert getattr(block, name)[c, j][real].tobytes() == \
                 getattr(p, name).tobytes()
 
@@ -155,6 +157,11 @@ def test_padded_repair_matches_per_slot_repair(case):
     assert oracle._repair_budget_padded(pools, budget) == want
 
 
+#: City-wide row of a stand-in POI id: any mapping that is not the
+#: identity shows a kernel reading ids where it should read rows.
+_ROW_OFFSET = 1000
+
+
 @dataclass(frozen=True)
 class _Category:
     """The columns of ``CategoryArrays`` that budget pools read."""
@@ -162,6 +169,10 @@ class _Category:
     ids: np.ndarray
     costs: np.ndarray
     cost_order: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.ids + _ROW_OFFSET
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -231,9 +242,11 @@ def test_one_repair_per_round_matches_per_centroid_repair(case, elements):
         assert str(raised.value) == str(exc)
         return
     pools = _budget_pools(cas, totals, np.array(cuts))
+    row_ids = np.arange(max(len(ca) for ca in cas) * len(cas)
+                        + _ROW_OFFSET) - _ROW_OFFSET
     for j, per_centroid in enumerate(per_category):
-        _assert_rows_hold(pools, j, per_centroid)
+        _assert_rows_hold(pools, j, per_centroid, row_ids)
     cheapest = _cheapest_fill(cas, counts, budget)
     with mock.patch.object(assembly, "_REPAIR_ELEMENTS", elements):
         got = _repair_budget(pools, np.array(counts), cheapest, budget)
-    assert got.tolist() == want
+    assert row_ids[got].tolist() == want

@@ -42,7 +42,7 @@ from repro.geo.distance import equirectangular_km
 from repro.profiles.generator import GroupGenerator
 from repro.profiles.vectors import ItemVectorIndex
 
-from conftest import make_poi
+from conftest import assemble_cis, make_poi
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_packages.json"
 
@@ -62,12 +62,21 @@ def profile(uniform_group):
     return uniform_group.profile()
 
 
+def _oracle_rows(dataset, centroids, query, profile, item_index, **kwargs):
+    """The object-path oracle's CIs as the kernel's ``(k, slots)`` row
+    matrix: each CI's members mapped to their bundle rows, in order."""
+    cis = oracle.assemble_composite_items(dataset, centroids, query, profile,
+                                          item_index, **kwargs)
+    arrays = kwargs["arrays"]
+    return np.array([[arrays.row_of[p.id] for p in ci.pois] for ci in cis],
+                    dtype=np.int64).reshape(len(cis), query.total_items())
+
+
 def _use_object_path(monkeypatch) -> None:
     """Run KFC builds with the object-path oracle in place of the
     batched kernel (the builder looks the kernel up as a module
-    global on every assembly round)."""
-    monkeypatch.setattr(kfc, "assemble_composite_items",
-                        oracle.assemble_composite_items)
+    global on every assembly round), every round passing its rows."""
+    monkeypatch.setattr(kfc, "assemble_composite_items", _oracle_rows)
 
 
 @pytest.fixture()
@@ -117,10 +126,6 @@ class TestBundle:
     def test_pooled_per_dataset_index_pair(self, app, arrays):
         assert CityArrays.of(app.dataset, app.item_index) is arrays
 
-    def test_rows_for_unknown_id_raises(self, arrays):
-        with pytest.raises(KeyError):
-            arrays.rows_for([10**9])
-
 
 class TestPickle:
     def test_round_trip_preserves_every_array(self, arrays):
@@ -153,7 +158,7 @@ class TestEquivalence:
 
     def test_assembly_identical(self, app, arrays, profile, center,
                                 default_query):
-        with_arrays = assemble_composite_items(
+        with_arrays = assemble_cis(
             app.dataset, [center], default_query, profile, app.item_index,
             arrays=arrays)[0]
         without = oracle.assemble_composite_item(
@@ -164,7 +169,7 @@ class TestEquivalence:
     def test_assembly_identical_under_budget(self, app, arrays, profile,
                                              center):
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=15.0)
-        with_arrays = assemble_composite_items(
+        with_arrays = assemble_cis(
             app.dataset, [center], query, profile, app.item_index,
             arrays=arrays)[0]
         without = oracle.assemble_composite_item(
@@ -179,9 +184,9 @@ class TestEquivalence:
         for _ in range(5):
             lat = float(rng.uniform(coords[:, 0].min(), coords[:, 0].max()))
             lon = float(rng.uniform(coords[:, 1].min(), coords[:, 1].max()))
-            a = assemble_composite_items(app.dataset, [(lat, lon)],
-                                         default_query, profile,
-                                         app.item_index, arrays=arrays)[0]
+            a = assemble_cis(app.dataset, [(lat, lon)],
+                             default_query, profile,
+                             app.item_index, arrays=arrays)[0]
             b = oracle.assemble_composite_item(app.dataset, (lat, lon),
                                                default_query, profile,
                                                app.item_index)
@@ -302,7 +307,7 @@ class TestEmptyCategoryGuard:
         with pytest.raises(InfeasibleQueryError, match="only 0"):
             assemble_composite_items(
                 no_trans_dataset, [(48.85, 2.35)], DEFAULT_QUERY,
-                _ExplodingProfile(), app.item_index)[0]
+                _ExplodingProfile(), app.item_index)
 
     def test_empty_category_raises_on_array_path(self, no_trans_dataset):
         index = ItemVectorIndex.fit(no_trans_dataset, lda_iterations=5,
@@ -312,14 +317,14 @@ class TestEmptyCategoryGuard:
         with pytest.raises(InfeasibleQueryError, match="only 0"):
             assemble_composite_items(
                 no_trans_dataset, [(48.85, 2.35)], DEFAULT_QUERY,
-                _ExplodingProfile(), index, arrays=arrays)[0]
+                _ExplodingProfile(), index, arrays=arrays)
 
     def test_undersized_category_raises_before_scoring(self, app):
         huge = GroupQuery.of(acco=10_000)
         with pytest.raises(InfeasibleQueryError, match="only"):
             assemble_composite_items(
                 app.dataset, [(48.85, 2.35)], huge, _ExplodingProfile(),
-                app.item_index, arrays=app.arrays)[0]
+                app.item_index, arrays=app.arrays)
 
 
 class TestRepairBudget:
@@ -348,8 +353,8 @@ class TestRepairBudget:
                     for cat, costs in pools.items())
         tight = GroupQuery.of(acco=1, trans=1, rest=1, attr=3,
                               budget=floor * 1.0001)
-        ci = assemble_composite_items(app.dataset, [center], tight, profile,
-                                      app.item_index, arrays=arrays)[0]
+        ci = assemble_cis(app.dataset, [center], tight, profile,
+                          app.item_index, arrays=arrays)[0]
         assert ci.is_valid(tight)
         legacy_ci = oracle.assemble_composite_item(app.dataset, center, tight,
                                                    profile, app.item_index)

@@ -9,6 +9,8 @@ from repro.core.objective import ObjectiveWeights
 from repro.core.query import GroupQuery
 from repro.data.poi import Category
 
+from conftest import assemble_cis
+
 
 @pytest.fixture()
 def profile(uniform_group):
@@ -23,15 +25,15 @@ def center(small_city):
 
 class TestAssembly:
     def test_produces_valid_ci(self, app, profile, center, default_query):
-        ci = assemble_composite_items(app.dataset, [center], default_query,
-                                      profile, app.item_index)[0]
+        ci = assemble_cis(app.dataset, [center], default_query,
+                          profile, app.item_index)[0]
         assert ci.is_valid(default_query)
         assert ci.centroid == center
 
     def test_respects_budget(self, app, profile, center):
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=15.0)
-        ci = assemble_composite_items(app.dataset, [center], query, profile,
-                                      app.item_index)[0]
+        ci = assemble_cis(app.dataset, [center], query, profile,
+                          app.item_index)[0]
         assert ci.is_valid(query)
         assert ci.total_cost() <= 15.0
 
@@ -39,21 +41,21 @@ class TestAssembly:
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=0.01)
         with pytest.raises(InfeasibleQueryError, match="budget"):
             assemble_composite_items(app.dataset, [center], query, profile,
-                                     app.item_index)[0]
+                                     app.item_index)
 
     def test_missing_category_volume_raises(self, app, profile, center):
         huge = GroupQuery.of(acco=10_000)
         with pytest.raises(InfeasibleQueryError, match="only"):
             assemble_composite_items(app.dataset, [center], huge, profile,
-                                     app.item_index)[0]
+                                     app.item_index)
 
     def test_prefers_nearby_items(self, app, profile, center, default_query):
         """With a large beta the CI should hug the centroid."""
         from repro.geo.distance import equirectangular_km
 
-        near = assemble_composite_items(app.dataset, [center], default_query,
-                                        profile, app.item_index,
-                                        beta=50.0, gamma=0.0)[0]
+        near = assemble_cis(app.dataset, [center], default_query,
+                            profile, app.item_index,
+                            beta=50.0, gamma=0.0)[0]
         mean_dist = np.mean([
             float(equirectangular_km(p.lat, p.lon, center[0], center[1]))
             for p in near.pois
@@ -78,17 +80,17 @@ class TestAssembly:
         available = {p.type for p in app.dataset.by_category("acco")}
         if wanted_type not in available:
             pytest.skip("small city lacks the wanted type")
-        ci = assemble_composite_items(app.dataset, [center], default_query,
-                                      profile, app.item_index,
-                                      beta=0.0, gamma=50.0)[0]
+        ci = assemble_cis(app.dataset, [center], default_query,
+                          profile, app.item_index,
+                          beta=0.0, gamma=50.0)[0]
         acco = [p for p in ci.pois if p.cat == Category.ACCOMMODATION][0]
         assert acco.type == wanted_type
 
     def test_deterministic(self, app, profile, center, default_query):
-        a = assemble_composite_items(app.dataset, [center], default_query,
-                                     profile, app.item_index)[0]
-        b = assemble_composite_items(app.dataset, [center], default_query,
-                                     profile, app.item_index)[0]
+        a = assemble_cis(app.dataset, [center], default_query,
+                         profile, app.item_index)[0]
+        b = assemble_cis(app.dataset, [center], default_query,
+                         profile, app.item_index)[0]
         assert a.poi_ids == b.poi_ids
 
 

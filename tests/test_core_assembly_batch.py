@@ -33,7 +33,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import assembly_oracle as oracle
-from conftest import make_poi
+from conftest import assemble_cis, make_poi
 from repro.core.arrays import CityArrays
 import repro.core.assembly as assembly
 from repro.core.assembly import (
@@ -121,9 +121,9 @@ def _compare(dataset, index, prof, cents, query, *, beta=1.0, gamma=1.0,
                                           beta=beta, gamma=gamma,
                                           candidate_pool=pool)
     with collect_assembly_counters() as scans:
-        got = assemble_composite_items(dataset, cents, query, prof, index,
-                                       beta=beta, gamma=gamma,
-                                       candidate_pool=pool)
+        got = assemble_cis(dataset, cents, query, prof, index,
+                           beta=beta, gamma=gamma,
+                           candidate_pool=pool)
     assert _keys(got) == _keys(ref)
     expected = _rows_per_build(dataset, query, len(cents), 1)
     assert scans.rows_scored == scans.rows_total == expected
@@ -169,7 +169,7 @@ class TestBatchedEqualsReference:
                     arrays=arrays)
             return
 
-        batched = assemble_composite_items(
+        batched = assemble_cis(
             app.dataset, cents, query, profile, app.item_index,
             beta=beta, gamma=gamma, candidate_pool=pool, arrays=arrays)
         assert _keys(batched) == _keys(ref)
@@ -182,8 +182,8 @@ class TestBatchedEqualsReference:
                     app.dataset, (float(la), float(lo)), DEFAULT_QUERY,
                     profile, app.item_index)
                 for la, lo in cents]
-        plural = assemble_composite_items(app.dataset, cents, DEFAULT_QUERY,
-                                          profile, app.item_index)
+        plural = assemble_cis(app.dataset, cents, DEFAULT_QUERY,
+                              profile, app.item_index)
         assert _keys(plural) == _keys(loop)
 
     def test_centroid_shape_validated(self, app, profile):
@@ -192,7 +192,11 @@ class TestBatchedEqualsReference:
                                      DEFAULT_QUERY, profile, app.item_index)
 
     def test_zero_centroids_build_nothing(self, app, profile):
-        assert assemble_composite_items(
+        rows = assemble_composite_items(
+            app.dataset, np.empty((0, 2)), DEFAULT_QUERY, profile,
+            app.item_index)
+        assert rows.shape == (0, DEFAULT_QUERY.total_items())
+        assert assemble_cis(
             app.dataset, np.empty((0, 2)), DEFAULT_QUERY, profile,
             app.item_index) == []
 
@@ -288,7 +292,7 @@ class TestBindingBudget:
                     arrays=arrays)
             return
 
-        got = assemble_composite_items(
+        got = assemble_cis(
             app.dataset, cents, query, profile, app.item_index,
             beta=beta, gamma=gamma, candidate_pool=pool, arrays=arrays)
         assert _keys(got) == _keys(ref)
@@ -307,8 +311,8 @@ class TestBindingBudget:
                                                     GroupQuery.of(rest=3)))
         _compare(dataset, index, prof, np.array([[48.85, 2.35]]), query,
                  gamma=0.0)
-        ci = assemble_composite_items(dataset, np.array([[48.85, 2.35]]),
-                                      query, prof, index, gamma=0.0)[0]
+        ci = assemble_cis(dataset, np.array([[48.85, 2.35]]),
+                          query, prof, index, gamma=0.0)[0]
         assert [p.id for p in ci.pois] == [3, 5, 4]
         assert ci.is_valid(query)
 
@@ -325,8 +329,7 @@ class TestBindingBudget:
         per_category = (0.1 + 0.6 + 1.1) + (0.4 + 1.1)
         assert per_category == math.nextafter(floor, 0.0)
         cents = np.array([[48.85, 2.35]])
-        for assemble in (oracle.assemble_composite_items,
-                         assemble_composite_items):
+        for assemble in (oracle.assemble_composite_items, assemble_cis):
             with pytest.raises(InfeasibleQueryError, match="even the cheapest"):
                 assemble(dataset, cents,
                          GroupQuery.of(**counts, budget=per_category),
@@ -341,8 +344,7 @@ class TestBindingBudget:
         floor = _floor(dataset, GroupQuery.of(rest=2))
         query = GroupQuery.of(rest=2, budget=math.nextafter(floor, 0.0))
         cents = np.array([[48.85, 2.35]])
-        for assemble in (oracle.assemble_composite_items,
-                         assemble_composite_items):
+        for assemble in (oracle.assemble_composite_items, assemble_cis):
             with pytest.raises(InfeasibleQueryError, match="cheapest"):
                 assemble(dataset, cents, query, prof, index, gamma=0.0)
 
@@ -355,9 +357,9 @@ class TestBindingBudget:
         query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=budget)
         cents = np.asarray([app.dataset.coordinates().mean(axis=0)])
         _compare(app.dataset, app.item_index, profile, cents, query, pool=1)
-        ci = assemble_composite_items(app.dataset, cents, query, profile,
-                                      app.item_index, candidate_pool=1,
-                                      arrays=arrays)[0]
+        ci = assemble_cis(app.dataset, cents, query, profile,
+                          app.item_index, candidate_pool=1,
+                          arrays=arrays)[0]
         assert ci.category_counts()[Category.ATTRACTION] == 3
         assert ci.is_valid(query)
 
@@ -378,20 +380,20 @@ class TestBindingBudget:
         repair_chunk = assembly._repair_chunk
 
         def spy(pools, *args):
-            chunks.append(pools.ids.shape)
+            chunks.append(pools.rows.shape)
             return repair_chunk(pools, *args)
 
         monkeypatch.setattr(assembly, "_repair_chunk", spy)
-        got = assemble_composite_items(app.dataset, cents, query, profile,
-                                       app.item_index, arrays=arrays)
+        got = assemble_cis(app.dataset, cents, query, profile,
+                           app.item_index, arrays=arrays)
         per_centroid = sum(counts.values()) * chunks[0][2]
         step = max(1, assembly._REPAIR_ELEMENTS // per_centroid)
         assert [shape[0] for shape in chunks] == (
             [step] * (20 // step) + ([20 % step] if 20 % step else []))
         monkeypatch.setattr(assembly, "_REPAIR_ELEMENTS", 1 << 40)
         chunks.clear()
-        whole = assemble_composite_items(app.dataset, cents, query, profile,
-                                         app.item_index, arrays=arrays)
+        whole = assemble_cis(app.dataset, cents, query, profile,
+                             app.item_index, arrays=arrays)
         assert [shape[0] for shape in chunks] == [20]
         assert _keys(got) == _keys(whole)
         assert all(ci.is_valid(query) for ci in got)
@@ -411,8 +413,8 @@ class TestBindingBudget:
             cents = coords[np.random.default_rng(5).choice(len(coords), k)]
             tracemalloc.start()
             try:
-                assemble_composite_items(app.dataset, cents, query, profile,
-                                         app.item_index, arrays=arrays)
+                assemble_cis(app.dataset, cents, query, profile,
+                             app.item_index, arrays=arrays)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -422,7 +424,7 @@ class TestBindingBudget:
 class TestCounterPlumbing:
     def test_no_collector_is_a_noop(self, app, arrays, profile):
         # Just exercising the path with no contextvar set.
-        assemble_composite_items(
+        assemble_cis(
             app.dataset, np.asarray([app.dataset.coordinates().mean(axis=0)]),
             DEFAULT_QUERY, profile, app.item_index, arrays=arrays)
 
@@ -430,9 +432,9 @@ class TestCounterPlumbing:
         cents = np.asarray([app.dataset.coordinates().mean(axis=0)])
         with collect_assembly_counters() as outer:
             with collect_assembly_counters() as inner:
-                assemble_composite_items(app.dataset, cents, DEFAULT_QUERY,
-                                         profile, app.item_index,
-                                         arrays=arrays)
+                assemble_cis(app.dataset, cents, DEFAULT_QUERY,
+                             profile, app.item_index,
+                             arrays=arrays)
         assert inner.rows_total > 0
         assert outer.rows_total == 0
 

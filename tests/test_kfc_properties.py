@@ -81,26 +81,76 @@ class TestKFCInvariants:
 class TestRecenterEmptyCI:
     """Regression: _recenter used to crash on an empty Composite Item.
 
-    Whole-CI deletion in a customization session leaves an empty CI
-    (explicit centroid, no POIs); np.array([]) is 1-D, so the projection
-    raised IndexError on ``[:, 1]``.
+    An empty CI (explicit centroid, no POIs) once reached the
+    projection as a 1-D ``np.array([])`` and raised IndexError.  Rounds
+    now pass a ``(k, slots)`` row matrix, where CIs without members are
+    a matrix with no slots.
     """
 
     def test_recenter_survives_empty_ci(self, app, uniform_group,
                                         default_query):
-        from repro.core.composite import CompositeItem
-
         profile = uniform_group.profile()
         package = app.kfc.build(profile, default_query)
         centroids = package.centroids()
-        cis = list(package.composite_items)
-        cis[0] = CompositeItem([], centroid=cis[0].centroid)
+        rows = np.empty((len(centroids), 0), dtype=np.int64)
 
-        moved = app.kfc._recenter(centroids, cis, app.kfc.weights)
+        moved = app.kfc._recenter(centroids, rows, app.kfc.weights)
 
         assert moved.shape == centroids.shape
+        # Each centroid still moves with its fuzzy members (alpha
+        # pull); no member sum, and no NaN from an empty one.
         assert np.isfinite(moved).all()
-        # The empty CI's centroid still moves with its fuzzy members
-        # (alpha pull); the non-empty CIs keep their beta pull too.
-        for j, ci in enumerate(cis):
-            assert np.isfinite(moved[j]).all()
+        assert not np.array_equal(moved, centroids)
+
+
+class TestCallFuzzifier:
+    """Regression: a per-call ``weights.fuzzifier`` reached recentering
+    and the cache key but not FCM seeding, which always used the
+    builder's own fuzzifier."""
+
+    def test_override_builds_as_a_builder_with_that_fuzzifier(
+            self, app, uniform_group, default_query):
+        from repro.core.kfc import KFCBuilder
+        from repro.core.objective import ObjectiveWeights
+
+        profile = uniform_group.profile()
+        weights = ObjectiveWeights(fuzzifier=3.0)
+        assert weights.fuzzifier != app.kfc.weights.fuzzifier
+        own = KFCBuilder(app.dataset, app.item_index, weights=weights,
+                         k=app.kfc.k, seed=app.kfc.seed,
+                         candidate_pool=app.kfc.candidate_pool,
+                         refine_iterations=app.kfc.refine_iterations)
+        default_cache = dict(app.kfc._centroid_cache)
+
+        override = app.kfc.build(profile, default_query, weights=weights)
+
+        assert override.to_dict() == own.build(profile,
+                                               default_query).to_dict()
+        # The seeds really differ by fuzzifier, and the override left
+        # the builder's own seeds alone.
+        assert not np.array_equal(own.place_centroids(),
+                                  app.kfc.place_centroids())
+        assert app.kfc._centroid_cache.keys() >= default_cache.keys()
+        for key, fitted in default_cache.items():
+            assert app.kfc._centroid_cache[key] is fitted
+
+    def test_fuzzifier_maps_are_bounded(self, app, uniform_group,
+                                        default_query):
+        """Fuzzifiers are client-chosen, so a geometry keeps FCM fits
+        for the few most recently used ones."""
+        from repro.core import kfc
+        from repro.core.arrays import CityArrays
+        from repro.core.objective import ObjectiveWeights
+
+        arrays = CityArrays.build(app.dataset, app.item_index)  # own xy
+        builder = kfc.KFCBuilder(app.dataset, app.item_index,
+                                 arrays=arrays)
+        profile = uniform_group.profile()
+        fuzzifiers = [2.5 + i / 4 for i in range(kfc.FUZZIFIER_CACHE_SIZE
+                                                 + 3)]
+        for fuzzifier in fuzzifiers:
+            builder.build(profile, default_query,
+                          weights=ObjectiveWeights(fuzzifier=fuzzifier))
+        per_xy = kfc._SEEDS[id(arrays.xy)]
+        assert list(per_xy) == fuzzifiers[-kfc.FUZZIFIER_CACHE_SIZE:]
+        assert all(len(fits) == 1 for fits in per_xy.values())

@@ -7,17 +7,31 @@ text).  A Hypothesis property covers the writer alone; per-op tests
 drive real replies through ``PackageServer._process_line``; a
 process-backed cluster covers the pickle hop; and a spy pins that a
 warm hit serializes nothing.
+
+A built package's text is itself spliced from per-POI JSON texts, each
+computed once per ``POI`` object (``TravelPackage.to_json``); it must
+equal ``json.dumps(package.to_dict())`` for any package, and for
+packages served after live mutations of their own POIs, and a POI's
+text must die with the POI.
 """
 
 import asyncio
+import copy
+import gc
 import json
+import math
 import pickle
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.composite import CompositeItem
 from repro.core.package import TravelPackage
+from repro.core.query import DEFAULT_QUERY, GroupQuery
+from repro.data.poi import CATEGORIES, POI
+from repro.live.mutations import mutation_from_dict
 from repro.service import (
     CityRegistry,
     ErrorCode,
@@ -100,6 +114,158 @@ class TestEncodeLine:
     def test_unencodable_values_still_raise(self):
         with pytest.raises(TypeError):
             encode_line({"a": Encoded(), "b": object()})
+
+
+# -- spliced package texts ------------------------------------------------------
+
+#: Floats whose spelling is easy to get wrong: integral values, the
+#: smallest subnormal and normal, and the largest finite ones.
+edge_floats = st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e16, 2.0 ** 53 + 2,
+                               5e-324, 2.2250738585072014e-308, 1e-300,
+                               1e300, 1.7976931348623157e308])
+
+
+def _floats(lo: float, hi: float):
+    return st.one_of(st.floats(lo, hi), st.integers(math.ceil(lo),
+                                                    math.floor(hi)).map(float),
+                     edge_floats.filter(lambda x: lo <= x <= hi))
+
+
+pois = st.builds(
+    POI, id=st.integers(-(2 ** 63), 2 ** 63), name=awkward_text,
+    cat=st.sampled_from(CATEGORIES), lat=_floats(-90.0, 90.0),
+    lon=_floats(-180.0, 180.0), type=awkward_text,
+    tags=st.lists(awkward_text, max_size=3).map(tuple),
+    cost=st.one_of(edge_floats.map(abs), st.floats(0.0, 1e308)),
+)
+composite_items = st.builds(
+    CompositeItem, st.lists(pois, max_size=4, unique_by=lambda p: p.id),
+    centroid=st.tuples(st.floats(), st.floats()),
+)
+queries = st.one_of(st.none(), st.builds(
+    lambda counts, budget: GroupQuery.of(
+        **dict(zip(("acco", "trans", "rest", "attr"), counts)),
+        budget=budget),
+    st.tuples(*[st.integers(0, 3)] * 4).filter(any),
+    st.one_of(st.just(math.inf), st.floats(0.0, 1e9), edge_floats.map(abs))))
+packages = st.builds(TravelPackage, st.lists(composite_items, min_size=1,
+                                             max_size=4), query=queries)
+
+
+def spliced(package: TravelPackage) -> Encoded:
+    """The wire form a build miss caches."""
+    return Encoded.spliced(package.to_dict(), package.to_json())
+
+
+class TestSplicedPackageText:
+    @given(package=packages)
+    @WIRE_SETTINGS
+    def test_text_equals_json_dumps(self, package):
+        text = package.to_json()
+        assert text == json.dumps(package.to_dict())
+        assert package.to_json() == text  # cached POI texts reused
+        wire = spliced(package)
+        assert wire.json == text == json.dumps(wire)
+        assert encode_line({"package": wire, "cached": False}) == \
+            dumps_line({"package": package.to_dict(), "cached": False})
+        shipped = pickle.loads(pickle.dumps(wire))
+        assert shipped.json == text == json.dumps(dict(shipped))
+
+    def test_a_poi_text_is_computed_once(self):
+        poi = POI(id=1, name="Café \"x\"\n", cat="rest", lat=48.0,
+                  lon=2.0, tags=("é", "\\"), cost=3.0)
+        assert poi.to_json() is poi.to_json()
+        assert poi.to_json() == json.dumps(poi.to_dict())
+        assert poi == POI.from_dict(poi.to_dict())  # the text is no field
+
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_served_after_mutating_their_own_pois(self, app, data):
+        """Build, then reprice, close or add POIs of the package just
+        served; every later build is a miss whose spliced text equals
+        ``json.dumps`` of its dict and names the current POI objects."""
+        registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
+        registry.register(app.dataset, copy.deepcopy(app.item_index),
+                          name="paris")
+        service = PackageService(registry, cache_capacity=8)
+        request = BuildRequest.from_dict(spec(data.draw(
+            st.integers(0, 99), label="group")))
+        next_id = 10 ** 6
+        try:
+            for step in range(data.draw(st.integers(1, 4), label="steps")):
+                response = service.build(request)
+                assert not response.cached and response.ok
+                wire, package = response.package_wire, response.package
+                assert wire.json == json.dumps(package.to_dict())
+                assert dict(wire) == package.to_dict()
+                current = registry.dataset("paris")
+                assert all(current[p.id] is p for p in package.all_pois())
+                target = data.draw(st.sampled_from(package.all_pois()),
+                                   label=f"target{step}")
+                kind = data.draw(st.sampled_from(
+                    ["reprice_poi", "close_poi", "add_poi"]),
+                    label=f"kind{step}")
+                if kind == "reprice_poi":
+                    mutation = {"poi_id": target.id, "cost": data.draw(
+                        st.one_of(edge_floats.map(abs),
+                                  st.floats(0.0, 1e6)), label="cost")}
+                elif kind == "close_poi":
+                    mutation = {"poi_id": target.id}
+                else:
+                    mutation = {"poi": dict(
+                        target.to_dict(), id=next_id,
+                        name=data.draw(awkward_text, label="name"),
+                        tags=data.draw(st.lists(awkward_text, max_size=2),
+                                       label="tags"))}
+                    next_id += 1
+                registry.mutate("paris", mutation_from_dict(
+                    dict(mutation, kind=kind)))
+                touched = registry.dataset("paris").get(
+                    mutation.get("poi_id", next_id - 1))
+                if touched is not None:
+                    alone = TravelPackage([CompositeItem(
+                        [touched], centroid=(touched.lat, touched.lon))])
+                    assert alone.to_json() == json.dumps(alone.to_dict())
+            response = service.build(request)
+            assert response.package_wire.json == json.dumps(
+                response.package.to_dict())
+        finally:
+            service.close()
+
+    def test_reprices_leave_one_live_text_per_poi(self, app):
+        """200 reprices of one POI, each followed by a build whose
+        package holds it and a spliced encode: only the current POI
+        object keeps a text, because texts live on POI objects and
+        die with them (no table of them outlives an epoch)."""
+        registry = CityRegistry(seed=7, scale=0.4, lda_iterations=30)
+        registry.register(app.dataset, copy.deepcopy(app.item_index),
+                          name="paris")
+        entry = registry.entry("paris")
+        profile = registry.group_profile(
+            "paris", BuildRequest.from_dict(spec(5)).group_spec)
+        poi_id = entry.builder.build(profile, DEFAULT_QUERY)[0].pois[0].id
+        base = entry.dataset[poi_id]  # the app's POI, shared and alive
+        repriced = []
+        for i in range(200):
+            registry.mutate("paris", mutation_from_dict(
+                {"kind": "reprice_poi", "poi_id": poi_id,
+                 "cost": 1.0 + i / 8}))
+            entry = registry.entry("paris")
+            package = entry.builder.build(profile, DEFAULT_QUERY)
+            held = [p for p in package.all_pois() if p.id == poi_id]
+            assert held  # an unbudgeted query ignores costs
+            wire = spliced(package)
+            assert f'"cost": {1.0 + i / 8}' in held[0].to_json()
+            assert wire.json == json.dumps(package.to_dict())
+            repriced.append(weakref.ref(held[0]))
+        del package, held, wire
+        gc.collect()
+        live = [o for o in gc.get_objects()
+                if type(o) is POI and o.id == poi_id and "_json" in vars(o)
+                and o is not base]
+        assert live == [registry.dataset("paris")[poi_id]]
+        assert sum(ref() is not None for ref in repriced) == 1
 
 
 # -- real replies through the server -------------------------------------------
