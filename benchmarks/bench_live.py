@@ -9,7 +9,7 @@ by reference; the whole point of the subsystem is that this beats
 to it (the property the Hypothesis suite proves; this bench re-asserts
 it on every timed sample).
 
-Three gates, mirrored as pytest tests so ``pytest benchmarks/`` enforces
+Four gates, mirrored as pytest tests so ``pytest benchmarks/`` enforces
 them:
 
 * **Patch speedup** (``measure_patch_speedup``): median
@@ -31,15 +31,30 @@ them:
   current registry dataset, warm cache hits never cross an epoch, and
   a deterministic loadgen burst with a ``mutate``-heavy mix finishes
   with zero error responses.
+* **Reprice replay** (``measure_reprice_replay``): an open session
+  without a budget crosses N reprices of its own POIs.  Each edit
+  replays it by re-reading its base package, so the service's
+  ``assemble`` stage count grows only by the open's own build, and the
+  replay is >= MIN_REREAD_SPEEDUP (3x) faster than the forced-rebuild
+  replay of ``tests/replay_oracle.py``, both timed at perfbench's
+  reference speed (:mod:`perfbench.reference`) and compared by median.
 """
 
 import argparse
+import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import telemetry
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "tests"))
+from perfbench import reference  # noqa: E402  (read-only: the slices)
+from replay_oracle import RebuildingService  # noqa: E402
 from repro.core.arrays import CityArrays
 from repro.data.dataset import POIDataset
 from repro.data.synthetic import generate_city
@@ -56,6 +71,10 @@ MIN_PATCH_SPEEDUP = 5.0
 
 #: The same gate for the geometry-changing kinds, close and add.
 MIN_GEOMETRY_PATCH_SPEEDUP = 3.0
+
+#: A session replay across reprices (re-read) against the replay that
+#: rebuilds the session's package (forced rebuild).
+MIN_REREAD_SPEEDUP = 3.0
 
 
 def _identical(a: CityArrays, b: CityArrays) -> bool:
@@ -211,6 +230,94 @@ def _print_stale(report: dict) -> None:
           f"{report['stale_epoch_retries']} stale-epoch retries")
 
 
+def measure_reprice_replay(city: str = "paris", seed: int = 2019,
+                           scale: float = 0.3, lda_iterations: int = 25,
+                           reprices: int = 12) -> dict:
+    """Replay an unbudgeted session across ``reprices`` reprices of its
+    own POIs, on the service (re-read) and on the forced-rebuild oracle,
+    over one shared registry."""
+    registry = CityRegistry(seed=seed, scale=scale,
+                            lda_iterations=lda_iterations)
+    fast, oracle = PackageService(registry), RebuildingService(registry)
+    spec = {"city": city, "group_spec": {"size": 4, "seed": 5}}
+    opened = [svc.dispatch("open_session", dict(spec))
+              for svc in (fast, oracle)]
+    assert opened[0]["package"] == opened[1]["package"]
+    sid, package = opened[0]["session_id"], opened[0]["package"]
+    pois = [p for ci in package["composite_items"] for p in ci["pois"]]
+
+    def assembled(service) -> int:
+        stage = service.stats()["obs"]["stages"].get("assemble")
+        return stage["count"] if stage else 0
+
+    def reprice(i: int) -> None:
+        poi = pois[i % len(pois)]
+        registry.mutate(city, RepricePoi(poi_id=poi["id"],
+                                         cost=round(poi["cost"] + i + 1, 3)))
+
+    # Phase 1: a reprice, then an edit, N times; builds are counted.
+    for i in range(reprices):
+        reprice(i)
+        ci = i % len(package["composite_items"])
+        edit = {"session_id": sid, "op": "remove", "ci_index": ci,
+                "poi_id": package["composite_items"][ci]["pois"][
+                    i // len(package["composite_items"])]["id"]}
+        replies = [svc.dispatch("customize", dict(edit))
+                   for svc in (fast, oracle)]
+        assert replies[0]["package"] == replies[1]["package"], (
+            "re-read replay diverged from the forced rebuild")
+
+    # Phase 2: the replay alone (a one-POI suggestion list rides it),
+    # interleaved arms, each followed by its reference slices.
+    times: dict[str, list[float]] = {"reread": [], "rebuild": []}
+    refs: dict[str, list[float]] = {"reread": [], "rebuild": []}
+    for i in range(reprices):
+        reprice(reprices + i)
+        arms = (("reread", fast), ("rebuild", oracle))
+        for name, service in (arms if i % 2 == 0 else arms[::-1]):
+            started = time.perf_counter()
+            service.suggest_additions(sid, 0, k=1)
+            ms = (time.perf_counter() - started) * 1000.0
+            times[name].append(ms)
+            refs[name].append(reference.sample_ms(ms))
+    norm = {name: statistics.median(reference.normalized(times[name],
+                                                         refs[name]))
+            for name in times}
+    return {
+        "city": city,
+        "reprices": reprices,
+        "assemble_builds": assembled(fast),
+        "oracle_assemble_builds": assembled(oracle),
+        "sessions_replayed": fast.stats()["live"]["sessions_replayed"],
+        "reread_norm_ms": norm["reread"],
+        "rebuild_norm_ms": norm["rebuild"],
+        "speedup": norm["rebuild"] / norm["reread"],
+    }
+
+
+def _print_replay(report: dict) -> None:
+    print(f"session replay across {report['reprices']} reprices "
+          f"(x2 phases): {report['assemble_builds']} build(s) on the "
+          f"service (gate: 1, the open's own), "
+          f"{report['oracle_assemble_builds']} on the forced-rebuild "
+          f"oracle")
+    print(f"  replay {report['reread_norm_ms']:.3f} ms re-read vs "
+          f"{report['rebuild_norm_ms']:.3f} ms rebuilt at the reference "
+          f"speed: {report['speedup']:.1f}x (gate >= "
+          f"{MIN_REREAD_SPEEDUP:.0f}x)")
+
+
+def _replay_failures(report: dict) -> list[str]:
+    failures = []
+    if report["assemble_builds"] != 1:
+        failures.append(f"{report['assemble_builds']} builds across "
+                        f"in-session reprices (gate: 1)")
+    if report["speedup"] < MIN_REREAD_SPEEDUP:
+        failures.append(f"re-read replay only {report['speedup']:.1f}x the "
+                        f"forced rebuild (gate {MIN_REREAD_SPEEDUP:.0f}x)")
+    return failures
+
+
 # -- pytest gate --------------------------------------------------------------
 
 try:
@@ -241,6 +348,12 @@ if pytest is not None:
         assert report["mutations_applied"] == report["loadgen_mutations"]
         assert (report["loadgen_epoch_bumps"]
                 == report["direct_mutations"] + report["loadgen_mutations"])
+
+    def test_reprice_replay_gate():
+        report = measure_reprice_replay(scale=0.25, lda_iterations=20)
+        _print_replay(report)
+        telemetry.emit("live", telemetry.record("reprice_replay", **report))
+        assert not _replay_failures(report), _replay_failures(report)
 
 
 # -- standalone ---------------------------------------------------------------
@@ -277,6 +390,16 @@ def main(argv=None) -> int:
         print(f"FAIL: {stale['stale_reads']} stale read(s), "
               f"{stale['loadgen_errors']} loadgen error(s)",
               file=sys.stderr)
+        status = 1
+
+    replay = measure_reprice_replay(
+        city=args.city, seed=args.seed, scale=min(args.scale, 0.3),
+        lda_iterations=args.lda_iterations,
+    )
+    _print_replay(replay)
+    telemetry.emit("live", telemetry.record("reprice_replay", **replay))
+    for failure in _replay_failures(replay):
+        print(f"FAIL: {failure}", file=sys.stderr)
         status = 1
     return status
 

@@ -217,7 +217,7 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
     arrays resolution, no profile-vector reads, no distance passes for
     earlier categories)."""
     for cat in requested:
-        needed = query.count(cat)
+        needed = query.counts[cat]
         have = len(dataset.by_category(cat))
         if have < needed:
             raise InfeasibleQueryError(
@@ -226,7 +226,7 @@ def _check_feasible_categories(dataset: POIDataset, query: GroupQuery,
             )
 
 
-def _cheapest_fill(cas: list[CategoryArrays], counts: list[int],
+def _cheapest_fill(cas: list[CategoryArrays], counts: tuple[int, ...],
                    budget: float) -> np.ndarray:
     """The city-wide rows of the cheapest conforming selection (each
     category's first ``count`` rows in ``(cost, id)`` order), every
@@ -305,6 +305,9 @@ def assemble_composite_items(dataset: POIDataset, centroids,
         gsims: :func:`gamma_sims` of ``profile`` for the requested
             categories at this ``gamma``, when the caller already has
             them (a KFC build computes them once for all its rounds).
+            A caller that passes them has checked the query's
+            feasibility against ``dataset`` first, as a KFC build does
+            once per build; without them the kernel checks it.
 
     Raises:
         InfeasibleQueryError: If no valid CI exists for this query.
@@ -313,8 +316,9 @@ def assemble_composite_items(dataset: POIDataset, centroids,
     if cents.ndim != 2 or (cents.size and cents.shape[1] != 2):
         raise ValueError("centroids must be a (k, 2) array of (lat, lon)")
     requested = query.requested_categories()
-    _check_feasible_categories(dataset, query, requested)
-    counts = [query.count(cat) for cat in requested]
+    if gsims is None:
+        _check_feasible_categories(dataset, query, requested)
+    counts = query.requested_counts()
     if cents.shape[0] == 0:
         return np.empty((0, sum(counts)), dtype=np.int64)
     if arrays is None:
@@ -350,8 +354,8 @@ def composite_items(dataset: POIDataset, arrays: CityArrays, centroids,
             for (lat, lon), row in zip(cents, arrays.ids[rows].tolist())]
 
 
-def _repair_budget(pools: _Pools, counts: list[int], cheapest: np.ndarray,
-                   budget: float) -> np.ndarray:
+def _repair_budget(pools: _Pools, counts: tuple[int, ...],
+                   cheapest: np.ndarray, budget: float) -> np.ndarray:
     """Greedy fill, then swap picks for cheaper same-category pool
     members until each centroid's CI fits ``budget``; returns the
     ``(k, slots)`` chosen city-wide rows in slot order.  All centroids
@@ -366,8 +370,8 @@ def _repair_budget(pools: _Pools, counts: list[int], cheapest: np.ndarray,
         for lo in range(0, k, step)])
 
 
-def _repair_chunk(pools: _Pools, counts: list[int], cheapest: np.ndarray,
-                  budget: float) -> np.ndarray:
+def _repair_chunk(pools: _Pools, counts: tuple[int, ...],
+                  cheapest: np.ndarray, budget: float) -> np.ndarray:
     """:func:`_repair_budget` for one chunk of centroids, over one
     ``(centroids, slots, width)`` tensor: slot ``s`` holds its
     category's pool, ``avail`` the costs with taken positions at

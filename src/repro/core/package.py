@@ -171,8 +171,9 @@ def bundle_metrics(package: TravelPackage, arrays: CityArrays,
     rows, query = package.rows, package.query
     costs, terms = [], []
     start = 0
-    for cat in query.requested_categories():
-        stop = start + query.count(cat)
+    for cat, count in zip(query.requested_categories(),
+                          query.requested_counts()):
+        stop = start + count
         block = rows[:, start:stop]
         ca = arrays.categories[cat]
         at = ca.rows.searchsorted(block)

@@ -48,6 +48,12 @@ class GroupQuery:
                 f"budget must be non-negative, got {self.budget!r}")
         if self.total_items() == 0:
             raise ValueError("a query must request at least one POI")
+        # Derived once per query, not per assembly round; plain
+        # attributes, so equality still reads the fields only.
+        requested = tuple(c for c in CATEGORIES if self.counts.get(c, 0) > 0)
+        object.__setattr__(self, "_requested", requested)
+        object.__setattr__(self, "_requested_counts",
+                           tuple(self.counts[c] for c in requested))
 
     @classmethod
     def of(cls, acco: int = 0, trans: int = 0, rest: int = 0, attr: int = 0,
@@ -76,7 +82,11 @@ class GroupQuery:
 
     def requested_categories(self) -> tuple[Category, ...]:
         """Categories with a positive count, in canonical order."""
-        return tuple(c for c in CATEGORIES if self.count(c) > 0)
+        return self._requested
+
+    def requested_counts(self) -> tuple[int, ...]:
+        """The counts of :meth:`requested_categories`, in that order."""
+        return self._requested_counts
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization.  An infinite budget

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,58 @@ class POIDataset:
     def subset(self, ids: Iterable[int]) -> "POIDataset":
         """A new dataset containing only the given POI ids."""
         return POIDataset((self._pois[i] for i in ids), city=self.city)
+
+    # The three single-POI updates below derive the next dataset from
+    # this one's indexes: a ``dict`` copy of the id map and one rebuilt
+    # category tuple, each in insertion order, so the result equals
+    # ``POIDataset`` over the updated POI list (ids, views, lookups)
+    # without re-walking the city in Python.
+
+    def repriced(self, poi_id: int, cost: float) -> "POIDataset":
+        """A new dataset whose POI ``poi_id`` costs ``cost``, in the same
+        position.  No coordinate moves, so a computed distance
+        normalizer carries over."""
+        old = self[poi_id]
+        new = replace(old, cost=cost)
+        pois = dict(self._pois)
+        pois[poi_id] = new
+        members = tuple(new if p is old else p
+                        for p in self._by_category[old.cat])
+        derived = self._derived(pois, old.cat, members)
+        derived._max_distance = self._max_distance
+        return derived
+
+    def without_poi(self, poi_id: int) -> "POIDataset":
+        """A new dataset lacking POI ``poi_id``."""
+        pois = dict(self._pois)
+        try:
+            old = pois.pop(poi_id)
+        except KeyError:
+            raise KeyError(f"no POI with id {poi_id} in dataset") from None
+        members = tuple(p for p in self._by_category[old.cat]
+                        if p is not old)
+        return self._derived(pois, old.cat, members)
+
+    def with_poi(self, poi: POI) -> "POIDataset":
+        """A new dataset with ``poi`` appended."""
+        if poi.id in self._pois:
+            raise ValueError(f"duplicate POI id {poi.id}")
+        pois = dict(self._pois)
+        pois[poi.id] = poi
+        return self._derived(pois, poi.cat,
+                             self._by_category[poi.cat] + (poi,))
+
+    def _derived(self, pois: dict[int, POI], cat: Category,
+                 members: tuple[POI, ...]) -> "POIDataset":
+        """A dataset over ``pois`` sharing this one's category views but
+        ``cat``'s, which is ``members``; its normalizer is uncomputed."""
+        derived = object.__new__(POIDataset)
+        derived._pois = pois
+        derived.city = self.city
+        derived._by_category = dict(self._by_category)
+        derived._by_category[cat] = members
+        derived._max_distance = None
+        return derived
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{cat.value}={n}" for cat, n in self.category_counts().items())

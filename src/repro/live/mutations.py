@@ -19,7 +19,17 @@ Three mutation kinds cover the churn the serving stack must survive:
 Each record validates against the dataset it is about to mutate
 (:meth:`Mutation.validate`) and applies purely
 (:meth:`Mutation.apply` returns a *new* dataset, preserving insertion
-order so array row alignment stays deterministic).  The per-city
+order so array row alignment stays deterministic).  ``apply`` derives
+the next dataset from the previous one's indexes -- a C-level ``dict``
+copy and one rebuilt category tuple -- so a record replays without a
+Python walk over the whole city.
+
+Only a reprice keeps the city's rows: the same POIs in the same order
+at the same coordinates with the same item vectors
+(:attr:`Mutation.prices_only`).  A build without a budget never reads a
+cost, so serving state derived before a run of reprices stays valid
+after it; a close or an add moves rows and geometry and forces a
+rebuild.  The per-city
 :class:`MutationLog` is bounded and append-only: replaying its entries
 over the original base dataset deterministically reproduces the current
 one, which is what makes epoch-versioned serving state auditable and
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.data.dataset import POIDataset
@@ -62,13 +72,19 @@ class Mutation:
 
     #: Wire discriminator; the ``kind`` field of the JSON form.
     kind: ClassVar[str] = ""
+    #: Whether the mutation changes costs only, keeping every POI id,
+    #: row, coordinate and item vector (a reprice); a close or an add
+    #: changes the rows.
+    prices_only: ClassVar[bool] = False
 
     def validate(self, dataset: POIDataset) -> None:
         """Raise :class:`MutationError` unless this applies to ``dataset``."""
         raise NotImplementedError
 
     def apply(self, dataset: POIDataset) -> POIDataset:
-        """Return the mutated dataset (validates first)."""
+        """Return the mutated dataset (validates first), derived from
+        ``dataset``'s indexes in O(n) C-level copying plus O(category)
+        Python work."""
         raise NotImplementedError
 
     def category(self, dataset: POIDataset) -> Category:
@@ -101,9 +117,7 @@ class ClosePoi(Mutation):
 
     def apply(self, dataset: POIDataset) -> POIDataset:
         self.validate(dataset)
-        return POIDataset(
-            (p for p in dataset if p.id != self.poi_id), city=dataset.city
-        )
+        return dataset.without_poi(self.poi_id)
 
     def category(self, dataset: POIDataset) -> Category:
         return dataset[self.poi_id].cat
@@ -119,6 +133,7 @@ class RepricePoi(Mutation):
     poi_id: int
     cost: float
     kind: ClassVar[str] = "reprice_poi"
+    prices_only: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         cost = float(self.cost)
@@ -136,11 +151,7 @@ class RepricePoi(Mutation):
 
     def apply(self, dataset: POIDataset) -> POIDataset:
         self.validate(dataset)
-        return POIDataset(
-            (replace(p, cost=self.cost) if p.id == self.poi_id else p
-             for p in dataset),
-            city=dataset.city,
-        )
+        return dataset.repriced(self.poi_id, self.cost)
 
     def category(self, dataset: POIDataset) -> Category:
         return dataset[self.poi_id].cat
@@ -165,7 +176,7 @@ class AddPoi(Mutation):
 
     def apply(self, dataset: POIDataset) -> POIDataset:
         self.validate(dataset)
-        return POIDataset(list(dataset) + [self.poi], city=dataset.city)
+        return dataset.with_poi(self.poi)
 
     def category(self, dataset: POIDataset) -> Category:
         return self.poi.cat

@@ -53,6 +53,12 @@ class ItemVectorIndex:
         self._norms = {poi_id: np.linalg.norm(vec)
                        for poi_id, vec in vectors.items()}
         self._topic_models = topic_models
+        # nbytes() parts, kept current by store(): the topic models are
+        # never refitted, and only store() changes a vector.
+        self._vector_bytes = sum(v.nbytes for v in vectors.values())
+        self._model_bytes = sum(
+            a.nbytes for lda in topic_models.values()
+            for a in lda.state().values() if isinstance(a, np.ndarray))
 
     @classmethod
     def fit(cls, dataset: POIDataset, n_rest_topics: int = 8,
@@ -184,7 +190,11 @@ class ItemVectorIndex:
         previous one, so a close-then-reopen POI re-embeds with its
         current tags.  The index keeps ``vector`` itself: callers must
         not modify it afterwards."""
+        previous = self._vectors.get(poi_id)
+        if previous is not None:
+            self._vector_bytes -= previous.nbytes
         self._vectors[poi_id] = vector
+        self._vector_bytes += vector.nbytes
         self._norms[poi_id] = np.linalg.norm(vector)
 
     def extend_with(self, poi: POI, seed: int = 0) -> np.ndarray:
@@ -255,13 +265,9 @@ class ItemVectorIndex:
         return cls(schema, vectors, topic_models)
 
     def nbytes(self) -> int:
-        """Estimated resident bytes of the vectors and topic models."""
-        total = sum(v.nbytes for v in self._vectors.values())
-        for lda in self._topic_models.values():
-            state = lda.state()
-            total += sum(a.nbytes for a in state.values()
-                         if isinstance(a, np.ndarray))
-        return total
+        """Estimated resident bytes of the vectors and topic models
+        (kept as a running total: no walk over the vectors)."""
+        return self._vector_bytes + self._model_bytes
 
     def vector(self, poi: POI | int) -> np.ndarray:
         """The item vector for a POI (by object or id)."""

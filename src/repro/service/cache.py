@@ -63,8 +63,9 @@ def cache_key(city: str, profile: GroupProfile, query: GroupQuery,
     ``epoch`` is the city's live-mutation version (see
     :class:`~repro.service.registry.CityEntry`).  Keying on it makes
     mutation-driven invalidation structural: every entry cached against
-    an older dataset simply stops matching after a mutation and ages
-    out of the LRU -- no scan-and-purge, no stale reads.
+    an older dataset simply stops matching after a mutation, so no read
+    can be stale; :meth:`PackageCache.purge` then frees those entries
+    at the commit, one city's entries at a time.
     """
     query_part = (
         tuple(sorted((cat.value, n) for cat, n in query.counts.items())),
@@ -80,13 +81,15 @@ def cache_key(city: str, profile: GroupProfile, query: GroupQuery,
 
 def cache_counts(snapshot: Mapping) -> dict:
     """The lookup counters of a registry snapshot (one process's or a
-    cluster merge): all-time hits, misses, evictions and hit rate."""
+    cluster merge): all-time hits, misses, LRU evictions, entries
+    purged for a superseded epoch, and hit rate."""
     hits = total(snapshot, "cache_hits")
     misses = total(snapshot, "cache_misses")
     return {
         "hits": hits,
         "misses": misses,
         "evictions": total(snapshot, "cache_evictions"),
+        "purges": total(snapshot, "cache_purges"),
         "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
     }
 
@@ -100,13 +103,18 @@ class PackageCache:
     :class:`~repro.service.schema.Encoded`), so a warm hit repeats none
     of the numpy work and none of the serialization.
 
+    Keys are :func:`cache_key` tuples (or any tuple led by a city and
+    ended by an epoch): the cache indexes its keys by city, so
+    :meth:`purge` touches only one city's entries.
+
     Args:
         capacity: Maximum number of cached entries; the least recently
             used entry is evicted beyond it.
-        windows: The metrics registry lookups and evictions count into
-            (``cache_hits``, ``cache_misses``, ``cache_evictions``): the
-            owning service's, so its stats and SLO monitor see them, or
-            a private one when omitted.
+        windows: The metrics registry lookups, evictions and purges
+            count into (``cache_hits``, ``cache_misses``,
+            ``cache_evictions``, ``cache_purges``): the owning
+            service's, so its stats and SLO monitor see them, or a
+            private one when omitted.
     """
 
     def __init__(self, capacity: int = 256,
@@ -116,6 +124,8 @@ class PackageCache:
         self.capacity = capacity
         self.windows = windows if windows is not None else MetricsRegistry()
         self._entries: OrderedDict[tuple, object] = OrderedDict()
+        # city -> its keys (a dict as an ordered set), for purge().
+        self._by_city: dict[object, dict[tuple, None]] = {}
         self._lock = Lock()
 
     def get(self, key: tuple):
@@ -136,11 +146,35 @@ class PackageCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
+            self._by_city.setdefault(key[0], {})[key] = None
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                victim, _ = self._entries.popitem(last=False)
+                self._forget(victim)
                 evicted += 1
         if evicted:
             self.windows.counter_inc("cache_evictions", evicted)
+
+    def _forget(self, key: tuple) -> None:
+        """Drop ``key`` from the city index (caller holds the lock)."""
+        keys = self._by_city[key[0]]
+        del keys[key]
+        if not keys:
+            del self._by_city[key[0]]
+
+    def purge(self, city: str, epoch: int) -> int:
+        """Drop ``city``'s entries keyed on an epoch before ``epoch``:
+        once the city moved on, no request can hit them.  Costs
+        O(the city's entries); returns how many were dropped (counted
+        as ``cache_purges``, not as evictions)."""
+        with self._lock:
+            keys = self._by_city.get(city, {})
+            stale = [key for key in keys if key[-1] < epoch]
+            for key in stale:
+                del self._entries[key]
+                self._forget(key)
+        if stale:
+            self.windows.counter_inc("cache_purges", len(stale))
+        return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,3 +192,4 @@ class PackageCache:
         reset by constructing a fresh cache)."""
         with self._lock:
             self._entries.clear()
+            self._by_city.clear()

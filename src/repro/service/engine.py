@@ -35,7 +35,11 @@ from threading import Lock
 
 import numpy as np
 
-from repro.core.assembly import AssemblyCounters, collect_assembly_counters
+from repro.core.assembly import (
+    AssemblyCounters,
+    collect_assembly_counters,
+    composite_items,
+)
 from repro.core.customize import CustomizationSession, Interaction
 from repro.core.package import TravelPackage, bundle_metrics
 from repro.core.query import DEFAULT_QUERY, GroupQuery
@@ -177,6 +181,12 @@ class _Session:
     the city version the session's state was derived from;
     ``edit_log`` records the applied :class:`CustomizeRequest`\\ s so
     the session can be deterministically replayed onto a newer epoch.
+
+    ``base`` is the KFC build the edit log starts from (it keeps its
+    bundle ``rows``), built at ``base_epoch`` from ``base_profile``:
+    what a replay's rebuild would return while neither the city's rows
+    nor the profile have changed since (see
+    :meth:`PackageService._rereadable`).
     """
 
     id: str
@@ -184,6 +194,9 @@ class _Session:
     editor: CustomizationSession
     profile: GroupProfile
     origin: BuildRequest
+    base: TravelPackage
+    base_profile: GroupProfile
+    base_epoch: int = 0
     epoch: int = 0
     edit_log: list[CustomizeRequest] = field(default_factory=list)
     lock: Lock = field(default_factory=Lock)
@@ -453,7 +466,8 @@ class PackageService:
                 return self._sessions_full_response(request)
             self._sessions[session_id] = _Session(
                 id=session_id, entry=entry, editor=editor, profile=profile,
-                origin=request, epoch=entry.epoch,
+                origin=request, base=response.package, base_profile=profile,
+                base_epoch=entry.epoch, epoch=entry.epoch,
             )
         return replace(response, session_id=session_id)
 
@@ -513,6 +527,16 @@ class PackageService:
         :class:`StaleEpochError` propagates as the structured
         ``stale_epoch`` wire code.
 
+        The rebuild is skipped when :meth:`_rereadable` proves it would
+        return the session's base package with current costs: the base's
+        CIs are re-read from the current dataset (same POI ids, order,
+        centroids and rows) and the edits replayed over them.  That
+        holds only across reprices, for a query without a finite budget
+        and an unrefined profile: a build without a budget never reads
+        a cost, while a close or an add moves the rows and geometry
+        every build reads, a budget makes the picks depend on prices,
+        and a refined profile changes the personalization term.
+
         Freshness here is *snapshot* semantics, not a transaction:
         this check is not serialized against
         :meth:`~repro.service.registry.CityRegistry.mutate`, so a
@@ -526,18 +550,27 @@ class PackageService:
         current = self.registry.entry(session.entry.name)
         if current.epoch == session.epoch:
             return
-        request = replace(session.origin, profile=session.profile,
-                          group_spec=None)
-        response, entry, profile = self._serve_build(request)
-        if not response.ok or entry is None:
-            self._record_replay(ok=False)
-            raise StaleEpochError(
-                f"session {session.id}: rebuild against epoch "
-                f"{current.epoch} failed: {response.error}"
-            )
+        reread = self._rereadable(session, current)
+        if reread:
+            entry, profile, base = current, session.profile, session.base
+            package = TravelPackage(
+                composite_items(entry.dataset, entry.arrays,
+                                base.centroids(), base.rows),
+                query=base.query, rows=base.rows)
+        else:
+            request = replace(session.origin, profile=session.profile,
+                              group_spec=None)
+            response, entry, profile = self._serve_build(request)
+            if not response.ok or entry is None:
+                self._record_replay(ok=False)
+                raise StaleEpochError(
+                    f"session {session.id}: rebuild against epoch "
+                    f"{current.epoch} failed: {response.error}"
+                )
+            package = response.package
         weights = session.origin.weights or entry.builder.weights
         editor = CustomizationSession(
-            package=response.package, dataset=entry.dataset, profile=profile,
+            package=package, dataset=entry.dataset, profile=profile,
             item_index=entry.item_index, beta=weights.beta,
             gamma=weights.gamma, arrays=entry.arrays,
         )
@@ -550,11 +583,26 @@ class PackageService:
                 f"session {session.id}: logged edit no longer applies at "
                 f"epoch {entry.epoch}: {exc}"
             ) from None
+        if not reread:
+            session.base, session.base_profile = package, profile
+            session.base_epoch = entry.epoch
         session.entry = entry
         session.epoch = entry.epoch
         session.editor = editor
         session.profile = profile
         self._record_replay(ok=True)
+
+    @staticmethod
+    def _rereadable(session: _Session, current: CityEntry) -> bool:
+        """Whether rebuilding ``session``'s origin request against
+        ``current`` would return its base package, costs aside: every
+        epoch since the base was built only repriced (the city's rows,
+        coordinates and item vectors are the base's), the query has no
+        finite budget (the build read no cost) and the session's profile
+        is the one the base was built from."""
+        return (current.layout_epoch <= session.base_epoch
+                and not session.origin.query.has_budget
+                and session.profile is session.base_profile)
 
     def _dispatch(self, session: _Session, request: CustomizeRequest) -> None:
         self._apply_edit(session.editor, session.entry.dataset, request)
@@ -796,7 +844,8 @@ class PackageService:
         form>}, "request_id": ...}``; the response echoes the registry's
         receipt (new ``epoch``, log ``seq``, ``patch_ms``, ``n_pois``);
         with a store attached the mutation is also appended to the
-        city's journal.  Failures come back as error responses: an
+        city's journal.  The city's cache entries keyed on older epochs
+        are purged at the commit.  Failures come back as error responses: an
         unknown city is ``not_found``, a malformed or inapplicable
         mutation ``invalid``.
         """
@@ -810,6 +859,7 @@ class PackageService:
             # resolved name so case variants share one city series.
             with stage("mutate", city=city.lower()):
                 result = self.registry.mutate(city, mutation)
+                self.cache.purge(result["city"], result["epoch"])
         except (KeyError, ValueError, RuntimeError) as exc:
             return self._error_response(
                 city, exc, start, request_id=payload.get("request_id"),

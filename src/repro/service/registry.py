@@ -79,6 +79,13 @@ class CityEntry:
     loaded city, bumped by every :meth:`CityRegistry.mutate`.  Package
     cache keys and customization sessions carry it, so state derived
     from an older dataset can never be served against a newer one.
+
+    ``layout_epoch`` is the oldest epoch whose entry had this one's
+    rows: every epoch bump after it was a reprice
+    (:attr:`~repro.live.mutations.Mutation.prices_only`), so the POI
+    ids, their row order, coordinates and item vectors are unchanged
+    since, and only costs differ.  A registration, a reload that
+    retires its journal, a close or an add resets it to ``epoch``.
     """
 
     name: str
@@ -87,6 +94,7 @@ class CityEntry:
     arrays: CityArrays
     builder: KFCBuilder
     epoch: int = 0
+    layout_epoch: int = 0
     #: The stored base the journal extends (``None``: not in the
     #: store) and its key's dataset hash (``None`` for templates).
     base: CityAssets | None = None
@@ -292,7 +300,10 @@ class CityRegistry:
     def _assemble_entry(self, city: str, dataset: POIDataset,
                         item_index: ItemVectorIndex, arrays: CityArrays,
                         base: CityAssets | None = None,
-                        base_hash: str | None = None) -> CityEntry:
+                        base_hash: str | None = None,
+                        repriced: int = 0) -> CityEntry:
+        """The entry for the city's current epoch; its layout epoch is
+        ``repriced`` epochs back (the trailing run of reprices)."""
         builder = KFCBuilder(
             dataset, item_index, weights=self.weights, k=self.k,
             seed=self.seed, candidate_pool=self.candidate_pool,
@@ -302,6 +313,7 @@ class CityRegistry:
             epoch = self._epochs.get(city, 0)
         return CityEntry(name=city, dataset=dataset, item_index=item_index,
                          arrays=arrays, builder=builder, epoch=epoch,
+                         layout_epoch=epoch - repriced,
                          base=base, base_hash=base_hash)
 
     # -- the persistent store ----------------------------------------------
@@ -417,8 +429,12 @@ class CityRegistry:
         as ``mutate`` did live, one array build.  A log that no longer
         applies retires its epoch: the epoch is bumped and the log (and
         the stored journal) dropped, never served with mismatched data.
+
+        The log's trailing reprices set the layout epoch: the epoch
+        counts the log's records last, whatever offset it started at
+        (a restart adopts a stored journal at ``epoch += len(journal)``).
         """
-        dataset, arrays = base.dataset, base.arrays
+        dataset, arrays, repriced = base.dataset, base.arrays, 0
         if log is not None and len(log) > 0:
             try:
                 dataset = log.replay(base.dataset)
@@ -435,10 +451,12 @@ class CityRegistry:
                     if isinstance(mutation, AddPoi):
                         base.item_index.extend_with(mutation.poi,
                                                     seed=self.seed)
+                    repriced = repriced + 1 if mutation.prices_only else 0
                 with stage("arrays_build", city=city):
                     arrays = CityArrays.of(dataset, base.item_index)
         return self._assemble_entry(city, dataset, base.item_index, arrays,
-                                    base if stored else None, base_hash)
+                                    base if stored else None, base_hash,
+                                    repriced)
 
     # -- live mutations ------------------------------------------------------
 
@@ -464,7 +482,9 @@ class CityRegistry:
         installs the new entry.  ``_install`` also re-estimates the
         entry's resident bytes, so LRU eviction pressure tracks patched
         array growth instead of going stale.  A failed patch raises
-        before anything is journaled or published.
+        before anything is journaled or published.  A reprice keeps the
+        entry's ``layout_epoch``; a close or an add moves it to the new
+        epoch.
 
         When the city's base is in the store, the record is appended
         to its journal (about 100 bytes, best-effort).  Returns a
@@ -509,9 +529,12 @@ class CityRegistry:
                     epoch = self._epochs.get(city, 0) + 1
                     self._epochs[city] = epoch
                     self._counters["mutations"] += 1
+                # A reprice keeps the rows of the entry it patched.
+                keeps_rows = mutation.prices_only and entry.epoch == epoch - 1
                 self._install(city, self._assemble_entry(
                     city, new_dataset, entry.item_index, arrays,
-                    entry.base, entry.base_hash))
+                    entry.base, entry.base_hash,
+                    epoch - entry.layout_epoch if keeps_rows else 0))
                 if entry.base is not None:
                     self._store_save(city, replace(
                         entry.base, journal=log.entries), entry.base_hash)

@@ -154,3 +154,61 @@ class TestCallFuzzifier:
         per_xy = kfc._SEEDS[id(arrays.xy)]
         assert list(per_xy) == fuzzifiers[-kfc.FUZZIFIER_CACHE_SIZE:]
         assert all(len(fits) == 1 for fits in per_xy.values())
+
+
+class TestQueryDerivedOnce:
+    """A query's categories, counts and feasibility are derived once per
+    build, not once per assembly round."""
+
+    def _parses(self, monkeypatch, builder, profile, query) -> int:
+        from repro.data.poi import Category
+
+        calls = []
+        parse = Category.parse.__func__
+
+        def counting(cls, value):
+            calls.append(value)
+            return parse(cls, value)
+
+        monkeypatch.setattr(Category, "parse", classmethod(counting))
+        builder.build(profile, query)
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("budget", [math.inf, 30.0])
+    def test_a_build_parses_categories_independently_of_rounds(
+            self, app, uniform_group, monkeypatch, budget):
+        from repro.core.kfc import KFCBuilder
+        from repro.data.poi import CATEGORIES
+
+        query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3, budget=budget)
+        profile = uniform_group.profile()
+        counts = [self._parses(monkeypatch, KFCBuilder(
+            app.dataset, app.item_index, refine_iterations=rounds,
+            arrays=app.kfc.arrays), profile, query) for rounds in (0, 2, 6)]
+        assert counts[0] == counts[1] == counts[2]
+        assert counts[0] <= 2 * len(CATEGORIES)
+
+    def test_the_kernel_still_checks_standalone_calls(self, app,
+                                                      uniform_group):
+        from repro.core.assembly import assemble_composite_items
+
+        query = GroupQuery.of(acco=len(app.dataset.by_category("acco")) + 1)
+        with pytest.raises(InfeasibleQueryError, match="only"):
+            assemble_composite_items(app.dataset, [[48.85, 2.35]], query,
+                                     uniform_group.profile(), app.item_index)
+
+    def test_derived_fields_follow_replace_and_the_wire(self):
+        from dataclasses import replace
+
+        from repro.data.poi import Category
+
+        query = GroupQuery.of(trans=2, attr=1)
+        assert query.requested_categories() == (Category.TRANSPORTATION,
+                                                Category.ATTRACTION)
+        assert query.requested_counts() == (2, 1)
+        wider = replace(query, counts={"acco": 1, "attr": 4})
+        assert wider.requested_counts() == (1, 4)
+        wire = GroupQuery.from_dict(query.to_dict())
+        assert wire == query
+        assert wire.requested_counts() == (2, 1)

@@ -5,7 +5,8 @@ its ``PackageService`` through register (a drawn subset of the template
 city under the template's name), reprice/close/add, forced eviction,
 reload (with and without a store), restart (a new registry over the
 same store), builds with repeated and fresh FCM seeds, and
-customization sessions.
+customization sessions -- with and without a binding budget, and with
+their profiles refined from their edit logs.
 
 The model is the city's base dataset -- the template, or the last
 registration -- plus the journal of mutations applied to it.  Every
@@ -14,19 +15,30 @@ fresh registry builds from ``replay(base, journal)``, or the request
 must fail with ``stale_epoch``.  An evicted registration reloads its
 own base and journal from the store; without a store it is gone
 (``not_found``) until registered again, and never served as the
-template of its name.  Three planted mutants show the machine has
-teeth: an FCM seed cache keyed on the city name (instead of the
-geometry it was fitted to), a reload that forgets the journal, and a
-reload by template name.
+template of its name.
+
+A session's package is its base build plus its edits.  The base is
+rebuilt whenever the city's epoch moved since the session last served,
+from the profile the session held then (a refinement takes effect at
+the next epoch move), so the model opens a fresh session from that
+profile and repeats every edit.
+
+Five planted mutants show the machine has teeth: an FCM seed cache
+keyed on the city name (instead of the geometry it was fitted to), a
+reload that forgets the journal, a reload by template name, and a
+session replay that re-reads its base package's rows when it must
+rebuild -- for a refined profile, or under a budget.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import shutil
 import tempfile
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +47,7 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -42,6 +55,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import kfc
+from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
 from repro.data.poi import POI, Category
 from repro.live import AddPoi, ClosePoi, RepricePoi
@@ -53,6 +67,7 @@ from repro.service import (
     GroupSpec,
     PackageService,
 )
+from repro.service.engine import StaleEpochError
 from repro.service.registry import CityEntry
 
 CITY = "paris"
@@ -65,6 +80,9 @@ REPEATED_SEEDS = (1, 2)
 MIN_PER_CATEGORY = 6
 #: A registration drops at most this many of the template's POIs.
 MAX_DROPPED = 5
+#: Session budgets: none, and two that bind (a default-query CI of the
+#: small Paris costs about 30 without a budget, the cheapest one 8).
+BUDGETS = (None, 20.0, 24.0)
 
 
 def stable_poi_id(seed: int, n: int) -> int:
@@ -262,8 +280,11 @@ class Lifecycle(RuleBasedStateMachine):
 
     # -- rules: serving ------------------------------------------------------
 
-    def _request(self, group_seed: int, seed: int) -> BuildRequest:
-        return BuildRequest(city=CITY, k=K, seed=seed,
+    def _request(self, group_seed: int, seed: int,
+                 budget: float | None = None) -> BuildRequest:
+        query = GroupQuery.of(acco=1, trans=1, rest=1, attr=3,
+                              budget=math.inf if budget is None else budget)
+        return BuildRequest(city=CITY, k=K, seed=seed, query=query,
                             group_spec=GroupSpec(size=3, seed=group_seed))
 
     def _check_build(self, request: BuildRequest) -> None:
@@ -289,9 +310,18 @@ class Lifecycle(RuleBasedStateMachine):
         self.fresh_seeds += 1
         self._check_build(self._request(group_seed, self.fresh_seeds))
 
-    @rule(group_seed=st.integers(0, 3), seed=st.sampled_from(REPEATED_SEEDS))
-    def open_session(self, group_seed, seed):
-        request = self._request(group_seed, seed)
+    # Every example starts with an open session, so session rules that
+    # the example enables have one to act on.
+    @initialize(group_seed=st.integers(0, 3),
+                seed=st.sampled_from(REPEATED_SEEDS),
+                budget=st.sampled_from(BUDGETS))
+    def open_first_session(self, group_seed, seed, budget):
+        self.open_session(group_seed, seed, budget)
+
+    @rule(group_seed=st.integers(0, 3), seed=st.sampled_from(REPEATED_SEEDS),
+          budget=st.sampled_from(BUDGETS))
+    def open_session(self, group_seed, seed, budget):
+        request = self._request(group_seed, seed, budget)
         response = self.service.open_session(request)
         if self.gone:
             assert response.code == "not_found", response.error
@@ -300,13 +330,76 @@ class Lifecycle(RuleBasedStateMachine):
         expected = self.model().build(request)
         assert package_json(response.package) == package_json(
             expected.package)
+        # "base": the request the session's base package is built
+        # from; "profile": the session's current (refined) profile;
+        # "epoch": the city epoch the session last served at.
         self.sessions[response.session_id] = {
-            "request": request, "edits": [], "package": response.package}
+            "request": request, "base": request, "profile": None,
+            "epoch": self.registry.epoch(CITY), "edits": [],
+            "package": response.package}
+
+    def _reconcile(self, session) -> None:
+        """The model of a session replay: once the city's epoch moved,
+        the base is rebuilt from the session's current profile."""
+        epoch = self.registry.epoch(CITY)
+        if epoch != session["epoch"]:
+            session["epoch"] = epoch
+            if session["profile"] is not None:
+                session["base"] = replace(session["request"],
+                                          profile=session["profile"],
+                                          group_spec=None)
+
+    @precondition(lambda self: self.sessions)
+    @rule(data=st.data(), refine=st.booleans())
+    def reprice_in_session(self, data, refine):
+        """Optionally edit a session and refine its profile from the
+        log, then reprice a POI it serves to a price extreme and edit it
+        again: that edit's replay crosses the reprice (and the
+        refinement)."""
+        sid = data.draw(st.sampled_from(sorted(self.sessions)))
+        if refine:
+            self._customize(data, sid)
+            if sid in self.sessions:
+                self._refine(sid)
+            if sid not in self.sessions:
+                return
+        package = self.sessions[sid]["package"]
+        dataset = self.dataset()
+        held = sorted({p.id for p in package.all_pois()} & set(dataset.ids))
+        if not held:
+            return
+        poi_id = data.draw(st.sampled_from(held))
+        cost = 0.0 if dataset[poi_id].cost > 5.0 else 10.0
+        self._mutated(RepricePoi(poi_id=poi_id, cost=cost))
+        self._customize(data, sid)
+
+    @precondition(lambda self: self.sessions)
+    @rule(data=st.data())
+    def refine(self, data):
+        self._refine(data.draw(st.sampled_from(sorted(self.sessions))))
+
+    def _refine(self, sid: str) -> None:
+        """Refine a session's profile from its edit log."""
+        session = self.sessions[sid]
+        try:
+            refined = self.service.refine(sid)
+        except KeyError:
+            assert self.gone
+            return
+        except StaleEpochError:
+            self.service.close_session(sid)
+            del self.sessions[sid]
+            return
+        self._reconcile(session)
+        session["profile"] = refined
 
     @precondition(lambda self: self.sessions)
     @rule(data=st.data())
     def customize(self, data):
-        sid = data.draw(st.sampled_from(sorted(self.sessions)))
+        self._customize(data, data.draw(st.sampled_from(sorted(
+            self.sessions))))
+
+    def _customize(self, data, sid: str) -> None:
         session = self.sessions[sid]
         ci = session["package"].composite_items[0]
         poi = data.draw(st.sampled_from([p.id for p in ci.pois]))
@@ -320,11 +413,12 @@ class Lifecycle(RuleBasedStateMachine):
             self.service.close_session(sid)
             del self.sessions[sid]
             return
-        # The model opens the session afresh and repeats every edit; an
-        # edit aimed at a package the replay no longer has must fail on
-        # both sides alike.
+        # The model opens the session afresh from its base and repeats
+        # every edit; an edit aimed at a package the replay no longer
+        # has must fail on both sides alike.
+        self._reconcile(session)
         model = self.model()
-        opened = model.open_session(session["request"])
+        opened = model.open_session(session["base"])
         assert opened.ok, opened.error
         for step in session["edits"]:
             assert model.apply(CustomizeRequest(
@@ -357,7 +451,7 @@ class Lifecycle(RuleBasedStateMachine):
 
 
 MACHINE_SETTINGS = settings(
-    max_examples=12, stateful_step_count=14, deadline=None,
+    max_examples=40, stateful_step_count=20, deadline=None,
     derandomize=True, database=None,
     suppress_health_check=list(HealthCheck))
 
@@ -413,9 +507,29 @@ def _reload_by_template_name(monkeypatch):
     monkeypatch.setattr(CityRegistry, "_entry_locked", by_name)
 
 
+def _reread_ignores_a_refined_profile(monkeypatch):
+    """Mutant: a replay across reprices re-reads the base package even
+    after the session's profile was refined."""
+    monkeypatch.setattr(PackageService, "_rereadable", staticmethod(
+        lambda session, current: (
+            current.layout_epoch <= session.base_epoch
+            and not session.origin.query.has_budget)))
+
+
+def _reread_under_a_budget(monkeypatch):
+    """Mutant: a replay across reprices re-reads the base package of a
+    budgeted session, whose picks depend on prices."""
+    monkeypatch.setattr(PackageService, "_rereadable", staticmethod(
+        lambda session, current: (
+            current.layout_epoch <= session.base_epoch
+            and session.profile is session.base_profile)))
+
+
 @pytest.mark.parametrize("plant", [_seed_cache_keyed_on_city,
                                    _reload_skips_the_journal,
-                                   _reload_by_template_name])
+                                   _reload_by_template_name,
+                                   _reread_ignores_a_refined_profile,
+                                   _reread_under_a_budget])
 def test_the_machine_catches_a_planted_mutant(lifecycle, monkeypatch, plant):
     plant(monkeypatch)
     # No shrinking: a found failure is the whole point here.

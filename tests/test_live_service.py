@@ -93,6 +93,24 @@ class TestEpochInvalidation:
         assert not after.cached
         assert service.build(spec_request).cached  # new epoch re-warms
 
+    def test_a_committed_mutation_purges_superseded_entries(
+            self, registry, service, spec_request):
+        """Entries keyed on an epoch a city left can never be hit again:
+        the mutate wire op drops them at the commit (counted as purges,
+        not evictions), so 20 reprice-and-rebuild rounds leave the
+        city one entry, not 21."""
+        assert not service.build(spec_request).cached
+        poi = _any_poi(registry)
+        for round_no in range(20):
+            reply = service.dispatch("mutate", {"city": "paris", "mutation": {
+                "kind": "reprice_poi", "poi_id": poi.id,
+                "cost": poi.cost + round_no + 1.0}})
+            assert reply["epoch"] == round_no + 1
+            assert not service.build(spec_request).cached
+        assert len(service.cache) == 1
+        cache = service.stats()["cache"]
+        assert (cache["purges"], cache["evictions"]) == (20, 0)
+
     def test_no_stale_reads_after_reprice(self, registry, service,
                                           spec_request):
         service.build(spec_request)

@@ -201,6 +201,31 @@ class TestCacheUnit:
         assert stats["evictions"] == 1
         assert stats["hits"] == 3 and stats["misses"] == 1
 
+    def test_purge_drops_one_citys_superseded_epochs(self, uniform_group):
+        profile = uniform_group.profile()
+
+        def key(city, epoch):
+            return cache_key(city, profile, GroupQuery.of(attr=1), None,
+                             None, None, epoch=epoch)
+
+        cache = PackageCache(capacity=8)
+        for city, epoch in (("a", 0), ("a", 1), ("b", 0), ("a", 2)):
+            cache.put(key(city, epoch), (city, epoch))
+        assert cache.purge("a", 2) == 2
+        assert cache.purge("c", 5) == 0
+        assert key("a", 2) in cache and key("b", 0) in cache
+        assert key("a", 0) not in cache and key("a", 1) not in cache
+        stats = cache.stats()
+        assert (stats["size"], stats["purges"], stats["evictions"]) == (
+            2, 2, 0)
+        # The city index follows LRU evictions too: nothing stale is
+        # left to purge, and purging a city does not touch another.
+        small = PackageCache(capacity=1)
+        small.put(key("a", 0), 0)
+        small.put(key("b", 0), 0)  # evicts a's entry
+        assert small.purge("a", 1) == 0 and len(small) == 1
+        assert small.purge("b", 1) == 1 and len(small) == 0
+
     def test_fingerprint_tracks_content_not_identity(self, uniform_group):
         profile = uniform_group.profile()
         clone = type(profile).from_dict(profile.to_dict())
