@@ -25,7 +25,7 @@ architecture overview; ``repro.experiments`` reproduces the paper's
 tables and figures.
 """
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 from repro.core import (
     CityArrays,

@@ -48,12 +48,17 @@ class GroupQuery:
                 f"budget must be non-negative, got {self.budget!r}")
         if self.total_items() == 0:
             raise ValueError("a query must request at least one POI")
-        # Derived once per query, not per assembly round; plain
-        # attributes, so equality still reads the fields only.
+        # Derived once per query, not per assembly round or cache
+        # lookup; plain attributes, so equality still reads the fields
+        # only.
         requested = tuple(c for c in CATEGORIES if self.counts.get(c, 0) > 0)
         object.__setattr__(self, "_requested", requested)
         object.__setattr__(self, "_requested_counts",
                            tuple(self.counts[c] for c in requested))
+        object.__setattr__(self, "_key", (
+            tuple(sorted((cat.value, n) for cat, n in self.counts.items())),
+            self.budget if math.isfinite(self.budget) else None,
+        ))
 
     @classmethod
     def of(cls, acco: int = 0, trans: int = 0, rest: int = 0, attr: int = 0,
@@ -87,6 +92,13 @@ class GroupQuery:
     def requested_counts(self) -> tuple[int, ...]:
         """The counts of :meth:`requested_categories`, in that order."""
         return self._requested_counts
+
+    def key(self) -> tuple:
+        """The query's part of a package cache key: its ``(category,
+        count)`` pairs sorted by category name, and the budget (``None``
+        when infinite).  Equal queries share it whatever their counts'
+        order."""
+        return self._key
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization.  An infinite budget

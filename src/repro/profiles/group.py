@@ -10,6 +10,7 @@ function's personalization term.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -30,6 +31,10 @@ class GroupProfile:
     Structurally a user profile over the same schema, but scores may
     exceed the simplex (e.g. ``1 - d_j`` terms), so only the [0, 1]
     range is enforced via clipping on refinement, not construction.
+
+    Immutable: the vectors are private copies that no method writes
+    (refinement builds a new profile via :meth:`updated`), so values
+    derived from them, such as :meth:`fingerprint`, are derived once.
     """
 
     def __init__(self, schema: ProfileSchema,
@@ -46,6 +51,7 @@ class GroupProfile:
                     f"schema expects ({schema.size(cat)},)"
                 )
             self._vectors[cat] = vec.copy()
+        self._fingerprint: str | None = None
 
     @classmethod
     def from_members(cls, schema: ProfileSchema, members: np.ndarray,
@@ -65,6 +71,20 @@ class GroupProfile:
     def vector(self, category: Category | str) -> np.ndarray:
         """The consensus vector for one category (a defensive copy)."""
         return self._vectors[Category.parse(category)].copy()
+
+    def fingerprint(self) -> str:
+        """A SHA-256 hex digest of the category names and vector bytes,
+        in canonical order: profiles with equal vectors share it however
+        they were built (consensus, refinement, the wire).  Computed on
+        first use from the private vectors (already contiguous float64
+        copies) and kept."""
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            for cat in CATEGORIES:
+                digest.update(cat.value.encode())
+                digest.update(self._vectors[cat])
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def concatenated(self) -> np.ndarray:
         """All category vectors concatenated in canonical order."""

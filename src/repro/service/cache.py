@@ -8,8 +8,9 @@ an LRU cache over complete build inputs turns those repeats into a dict
 lookup.
 
 The key must capture *everything* the builder's output depends on:
-the city, the group profile (hashed canonically from its vector bytes),
-the query, the Equation 1 weights, ``k`` and the FCM seed.  Packages
+the city, the group profile (hashed canonically from its vector bytes,
+once per profile object), the query (its canonical key, derived once
+per query), the Equation 1 weights, ``k`` and the FCM seed.  Packages
 are immutable (customization swaps in new instances), so cached objects
 are shared between callers without copying.  The engine caches each
 package next to its wire form (:class:`~repro.service.schema.Encoded`
@@ -19,36 +20,29 @@ are shared by every hit too and are equally read-only.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from collections import OrderedDict
 from collections.abc import Mapping
 from threading import Lock
 
-import numpy as np
-
 from repro.core.objective import ObjectiveWeights
 from repro.core.query import GroupQuery
-from repro.data.poi import CATEGORIES
 from repro.obs import MetricsRegistry, stage
 from repro.obs.metrics import total
 from repro.profiles.group import GroupProfile
 
 
 def profile_fingerprint(profile: GroupProfile) -> str:
-    """A canonical content hash of a group profile.
+    """A canonical content hash of a group profile
+    (:meth:`GroupProfile.fingerprint`).
 
     Two profiles with equal per-category vectors hash equally no matter
     how they were constructed (consensus, refinement, or the wire), so
     a client resubmitting a round-tripped profile still hits the cache.
+    A profile computes it once and keeps it: the registry's spec
+    resolution returns one profile object per spec, so a spec-based
+    warm hit hashes nothing.
     """
-    digest = hashlib.sha256()
-    for cat in CATEGORIES:
-        digest.update(cat.value.encode())
-        digest.update(np.ascontiguousarray(
-            profile.vector(cat), dtype=np.float64
-        ).tobytes())
-    return digest.hexdigest()
+    return profile.fingerprint()
 
 
 def cache_key(city: str, profile: GroupProfile, query: GroupQuery,
@@ -67,15 +61,11 @@ def cache_key(city: str, profile: GroupProfile, query: GroupQuery,
     can be stale; :meth:`PackageCache.purge` then frees those entries
     at the commit, one city's entries at a time.
     """
-    query_part = (
-        tuple(sorted((cat.value, n) for cat, n in query.counts.items())),
-        query.budget if math.isfinite(query.budget) else None,
-    )
     weights_part = (
         (weights.alpha, weights.beta, weights.gamma, weights.fuzzifier)
         if weights is not None else None
     )
-    return (city, profile_fingerprint(profile), query_part, weights_part,
+    return (city, profile.fingerprint(), query.key(), weights_part,
             k, seed, epoch)
 
 

@@ -186,7 +186,10 @@ class _Session:
     bundle ``rows``), built at ``base_epoch`` from ``base_profile``:
     what a replay's rebuild would return while neither the city's rows
     nor the profile have changed since (see
-    :meth:`PackageService._rereadable`).
+    :meth:`PackageService._rereadable`).  A :meth:`PackageService.rebuild`
+    makes its package the base and its request the origin; ``history``
+    keeps the interactions recorded before it, which a replay's editor
+    starts from.
     """
 
     id: str
@@ -199,6 +202,7 @@ class _Session:
     base_epoch: int = 0
     epoch: int = 0
     edit_log: list[CustomizeRequest] = field(default_factory=list)
+    history: list[Interaction] = field(default_factory=list)
     lock: Lock = field(default_factory=Lock)
 
 
@@ -573,6 +577,7 @@ class PackageService:
             package=package, dataset=entry.dataset, profile=profile,
             item_index=entry.item_index, beta=weights.beta,
             gamma=weights.gamma, arrays=entry.arrays,
+            interactions=list(session.history),
         )
         try:
             for edit in session.edit_log:
@@ -675,7 +680,12 @@ class PackageService:
     def rebuild(self, session_id: str,
                 query: GroupQuery | None = None) -> PackageResponse:
         """Build a fresh package from the session's (possibly refined)
-        profile and swap it into the session."""
+        profile and swap it into the session.
+
+        On success the rebuild becomes the session's base: its request
+        replaces the origin and the edit log restarts empty, so a replay
+        onto a newer epoch starts from the rebuilt package.  The
+        interactions so far stay with the session, for refinement."""
         session = self._session(session_id)
         with session.lock:
             self._ensure_fresh(session)
@@ -687,9 +697,17 @@ class PackageService:
                 k=session.origin.k,
                 seed=session.origin.seed,
             )
-            response = self.build(request)
+            response, entry, profile = self._serve_build(request)
             if response.ok:
+                # The rebuild is the session's new base: a later replay
+                # rebuilds (or re-reads) it, not the opening request,
+                # and re-applies only the edits made since.
                 session.editor.package = response.package
+                session.origin = request
+                session.base, session.base_profile = response.package, profile
+                session.base_epoch = entry.epoch
+                session.history = list(session.editor.interactions)
+                session.edit_log = []
         return replace(response, session_id=session_id)
 
     def close_session(self, session_id: str) -> list[Interaction]:

@@ -21,13 +21,20 @@ Two ways to name a group in a :class:`BuildRequest`:
 A cached package is serialized once: :class:`Encoded` is the wire dict
 that carries its own JSON text, which the NDJSON writer splices
 instead of re-encoding (see :func:`repro.service.server.encode_line`).
+
+A warm hit re-sends a query and a group spec it sent before, so each is
+parsed once: :class:`ParseMemo` keeps the frozen parsed objects, keyed
+by the exact wire value with each value's type.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from threading import Lock
 
 from repro.core.customize import InteractionKind
 from repro.core.objective import ObjectiveWeights
@@ -102,14 +109,89 @@ def _wire_int(value, name: str) -> int:
     return value
 
 
-def _wire_query(data) -> GroupQuery:
+#: Parsed values each :class:`ParseMemo` keeps.  A hit needs its
+#: package in the cache too, so this matches the package cache's
+#: default capacity.
+PARSE_MEMO_SIZE = 256
+
+
+class ParseMemo:
+    """A bounded LRU of frozen objects parsed from wire values.
+
+    ``key(data)`` must determine ``parse(data)``: it holds every input
+    the parser reads, with each value's type, since ``True == 1`` and
+    ``hash(True) == hash(1)`` would otherwise serve a ``true`` the
+    object parsed from a ``1``.  A value whose key cannot be built or
+    hashed (a list, a missing field) goes to ``parse`` every time, as
+    does one ``parse`` rejects, so it raises what ``parse`` raises.
+    Parsed objects ``keep`` refuses are not stored either (a float
+    zero: ``-0.0`` and ``0.0`` are one key but two signs).  Thread-safe.
+    """
+
+    def __init__(self, parse: Callable, key: Callable[[object], tuple],
+                 keep: Callable[[object], bool] = lambda parsed: True,
+                 capacity: int = PARSE_MEMO_SIZE) -> None:
+        self.parse = parse
+        self.key = key
+        self.keep = keep
+        self.capacity = capacity
+        self._parsed: OrderedDict[tuple, object] = OrderedDict()
+        self._lock = Lock()
+
+    def __call__(self, data):
+        try:
+            key = self.key(data)
+            with self._lock:
+                parsed = self._parsed.get(key)
+                if parsed is not None:
+                    self._parsed.move_to_end(key)
+                    return parsed
+        except Exception:
+            return self.parse(data)
+        parsed = self.parse(data)
+        if self.keep(parsed):
+            with self._lock:
+                self._parsed[key] = parsed
+                if len(self._parsed) > self.capacity:
+                    self._parsed.popitem(last=False)
+        return parsed
+
+    def __len__(self) -> int:
+        return len(self._parsed)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._parsed.clear()
+
+
+def _parse_query(data) -> GroupQuery:
     """A wire query, with every category count a :func:`_wire_int`
-    (checked inline first: every build, warm hits included, parses a
-    query, so the field name is formatted only for a bad count)."""
+    (checked inline first: the field name is formatted only for a bad
+    count)."""
     for cat, count in data["counts"].items():
         if type(count) is not int:
             _wire_int(count, f"query count for {cat}")
     return GroupQuery.from_dict(data)
+
+
+def _query_key(data) -> tuple:
+    """The inputs :func:`_parse_query` reads, with their types."""
+    counts = data["counts"]
+    budget = data.get("budget")
+    return (tuple(counts.items()), tuple(map(type, counts.values())),
+            type(budget), budget)
+
+
+def _flat_key(data) -> tuple:
+    """A flat wire dict as a key: its keys in order, its values' types
+    and its values."""
+    values = tuple(data.values())
+    return tuple(data), tuple(map(type, values)), values
+
+
+#: The wire query parser, memoized.
+_wire_query = ParseMemo(_parse_query, _query_key,
+                        keep=lambda query: query.budget != 0)
 
 
 class ErrorCode(str, enum.Enum):
@@ -184,6 +266,11 @@ class GroupSpec:
         )
 
 
+#: The wire group-spec parser, memoized.
+_wire_spec = ParseMemo(GroupSpec.from_dict, _flat_key,
+                       keep=lambda spec: spec.w1 != 0)
+
+
 @dataclass(frozen=True)
 class BuildRequest:
     """One package-construction request.
@@ -246,7 +333,7 @@ class BuildRequest:
             query=(_wire_query(data["query"])
                    if data.get("query") is not None else DEFAULT_QUERY),
             profile=GroupProfile.from_dict(profile) if profile else None,
-            group_spec=GroupSpec.from_dict(spec) if spec else None,
+            group_spec=_wire_spec(spec) if spec else None,
             weights=ObjectiveWeights.from_dict(weights) if weights else None,
             k=_wire_int(k, "k") if k is not None else None,
             seed=_wire_int(seed, "seed") if seed is not None else None,

@@ -23,7 +23,7 @@ from repro import (
 
 class TestPublicAPI:
     def test_version(self):
-        assert repro.__version__ == "1.26.0"
+        assert repro.__version__ == "1.27.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

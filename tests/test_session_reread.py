@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import make_poi
 from replay_oracle import RebuildingService
+from repro.core.query import GroupQuery
 from repro.data.dataset import POIDataset
 from repro.data.poi import CATEGORIES, POI, Category
 from repro.live import AddPoi, ClosePoi, MutationLog, RepricePoi
@@ -336,6 +337,42 @@ def test_a_close_forces_the_next_reprice_replay_to_rebuild(app):
                for svc in (fast, oracle)]
     assert canonical(replies[0]) == canonical(replies[1])
     assert _assemble_count(fast) == before + 1
+
+
+def test_a_rebuild_is_the_base_a_replay_starts_from(app):
+    """A replay after ``rebuild`` used to rebuild the opening request
+    and re-apply the pre-rebuild edits, so the rebuilt query's shape
+    was lost at the next reprice.  Now the rebuild is the base: the
+    reply keeps its shape, equals the forced-rebuild reply, and the
+    pre-rebuild interactions stay for refinement."""
+    registry, fast, oracle = _services(app)
+    services = (fast, oracle)
+    opened = _open(services, 3, None)
+    sid, package = opened["session_id"], opened["package"]
+    first = {"session_id": sid, "op": "remove", "ci_index": 0,
+             "poi_id": package["composite_items"][0]["pois"][0]["id"]}
+    for svc in services:
+        assert svc.dispatch("customize", dict(first))["error"] is None
+    query = GroupQuery.of(acco=1, attr=2)
+    rebuilt = [svc.rebuild(sid, query).to_dict() for svc in services]
+    assert rebuilt[0]["error"] is None, rebuilt[0]["error"]
+    assert canonical(rebuilt[0]) == canonical(rebuilt[1])
+    package = rebuilt[0]["package"]
+    served = package["composite_items"][1]["pois"][0]["id"]
+    registry.mutate("paris", RepricePoi(poi_id=served, cost=9.0))
+    edit = {"session_id": sid, "op": "remove", "ci_index": 0,
+            "poi_id": package["composite_items"][0]["pois"][0]["id"]}
+    replies = [svc.dispatch("customize", dict(edit)) for svc in services]
+    assert replies[0]["error"] is None, replies[0]["error"]
+    assert canonical(replies[0]) == canonical(replies[1])
+    served = replies[0]["package"]
+    assert served["query"] == query.to_dict()
+    for index, ci in enumerate(served["composite_items"]):
+        cats = sorted(p["cat"] for p in ci["pois"])
+        assert cats == (["attr", "attr"] if index == 0
+                        else ["acco", "attr", "attr"])
+    for svc in services:
+        assert len(svc.interactions(sid)) == 2
 
 
 # -- long journals ---------------------------------------------------------------
