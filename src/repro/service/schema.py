@@ -116,7 +116,8 @@ PARSE_MEMO_SIZE = 256
 
 
 class ParseMemo:
-    """A bounded LRU of frozen objects parsed from wire values.
+    """A bounded LRU (:data:`PARSE_MEMO_SIZE`) of frozen objects parsed
+    from wire values.
 
     ``key(data)`` must determine ``parse(data)``: it holds every input
     the parser reads, with each value's type, since ``True == 1`` and
@@ -129,12 +130,10 @@ class ParseMemo:
     """
 
     def __init__(self, parse: Callable, key: Callable[[object], tuple],
-                 keep: Callable[[object], bool] = lambda parsed: True,
-                 capacity: int = PARSE_MEMO_SIZE) -> None:
+                 keep: Callable[[object], bool]) -> None:
         self.parse = parse
         self.key = key
         self.keep = keep
-        self.capacity = capacity
         self._parsed: OrderedDict[tuple, object] = OrderedDict()
         self._lock = Lock()
 
@@ -152,7 +151,7 @@ class ParseMemo:
         if self.keep(parsed):
             with self._lock:
                 self._parsed[key] = parsed
-                if len(self._parsed) > self.capacity:
+                if len(self._parsed) > PARSE_MEMO_SIZE:
                     self._parsed.popitem(last=False)
         return parsed
 
