@@ -4,8 +4,8 @@ throughput.
 Not a paper table -- the numbers the ROADMAP's serving trajectory
 tracks: what one `PackageService.build` costs when the LRU package
 cache misses (full KFC assembly) vs. hits (dict lookup + response
-shaping), and how the thread-pooled `build_batch` fan-out compares to
-serving the same requests sequentially.
+shaping), and what `build_batch` costs for 12 cold requests (served
+one after another on the calling thread).
 
 ``test_warm_cache_speedup`` additionally *asserts* the headline claim
 (warm >= 5x faster than cold for a repeated (profile, query) pair), so
@@ -90,18 +90,6 @@ def test_service_build_batch(benchmark, service, batch_requests):
         assert all(r.ok for r in responses)
 
     benchmark(batched_cold)
-
-
-def test_service_build_batch_sequential(benchmark, service, batch_requests):
-    """The same 12 requests served one by one -- the baseline the
-    thread-pooled fan-out is judged against."""
-
-    def sequential_cold():
-        service.cache.clear()
-        responses = [service.build(r) for r in batch_requests]
-        assert all(r.ok for r in responses)
-
-    benchmark(sequential_cold)
 
 
 def test_warm_cache_speedup(service, repeat_request):

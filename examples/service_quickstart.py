@@ -1,7 +1,7 @@
 """Service quickstart: GroupTravel as a multi-city serving engine.
 
 Demonstrates the ``repro.service`` layer end to end: pooled per-city
-assets, cached builds, batched fan-out, a customization session over
+assets, cached builds, a batch over two cities, a customization session over
 the wire types, and profile refinement feeding a rebuilt package.
 
     python examples/service_quickstart.py
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"warm build: {warm.latency_ms:8.2f} ms (cached={warm.cached})")
     print(f"package quality: {json.dumps(cold.metrics, default=float)}\n")
 
-    # -- batched fan-out over two cities -----------------------------------
+    # -- one batch over two cities ----------------------------------------
     batch = [
         BuildRequest(city=city, group_spec=GroupSpec(size=5, seed=seed),
                      request_id=f"{city}-{seed}")

@@ -55,11 +55,9 @@ from repro.obs.trace import (
     SlowTraceRing,
     TraceContext,
     Tracer,
-    current_activation,
     new_span_id,
     new_trace_id,
     stage,
-    use_activation,
 )
 
 
@@ -116,14 +114,12 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "WindowConfig",
-    "current_activation",
     "merge_metrics_snapshots",
     "merge_snapshot_dicts",
     "merge_verdicts",
     "new_span_id",
     "new_trace_id",
     "stage",
-    "use_activation",
     "window_gauge_last",
     "window_gauge_rate",
     "window_histogram",

@@ -31,8 +31,7 @@ import math
 import os
 import time
 import zlib
-from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from contextvars import ContextVar
 from threading import Lock
 from time import perf_counter
@@ -256,26 +255,6 @@ class _Activation(_StageTimer):
 
 _ACTIVE: ContextVar[_StageTimer | None] = ContextVar("repro_obs_active",
                                                      default=None)
-
-
-def current_activation() -> _StageTimer | None:
-    """The trace frame of the calling context, if any: the root, or the
-    innermost open stage of a sampled trace."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def use_activation(act: _StageTimer | None) -> Iterator[None]:
-    """Rebind an activation in another thread (the batch pool's worker
-    threads do not inherit the submitting context)."""
-    if act is None:
-        yield
-        return
-    token = _ACTIVE.set(act)
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)
 
 
 #: Shared do-nothing stage (no active trace, or tracing disabled).

@@ -74,11 +74,6 @@ class GroupGenerator:
             ratings[cat] = np.clip(base[cat] + noise, 0.0, 5.0)
         return ratings
 
-    def _jittered_user(self, base: dict, jitter: float) -> UserProfile:
-        """A profile near ``base`` (per-category rating vectors)."""
-        return UserProfile.from_ratings(self.schema,
-                                        self.jittered_ratings(base, jitter))
-
     def elicitation_ratings(self, true_ratings: dict, noise: float) -> dict:
         """Stated ratings as a noisy observation of true ones.
 
@@ -96,23 +91,12 @@ class GroupGenerator:
         return stated
 
     def random_base(self) -> dict:
-        """A random per-category rating base, usable as a taste
-        archetype for :meth:`archetype_user`."""
+        """A random per-category rating base: a taste archetype that
+        :meth:`jittered_ratings` draws clustered raters around."""
         return {
             cat: self._rng.uniform(0.5, 5.0, size=self.schema.size(cat))
             for cat in CATEGORIES
         }
-
-    def archetype_user(self, base: dict, jitter: float = 1.0) -> UserProfile:
-        """A dense profile clustered around a taste archetype.
-
-        Real rater populations are clustered -- people share broad
-        taste patterns -- which is what makes *uniform* groups formable
-        from a recruited pool (Section 4.4.1).  ``base`` comes from
-        :meth:`random_base`; ``jitter`` controls within-archetype
-        spread.
-        """
-        return self._jittered_user(base, jitter)
 
     def sparse_user(self, dims_per_category: int = 1) -> UserProfile:
         """A profile concentrated on a few random dimensions per category

@@ -7,9 +7,8 @@ One service instance holds a :class:`~repro.service.registry.CityRegistry`
 and exposes:
 
 * :meth:`PackageService.build` -- one request, one response, cached;
-* :meth:`PackageService.build_batch` -- thread-pooled fan-out over
-  independent requests (package assembly is numpy-bound, so worker
-  threads overlap usefully under the GIL);
+* :meth:`PackageService.build_batch` -- independent requests served
+  one after another on the caller's thread, in order;
 * :meth:`PackageService.open_session` / :meth:`PackageService.apply` --
   stateful concurrent customization sessions whose interaction logs
   feed the existing profile-refinement strategies.
@@ -29,7 +28,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from threading import Lock
 
@@ -54,9 +52,7 @@ from repro.obs import (
     TraceContext,
     Tracer,
     WindowConfig,
-    current_activation,
     stage,
-    use_activation,
 )
 from repro.obs.metrics import total
 from repro.obs.trace import CITY_PREFIX, STAGE_PREFIX, TRACE_COUNTERS
@@ -72,9 +68,6 @@ from repro.service.schema import (
     PackageResponse,
     trace_limit,
 )
-
-#: Default worker threads for the batch path.
-_DEFAULT_BATCH_WORKERS = 8
 
 #: Bound on requests per ``batch`` wire envelope.  Admission control
 #: counts an envelope as one in-flight unit, so the envelope itself
@@ -213,7 +206,6 @@ class PackageService:
         registry: Per-city asset pool; a default registry (full-scale
             synthetic cities) is created when omitted.
         cache_capacity: LRU capacity of the package cache.
-        max_workers: Thread-pool width for :meth:`build_batch`.
         max_sessions: Bound on concurrently open customization
             sessions.  Sessions are client-controlled server state, so
             a long-running service must cap them; beyond the bound
@@ -237,14 +229,11 @@ class PackageService:
 
     def __init__(self, registry: CityRegistry | None = None,
                  cache_capacity: int = 256,
-                 max_workers: int = _DEFAULT_BATCH_WORKERS,
                  max_sessions: int = 1024,
                  obs: ObsConfig | None = None,
                  window: WindowConfig | None = None,
                  slo: SLOConfig | None = None,
                  shard: int | None = None) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
         self.max_sessions = max_sessions
@@ -255,9 +244,6 @@ class PackageService:
         self.cache = PackageCache(cache_capacity, windows=self.metrics)
         self.sampler = ResourceSampler(self.metrics)
         self.slo = SLOMonitor(slo)
-        self.max_workers = max_workers
-        self._batch_pool: ThreadPoolExecutor | None = None
-        self._batch_pool_lock = Lock()
         self._sessions: dict[str, _Session] = {}
         self._sessions_lock = Lock()
         self._session_ids = itertools.count(1)
@@ -364,49 +350,21 @@ class PackageService:
             request_id=request.request_id, package_wire=wire,
         ), entry, profile)
 
-    def _batch_executor(self) -> ThreadPoolExecutor:
-        """The persistent batch pool, created on first use.  Batches
-        are the per-request hot path of every shard worker, so thread
-        spawn/join must not be paid per call."""
-        with self._batch_pool_lock:
-            if self._batch_pool is None:
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="batch",
-                )
-            return self._batch_pool
-
     def build_batch(self, requests: list[BuildRequest]) -> list[PackageResponse]:
-        """Serve independent requests concurrently, preserving order.
+        """Serve independent requests one after another, preserving order.
 
         Responses are positionally aligned with ``requests``; a failed
-        request yields an error response in its slot.
+        request yields an error response in its slot.  The elements run
+        on the caller's thread, so under a trace their stages land in
+        the caller's activation.
         """
         start = time.perf_counter()
-        if len(requests) <= 1:
-            responses = [self.build(r) for r in requests]
-        else:
-            # Pool threads do not inherit the submitting context, so the
-            # active trace (if any) is re-bound inside each worker --
-            # batch-element spans then parent under the batch's trace.
-            activation = current_activation()
-
-            def serve(request: BuildRequest) -> PackageResponse:
-                with use_activation(activation):
-                    return self.build(request)
-
-            responses = list(self._batch_executor().map(serve, requests))
+        responses = [self.build(r) for r in requests]
         self._record("build_batch", time.perf_counter() - start)
         return responses
 
     def close(self) -> None:
-        """Release the batch pool (idle threads otherwise linger until
-        interpreter exit).  The service stays usable; the pool would
-        simply be recreated on the next batch."""
-        with self._batch_pool_lock:
-            pool, self._batch_pool = self._batch_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release the tracer's event log, if file-backed."""
         self.tracer.close()
 
     @staticmethod
@@ -786,7 +744,7 @@ class PackageService:
                     try:
                         parsed.append((index, BuildRequest.from_dict(raw)))
                     except (KeyError, TypeError, ValueError,
-                            AttributeError) as exc:
+                            AttributeError, OverflowError) as exc:
                         # One malformed element errors its own slot; it
                         # must not take the rest of the batch with it.
                         slots[index] = PackageResponse(
@@ -845,7 +803,8 @@ class PackageService:
                 city="", error=f"unknown operation {op!r}",
                 code=ErrorCode.BAD_REQUEST.value,
             ).to_dict()
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
             return PackageResponse(
                 city="", error=f"bad {op} payload: {exc}",
                 code=ErrorCode.BAD_REQUEST.value,
@@ -920,10 +879,6 @@ class PackageService:
         metrics = self.metrics
         metrics.gauge_set("sessions_open", self.open_sessions)
         metrics.gauge_set("cache_size", len(self.cache))
-        pool = self._batch_pool
-        queue = getattr(pool, "_work_queue", None) if pool else None
-        if queue is not None:
-            metrics.gauge_set("batch_queue_depth", queue.qsize())
         metrics.gauge_set("store_resident_bytes",
                           self.registry.total_bytes())
         self.sampler.sample()

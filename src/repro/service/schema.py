@@ -256,9 +256,12 @@ class GroupSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
         w1 = data.get("w1")
+        uniform = data.get("uniform", True)
+        if type(uniform) is not bool:
+            raise ValueError(f"group uniform must be a boolean, got {uniform!r}")
         return cls(
             size=_wire_int(data.get("size", 5), "group size"),
-            uniform=bool(data.get("uniform", True)),
+            uniform=uniform,
             seed=_wire_int(data.get("seed", 0), "group seed"),
             method=str(data.get("method", ConsensusMethod.AVERAGE.value)),
             w1=float(w1) if w1 is not None else None,

@@ -94,7 +94,6 @@ class ShardConfig:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     candidate_pool: int = 60
     cache_capacity: int = 256
-    batch_workers: int = 8
     max_sessions: int = 1024
     #: Root of a persistent :class:`~repro.store.AssetStore`; workers
     #: hydrate template cities from it instead of refitting LDA.  A
@@ -125,7 +124,6 @@ class ShardConfig:
             store=self.store_path, max_cities=self.max_cities,
         )
         return PackageService(registry, cache_capacity=self.cache_capacity,
-                              max_workers=self.batch_workers,
                               max_sessions=self.max_sessions,
                               obs=self.obs, window=self.window,
                               slo=self.slo, shard=shard_id)

@@ -1,9 +1,10 @@
 """Concurrency stress for :class:`~repro.service.cache.PackageCache`.
 
-The cache sits on the hot path of every shard worker's batch pool, so
-its lock discipline must hold under real thread contention: no lost
-updates, the LRU bound respected at every moment, and counters that
-add up exactly.  These tests hammer it from >= 8 threads through a
+A shard serves one request at a time, but a ``PackageService`` (and
+its cache) stays safe for callers that share it across threads, so
+the cache's lock discipline must hold under real thread contention: no
+lost updates, the LRU bound respected at every moment, and counters
+that add up exactly.  These tests hammer it from >= 8 threads through a
 barrier start so the threads genuinely overlap.
 """
 

@@ -630,17 +630,23 @@ class TestPackageServer:
         ("spec_seed", "0.5", "group seed must be an integer"),
         ("attr", "true", "query count for attr must be an integer"),
         ("attr", "1.5", "query count for attr must be an integer"),
+        ("uniform", '"false"', "group uniform must be a boolean"),
+        ("uniform", "0", "group uniform must be a boolean"),
+        ("uniform", "1", "group uniform must be a boolean"),
+        ("uniform", "null", "group uniform must be a boolean"),
     ])
     def test_work_fields_are_typed_and_bounded(self, cluster, field, value,
                                                words):
         """``"k": true`` used to build k=1, ``"k": 2.7`` two CIs and
-        ``"size": true`` a group of one; an unbounded ``k`` or ``size``
-        priced the whole shard."""
+        ``"size": true`` a group of one, ``"uniform": "false"`` a
+        uniform group; an unbounded ``k`` or ``size`` priced the whole
+        shard."""
         request = {"city": "paris", "group_spec": {"size": 4, "seed": 5},
                    "query": {"counts": {"acco": 1, "trans": 1, "rest": 1,
                                         "attr": 2}}}
         target = {"k": request, "seed": request,
                   "size": request["group_spec"],
+                  "uniform": request["group_spec"],
                   "spec_seed": request["group_spec"],
                   "attr": request["query"]["counts"]}[field]
         target[field.removeprefix("spec_")] = "VALUE"
@@ -676,6 +682,44 @@ class TestPackageServer:
                            "seed": 2}})
         assert (request.k, request.group_spec.size) == (MAX_K,
                                                         MAX_GROUP_SIZE)
+
+    @pytest.mark.parametrize("op, request_json", [
+        ("build", '{"city": "paris", "group_spec": {"size": 4}, "query":'
+                  ' {"counts": {"attr": 2}, "budget": 1' + "0" * 400 + '}}'),
+        ("build", '{"city": "paris", "group_spec": {"size": 4, "w1": 1'
+                  + "0" * 400 + '}}'),
+        ("batch", '{"requests": [{"city": "paris", "group_spec": {"size":'
+                  ' 4}, "query": {"counts": {"attr": 2}, "budget": 1'
+                  + "0" * 400 + '}}]}'),
+        ("customize", '{"session_id": "0/1", "op": "remove",'
+                      ' "poi_id": 1e400}'),
+        ("customize", '{"session_id": "0/1", "op": "remove", "poi_id": 1,'
+                      ' "ci_index": 1e400}'),
+    ], ids=["budget", "w1", "batch_budget", "poi_id", "ci_index"])
+    def test_overflowing_numbers_are_bad_requests(self, cluster, op,
+                                                  request_json):
+        """A number no float holds (``10**400``) or an infinite one
+        where an integer belongs (``1e400``) raised ``OverflowError``
+        out of ``dispatch``; through the server it came back ``failed``."""
+        payload = json.loads(request_json)
+        direct = PackageService(CityRegistry()).dispatch(
+            op, dict(payload, session_id="1") if op == "customize"
+            else payload)
+        line = f'{{"op": "{op}", "id": "o", "request": {request_json}}}'
+
+        async def scenario():
+            server = PackageServer(cluster)
+            try:
+                return await server.handle_line(line)
+            finally:
+                server.tracer.close()
+
+        served = json.loads(json.dumps(asyncio.run(scenario())))
+        for reply in (direct, served):
+            if op == "batch":
+                (reply,) = reply["responses"]
+            assert reply["code"] == ErrorCode.BAD_REQUEST.value, reply
+            assert "convert" in reply["error"]
 
     @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_profile_line_is_a_bad_request(self, cluster, app,

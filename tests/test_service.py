@@ -154,10 +154,9 @@ class TestBatch:
             for s in range(6)
         ]
         sequential = PackageService(registry, cache_capacity=32)
-        concurrent = PackageService(registry, cache_capacity=32,
-                                    max_workers=4)
+        batched = PackageService(registry, cache_capacity=32)
         expected = [sequential.build(r) for r in requests]
-        got = concurrent.build_batch(requests)
+        got = batched.build_batch(requests)
 
         assert [r.request_id for r in got] == [r.request_id for r in requests]
         for a, b in zip(expected, got):
@@ -178,6 +177,37 @@ class TestBatch:
     def test_single_request_batch(self, service, spec_request):
         responses = service.build_batch([spec_request])
         assert len(responses) == 1 and responses[0].ok
+
+    def test_served_batch_stages_land_in_the_batch_trace(self, service):
+        """A batch's elements run inside the ``serve:batch`` activation,
+        so each element's cache lookup (and, on a miss, its assembly)
+        is a span of the batch's one trace."""
+        specs = [{"size": 4, "seed": seed} for seed in (31, 32, 33, 34)]
+        service.build(BuildRequest.from_dict({"city": "paris",
+                                              "group_spec": specs[0]}))
+        misses = len(specs) - 1
+
+        def assembled() -> int:
+            stages = service.stats()["obs"]["stages"]
+            return stages.get("assemble", {}).get("count", 0)
+
+        before = assembled()
+        reply = service.dispatch("batch", {
+            "requests": [{"city": "paris", "group_spec": spec}
+                         for spec in specs],
+            "_trace": {"trace_id": "batch-trace", "sampled": True}})
+        assert reply["trace_id"] == "batch-trace"
+        assert [r["cached"] for r in reply["responses"]] == [
+            True] + [False] * misses
+
+        (trace,) = service.tracer.slowest_traces()
+        assert trace["trace_id"] == "batch-trace"
+        assert {s["trace_id"] for s in trace["spans"]} == {"batch-trace"}
+        names = [s["name"] for s in trace["spans"]]
+        assert names.count("serve:batch") == 1
+        assert names.count("cache_lookup") == len(specs)
+        assert names.count("assemble") == misses
+        assert assembled() == before + misses
 
 
 class TestCacheUnit:
