@@ -16,8 +16,9 @@ process.
     ...     city="paris", group_spec=GroupSpec(size=5, seed=3)))
 
 On top of the single-process engine sits the **serving tier**: a
-city-affine process-pool shard layer (:mod:`repro.service.shard`), an
-asyncio NDJSON front-end with admission control and graceful drain
+city-affine shard layer with one worker process per shard
+(:mod:`repro.service.shard`), an asyncio NDJSON front-end with
+admission control and graceful drain
 (:mod:`repro.service.server`) and a deterministic workload generator
 (:mod:`repro.service.loadgen`).  The whole stack is traced end to end
 by :mod:`repro.obs`: per-stage latency histograms that merge exactly

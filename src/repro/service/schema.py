@@ -425,13 +425,13 @@ class CustomizeRequest:
     def from_dict(cls, data: dict) -> "CustomizeRequest":
         def _opt_int(key: str) -> int | None:
             value = data.get(key)
-            return int(value) if value is not None else None
+            return _wire_int(value, key) if value is not None else None
 
         rect = data.get("rect")
         return cls(
             session_id=str(data["session_id"]),
             op=CustomizeOp(data["op"]),
-            ci_index=int(data.get("ci_index", 0)),
+            ci_index=_wire_int(data.get("ci_index", 0), "ci_index"),
             poi_id=_opt_int("poi_id"),
             add_poi_id=_opt_int("add_poi_id"),
             replacement_id=_opt_int("replacement_id"),

@@ -1,4 +1,4 @@
-"""City-affinity sharding: a process-pool layer under the server.
+"""City-affinity sharding: one serial queue per shard under the server.
 
 A :class:`ShardCluster` runs ``n`` workers, each owning a **complete,
 private** serving stack -- its own
@@ -34,25 +34,24 @@ Routing rules:
   slowest-trace rings by trace id; the cluster SLO verdict re-evaluates
   over the merged windows and folds in per-shard states).
 
-Each shard's pool has exactly one worker, so a shard serves its cities
-serially (its internal cache and FCM seed caches see every request) and
-the cluster's concurrency equals its shard count.  ``use_processes=False``
-swaps the process pools for single threads -- same routing, stickiness
-and serialization boundary, without fork/IPC cost; tests and the stdin
-server mode use it, and it accepts a ``service_factory`` so suites can
-inject services over pre-fitted registries.
+Each shard is one worker behind a one-thread queue, so a shard serves
+its cities serially (its internal cache and FCM seed caches see every
+request) and the cluster's concurrency equals its shard count.  A
+process shard's worker is one ``multiprocessing.Process`` answering
+``(op, payload)`` frames over a duplex pipe.  ``use_processes=False``
+runs each shard's service on its queue thread instead -- same routing
+and stickiness, without fork/IPC cost; tests and the stdin server mode
+use it, and it accepts a ``service_factory`` so suites can inject
+services over pre-fitted registries.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection
 from threading import Lock
 from typing import Callable
 
@@ -90,11 +89,8 @@ class ShardConfig:
     seed: int = 2019
     scale: float = 1.0
     lda_iterations: int = 120
-    k: int = 5
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    candidate_pool: int = 60
     cache_capacity: int = 256
-    max_sessions: int = 1024
     #: Root of a persistent :class:`~repro.store.AssetStore`; workers
     #: hydrate template cities from it instead of refitting LDA.  A
     #: plain string (not a live store object) so the config stays
@@ -119,33 +115,15 @@ class ShardConfig:
         worker for process shards), stamped as shard ``shard_id``."""
         registry = CityRegistry(
             seed=self.seed, scale=self.scale,
-            lda_iterations=self.lda_iterations, k=self.k,
-            weights=self.weights, candidate_pool=self.candidate_pool,
+            lda_iterations=self.lda_iterations, weights=self.weights,
             store=self.store_path, max_cities=self.max_cities,
         )
         return PackageService(registry, cache_capacity=self.cache_capacity,
-                              max_sessions=self.max_sessions,
                               obs=self.obs, window=self.window,
                               slo=self.slo, shard=shard_id)
 
 
-# -- worker-process globals ---------------------------------------------------
-
-_WORKER_SERVICE: PackageService | None = None
-_WORKER_SHARD: int = -1
-
-
-def _init_worker(config: ShardConfig, shard_id: int) -> None:
-    """Process-pool initializer: build this worker's private stack.
-
-    Deliberately cheap -- city generation and LDA fitting stay lazy, so
-    a broken fit surfaces as an error *response* to the offending
-    request (or warmup call), not as a broken pool.
-    """
-    global _WORKER_SERVICE, _WORKER_SHARD
-    _WORKER_SERVICE = config.make_service(shard_id)
-    _WORKER_SHARD = shard_id
-
+# -- the worker process -------------------------------------------------------
 
 def _tag_shard(result: dict, shard_id: int) -> dict:
     """Stamp the serving shard onto a dispatch result (and any nested
@@ -156,10 +134,27 @@ def _tag_shard(result: dict, shard_id: int) -> dict:
     return result
 
 
-def _worker_dispatch(op: str, payload: dict) -> dict:
-    """The one function shipped across the process boundary."""
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _tag_shard(_WORKER_SERVICE.dispatch(op, payload), _WORKER_SHARD)
+def _worker_main(conn: Connection, config: ShardConfig, shard_id: int) -> None:
+    """A process shard's worker: build the private stack, then answer
+    each ``(op, payload)`` frame until the ``None`` sentinel.
+
+    Building the stack is deliberately cheap -- city generation and LDA
+    fitting stay lazy, so a broken fit surfaces as an error *response*
+    to the offending request (or warmup call), not as a dead worker.
+    An exception goes back as the reply, for the front end to re-raise.
+    """
+    service = config.make_service(shard_id)
+    for op, payload in iter(conn.recv, None):
+        try:
+            reply = _tag_shard(service.dispatch(op, payload), shard_id)
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
+    service.close()
+
+
+#: Held while a worker is forked and the parent closes its pipe end.
+_SPAWN_LOCK = Lock()
 
 
 # -- future plumbing ----------------------------------------------------------
@@ -167,12 +162,6 @@ def _worker_dispatch(op: str, payload: dict) -> dict:
 def _completed(value: dict) -> Future:
     future: Future = Future()
     future.set_result(value)
-    return future
-
-
-def _failed(exc: BaseException) -> Future:
-    future: Future = Future()
-    future.set_exception(exc)
     return future
 
 
@@ -228,20 +217,24 @@ def _gather(futures: list[Future], combine: Callable[[list[dict]], dict]) -> Fut
 # -- the cluster --------------------------------------------------------------
 
 class _Shard:
-    """One worker and its submission queue.
+    """One worker behind a one-thread submission queue.
+
+    Every shard serves through a ``ThreadPoolExecutor(max_workers=1)``
+    running :meth:`_call`.  A thread shard's call is its service's
+    ``dispatch``; a process shard's call is one ``send``/``recv`` on a
+    duplex pipe to its worker process (:func:`_worker_main`).
 
     Process shards **self-heal**: a worker killed mid-request (OOM
-    killer, segfault in a native library, operator mistake) breaks its
-    ``ProcessPoolExecutor`` permanently, so the shard detects
-    ``BrokenExecutor`` -- both the immediate raise from ``submit`` and
-    the deferred failure of an in-flight future -- replaces the pool,
-    and retries the affected request once on the fresh worker.  The
+    killer, segfault in a native library, operator mistake) or between
+    requests shows up as ``EOFError``/``OSError`` on the pipe, so the
+    call respawns the worker and retries the request once on it; a
+    request that kills two workers in a row propagates its failure.  The
     replacement worker starts empty: its customization sessions are
     lost (clients get structured ``unknown_session`` errors) and its
     cities re-hydrate lazily -- cheap when a
     :attr:`ShardConfig.store_path` is set, since rebuilding is a disk
-    load instead of an LDA fit.  ``restarted`` counts pool rebuilds and
-    is surfaced through the cluster's stats.
+    load instead of an LDA fit.  ``restarted`` counts respawns and is
+    surfaced through the cluster's stats.
     """
 
     def __init__(self, shard_id: int, config: ShardConfig,
@@ -251,12 +244,10 @@ class _Shard:
         self.restarted = 0
         self._config = config
         self._closed = False
-        self._restart_lock = Lock()
         self._service: PackageService | None = None
+        self._process: Process | None = None
         if use_processes:
-            self._pool: ProcessPoolExecutor | ThreadPoolExecutor = (
-                self._new_process_pool()
-            )
+            self._spawn()
         else:
             self._service = (service_factory(shard_id) if service_factory
                              else config.make_service(shard_id))
@@ -264,82 +255,63 @@ class _Shard:
                     and self._service.tracer.shard != shard_id):
                 raise ValueError(f"service_factory must build shard "
                                  f"{shard_id}'s service with shard={shard_id}")
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"shard-{shard_id}"
-            )
+        self._queue = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"shard-{shard_id}"
+        )
 
-    def _new_process_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
-                                   initargs=(self._config, self.id))
+    def _spawn(self) -> None:
+        # Under one lock, so no sibling's fork inherits this worker's
+        # pipe end before the parent closes its copy: a dead worker must
+        # read as EOF on ``_conn``.
+        with _SPAWN_LOCK:
+            self._conn, child = Pipe()
+            self._process = Process(target=_worker_main, daemon=True,
+                                    name=f"shard-{self.id}",
+                                    args=(child, self._config, self.id))
+            self._process.start()
+            child.close()
 
-    def _heal(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken pool (idempotent per pool instance: many
-        in-flight futures fail together, only the first observer swaps)."""
-        with self._restart_lock:
-            if self._closed or self._pool is not broken:
-                return
-            broken.shutdown(wait=False)
-            self._pool = self._new_process_pool()
-            self.restarted += 1
+    def _round_trip(self, op: str, payload: dict) -> dict | Exception:
+        self._conn.send((op, payload))
+        return self._conn.recv()
 
-    def _submit_once(self, op: str, payload: dict) -> tuple[Future, ProcessPoolExecutor]:
-        """Submit to the current pool, healing first if it is already
-        broken (worker died idle between requests).  Returns the future
-        *and* the pool it ran on, so a deferred failure heals the right
-        pool.  A second immediate break is a real environment problem
-        -- let it raise."""
-        with self._restart_lock:
-            pool = self._pool
+    def _call(self, op: str, payload: dict) -> dict:
+        if self._service is not None:
+            return _tag_shard(self._service.dispatch(op, payload), self.id)
         try:
-            return pool.submit(_worker_dispatch, op, payload), pool
-        except BrokenExecutor:
-            self._heal(pool)
-            with self._restart_lock:
-                pool = self._pool
-            return pool.submit(_worker_dispatch, op, payload), pool
+            reply = self._round_trip(op, payload)
+        except (EOFError, OSError):
+            if self._closed:
+                raise
+            # The worker died, idle or under this request: replace it
+            # and retry once.
+            self._conn.close()
+            self._process.kill()
+            self._process.join()
+            self._spawn()
+            self.restarted += 1
+            reply = self._round_trip(op, payload)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def submit(self, op: str, payload: dict) -> Future:
-        if self._service is not None:
-            service = self._service
-            return self._pool.submit(
-                lambda: _tag_shard(service.dispatch(op, payload), self.id)
-            )
-        try:
-            inner, pool = self._submit_once(op, payload)
-        except BrokenExecutor as exc:
-            return _failed(exc)
-        out: Future = Future()
+        return self._queue.submit(self._call, op, payload)
 
-        def _relay(completed: Future, ran_on, retried: bool) -> None:
-            exc = completed.exception()
-            if isinstance(exc, BrokenExecutor) and not retried:
-                # Worker died *under* this request.  Heal the pool it
-                # ran on (idempotent if a sibling future got there
-                # first) and retry once on the fresh worker; a request
-                # that kills two workers in a row propagates its
-                # failure.
-                self._heal(ran_on)
-                try:
-                    retry, retry_pool = self._submit_once(op, payload)
-                except BrokenExecutor as submit_exc:
-                    out.set_exception(submit_exc)
-                    return
-                retry.add_done_callback(
-                    lambda f: _relay(f, retry_pool, True)
-                )
-            elif exc is not None:
-                out.set_exception(exc)
-            else:
-                out.set_result(completed.result())
-
-        inner.add_done_callback(lambda f: _relay(f, pool, False))
-        return out
-
-    def shutdown(self, wait: bool = True) -> None:
-        with self._restart_lock:
-            self._closed = True
-            pool = self._pool
-        pool.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Drain the queue, then stop the worker.  The worker stops on a
+        sentinel frame, not on EOF: under fork, the worker and every
+        worker started after it hold copies of this pipe's parent end,
+        so closing it here would never reach the worker."""
+        self._closed = True
+        self._queue.shutdown()
+        if self._process is not None:
+            try:
+                self._conn.send(None)
+            except OSError:
+                pass  # already dead or already stopped
+            self._process.join()
+            self._conn.close()
         if self._service is not None:
             self._service.close()
 
@@ -584,7 +556,7 @@ class ShardCluster:
         cache = {key: sum(r["cache"][key] for r in results)
                  for key in ("size", "capacity")}
         cache.update(sections["cache"])
-        # Pool-rebuild counts live front-side (the worker that crashed
+        # Respawn counts live front-side (the worker that crashed
         # cannot report its own death); stamp them onto each shard's
         # answer and total them.  Utilization is each shard's share of
         # the cluster's completed operations -- the routing-skew gauge
@@ -672,12 +644,12 @@ class ShardCluster:
         """Blocking convenience over the ``health`` wire op."""
         return self.dispatch("health", {})
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and (with ``wait``) drain queued
-        requests before tearing the workers down."""
+    def shutdown(self) -> None:
+        """Stop accepting work, drain each shard's queued requests, then
+        stop the workers."""
         self._closed = True
         for shard in self._shards:
-            shard.shutdown(wait=wait)
+            shard.shutdown()
 
     def __enter__(self) -> "ShardCluster":
         return self

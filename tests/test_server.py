@@ -13,6 +13,7 @@ import asyncio
 import copy
 import json
 import math
+import threading
 import time
 from concurrent.futures import Future
 
@@ -287,9 +288,9 @@ class TestProcessCluster:
 
 class TestShardSelfHealing:
     def test_killed_worker_is_replaced_and_requests_retried(self):
-        """SIGKILLing a shard's worker breaks its ProcessPoolExecutor
-        permanently; the shard must swap in a fresh pool, serve the
-        next requests, and report the restart in stats."""
+        """SIGKILLing an idle shard worker closes its pipe; the shard
+        must spawn a fresh worker, serve the next requests, and report
+        the restart in stats."""
         import os
         import signal
 
@@ -298,11 +299,10 @@ class TestShardSelfHealing:
                           use_processes=True) as cluster:
             assert cluster.dispatch("ping", {})["ok"] is True
             shard = cluster._shards[0]
-            for pid in list(shard._pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            # The next dispatch rides the heal-and-retry path (the dead
-            # worker may surface as an immediate or a deferred
-            # BrokenExecutor; both must recover).
+            os.kill(shard._process.pid, signal.SIGKILL)
+            # The next dispatch rides the respawn-and-retry path (the
+            # dead worker may surface on the send or on the receive;
+            # both must recover).
             assert cluster.dispatch("ping", {})["ok"] is True
             assert shard.restarted == 1
             # Real work still lands on the replacement worker.
@@ -332,8 +332,7 @@ class TestShardSelfHealing:
                     "city": "paris", "mutation": mutation})
                 assert receipt.get("error") is None, receipt
             before = cluster.dispatch("build", spec_payload("paris", seed=8))
-            for pid in list(cluster._shards[0]._pool._processes):
-                os.kill(pid, signal.SIGKILL)
+            os.kill(cluster._shards[0]._process.pid, signal.SIGKILL)
             assert cluster.dispatch("ping", {})["ok"] is True
             after = cluster.dispatch("build", spec_payload("paris", seed=8))
             assert cluster.stats()["restarted"] == 1
@@ -356,12 +355,45 @@ class TestShardSelfHealing:
                           use_processes=True) as cluster:
             opened = cluster.dispatch("open_session", spec_payload("paris"))
             assert opened["error"] is None
-            for pid in list(cluster._shards[0]._pool._processes):
-                os.kill(pid, signal.SIGKILL)
+            os.kill(cluster._shards[0]._process.pid, signal.SIGKILL)
             resumed = cluster.dispatch("close_session",
                                        {"session_id": opened["session_id"]})
             assert resumed["code"] == ErrorCode.UNKNOWN_SESSION.value
             assert cluster.stats()["restarted"] == 1
+
+    def test_a_worker_killed_mid_request_is_replaced_and_retried(self):
+        """A worker SIGKILLed while it fits a fresh city: the request
+        in flight is retried on the replacement worker and resolves
+        with the city."""
+        import os
+        import signal
+
+        config = ShardConfig(scale=0.5, lda_iterations=120, seed=3)
+        with ShardCluster(shards=1, config=config,
+                          use_processes=True) as cluster:
+            assert cluster.dispatch("ping", {})["ok"] is True
+            shard = cluster._shards[0]
+            future = cluster.submit("warmup", {"cities": ["paris"]})
+            time.sleep(0.2)
+            assert not future.done()
+            os.kill(shard._process.pid, signal.SIGKILL)
+            assert future.result(timeout=60) == {"cities": ["paris"]}
+            assert shard.restarted == 1
+
+    def test_shutdown_stops_every_worker_promptly(self):
+        """Workers stop on a sentinel frame: closing the pipe alone does
+        not reach a worker whose pipe end a later sibling inherited."""
+        config = ShardConfig(scale=0.15, lda_iterations=5, seed=3)
+        cluster = ShardCluster(shards=2, config=config, use_processes=True)
+        assert cluster.dispatch("ping", {})["shards"] == 2
+        # On a thread, so a worker that never stops fails the test
+        # instead of hanging it.
+        stopping = threading.Thread(target=cluster.shutdown, daemon=True)
+        stopping.start()
+        stopping.join(timeout=1.0)
+        assert not stopping.is_alive()
+        assert all(shard._process.exitcode is not None
+                   for shard in cluster._shards)
 
 
 # -- the NDJSON front-end ------------------------------------------------------
@@ -634,13 +666,47 @@ class TestPackageServer:
         ("uniform", "0", "group uniform must be a boolean"),
         ("uniform", "1", "group uniform must be a boolean"),
         ("uniform", "null", "group uniform must be a boolean"),
+        ("poi_id", "2.7", "poi_id must be an integer"),
+        ("poi_id", "true", "poi_id must be an integer"),
+        ("poi_id", '"3"', "poi_id must be an integer"),
+        ("ci_index", "1.5", "ci_index must be an integer"),
+        ("ci_index", "true", "ci_index must be an integer"),
+        ("add_poi_id", "2.7", "add_poi_id must be an integer"),
+        ("replacement_id", '"3"', "replacement_id must be an integer"),
+        ("actor", "true", "actor must be an integer"),
+        ("actor", "1.5", "actor must be an integer"),
     ])
     def test_work_fields_are_typed_and_bounded(self, cluster, field, value,
                                                words):
         """``"k": true`` used to build k=1, ``"k": 2.7`` two CIs and
         ``"size": true`` a group of one, ``"uniform": "false"`` a
         uniform group; an unbounded ``k`` or ``size`` priced the whole
-        shard."""
+        shard.  A customize id went through ``int()``: ``"poi_id": 2.7``
+        edited POI 2, and ``true`` or ``"3"`` passed as ids."""
+        customize_ops = {"poi_id": "remove", "ci_index": "remove",
+                         "actor": "remove", "add_poi_id": "add",
+                         "replacement_id": "replace"}
+        if field in customize_ops:
+            # Parsing precedes the session lookup, so no session is open.
+            edit = {"session_id": "0/1", "op": customize_ops[field],
+                    "poi_id": 1, "add_poi_id": 1, field: "VALUE"}
+            element = json.dumps(edit).replace('"VALUE"', value)
+            direct = PackageService(CityRegistry()).dispatch(
+                "customize", dict(json.loads(element), session_id="1"))
+            line = f'{{"op": "customize", "id": "c", "request": {element}}}'
+
+            async def served_edit():
+                server = PackageServer(cluster)
+                try:
+                    return await server.handle_line(line)
+                finally:
+                    server.tracer.close()
+
+            served = json.loads(json.dumps(asyncio.run(served_edit())))
+            for reply in (direct, served):
+                assert reply["code"] == ErrorCode.BAD_REQUEST.value, reply
+                assert words in reply["error"]
+            return
         request = {"city": "paris", "group_spec": {"size": 4, "seed": 5},
                    "query": {"counts": {"acco": 1, "trans": 1, "rest": 1,
                                         "attr": 2}}}
@@ -719,7 +785,9 @@ class TestPackageServer:
             if op == "batch":
                 (reply,) = reply["responses"]
             assert reply["code"] == ErrorCode.BAD_REQUEST.value, reply
-            assert "convert" in reply["error"]
+            # A customize id is typed before any conversion.
+            assert ("must be an integer" if op == "customize"
+                    else "convert") in reply["error"]
 
     @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_profile_line_is_a_bad_request(self, cluster, app,
