@@ -228,8 +228,9 @@ class _Shard:
     killer, segfault in a native library, operator mistake) or between
     requests shows up as ``EOFError``/``OSError`` on the pipe, so the
     call respawns the worker and retries the request once on it; a
-    request that kills two workers in a row propagates its failure.  The
-    replacement worker starts empty: its customization sessions are
+    request that kills two workers in a row propagates its failure, as
+    does a respawn whose fork fails (the next request respawns again).
+    The replacement worker starts empty: its customization sessions are
     lost (clients get structured ``unknown_session`` errors) and its
     cities re-hydrate lazily -- cheap when a
     :attr:`ShardConfig.store_path` is set, since rebuilding is a disk
@@ -268,8 +269,17 @@ class _Shard:
             self._process = Process(target=_worker_main, daemon=True,
                                     name=f"shard-{self.id}",
                                     args=(child, self._config, self.id))
-            self._process.start()
-            child.close()
+            try:
+                self._process.start()
+            except BaseException:
+                # No worker (fork failed): close our end as well, so the
+                # next call fails on the closed pipe and respawns instead
+                # of waiting for a reply that cannot come.
+                self._conn.close()
+                self._process = None
+                raise
+            finally:
+                child.close()
 
     def _round_trip(self, op: str, payload: dict) -> dict | Exception:
         self._conn.send((op, payload))
@@ -286,8 +296,9 @@ class _Shard:
             # The worker died, idle or under this request: replace it
             # and retry once.
             self._conn.close()
-            self._process.kill()
-            self._process.join()
+            if self._process is not None:
+                self._process.kill()
+                self._process.join()
             self._spawn()
             self.restarted += 1
             reply = self._round_trip(op, payload)
@@ -344,8 +355,16 @@ class ShardCluster:
             raise ValueError("service_factory requires use_processes=False")
         self.config = config or ShardConfig()
         self._placement: dict[str, int] = {}
-        self._shards = [_Shard(i, self.config, use_processes, service_factory)
-                        for i in range(shards)]
+        self._shards: list[_Shard] = []
+        try:
+            for i in range(shards):
+                self._shards.append(_Shard(i, self.config, use_processes,
+                                           service_factory))
+        except BaseException:
+            # A worker that failed to start: stop the ones already up.
+            for shard in self._shards:
+                shard.shutdown()
+            raise
         self._closed = False
         for index, city in enumerate(cities or ()):
             self._placement[city.lower()] = index % shards

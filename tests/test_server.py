@@ -380,6 +380,69 @@ class TestShardSelfHealing:
             assert future.result(timeout=60) == {"cities": ["paris"]}
             assert shard.restarted == 1
 
+    def test_a_failed_respawn_leaves_the_shard_usable(self, monkeypatch):
+        """A respawn whose fork fails fails the request in flight, and
+        the next request respawns again instead of waiting forever on a
+        pipe with no worker behind it."""
+        import errno
+        import os
+        import signal
+
+        from repro.service import shard as shard_module
+
+        config = ShardConfig(scale=0.15, lda_iterations=5, seed=3)
+        cluster = ShardCluster(shards=1, config=config, use_processes=True)
+        try:
+            assert cluster.dispatch("ping", {})["ok"] is True
+            shard = cluster._shards[0]
+            start = shard_module.Process.start
+            failed = []
+
+            def start_failing_once(process):
+                if not failed:
+                    failed.append(process)
+                    raise OSError(errno.EAGAIN, "fork failed")
+                start(process)
+
+            monkeypatch.setattr(shard_module.Process, "start",
+                                start_failing_once)
+            os.kill(shard._process.pid, signal.SIGKILL)
+            with pytest.raises(OSError, match="fork failed"):
+                cluster.submit("ping", {}).result(timeout=10)
+            # Checked before the next request, so a front end left holding
+            # both ends of a pipe fails here instead of hanging the suite.
+            assert shard._conn.closed
+            assert cluster.submit("ping", {}).result(timeout=10)["ok"] is True
+            assert shard.restarted == 1
+        finally:
+            # On a thread, so a shard stuck on a dead pipe fails the
+            # test instead of hanging it.
+            stopping = threading.Thread(target=cluster.shutdown, daemon=True)
+            stopping.start()
+            stopping.join(timeout=5.0)
+        assert not stopping.is_alive()
+
+    def test_a_cluster_that_fails_to_start_stops_its_workers(
+            self, monkeypatch):
+        """A worker that cannot be forked fails the cluster's
+        construction, and the workers already started are stopped."""
+        from repro.service import shard as shard_module
+
+        started = []
+        start = shard_module.Process.start
+
+        def start_twice(process):
+            if len(started) == 2:
+                raise OSError("fork failed")
+            start(process)
+            started.append(process)
+
+        monkeypatch.setattr(shard_module.Process, "start", start_twice)
+        config = ShardConfig(scale=0.15, lda_iterations=5, seed=3)
+        with pytest.raises(OSError, match="fork failed"):
+            ShardCluster(shards=3, config=config, use_processes=True)
+        assert [process.exitcode for process in started] == [0, 0]
+
     def test_shutdown_stops_every_worker_promptly(self):
         """Workers stop on a sentinel frame: closing the pipe alone does
         not reach a worker whose pipe end a later sibling inherited."""

@@ -35,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy
 
@@ -88,41 +89,60 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not JSON")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its last stdout line,
-    parsed strictly.  ``json.dumps`` prints a NaN or infinite metric as
-    a bare ``NaN``/``Infinity`` that ``json.loads`` would accept, so
-    those constants are refused here and the run is named."""
-    proc = subprocess.run(
-        RUN + ["--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=False)
+def run_json(cmd: list[str], tree: Path, what: str,
+             env: dict | None = None) -> dict:
+    """Run ``cmd`` in ``tree``; its last stdout line, parsed strictly.
+    ``json.dumps`` prints a NaN or infinite metric as a bare
+    ``NaN``/``Infinity`` that ``json.loads`` would accept, so those
+    constants are refused here and the run (``what``) is named."""
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                          text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"perfbench failed in {tree} "
+        raise RuntimeError(f"{what} failed in {tree} "
                            f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
     try:
         return json.loads(lines[-1], parse_constant=_reject_constant)
     except ValueError as exc:
         raise RuntimeError(
-            f"perfbench in {tree}, workload {workload}, seed {seed}: "
-            f"malformed last line ({exc}): {lines[-1][:300]!r}") from None
+            f"{what} in {tree}: malformed last line ({exc}): "
+            f"{lines[-1][:300]!r}") from None
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``, parsed by
+    :func:`run_json`."""
+    return run_json(
+        RUN + ["--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace)],
+        tree, f"perfbench (workload {workload}, seed {seed})")
+
+
+def alternating(pairs: int,
+                run: Callable[[int, str], dict]) -> dict[str, list[dict]]:
+    """``run(i, side)`` for ``pairs`` pairs, parent first in even-numbered
+    pairs; the results per side, in run order."""
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run(i, side))
+    return results
 
 
 def paired_row(trees: dict[str, Path], workload: str, seed: int, pairs: int,
                seconds: float, gated: list[dict]) -> dict:
     """``pairs`` alternating runs per side, summarized per gated metric."""
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(trees[side], workload, seed, seconds, 0)
-            results[side].append(result)
-            print(f"{workload} seed {seed} pair {i} {side}: " + ", ".join(
-                f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
-                for m in gated if m["name"] in result["metrics"]),
-                file=sys.stderr, flush=True)
+    def run(i: int, side: str) -> dict:
+        result = run_once(trees[side], workload, seed, seconds, 0)
+        print(f"{workload} seed {seed} pair {i} {side}: " + ", ".join(
+            f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+            for m in gated if m["name"] in result["metrics"]),
+            file=sys.stderr, flush=True)
+        return result
+
+    results = alternating(pairs, run)
     metrics = {}
     for m in gated:
         name = m["name"]
@@ -182,6 +202,13 @@ def parent_checkout(rev: str, tree: str | None):
                            capture_output=True)
 
 
+def short_rev(rev: str) -> str:
+    """``rev`` as a short commit id of this repository."""
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="tools/benchpair.py",
                                      description=__doc__.splitlines()[0])
@@ -212,12 +239,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    parent = subprocess.run(["git", "rev-parse", "--short", args.parent],
-                            cwd=ROOT, check=True, capture_output=True,
-                            text=True).stdout.strip()
     doc = {
         "what": args.what,
-        "parent": parent,
+        "parent": short_rev(args.parent),
         "command": " ".join(RUN) + " --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "claim": json.loads(args.claim) if args.claim else None,

@@ -6,14 +6,18 @@ process workers, on a checkout of the parent and on the working tree in
 alternating pairs.  Each run reports the p50 round trip as the wall
 clock read it and at perfbench's reference speed (``p50_norm_ms``: the
 same reference slices and normalisation as ``perfbench/run.py``).  The
-document (the format of the root ``BENCH_hop.json``) holds every run
-with medians, inclusive quartiles and pairwise wins.  It gates nothing.
+document (the format of the root ``BENCH_hop.json``) holds every run,
+summarized as ``tools/benchpair.py`` summarizes a gated metric, with
+the bound of perfbench's ``build_p50_norm_ms`` shown for reading.  It
+gates nothing.
 
 Usage, from the repository root::
 
-    mkdir /tmp/parent && git archive <parent> | tar -x -C /tmp/parent
-    python3 tools/hopbench.py --parent <parent> --parent-tree /tmp/parent \\
-        --pairs 5 --out BENCH_hop.json
+    python3 tools/hopbench.py --parent <parent> --pairs 10 \\
+        --what "one line on the change" --out BENCH_hop.json
+
+As in ``tools/benchpair.py``, the parent is a temporary ``git worktree``
+unless ``--parent-tree DIR`` names an existing checkout of it.
 
 Every run is a child process of this script started in the tree it
 measures, with that tree's ``src/`` and ``perfbench/`` first on its
@@ -31,32 +35,35 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
-from benchpair import quartiles
+from benchpair import (alternating, parent_checkout, run_json, short_rev,
+                       summarize)
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("warm_hit", "cold_build")
 
+#: The plans' seed, and the timed requests per run of each workload.
+SEED = 1
+REQUESTS = {"warm_hit": 2000, "cold_build": 300}
 #: Untimed requests after priming, so caches and allocators settle.
 WARMUP_REQUESTS = 50
 
 
 # -- one run (the child) ------------------------------------------------------
 
-def measure(workload: str, processes: bool, requests: int, seed: int) -> dict:
-    """Time ``requests`` builds of ``workload``'s plan on a fresh
-    one-shard cluster; raises on an error reply or a warm miss."""
+def measure(workload: str, processes: bool) -> dict:
+    """Time ``REQUESTS[workload]`` builds of ``workload``'s plan on a
+    fresh one-shard cluster; raises on an error reply or a warm miss."""
     from perfbench import reference, workloads
     from repro.service.shard import ShardCluster
 
-    pool = workloads.warm_pool(seed) if workload == "warm_hit" else []
+    pool = workloads.warm_pool(SEED) if workload == "warm_hit" else []
     ctx = workloads.Context(pool)
-    steps = (step for unit in workloads.units(workload, seed)
+    steps = (step for unit in workloads.units(workload, SEED)
              for step in unit)
     ms: list[float] = []
     refs: list[float] = []
@@ -67,8 +74,8 @@ def measure(workload: str, processes: bool, requests: int, seed: int) -> dict:
         boot_s = perf_counter() - started
         for envelope in pool:
             _checked(cluster.dispatch("build", envelope["request"]), False)
-        for index, step in enumerate(islice(steps,
-                                            WARMUP_REQUESTS + requests)):
+        plan = islice(steps, WARMUP_REQUESTS + REQUESTS[workload])
+        for index, step in enumerate(plan):
             request = workloads.resolve(step, ctx)["request"]
             sent = perf_counter()
             reply = cluster.dispatch("build", request)
@@ -91,57 +98,32 @@ def _checked(reply: dict, cached: bool) -> None:
 
 # -- the pairs (the parent process) -------------------------------------------
 
-def run_once(tree: Path, workload: str, processes: bool, requests: int,
-             seed: int) -> dict:
-    """One child run in ``tree``: its last stdout line, parsed."""
+def run_once(tree: Path, workload: str, processes: bool) -> dict:
+    """One child run in ``tree``, with that tree's code first on its path."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree)]))
-    proc = subprocess.run(
+    return run_json(
         [sys.executable, str(Path(__file__).resolve()), "--measure", workload,
-         "--processes", str(int(processes)), "--requests", str(requests),
-         "--seed", str(seed)],
-        cwd=tree, env=env, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"hopbench run failed in {tree} "
-                           f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
-
-
-def _side(runs: list[float]) -> dict:
-    q1, median, q3 = quartiles(runs)
-    return {"median": round(median, 4), "q1": round(q1, 4),
-            "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
-
-
-def summarize(parent: list[float], change: list[float]) -> dict:
-    """Both sides of one lower-is-better figure over paired runs."""
-    return {"parent": _side(parent), "change": _side(change),
-            "change_vs_parent": round(statistics.median(change)
-                                      / statistics.median(parent), 4),
-            "change_wins": sum(c < p for p, c in zip(parent, change))}
+         "--processes", str(int(processes))],
+        tree, f"hopbench ({workload}, processes={processes})", env)
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="tools/hopbench.py",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD",
-                        help="parent revision, recorded (default: HEAD)")
+                        help="parent revision (default: HEAD)")
     parser.add_argument("--parent-tree",
-                        help="a checkout of the parent (git archive copy)")
+                        help="an existing checkout of the parent to use")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warm-requests", type=int, default=2000)
-    parser.add_argument("--cold-requests", type=int, default=300)
     parser.add_argument("--what", default="")
     parser.add_argument("--out")
     parser.add_argument("--measure", choices=WORKLOADS, help=argparse.SUPPRESS)
     parser.add_argument("--processes", type=int, choices=(0, 1), default=1,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--requests", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure is None and (args.parent_tree is None or args.out is None):
-        parser.error("--parent-tree and --out are required")
+    if args.measure is None and args.out is None:
+        parser.error("--out is required")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return args
@@ -150,51 +132,47 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     if args.measure is not None:
-        print(json.dumps(measure(args.measure, bool(args.processes),
-                                 args.requests, args.seed)))
+        print(json.dumps(measure(args.measure, bool(args.processes))))
         return 0
-    trees = {"parent": Path(args.parent_tree).resolve(), "change": ROOT}
-    requests = {"warm_hit": args.warm_requests,
-                "cold_build": args.cold_requests}
-    cells = [(workload, processes) for workload in WORKLOADS
-             for processes in (True, False)]
-    results: dict = {cell: {"parent": [], "change": []} for cell in cells}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload, processes in cells:
-            for side in order:
-                result = run_once(trees[side], workload, processes,
-                                  requests[workload], args.seed)
-                results[workload, processes][side].append(result)
-                print(f"pair {i} {workload} processes={processes} {side}: "
-                      f"p50 {result['p50_ms']:.4f} ms, norm "
-                      f"{result['p50_norm_ms']:.4f} ms",
-                      file=sys.stderr, flush=True)
-    parent = subprocess.run(["git", "rev-parse", "--short", args.parent],
-                            cwd=ROOT, check=True, capture_output=True,
-                            text=True).stdout.strip()
+    # Shown beside each figure for reading; nothing is gated on it.
+    bound = next(m["bound"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        if m["name"] == "build_p50_norm_ms")
     doc = {
         "what": args.what,
-        "parent": parent,
+        "parent": short_rev(args.parent),
         "command": "ShardCluster(shards=1, cities=['paris'], "
                    "use_processes=<processes>).dispatch('build', ...) "
                    "over perfbench's <workload> plan",
-        "seed": args.seed,
-        "requests": requests,
+        "seed": SEED,
+        "requests": REQUESTS,
         "warmup_requests": WARMUP_REQUESTS,
         "pairs": args.pairs,
         "order": "alternating: parent first in even-numbered pairs",
         "python": platform.python_version(),
         "host": f"{os.cpu_count()}-CPU {platform.machine()} host, unpinned",
-        "rows": [
-            {"workload": workload, "processes": processes,
-             **{figure: summarize(
-                 [r[figure] for r in results[workload, processes]["parent"]],
-                 [r[figure] for r in results[workload, processes]["change"]])
-                for figure in ("p50_ms", "p50_norm_ms")}}
-            for workload, processes in cells
-        ],
+        "rows": [],
     }
+    with parent_checkout(args.parent, args.parent_tree) as parent_tree:
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in WORKLOADS:
+            for processes in (True, False):
+                def run(i: int, side: str) -> dict:
+                    result = run_once(trees[side], workload, processes)
+                    print(f"{workload} processes={processes} pair {i} "
+                          f"{side}: p50 {result['p50_ms']:.4f} ms, norm "
+                          f"{result['p50_norm_ms']:.4f} ms",
+                          file=sys.stderr, flush=True)
+                    return result
+
+                results = alternating(args.pairs, run)
+                doc["rows"].append({
+                    "workload": workload, "processes": processes,
+                    **{figure: summarize(
+                        [r[figure] for r in results["parent"]],
+                        [r[figure] for r in results["change"]],
+                        "lower", bound)
+                       for figure in ("p50_ms", "p50_norm_ms")}})
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
