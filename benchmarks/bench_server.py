@@ -106,29 +106,47 @@ def timed_run(shards: int) -> tuple[float, dict]:
         return elapsed, cluster.stats()
 
 
+#: Alternating (1-shard, 2-shard) rounds the scaling gate times.  One
+#: run of ~72 requests is a fraction of a second of wall clock on
+#: process shards, so a single pair mostly measures the scheduler; the
+#: gate compares the arms' medians.
+SCALING_ROUNDS = 5
+
+
 def test_two_shards_outscale_one():
-    """Acceptance gate: 2-shard throughput >= 1.5x single-shard."""
-    single_s, single_stats = timed_run(shards=1)
-    sharded_s, sharded_stats = timed_run(shards=2)
+    """Acceptance gate: 2-shard throughput >= 1.5x single-shard, on the
+    medians of alternating runs (each on a fresh cluster; the arm that
+    goes first alternates, so drift of the host lands on both)."""
+    runs: dict[int, list[float]] = {1: [], 2: []}
+    for round_ in range(SCALING_ROUNDS):
+        for shards in ((1, 2) if round_ % 2 == 0 else (2, 1)):
+            elapsed, stats = timed_run(shards=shards)
+            runs[shards].append(elapsed)
+            # The mechanism, not just the outcome: the single worker's
+            # cache cycles (nearly all misses), the sharded workers'
+            # caches hold.
+            if shards == 1:
+                assert stats["cache"]["hits"] == 0
+            else:
+                assert (stats["cache"]["hits"]
+                        == len(cycling_workload())
+                        - GROUPS_PER_CITY * len(CITIES))
 
     requests = len(cycling_workload())
+    single_s = statistics.median(runs[1])
+    sharded_s = statistics.median(runs[2])
     speedup = single_s / sharded_s
-    print(f"\n{requests} cold-build-heavy requests: "
-          f"1 shard {single_s:.2f}s ({requests / single_s:.0f} req/s, "
-          f"{single_stats['cache']['hits']} cache hits), "
-          f"2 shards {sharded_s:.2f}s ({requests / sharded_s:.0f} req/s, "
-          f"{sharded_stats['cache']['hits']} cache hits) "
-          f"-> {speedup:.2f}x")
+    print(f"\n{requests} cold-build-heavy requests, median of "
+          f"{SCALING_ROUNDS} alternating runs: "
+          f"1 shard {single_s:.2f}s ({requests / single_s:.0f} req/s), "
+          f"2 shards {sharded_s:.2f}s ({requests / sharded_s:.0f} req/s) "
+          f"-> {speedup:.2f}x (per-round "
+          + ", ".join(f"{a / b:.2f}x" for a, b in zip(runs[1], runs[2]))
+          + ")")
 
     telemetry.emit("server", telemetry.record(
-        "shard_scaling", requests=requests, single_s=single_s,
-        sharded_s=sharded_s, speedup=speedup))
-
-    # The mechanism, not just the outcome: the single worker's cache
-    # cycles (nearly all misses), the sharded workers' caches hold.
-    assert single_stats["cache"]["hits"] == 0
-    assert (sharded_stats["cache"]["hits"]
-            == requests - GROUPS_PER_CITY * len(CITIES))
+        "shard_scaling", requests=requests, rounds=SCALING_ROUNDS,
+        single_s=single_s, sharded_s=sharded_s, speedup=speedup))
     assert speedup >= 1.5
 
 
@@ -242,13 +260,20 @@ def test_tracing_overhead_under_five_percent():
             traced.close()
             untraced.close()
         overhead = traced_best / untraced_best - 1.0
+        # What tracing adds to one request, in normalised microseconds:
+        # the ratio's numerator, readable without the untraced cost.
+        cost_us = (traced_best - untraced_best) * 1000.0 / len(payloads)
         results[arm] = overhead
         print(f"\ntracing overhead ({arm}): traced {traced_best:.1f}ms vs "
               f"untraced {untraced_best:.1f}ms at the reference speed over "
-              f"{len(payloads)} builds -> {overhead:+.1%}")
-        telemetry.emit("server", telemetry.record(
-            f"tracing_overhead_{arm}", traced_ms=traced_best,
-            untraced_ms=untraced_best, overhead=overhead))
+              f"{len(payloads)} builds -> {overhead:+.1%} "
+              f"({cost_us:+.2f} us a request)")
+        telemetry.emit(
+            "server",
+            telemetry.record(f"tracing_overhead_{arm}", traced_ms=traced_best,
+                             untraced_ms=untraced_best, overhead=overhead),
+            telemetry.record(f"tracing_cost_{arm}", us_per_request=cost_us,
+                             requests=len(payloads)))
         stage = "assemble" if arm == "cold" else "cache_lookup"
         assert stages[stage]["count"] >= len(payloads)
     assert results["cold"] <= 0.05

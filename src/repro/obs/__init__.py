@@ -55,8 +55,6 @@ from repro.obs.trace import (
     SlowTraceRing,
     TraceContext,
     Tracer,
-    new_span_id,
-    new_trace_id,
     stage,
 )
 
@@ -117,8 +115,6 @@ __all__ = [
     "merge_metrics_snapshots",
     "merge_snapshot_dicts",
     "merge_verdicts",
-    "new_span_id",
-    "new_trace_id",
     "stage",
     "window_gauge_last",
     "window_gauge_rate",

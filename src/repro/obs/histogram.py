@@ -19,6 +19,7 @@ underestimate by more than one bucket width.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 
 #: Lower edge of bucket 0; durations at or below it land there.
@@ -33,12 +34,32 @@ _LOG_GROWTH = math.log(_GROWTH)
 _MAX_INDEX = 256
 
 
+def _rank(seconds: float) -> int:
+    return (int(math.log(seconds / _BASE_S) / _LOG_GROWTH) + 1
+            if seconds > _BASE_S else 0)
+
+
+def _largest_in_each_bucket() -> list[float]:
+    """Where :func:`_rank` steps up (walking ulps from the closed form),
+    then ``inf`` for the clamp bucket."""
+    edges = []
+    for index in range(_MAX_INDEX):
+        edge = _BASE_S * _GROWTH ** index
+        while _rank(edge) > index:
+            edge = math.nextafter(edge, 0.0)
+        while _rank(math.nextafter(edge, math.inf)) <= index:
+            edge = math.nextafter(edge, math.inf)
+        edges.append(edge)
+    return edges + [math.inf]
+
+
+#: Bisecting these is :func:`_rank`, clamped, at a fraction of its cost.
+_EDGES = _largest_in_each_bucket()
+
+
 def bucket_index(seconds: float) -> int:
     """The bucket a duration falls into."""
-    if seconds <= _BASE_S:
-        return 0
-    index = int(math.log(seconds / _BASE_S) / _LOG_GROWTH) + 1
-    return index if index < _MAX_INDEX else _MAX_INDEX
+    return bisect_left(_EDGES, seconds)
 
 
 def bucket_upper_s(index: int) -> float:
@@ -65,11 +86,9 @@ class LogHistogram:
 
     def record(self, seconds: float) -> None:
         """Count one duration."""
-        self.add(bucket_index(seconds), seconds)
-
-    def add(self, index: int, seconds: float) -> None:
-        """Count one duration whose :func:`bucket_index` is ``index``."""
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        index = bisect_left(_EDGES, seconds)
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         self.count += 1
         self.total_s += seconds
         if seconds < self.min_s:

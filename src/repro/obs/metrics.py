@@ -2,46 +2,40 @@
 fixed-interval ring-buffer windows, plus an all-time slot per series.
 
 This module is the one place service-level counts live.  Each series
-answers two questions: "what is happening *right now*" -- the p99 of
-the last 30 seconds, the shed rate of the last window, whether a
-shard's RSS is still climbing -- from its window ring, and "what
-happened since boot" from its **all-time total**.  A
+answers "what is happening *right now*" (the p99 of the last 30
+seconds, whether a shard's RSS is still climbing) from its window ring,
+and "what happened since boot" from its **all-time total**.  A
 :class:`MetricsRegistry` holds named series of three kinds:
 
-* **counter** -- monotone event counts per window (requests, errors,
-  sheds, cache hits), plus an all-time ``total`` count;
+* **counter** -- monotone event counts per window (errors, sheds,
+  cache hits), plus an all-time ``total`` count;
 * **gauge**   -- sampled instantaneous values per window (RSS, CPU
-  seconds, open sessions, queue depth), kept as last/min/max/sum/n so
-  merged views can report both totals and extremes (no all-time slot:
-  the newest window already carries ``last``);
+  seconds, open sessions), kept as last/min/max/sum/n so merged views
+  report both totals and extremes (no all-time slot);
 * **histogram** -- one :class:`~repro.obs.histogram.LogHistogram` per
   window plus an all-time one, so windowed and since-boot percentiles
-  inherit the histogram layer's **exact-merge** guarantee: cluster-wide
-  p99 equals the p99 of the union of the shards' observations.
+  merge exactly across shards.
 
 Windows are **epoch-aligned**: a sample at time ``t`` lands in the
-window starting at ``floor(t / interval) * interval``.  Every process
-therefore agrees on window boundaries without any coordination -- the
-same trick the tracer uses for sampling election -- which is what makes
-per-shard windows mergeable front-side by plain start-key alignment
+window starting at ``floor(t / interval) * interval``, so every process
+agrees on boundaries and per-shard windows merge by start key
 (:func:`merge_metrics_snapshots`, which also sums the all-time slots).
+The ring keeps the newest ``slots`` windows per series and rotates
+lazily.  A **late** sample whose window is still resident records into
+it; one older than the ring counts only in its all-time total and in
+``dropped_late``.  A stage series, fed by the tracer, has no windows.
 
-The ring keeps the most recent ``slots`` windows per series.  Rotation
-is lazy (no background thread): recording into a new window retires
-older slots.  A **late** sample whose window still lives in the ring is
-recorded into that window -- out-of-order arrival does not corrupt
-alignment -- while a sample older than the whole ring is dropped from
-the windows and counted in ``dropped_late``.  Every sample, late or
-not, counts in its series' all-time total.  A histogram series fed
-only through :meth:`MetricsRegistry.record_batch` (the tracer's
-per-stage series) has the all-time slot and no windows.
+A request is recorded once per process: the counts and durations
+recorded under a tracer activation for this registry
+(:data:`PENDING`) ride on it, and its exit folds them under one hold of
+:attr:`MetricsRegistry.lock`, into the window of one clock reading.  No
+series counts requests: each recorded operation is one ``latency:*``
+observation (:func:`total_requests`, :func:`window_requests`).
 
-When the registry is given an :class:`~repro.obs.events.EventLog`, each
-series emits one ``kind="metrics"`` NDJSON record as its current window
-closes (a later window opens), carrying the finished window's data.
-``python -m repro.obs.check`` validates these records: per
-``(pid, series)`` the window starts must be strictly increasing,
-interval-aligned and non-overlapping.
+With an :class:`~repro.obs.events.EventLog`, each series emits one
+``kind="metrics"`` record as its window closes; ``python -m
+repro.obs.check`` requires per ``(pid, series)`` strictly increasing,
+interval-aligned, non-overlapping window starts.
 """
 
 from __future__ import annotations
@@ -50,16 +44,21 @@ import math
 import os
 import time
 from collections.abc import Iterable, Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
 from threading import Lock
 
 from repro.obs.events import EventLog
 from repro.obs.histogram import (
     LogHistogram,
-    bucket_index,
     merge_snapshot_dicts,
     snapshot_dict,
 )
+
+#: The tracer activation recording in this context (``None`` outside
+#: one): registry calls for its ``metrics`` ride on its ``counted`` and
+#: ``observed`` lists.
+PENDING: ContextVar = ContextVar("repro_obs_pending", default=None)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,11 @@ class WindowConfig:
         if self.slots < 2:
             raise ValueError("a window ring needs at least 2 slots")
 
-    def start_for(self, ts: float) -> float:
-        """The epoch-aligned start of the window containing ``ts``."""
+    def start_for(self, ts: float | None = None) -> float:
+        """The epoch-aligned start of the window containing ``ts``
+        (or now)."""
+        if ts is None:
+            ts = time.time()
         return math.floor(ts / self.interval_s) * self.interval_s
 
     @property
@@ -142,40 +144,35 @@ class MetricsRegistry:
         self.meta = dict(meta or {})
         self.dropped_late = 0
         self._series: dict[str, _Series] = {}
-        self._lock = Lock()
+        self.lock = Lock()
         self._started = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
 
-    def _locate(self, name: str, kind: str,
-                ts: float | None) -> tuple[_Series, float | None]:
-        """The series a sample belongs to and its window start, rotating
-        the ring.
-
-        The start is ``None`` for samples older than the whole ring
-        (counted in ``dropped_late``); a late sample whose window is
-        still resident records into that window.  Caller holds the lock.
-        """
-        now = time.time() if ts is None else ts
-        start = self.window.start_for(now)
+    def series(self, name: str, kind: str) -> _Series:
+        """The series ``name``, created as ``kind`` on first use.
+        Caller holds :attr:`lock`."""
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = _Series(name, kind)
-        if start == series.latest_start:
-            return series, start
-        if start > series.latest_start:
+        return series
+
+    def _window(self, series: _Series, start: float) -> bool:
+        """Whether the window at ``start`` is resident in ``series``'
+        ring, rotating it for a newer one; a sample older than the ring
+        counts in ``dropped_late``.  Caller holds the lock."""
+        latest = series.latest_start
+        if start > latest:
             self._emit_closed(series)
             series.latest_start = start
             self._retire(series)
-        elif start < series.latest_start - (self.window.slots - 1) * \
-                self.window.interval_s:
+        elif start < latest - (self.window.slots - 1) * self.window.interval_s:
             self.dropped_late += 1
-            return series, None
-        return series, start
+            return False
+        return True
 
     def _retire(self, series: _Series) -> None:
-        """Drop windows that fell off the ring (anything older than
-        ``slots`` intervals behind the newest window, even after a long
+        """Keep only the newest ``slots`` windows' span (also after an
         idle gap)."""
         horizon = series.latest_start - (self.window.slots - 1) * \
             self.window.interval_s
@@ -183,9 +180,8 @@ class MetricsRegistry:
             del series.windows[start]
 
     def _emit_closed(self, series: _Series) -> None:
-        """Emit the (about to be superseded) current window to the
-        event log.  Late samples arriving after emission still count in
-        the registry; they are simply absent from the emitted record."""
+        """Log the current window as a newer one supersedes it (later
+        late samples count in the registry, not in the record)."""
         slot = series.windows.get(series.latest_start)
         if self.log is None or slot is None:
             return
@@ -203,16 +199,35 @@ class MetricsRegistry:
     def counter_inc(self, name: str, n: int = 1,
                     ts: float | None = None) -> None:
         """Add ``n`` events to a counter's total and its current (or
-        late) window."""
-        self.record_batch((), ((name, n),), ts)
+        late) window; without ``ts``, under an activation recording into
+        this registry, the count rides on it until it completes."""
+        pending = PENDING.get()
+        if pending is not None and ts is None and pending.metrics is self:
+            pending.counted.append((name, n))
+        else:
+            with self.lock:
+                self.fold((), ((name, n),), self.window.start_for(ts))
+
+    def observe(self, name: str, seconds: float,
+                ts: float | None = None) -> None:
+        """Record one duration into a histogram series' total and its
+        current (or late) window; rides on an activation like
+        :meth:`counter_inc`."""
+        pending = PENDING.get()
+        if pending is not None and ts is None and pending.metrics is self:
+            pending.observed.append((name, seconds))
+        else:
+            with self.lock:
+                self.fold(((name, seconds),), (), self.window.start_for(ts))
 
     def gauge_set(self, name: str, value: float,
                   ts: float | None = None) -> None:
         """Record one sampled value of a gauge."""
         value = float(value)
-        with self._lock:
-            series, start = self._locate(name, "gauge", ts)
-            if start is None:
+        start = self.window.start_for(ts)
+        with self.lock:
+            series = self.series(name, "gauge")
+            if not self._window(series, start):
                 return
             slot = series.windows.get(start)
             if slot is None:
@@ -225,57 +240,33 @@ class MetricsRegistry:
                 slot["sum"] += value
                 slot["n"] += 1
 
-    def observe(self, name: str, seconds: float,
-                ts: float | None = None) -> None:
-        """Record one duration into a histogram series."""
-        index = bucket_index(seconds)
-        with self._lock:
-            series, start = self._locate(name, "histogram", ts)
-            series.total.add(index, seconds)
-            if start is not None:
+    def fold(self, observed: Iterable[tuple[str, float]],
+             counted: Iterable[tuple[str, int]], start: float) -> None:
+        """Record ``(name, seconds)`` durations and ``(name, n)`` counts
+        into their all-time slots and the window at ``start``.  Caller
+        holds :attr:`lock`."""
+        known = self._series.get
+        for name, seconds in observed:
+            series = known(name) or self.series(name, "histogram")
+            series.total.record(seconds)
+            if series.latest_start == start or self._window(series, start):
                 slot = series.windows.get(start)
                 if slot is None:
                     slot = series.windows[start] = LogHistogram()
-                slot.add(index, seconds)
-
-    def observe_total(self, name: str, seconds: float) -> None:
-        """Record one duration into a histogram series' all-time slot
-        only: the series keeps no window ring and emits no ``metrics``
-        record, so its snapshot stays one histogram however long the
-        process runs."""
-        self.record_batch(((name, bucket_index(seconds), seconds),))
-
-    def record_batch(self, points: Iterable[tuple[str, int, float]],
-                     counters: Iterable[tuple[str, int]] = (),
-                     ts: float | None = None) -> None:
-        """Record all-time ``(series, bucket index, seconds)`` points
-        and ``(series, n)`` counter increments under one lock (the
-        tracer's one flush per request; the caller computes the
-        :func:`~repro.obs.histogram.bucket_index` outside it)."""
-        with self._lock:
-            for name, index, seconds in points:
-                series = self._series.get(name)
-                if series is None:
-                    series = self._series[name] = _Series(name, "histogram")
-                series.total.add(index, seconds)
-            for name, n in counters:
-                series, start = self._locate(name, "counter", ts)
-                series.total += n
-                if start is not None:
-                    series.windows[start] = series.windows.get(start, 0) + n
+                slot.record(seconds)
+        for name, n in counted:
+            series = known(name) or self.series(name, "counter")
+            series.total += n
+            if series.latest_start == start or self._window(series, start):
+                series.windows[start] = series.windows.get(start, 0) + n
 
     # -- views -------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Every series' resident windows and all-time total, JSON-ready
-        and mergeable.
-
-        Histogram slots carry their raw buckets, so cross-process merges
-        of this snapshot are exact per window and for the totals.
-        ``uptime_s`` is the registry's age.  The lock is held only to
-        copy the slots; percentiles are computed after it is released.
-        """
-        with self._lock:
+        and exactly mergeable (histograms carry raw buckets), plus the
+        registry's age.  The lock is held only to copy the slots."""
+        with self.lock:
             copied = [(name, series,
                        [(start, series.copy(slot))
                         for start, slot in sorted(series.windows.items())],
@@ -431,6 +422,19 @@ def total(snapshot: Mapping, name: str) -> int | dict:
     if series.get("type") == "counter":
         return int(slot.get("value", 0))
     return slot
+
+def total_requests(snapshot: Mapping) -> int:
+    """All-time recorded operations: the ``latency:*`` observations."""
+    return sum(int(series.get("total", {}).get("count", 0))
+               for name, series in snapshot.get("series", {}).items()
+               if name.startswith("latency:"))
+
+def window_requests(snapshot: Mapping, horizon_s: float,
+                    now: float | None = None) -> int:
+    """Recorded operations over the rolling horizon."""
+    return sum(int(w.get("count", 0)) for name in snapshot.get("series", {})
+               if name.startswith("latency:")
+               for w in _recent_windows(snapshot, name, horizon_s, now))
 
 def window_sum(snapshot: Mapping, name: str, horizon_s: float,
                now: float | None = None) -> int:

@@ -25,9 +25,9 @@ service is healthy, and rate rules over near-zero denominators would
 otherwise flap.
 
 Series names follow the serving tier's conventions
-(:mod:`repro.service.engine` and the NDJSON front-end): ``requests``,
-``errors``, ``shed``, ``cache_hits``/``cache_misses`` counters and
-``latency:<op>`` histograms.
+(:mod:`repro.service.engine` and the NDJSON front-end): ``errors``,
+``shed``, ``cache_hits``/``cache_misses`` counters and ``latency:<op>``
+histograms, whose observations are also the request count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.obs.metrics import window_histogram, window_sum
+from repro.obs.metrics import window_histogram, window_requests, window_sum
 
 _STATES = ("ok", "degraded", "breached")
 
@@ -132,7 +132,7 @@ class SLOMonitor:
         horizon = config.horizon_s
         reasons: list[dict] = []
 
-        requests = window_sum(snapshot, "requests", horizon, now)
+        requests = window_requests(snapshot, horizon, now)
         sheds = window_sum(snapshot, "shed", horizon, now)
         verdict = {"state": "ok", "reasons": reasons,
                    "horizon_s": horizon, "requests": requests,

@@ -34,7 +34,7 @@ from repro.obs.metrics import (
     window_gauge_last,
     window_gauge_rate,
     window_histogram,
-    window_rate,
+    window_requests,
     window_sum,
 )
 from repro.obs.slo import worst_state
@@ -108,7 +108,8 @@ def render(stats: dict, health: dict, horizon: float = DEFAULT_HORIZON_S,
                      f"{reason.get('value', 0.0):.4g} "
                      f"(target {reason.get('target', 0.0):.4g}){source}")
 
-    req_rate = window_rate(cluster, "requests", horizon, now)
+    req_rate = (window_requests(cluster, horizon, now) / horizon
+                if horizon > 0 else 0.0)
     shed = window_sum(frontend, "shed", horizon, now)
     errors = window_sum(cluster, "errors", horizon, now)
     hits = window_sum(cluster, "cache_hits", horizon, now)

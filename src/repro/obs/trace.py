@@ -1,26 +1,22 @@
 """Trace contexts, stage records and the per-process :class:`Tracer`.
 
 A **trace** follows one request across the serving stack: the front-end
-mints a ``trace_id``, ships it through the wire envelope into the shard
-worker, and every instrumented stage (queue wait, cache lookup, store
-hydrate, LDA fit, assembly, serialization ...) can become a **span** --
-``(trace_id, span_id, parent_id, name, start, duration)``.  Entry points
-call :meth:`Tracer.activate`, which parks the root in a
-:mod:`contextvars` variable; deeper layers call :func:`stage` without
-threading a tracer through their signatures (one context-variable read
-and a shared no-op when nothing is active).
+mints a ``trace_id``, hands it to the shard worker, and every
+instrumented stage (queue wait, cache lookup, store hydrate, LDA fit,
+assembly, serialization ...) can become a **span** --
+``(trace_id, span_id, parent_id, name, start, duration)``.
 
-One request costs one registry flush per process.  A stage is its own
-record: on exit it appends itself (name, city, parent, perf-counter
-start, duration, error) to its root's list -- no span, no span id, no
-wall clock, no registry call.  When the root exits, every
-``stage:<name>``/``stage_city:<city>`` point and the ``obs.*`` counts
-go into the process's ``MetricsRegistry`` under one lock, so the
-histograms cover *every* request.  Span ids and span dicts are built
-only for a **sampled** trace (deterministic by trace-id hash, so all
-processes agree) that the ring of the slowest-N trees admits, or for
-every sampled trace when an event log is attached; starts are one
-``time.time()`` per trace plus perf-counter offsets.
+A request is one record per process.  :meth:`Tracer.activate` parks its
+activation in :data:`~repro.obs.metrics.PENDING`; deeper layers call
+:func:`stage` (one context-variable read, a shared no-op when nothing
+is active).  A stage takes the activation's open frame as its parent
+and on exit appends itself to the activation's list, and the registry
+calls made meanwhile ride on the activation too.  Its exit folds all of
+it into the ``stage:<name>``/``stage_city:<city>`` histograms and the
+registry's windows under one hold of the registry's lock.  Span ids and
+span dicts are built only for a **sampled** trace (deterministic by
+trace-id hash, so all processes agree) that the slowest-N ring admits
+or an event log wants.
 """
 
 from __future__ import annotations
@@ -32,13 +28,13 @@ import os
 import time
 import zlib
 from contextlib import nullcontext
-from contextvars import ContextVar
+from random import getrandbits
 from threading import Lock
 from time import perf_counter
 from typing import NamedTuple
 
-from repro.obs.histogram import bucket_index
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.histogram import LogHistogram
+from repro.obs.metrics import PENDING, MetricsRegistry
 
 #: Series prefixes of the stage and per-city histograms (never
 #: ``latency:``, which the SLO monitor reads as per-op latencies), and
@@ -55,44 +51,43 @@ _OTHER = "__other__"
 
 _span_counter = itertools.count(1)
 
+#: ``TraceContext(...)`` without its Python-level ``__new__`` (one a hop).
+_tuple_new = tuple.__new__
+
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-digit trace id (kernel entropy: fork-safe)."""
-    return os.urandom(8).hex()
+    """A fresh 16-hex-digit trace id (:mod:`random` reseeds in a forked
+    child)."""
+    return "%016x" % getrandbits(64)
+
+
+def _set_pid_prefix() -> None:
+    global _PID_PREFIX
+    _PID_PREFIX = f"{os.getpid():x}-"
+
+
+_set_pid_prefix()
+os.register_at_fork(after_in_child=_set_pid_prefix)
 
 
 def new_span_id() -> str:
     """A process-unique span id (pid-prefixed: shard workers collide
     neither with each other nor with the front-end)."""
-    return f"{os.getpid():x}-{next(_span_counter)}"
+    return _PID_PREFIX + str(next(_span_counter))
 
 
 class TraceContext(NamedTuple):
-    """The wire form of a trace: what crosses a process boundary
-    (immutable; a named tuple because one is parsed per request).
-
-    Attributes:
-        trace_id: The request's end-to-end identity.
-        span_id: The sender-side parent span; receiver-side spans hang
-            under it.
-        sent_s: Sender's epoch timestamp at hand-off; the receiver
-            derives admission/queue wait from it (same-host clocks).
-        sampled: Whether the sender elected this trace for span
-            collection; receivers honor the decision as-is.
-    """
+    """What crosses a process boundary (the shard hop ships the tuple,
+    a client's envelope its fields as a dict): the request's
+    ``trace_id``; the sender-side ``span_id`` the receiver's spans hang
+    under; the sender's epoch ``sent_s`` at hand-off, from which the
+    receiver derives its queue wait; and whether the sender ``sampled``
+    the trace, which receivers honor as-is."""
 
     trace_id: str
     span_id: str | None = None
     sent_s: float | None = None
     sampled: bool = True
-
-    def to_wire(self) -> dict:
-        wire: dict = {"trace_id": self.trace_id, "sampled": self.sampled}
-        if self.span_id is not None:
-            wire["span_id"] = self.span_id
-        if self.sent_s is not None:
-            wire["sent_s"] = self.sent_s
-        return wire
 
     @classmethod
     def from_wire(cls, data) -> "TraceContext | None":
@@ -111,66 +106,62 @@ class TraceContext(NamedTuple):
                    bool(data.get("sampled", True)))
 
 
-class _StageTimer:
-    """One timed stage, and the record it leaves in its root's list.
-    In a sampled trace an open stage is also the frame that stages
-    opened under it parent to; its span id is minted on first use."""
+class _Stage:
+    """One timed stage and its record; while open, the parent of stages
+    opened under it.  Its span id is minted on first use."""
 
     __slots__ = ("root", "parent", "name", "city", "started", "duration",
-                 "error", "span_id", "_token")
+                 "error", "span_id")
 
-    def __init__(self, parent, name: str, city: str | None) -> None:
-        self.root = parent.root
-        self.parent = parent
+    def __init__(self, root: "_Activation", name: str,
+                 city: str | None) -> None:
+        self.root = root
         self.name = name
         self.city = city
-        self.error = self.span_id = self._token = None
-
-    @property
-    def trace_id(self) -> str:
-        return self.root.trace_id
+        self.span_id = None
 
     def span_id_now(self) -> str:
         if self.span_id is None:
             self.span_id = new_span_id()
         return self.span_id
 
-    def child_wire(self, stamp_time: bool = True) -> dict:
-        """The ``_trace`` dict to ship to the next hop (the remote
-        portion parents to this frame)."""
+    def child_context(self) -> TraceContext:
+        """The context to ship to the next hop: the remote portion
+        parents to this frame and measures its queue wait from now."""
         root = self.root
-        wire: dict = {"trace_id": root.trace_id, "sampled": root.sampled}
-        if root.sampled:
-            wire["span_id"] = self.span_id_now()
-        if stamp_time:
-            wire["sent_s"] = time.time()
-        return wire
+        return _tuple_new(TraceContext, (
+            root.trace_id, self.span_id_now() if root.sampled else None,
+            time.time(), root.sampled))
 
-    def __enter__(self) -> "_StageTimer":
-        if self.root.sampled:
-            self._token = _ACTIVE.set(self)
+    def __enter__(self) -> "_Stage":
+        root = self.root
+        self.parent = root.open
+        root.open = self
         self.started = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.duration = perf_counter() - self.started
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-        if exc_type is not None:
-            self.error = f"{exc_type.__name__}: {exc}"
-        records = self.root.records
+        root = self.root
+        root.open = self.parent
+        self.error = (None if exc_type is None
+                      else f"{exc_type.__name__}: {exc}")
+        records = root.records
         if records is not None:  # None once the root has completed
             records.append(self)
 
 
-class _Activation(_StageTimer):
-    """One process's portion of a trace: the context manager
-    :meth:`Tracer.activate` returns and, when the tracer is enabled,
-    the root frame it yields.  On exit it hands its records to
-    :meth:`Tracer.complete` in one piece."""
+class _Activation(_Stage):
+    """One process's portion of a trace (what :meth:`Tracer.activate`
+    returns; the root frame it yields when enabled): it gathers the
+    stage records and the ``(name, value)`` counts and durations handed
+    to its registry for :meth:`Tracer.complete`."""
 
-    __slots__ = ("tracer", "trace_id", "sampled", "records", "_ctx",
-                 "_anchor")
+    __slots__ = ("tracer", "metrics", "_trace_id", "sampled", "records",
+                 "open", "counted", "observed", "_ctx", "_anchor",
+                 "_token")
+
+    city = None  # a root is tagged with no city
 
     def __init__(self, tracer: "Tracer", name: str,
                  ctx: TraceContext | None) -> None:
@@ -183,32 +174,43 @@ class _Activation(_StageTimer):
     def root(self) -> "_Activation":
         return self
 
+    @property
+    def trace_id(self) -> str:
+        """A trace rooted here mints its id on first read."""
+        if self._trace_id is None:
+            self._trace_id = new_trace_id()
+        return self._trace_id
+
     def __enter__(self) -> "_Activation | None":
         tracer = self.tracer
         if not tracer.enabled:
             return None
-        ctx = self._ctx
+        self.metrics = tracer.metrics
         self.records = []
-        self.city = self.error = self.span_id = self._anchor = None
+        self.counted = []
+        self.observed = []
+        self.open = self
+        self.span_id = None
+        ctx = self._ctx
         if ctx is None:
-            self.trace_id = new_trace_id()
-            self.parent = None
-            self.sampled = tracer.elects(self.trace_id)
+            self._trace_id = self.parent = sent = None
+            self.sampled = (tracer.sample_rate >= 1.0
+                            or tracer.elects(self.trace_id))
         else:
-            self.trace_id, self.parent = ctx.trace_id, ctx.span_id
-            self.sampled = ctx.sampled
-        self._token = _ACTIVE.set(self)
+            self._trace_id, self.parent, sent, self.sampled = ctx
+        self._token = PENDING.set(self)
         self.started = perf_counter()
-        if ctx is not None and ctx.sent_s is not None:
+        if sent is not None:
             # Admission-to-service wait, observed receiver-side: a
             # record under the sender's span, ending as this one starts.
             now = time.time()
             self._anchor = (now, self.started)
-            wait = max(0.0, now - ctx.sent_s)
-            queued = _StageTimer(self, "queue_wait", None)
-            queued.parent = ctx.span_id
+            wait = max(0.0, now - sent)
+            queued = _Stage(self, "queue_wait", None)
+            queued.parent = self.parent
             queued.started = self.started - wait
             queued.duration = wait
+            queued.error = None
             self.records.append(queued)
         return self
 
@@ -217,12 +219,11 @@ class _Activation(_StageTimer):
         if records is None:
             return
         self.duration = perf_counter() - self.started
-        _ACTIVE.reset(self._token)
-        if exc_type is not None:
-            self.error = f"{exc_type.__name__}: {exc}"
-        # Stages point back at this root; dropping the list breaks the
-        # cycle so a finished request is freed by reference counting.
-        self.records = None
+        PENDING.reset(self._token)
+        self.error = (None if exc_type is None
+                      else f"{exc_type.__name__}: {exc}")
+        # Breaks the root <-> stage cycles: freed by reference counting.
+        self.records = self.open = None
         self.tracer.complete(self, records)
 
     def spans(self, records: list) -> list[dict]:
@@ -231,7 +232,8 @@ class _Activation(_StageTimer):
         frames = (*records, self)
         for frame in frames:
             frame.span_id_now()
-        wall, perf = self._anchor or (time.time(), perf_counter())
+        wall, perf = (getattr(self, "_anchor", None)  # set on a hand-off
+                      or (time.time(), perf_counter()))
         spans = []
         for frame in frames:
             parent = frame.parent
@@ -253,25 +255,17 @@ class _Activation(_StageTimer):
         return spans
 
 
-_ACTIVE: ContextVar[_StageTimer | None] = ContextVar("repro_obs_active",
-                                                     default=None)
-
-
 #: Shared do-nothing stage (no active trace, or tracing disabled).
 _NULL_TIMER = nullcontext()
 
 
 def stage(name: str, city: str | None = None):
-    """Time a block as one named stage of the active trace.
-
-    Usable anywhere below an entry point that called
-    :meth:`Tracer.activate`; a no-op (one context-variable read) when
-    nothing is active.
-    """
-    frame = _ACTIVE.get()
-    if frame is None:
+    """Time a block as one named stage of the active trace (a no-op,
+    one context-variable read, outside :meth:`Tracer.activate`)."""
+    root = PENDING.get()
+    if root is None:
         return _NULL_TIMER
-    return _StageTimer(frame, name, city)
+    return _Stage(root, name, city)
 
 
 class SlowTraceRing:
@@ -342,10 +336,9 @@ class Tracer:
         self.log = self.metrics.log
         self.shard = shard
         self.ring = SlowTraceRing(slowest)
-        # name -> the series it records into, per prefix.
-        self._series: dict[str, dict[str, str]] = {STAGE_PREFIX: {},
-                                                   CITY_PREFIX: {}}
-        self._names_lock = Lock()
+        # Stage/city name -> its series' all-time histogram (under the
+        # registry's lock).
+        self._series: dict[str, dict] = {STAGE_PREFIX: {}, CITY_PREFIX: {}}
 
     # -- election ----------------------------------------------------------
 
@@ -361,59 +354,47 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def record_stage(self, name: str, seconds: float,
-                     city: str | None = None) -> None:
-        """Count one stage duration (and its per-city breakdown)."""
-        if self.enabled:
-            index = bucket_index(seconds)
-            self.metrics.record_batch([
-                (self._bounded(prefix, key), index, seconds)
-                for prefix, key in ((STAGE_PREFIX, name), (CITY_PREFIX, city))
-                if key is not None])
-
-    def _bounded(self, prefix: str, name: str) -> str:
-        """The series ``name`` records into: its own for the first
-        ``_MAX_NAMES`` distinct names per prefix, ``__other__`` after."""
-        series = self._series[prefix].get(name)
-        if series is None:
-            with self._names_lock:
-                known = self._series[prefix]
-                if name not in known and len(known) >= _MAX_NAMES:
-                    return prefix + _OTHER
-                series = known.setdefault(name, prefix + name)
-        return series
+    def _bounded(self, prefix: str, name: str) -> LogHistogram:
+        """The histogram ``name`` records into, resolved once: its own
+        series' for the first ``_MAX_NAMES`` distinct names per prefix,
+        ``__other__``'s after.  Caller holds the registry's lock."""
+        known = self._series[prefix]
+        if len(known) >= _MAX_NAMES:
+            return self.metrics.series(prefix + _OTHER, "histogram").total
+        known[name] = self.metrics.series(prefix + name, "histogram").total
+        return known[name]
 
     def activate(self, name: str,
                  ctx: TraceContext | None = None) -> _Activation:
-        """Open this process's root span for one request.
-
-        Returns a context manager yielding the activation (``None``
-        when the tracer is disabled).  On exit the request's stages are
-        flushed to the registry and, for a sampled trace, its span tree
-        offered to the slowest ring and the event log.
-        """
+        """Open this process's root span for one request: a context
+        manager yielding the activation (``None`` when disabled) that
+        goes to :meth:`complete` on exit."""
         return _Activation(self, name, ctx)
 
     def complete(self, root: _Activation, records: list) -> None:
-        """Flush one finished portion in one registry batch, then build
-        its spans if anyone will read them.  A stage that raised may
-        have rejected the city's name, so it counts toward no city."""
+        """Fold one finished portion into the registry under one hold
+        of its lock, then build its spans if the slowest ring or the
+        event log will read them.  A stage that raised may have rejected
+        the city's name, so it counts toward no city."""
         stages, cities = self._series[STAGE_PREFIX], self._series[CITY_PREFIX]
         bounded = self._bounded
-        points = []
-        for record in (*records, root):
-            name, city, duration = record.name, record.city, record.duration
-            index = bucket_index(duration)
-            points.append((stages.get(name) or bounded(STAGE_PREFIX, name),
-                           index, duration))
-            if city is not None and record.error is None:
-                points.append((cities.get(city) or bounded(CITY_PREFIX, city),
-                               index, duration))
+        counted = root.counted
+        if root.sampled:
+            counted.append(("obs.traces", 1))
+            counted.append(("obs.spans", len(records) + 1))
+        metrics = self.metrics
+        start = metrics.window.start_for()
+        with metrics.lock:
+            for record in (*records, root):
+                name, city, duration = record.name, record.city, record.duration
+                hist = stages.get(name) or bounded(STAGE_PREFIX, name)
+                hist.record(duration)
+                if city is not None and record.error is None:
+                    hist = cities.get(city) or bounded(CITY_PREFIX, city)
+                    hist.record(duration)
+            metrics.fold(root.observed, counted, start)
         if not root.sampled:
-            self.metrics.record_batch(points)
             return
-        self.metrics.record_batch(points, (("obs.traces", 1),
-                                           ("obs.spans", len(records) + 1)))
         duration_ms = root.duration * 1000.0
         kept = self.ring.admits(duration_ms)
         if not kept and self.log is None:
@@ -443,7 +424,7 @@ class Tracer:
             record["city"] = city
         if self.shard is not None:
             record["shard"] = self.shard
-        act = _ACTIVE.get()
+        act = PENDING.get()
         if act is not None:
             record["trace_id"] = act.trace_id
         self.log.write("error", record)
@@ -457,15 +438,11 @@ class Tracer:
     @staticmethod
     def merge_traces(trace_lists: list[list[dict]],
                      limit: int | None = 32) -> list[dict]:
-        """Combine slowest-trace rings from several processes.
-
-        Entries sharing a ``trace_id`` (the front-end's portion and a
-        worker's portion of one request) are unioned span-wise; the
-        merged duration is the largest portion's.  Slowest first,
-        truncated to ``limit`` (``None`` = all -- inner merge layers
-        must not trim, or they would cut portions of traces that an
-        outer layer still needs to union).
-        """
+        """Combine slowest-trace rings from several processes: the
+        portions of one ``trace_id`` are unioned span-wise and last as
+        long as the largest.  Slowest first, truncated to ``limit``
+        (``None`` = all: an inner merge layer must not cut portions an
+        outer one still needs to union)."""
         by_id: dict[str, dict] = {}
         for traces in trace_lists:
             for trace in traces or ():

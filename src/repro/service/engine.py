@@ -704,7 +704,8 @@ class PackageService:
         exceptions -- a worker process must survive any input.
 
         A ``_trace`` key in the payload is the upstream trace context
-        (see :class:`~repro.obs.TraceContext`): the whole operation
+        (a :class:`~repro.obs.TraceContext` from the front-end, or its
+        wire dict from any other caller): the whole operation
         runs as this process's portion of that trace, per-stage latency
         lands in the ``stage:*`` series (queue wait included, derived
         from the sender's hand-off stamp), and the response is stamped
@@ -712,9 +713,10 @@ class PackageService:
         of its own, so direct dispatch callers get the same stage
         accounting.
         """
-        ctx = None
-        if isinstance(payload, dict) and "_trace" in payload:
-            ctx = TraceContext.from_wire(payload.pop("_trace"))
+        ctx = payload.pop("_trace", None) if isinstance(payload, dict) \
+            else None
+        if ctx is not None and not isinstance(ctx, TraceContext):
+            ctx = TraceContext.from_wire(ctx)
         with self.tracer.activate(f"serve:{op}", ctx):
             result = self._dispatch_op(op, payload)
         if ctx is not None and isinstance(result, dict):
@@ -860,9 +862,9 @@ class PackageService:
     # -- observability -------------------------------------------------------
 
     def _record(self, op: str, seconds: float) -> None:
-        """Count one completed operation of ``seconds`` wall clock."""
+        """Count one completed operation of ``seconds`` wall clock (its
+        ``latency:<op>`` observation is also its request count)."""
         self.metrics.observe(f"latency:{op}", seconds)
-        self.metrics.counter_inc("requests")
         if op == "error":
             self.metrics.counter_inc("errors")
 

@@ -61,7 +61,7 @@ from repro.obs import (
     merge_verdicts,
     stage,
 )
-from repro.obs.metrics import total
+from repro.obs.metrics import total, total_requests
 from repro.service.engine import PackageService, tracer_obs
 from repro.service.registry import populate_store
 from repro.service.schema import (
@@ -225,7 +225,6 @@ class PackageServer:
 
         self._inflight += 1
         self._peak_inflight = max(self._peak_inflight, self._inflight)
-        self.windows.counter_inc("requests")
         started = time.perf_counter()
         ctx = self._trace_context(envelope)
         if op == "trace":
@@ -235,21 +234,27 @@ class PackageServer:
         act = None
         try:
             with self.tracer.activate(f"request:{op}", ctx) as act:
-                if act is None:
-                    response = await asyncio.wrap_future(
-                        self.cluster.submit(op, payload)
-                    )
-                else:
-                    # The wire context is cut inside the dispatch stage
-                    # so the worker's spans parent under it; its
-                    # hand-off stamp is what the worker turns into
-                    # queue_wait.
-                    with stage("dispatch") as dispatch:
-                        payload = dict(payload,
-                                       _trace=dispatch.child_wire())
+                try:
+                    if act is None:
                         response = await asyncio.wrap_future(
                             self.cluster.submit(op, payload)
                         )
+                    else:
+                        # The context is cut inside the dispatch stage
+                        # so the worker's spans parent under it; its
+                        # hand-off stamp is what the worker turns into
+                        # queue_wait.
+                        with stage("dispatch") as dispatch:
+                            # The payload is this line's own parse.
+                            payload["_trace"] = dispatch.child_context()
+                            response = await asyncio.wrap_future(
+                                self.cluster.submit(op, payload)
+                            )
+                finally:
+                    # Recorded with the request: this observation is
+                    # also what counts it as accepted and completed.
+                    self.windows.observe("latency:request",
+                                         time.perf_counter() - started)
         except Exception as exc:  # worker/pool failure: answer, don't hang
             response = _error_line(f"dispatch failed: {exc}",
                                    ErrorCode.FAILED, envelope_id,
@@ -258,8 +263,6 @@ class PackageServer:
                               code=ErrorCode.FAILED.value)
         finally:
             self._inflight -= 1
-            self.windows.observe("latency:request",
-                                 time.perf_counter() - started)
         if op == "trace":
             # The cluster merged the workers' rings; fold in the
             # front-end's own portions of those traces.
@@ -427,10 +430,12 @@ class PackageServer:
         """Front-end counters (the cluster's live in its own stats),
         including the front-end's stage histograms and windowed
         telemetry.  The event counts and ``obs`` are all-time totals of
-        the front-end's registry series (``accepted`` is ``requests``)."""
+        the front-end's registry series; ``accepted`` is the requests
+        completed (``latency:request`` observations) plus those in
+        flight."""
         self._sample_gauges()
         snapshot = self.windows.snapshot()
-        return {"accepted": total(snapshot, "requests"),
+        return {"accepted": total_requests(snapshot) + self._inflight,
                 "shed": total(snapshot, "shed"),
                 "bad_lines": total(snapshot, "bad_lines"),
                 "peak_inflight": self._peak_inflight,

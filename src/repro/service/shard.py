@@ -54,6 +54,7 @@ from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
 from threading import Lock
 from typing import Callable
+from weakref import WeakSet
 
 from repro.core.objective import ObjectiveWeights
 from repro.obs import (
@@ -143,6 +144,11 @@ def _worker_main(conn: Connection, config: ShardConfig, shard_id: int) -> None:
     to the offending request (or warmup call), not as a dead worker.
     An exception goes back as the reply, for the front end to re-raise.
     """
+    # A forked worker holds copies of the front end's pipe ends, its
+    # own included; while any copy is open it would never read EOF, and
+    # would outlive a front end that dies without sending the sentinel.
+    for end in list(_FRONT_ENDS):
+        end.close()
     service = config.make_service(shard_id)
     for op, payload in iter(conn.recv, None):
         try:
@@ -155,6 +161,9 @@ def _worker_main(conn: Connection, config: ShardConfig, shard_id: int) -> None:
 
 #: Held while a worker is forked and the parent closes its pipe end.
 _SPAWN_LOCK = Lock()
+
+#: The front end's ends of every worker pipe in this process.
+_FRONT_ENDS: WeakSet[Connection] = WeakSet()
 
 
 # -- future plumbing ----------------------------------------------------------
@@ -266,6 +275,7 @@ class _Shard:
         # read as EOF on ``_conn``.
         with _SPAWN_LOCK:
             self._conn, child = Pipe()
+            _FRONT_ENDS.add(self._conn)
             self._process = Process(target=_worker_main, daemon=True,
                                     name=f"shard-{self.id}",
                                     args=(child, self._config, self.id))

@@ -9,6 +9,7 @@ any merge order -- so those tests compare against brute-force unions.
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -24,9 +25,28 @@ from repro.obs import (
 )
 from repro.obs.check import check_log_lines
 from repro.obs.histogram import bucket_index, bucket_upper_s
-from repro.obs.metrics import merge_metrics_snapshots
-from repro.obs.trace import _ACTIVE
+from repro.obs.metrics import PENDING, merge_metrics_snapshots
 from repro.service.engine import obs_section, tracer_obs
+
+
+class _Clock:
+    """A settable stand-in for the tracer's ``perf_counter``."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def timed_request(tracer: Tracer, name: str, seconds: float) -> None:
+    """One request holding one ``name`` stage that takes exactly
+    ``seconds`` by the tracer's clock."""
+    clock = _Clock()
+    with mock.patch("repro.obs.trace.perf_counter", clock):
+        with tracer.activate("serve:build"):
+            with stage(name):
+                clock.now = seconds
 
 
 def obs_of(tracer: Tracer) -> dict:
@@ -130,7 +150,7 @@ class TestTraceContext:
     def test_wire_round_trip(self):
         ctx = TraceContext(trace_id="abc", span_id="s1", sent_s=12.5,
                            sampled=False)
-        back = TraceContext.from_wire(ctx.to_wire())
+        back = TraceContext.from_wire(ctx._asdict())
         assert back == ctx
 
     @pytest.mark.parametrize("garbage", [
@@ -151,7 +171,7 @@ class TestTracer:
     def test_stage_without_activation_is_noop(self):
         with stage("anything"):
             pass  # must not raise, record, or allocate per call
-        assert _ACTIVE.get() is None
+        assert PENDING.get() is None
 
     def test_activation_collects_a_complete_span_tree(self):
         tracer = Tracer()
@@ -240,12 +260,12 @@ class TestTracer:
             with tracer.activate("serve:build"):
                 with stage("assemble", city="paris"):
                     pass
-            tracer.record_stage("assemble", ms)
+            timed_request(tracer, "assemble", ms)
         merged = obs_section(merge_metrics_snapshots(
             [a.metrics.snapshot(), None, b.metrics.snapshot()]), True)
         assert merged["stages"]["assemble"]["count"] == 4
         assert merged["cities"]["paris"]["count"] == 2
-        assert merged["counters"]["traces"] == 2
+        assert merged["counters"]["traces"] == 4
         assert merged["stages"]["assemble"]["max_ms"] == pytest.approx(50.0)
         for name, hist in obs_of(a)["stages"].items():
             assert merged["stages"][name]["count"] == (
@@ -260,13 +280,14 @@ class TestTracer:
                 with tracer.activate("serve:build"):
                     with stage("assemble", city=("paris", "rome")[j % 2]):
                         pass
-                tracer.record_stage(f"stage-{i}", 0.001 * (j + 1))
+                    with stage(f"stage-{i}"):
+                        pass
             tracer.error("boom")
         snapshots = [t.metrics.snapshot() for t in tracers]
         views = [obs_section(merge_metrics_snapshots(order), True)
                  for order in itertools.permutations(snapshots)]
         assert all(view == views[0] for view in views)
-        assert views[0]["counters"] == {"traces": 9, "spans": 18,
+        assert views[0]["counters"] == {"traces": 9, "spans": 27,
                                         "errors": 3}
 
     def test_cluster_obs_sums_log_written_and_dropped(self, tmp_path):
@@ -304,14 +325,17 @@ class TestTracer:
             assert "log" not in cluster.stats()["obs"]
 
     def test_hist_key_table_is_bounded(self):
-        tracer = Tracer()
+        tracer = Tracer(sample_rate=0.0)  # no obs.* series
         for i in range(500):
-            tracer.record_stage(f"client-controlled-{i}", 0.001,
-                                city=f"city-{i}")
+            with tracer.activate("serve:build"):
+                with stage(f"client-controlled-{i}", city=f"city-{i}"):
+                    pass
         obs = obs_of(tracer)
         for table in ("stages", "cities"):
             assert len(obs[table]) <= 129  # _MAX_NAMES + __other__
-            assert obs[table]["__other__"]["count"] == 500 - 128
+        # The root's serve:build holds one of the 128 stage names.
+        assert obs["stages"]["__other__"]["count"] == 500 - 127
+        assert obs["cities"]["__other__"]["count"] == 500 - 128
         series = tracer.metrics.snapshot()["series"]
         assert len(series) <= 2 * 129
         assert not any(name.startswith("latency:") for name in series)

@@ -21,6 +21,7 @@ from repro.obs import (
     ResourceSampler,
     SLOConfig,
     SLOMonitor,
+    Tracer,
     WindowConfig,
     merge_metrics_snapshots,
     merge_verdicts,
@@ -28,6 +29,7 @@ from repro.obs import (
     window_gauge_rate,
     window_histogram,
     window_rate,
+    stage,
     window_sum,
     worst_state,
 )
@@ -234,16 +236,19 @@ class TestAllTimeTotals:
         assert total(snapshot, "latency:build")["count"] == 2
 
     def test_total_only_series_keep_no_window_ring(self, tmp_path):
-        """An ``observe_total`` series stays one histogram however many
-        windows pass, emits no ``metrics`` record, and merges exactly."""
+        """A stage series (fed only by the tracer's flush) stays one
+        histogram however many windows pass, emits no ``metrics``
+        record, and merges exactly."""
         path = tmp_path / "events.ndjson"
         log = EventLog(str(path))
         regs = [MetricsRegistry(WindowConfig(interval_s=10.0, slots=3),
                                 log=log) for _ in range(2)]
-        for i, reg in enumerate(regs):
+        for reg in regs:
+            tracer = Tracer(sample_rate=0.0, metrics=reg)  # no obs.* series
             for t in range(60):  # 60 windows rotate through the ring
                 reg.counter_inc("requests", ts=t * 10.0)
-                reg.observe_total("stage:serialize", 0.001 * (i + 1))
+                with tracer.activate("serve:build"), stage("serialize"):
+                    pass
         log.close()
         snapshot = regs[0].snapshot()
         assert snapshot["series"]["stage:serialize"]["windows"] == []
@@ -394,8 +399,9 @@ class TestSLOMonitor:
     def _snapshot(self, requests=100, errors=0, sheds=0, latencies=(),
                   hits=0, misses=0, ts=100.0) -> dict:
         reg = MetricsRegistry(WindowConfig(interval_s=10.0, slots=8))
-        if requests:
-            reg.counter_inc("requests", n=requests, ts=ts)
+        # A request is counted by its latency observation.
+        for _ in range(requests):
+            reg.observe("latency:build_cached", 0.001, ts=ts)
         if errors:
             reg.counter_inc("errors", n=errors, ts=ts)
         if sheds:

@@ -4,14 +4,14 @@ nothing derived twice.
 A finished trace is turned into span dicts only if the slowest ring
 admits it or an event log is attached, so the ring's retained traces
 must equal those of a ring offered *every* trace
-(:mod:`ring_oracle`).  A request's stage histograms and trace counters
-reach each process's registry in one batch; a spy on the registries
-pins that for a warm hit through the NDJSON front-end.  Spies on the
-profile hash and the query and spec constructors pin that a repeated
-warm hit hashes no profile and parses no query or spec: each profile
-keeps its fingerprint, and the wire layer its parsed values.  The KFC
-builder times its FCM seeding and recentering as stages of the active
-trace.
+(:mod:`ring_oracle`).  A request's stage histograms, trace counters,
+counts and latencies reach each process's registry under one hold of
+its lock; a spy on the registries' locks pins that for a warm hit
+through the NDJSON front-end.  Spies on the profile hash and the query
+and spec constructors pin that a repeated warm hit hashes no profile
+and parses no query or spec: each profile keeps its fingerprint, and
+the wire layer its parsed values.  The KFC builder times its FCM
+seeding and recentering as stages of the active trace.
 """
 
 from __future__ import annotations
@@ -108,36 +108,35 @@ def test_lazy_ring_matches_push_then_pop(durations, capacity, logged,
 
 
 class _FlushSpy:
-    """Counts a registry's tracer flushes -- ``record_batch`` calls
-    carrying histogram points or ``obs.*`` counts (``counter_inc`` is a
-    batch of one plain counter) -- and any tracer recording that
-    bypasses them."""
+    """Records, per hold of a registry's lock, the series that changed
+    under it -- every recording reaches the registry under that lock,
+    whether it rode on an activation or not."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.batches = 0
-        self.singles: list[str] = []
-        record_batch = registry.record_batch
-        observe_total = registry.observe_total
-        counter_inc = registry.counter_inc
+        self.calls: list[set[str]] = []
+        lock = registry.lock
+        spy = self
 
-        def spy_batch(points, counters=(), ts=None):
-            counters = tuple(counters)
-            self.batches += bool(points) or any(
-                name.startswith("obs.") for name, _ in counters)
-            return record_batch(points, counters, ts)
+        class _Spied:
+            def __enter__(self):
+                lock.acquire()
+                self.before = _state(registry)
 
-        def spy_total(name, seconds):
-            self.singles.append(name)
-            return observe_total(name, seconds)
+            def __exit__(self, *exc):
+                after = _state(registry)
+                spy.calls.append({name for name in after
+                                  if after[name] != self.before.get(name)})
+                lock.release()
 
-        def spy_inc(name, n=1, ts=None):
-            if name.startswith("obs."):
-                self.singles.append(name)
-            return counter_inc(name, n, ts)
+        registry.lock = _Spied()
 
-        registry.record_batch = spy_batch
-        registry.observe_total = spy_total
-        registry.counter_inc = spy_inc
+
+def _state(registry: MetricsRegistry) -> dict[str, int]:
+    """Each series' all-time count (events for a counter)."""
+    return {name: series.total if series.kind == "counter"
+            else series.total.count
+            for name, series in registry._series.items()
+            if series.total is not None}
 
 
 def test_warm_hit_flushes_each_registry_once(app):
@@ -159,16 +158,21 @@ def test_warm_hit_flushes_each_registry_once(app):
     try:
         cold = asyncio.run(server.handle_line(line))
         assert cold["error"] is None and not cold["cached"]
-        spies = [_FlushSpy(server.tracer.metrics),
-                 _FlushSpy(services[0].tracer.metrics)]
+        front, shard = (_FlushSpy(server.tracer.metrics),
+                        _FlushSpy(services[0].tracer.metrics))
         warm = asyncio.run(server.handle_line(line))
         assert warm["error"] is None and warm["cached"]
     finally:
         cluster.shutdown()
         server.tracer.close()
-    for spy in spies:
-        assert spy.batches == 1
-        assert spy.singles == []
+    # One call per registry carries the whole request: stages, trace
+    # counts, and the counters and latencies recorded along the way.
+    assert front.calls == [{"stage:request:build", "stage:dispatch",
+                            "latency:request", "obs.traces", "obs.spans"}]
+    assert shard.calls == [{"stage:serve:build", "stage:queue_wait",
+                            "stage:cache_lookup", "stage:serialize",
+                            "stage_city:paris", "latency:build_cached",
+                            "cache_hits", "obs.traces", "obs.spans"}]
     assert warm["trace_id"]
 
 
