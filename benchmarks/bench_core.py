@@ -10,7 +10,9 @@ the system's REPLACE recommendation.  Run with
 """
 
 import json
+import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from repro.clustering.fuzzy_cmeans import FuzzyCMeans
 from repro.core.assembly import assemble_composite_items
 from repro.core.query import DEFAULT_QUERY
 from repro.profiles.consensus import ConsensusMethod, consensus_scores
+from repro.profiles.generator import GroupGenerator
 from repro.service.schema import Encoded
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import profile_oracle  # noqa: E402  (the per-member reference)
 
 #: A build miss encodes its package text by splicing the POIs' cached
 #: JSON texts; the gate holds that splice to at least this many times
@@ -28,6 +34,14 @@ from repro.service.schema import Encoded
 #: whole wire form a miss caches (the dict, which the splice does not
 #: read, plus the splice) 3-4.4x.
 MIN_SPLICE_SPEEDUP = 3.0
+
+#: A non-uniform member is an indicator row drawn as its picked columns,
+#: so a 5-member non-uniform group's matrix costs little more than its
+#: draws; the gate holds it to at least this many times faster than the
+#: per-member oracle (``tests/profile_oracle.py``).  Measured on a 2-vCPU
+#: VM (Python 3.11.7) over 200 seeds: 9x, against 1.4x for the float
+#: admission it replaced.
+MIN_MEMBER_MATRIX_SPEEDUP = 4.0
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +111,36 @@ def test_spliced_package_encode_gate(paris_app, group_profile):
     assert dumped / spliced >= MIN_SPLICE_SPEEDUP, (
         f"spliced encode only {dumped / spliced:.1f}x faster than "
         f"json.dumps(package.to_dict()), below {MIN_SPLICE_SPEEDUP}x")
+
+
+def test_non_uniform_member_matrix_gate(paris_app):
+    """A 5-member non-uniform group's member matrix against the
+    per-member oracle's group, per group over 200 seeds, best of five
+    alternating blocks; both draw the same members."""
+    schema = paris_app.schema
+    seeds = range(200)
+    for seed in seeds[:5]:
+        expected = profile_oracle.group(
+            profile_oracle.Generator(schema, seed=seed), 5, False)
+        assert (GroupGenerator(schema, seed=seed).member_matrix(5, False)
+                .tobytes() == np.vstack([m.concatenated()
+                                         for m in expected]).tobytes())
+
+    def matrices():
+        for seed in seeds:
+            GroupGenerator(schema, seed=seed).member_matrix(5, False)
+
+    def oracle():
+        for seed in seeds:
+            profile_oracle.group(profile_oracle.Generator(schema, seed=seed),
+                                 5, False)
+
+    fast = slow = float("inf")
+    for _ in range(5):
+        fast = min(fast, timeit.timeit(matrices, number=1) / len(seeds))
+        slow = min(slow, timeit.timeit(oracle, number=1) / len(seeds))
+    print(f"\nnon-uniform member_matrix(5) {fast * 1e6:.1f} us, oracle group "
+          f"{slow * 1e6:.1f} us: {slow / fast:.1f}x")
+    assert slow / fast >= MIN_MEMBER_MATRIX_SPEEDUP, (
+        f"member_matrix only {slow / fast:.1f}x faster than the oracle, "
+        f"below {MIN_MEMBER_MATRIX_SPEEDUP}x")

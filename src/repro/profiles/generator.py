@@ -15,7 +15,10 @@ as "members with diverse preferences"; see the README design notes.
 
 A group is drawn as one ``(size, D)`` matrix of concatenated member
 vectors (:meth:`GroupGenerator.member_matrix`); the group methods wrap
-its rows into :class:`~repro.profiles.user.UserProfile` members.
+its rows into :class:`~repro.profiles.user.UserProfile` members.  A
+non-uniform member is an indicator row, drawn as its picked columns by
+draws stream-identical to :meth:`GroupGenerator.sparse_ratings`; two
+members sharing ``s`` columns have cosine exactly ``s / 4.0``.
 """
 
 from __future__ import annotations
@@ -187,47 +190,44 @@ class GroupGenerator:
         the group's average pairwise cosine stays under
         :data:`NON_UNIFORM_THRESHOLD` (with a 5% margin).
 
-        The pair cosines are cached and the running average is
-        recomputed only when a member is admitted, adding them in
-        ``(i < j)`` row-major order.
+        A member is an indicator row (one column per category, its
+        ``uniform(4.0, 5.0)`` rating normalized to exactly 1.0), so a
+        candidate is its four picked columns and members sharing ``s``
+        columns have cosine exactly ``s / 4.0``.  Sums of multiples of
+        0.25 are exact: the pair total is an integer count of shared
+        columns.  A pick is ``integers(n)``, the one draw ``choice(n, 1,
+        replace=False)`` makes, and ``random()`` takes the rating's one
+        double, so the stream is :meth:`sparse_ratings`'s.
         """
-        members = np.zeros((size, self.schema.total_size()))
-        pair_cosines: list[list[float]] = []  # row i: cos(i, j) for j > i
+        widths = [self.schema.size(cat) for cat in CATEGORIES]
+        picks = np.empty((size, len(widths)), np.intp)  # row n: candidate
+        shared_pairs = 0  # shared columns over every admitted pair
         current = 0.0
         n = attempts = 0
         while n < size:
-            candidate = self._sparse_member()
+            for category, width in enumerate(widths):
+                picks[n, category] = self._rng.integers(width)
+                self._rng.random()
             attempts += 1
             if attempts > max_attempts * size:
                 raise RuntimeError(
                     f"could not generate a non-uniform group of size {size}"
                 )
-            cos_to_members = [cosine(candidate, members[i]) for i in range(n)]
+            shared = int(np.count_nonzero(picks[:n] == picks[n]))
             if n:
                 pairs_before = n * (n - 1) / 2.0
-                new_avg = ((current * pairs_before
-                            + ordered_sum(cos_to_members))
+                new_avg = ((current * pairs_before + shared / 4.0)
                            / (pairs_before + n))
                 if new_avg >= NON_UNIFORM_THRESHOLD * 0.95:
                     continue
-            # cosine is symmetric, so cos(candidate, i) is pair (i, n).
-            for row, value in zip(pair_cosines, cos_to_members):
-                row.append(value)
-            pair_cosines.append([])
-            members[n] = candidate
+            shared_pairs += shared
             n += 1
             if n > 1:
-                current = (ordered_sum(value for row in pair_cosines
-                                       for value in row)
-                           / (n * (n - 1) / 2.0))
+                current = (shared_pairs / 4.0) / (n * (n - 1) / 2.0)
+        starts = [columns.start for columns in self.schema.category_slices]
+        members = np.zeros((size, self.schema.total_size()))
+        members[np.arange(size)[:, None], picks + starts] = 1.0
         return members
-
-    def _sparse_member(self) -> np.ndarray:
-        """One concatenated :meth:`sparse_user` vector, one dimension
-        per category."""
-        ratings = self.sparse_ratings(dims_per_category=1)
-        return self._normalized(
-            np.concatenate([ratings[cat] for cat in CATEGORIES])[None, :])[0]
 
     def _group(self, members: np.ndarray, name: str) -> Group:
         """Wrap member-matrix rows into a :class:`Group` of profiles."""

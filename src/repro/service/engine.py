@@ -307,10 +307,12 @@ class PackageService:
         """
         return self._serve_build(request)[0]
 
-    def _serve_build(self, request: BuildRequest) -> tuple[
-            PackageResponse, CityEntry | None, GroupProfile | None]:
+    def _serve_build(self, request: BuildRequest, record: bool = True
+                     ) -> tuple[PackageResponse, CityEntry | None,
+                                GroupProfile | None]:
         """The build path, also handing back the resolved (entry,
-        profile) so :meth:`open_session` does not resolve twice."""
+        profile) so :meth:`open_session` does not resolve twice.  With
+        ``record=False`` (a batch element) it records no operation."""
         start = time.perf_counter()
         try:
             entry = self.registry.entry(request.city)
@@ -340,10 +342,12 @@ class PackageService:
                 package, wire, package_metrics = hit
         except (KeyError, ValueError, RuntimeError) as exc:
             return (self._error_response(request.city, exc, start,
-                                         request_id=request.request_id),
+                                         request_id=request.request_id,
+                                         record=record),
                     None, None)
         latency = time.perf_counter() - start
-        self._record("build_cached" if cached else "build", latency)
+        if record:
+            self._record("build_cached" if cached else "build", latency)
         return (PackageResponse(
             city=entry.name, package=package, cached=cached,
             latency_ms=latency * 1000.0, metrics=package_metrics,
@@ -356,10 +360,11 @@ class PackageService:
         Responses are positionally aligned with ``requests``; a failed
         request yields an error response in its slot.  The elements run
         on the caller's thread, so under a trace their stages land in
-        the caller's activation.
+        the caller's activation.  The batch is one operation: its one
+        ``latency:build_batch`` observation, none per element.
         """
         start = time.perf_counter()
-        responses = [self.build(r) for r in requests]
+        responses = [self._serve_build(r, record=False)[0] for r in requests]
         self._record("build_batch", time.perf_counter() - start)
         return responses
 
@@ -384,9 +389,11 @@ class PackageService:
 
     def _error_response(self, city: str, exc: Exception, start: float,
                         request_id: str | None = None,
-                        session_id: str | None = None) -> PackageResponse:
+                        session_id: str | None = None,
+                        record: bool = True) -> PackageResponse:
         latency = time.perf_counter() - start
-        self._record("error", latency)
+        if record:
+            self._record("error", latency)
         message = str(exc) or exc.__class__.__name__
         code = self._classify(exc)
         self.tracer.error(message, code=code, city=city)

@@ -2,15 +2,17 @@
 ``tests/profile_oracle.py``: bit-identical (``tobytes``) for any spec.
 
 The generator draws a group as one ``(size, D)`` member matrix, the
-non-uniform admission caches pair cosines, and a spec's consensus
-profile comes from the matrix's category slices; the oracle draws
-member by member, recomputes the pair average for every candidate and
-restacks one matrix per category.  Specs cover sizes 1-12, both
-uniformities, all four consensus methods and explicit ``w1``.
+non-uniform admission counts shared indicator columns, and a spec's
+consensus profile comes from the matrix's category slices; the oracle
+draws member by member, recomputes the pair average for every candidate
+and restacks one matrix per category.  Specs cover sizes 1-12, both
+uniformities, all four consensus methods and explicit ``w1``; fixed
+seeds cover non-uniform groups up to ``MAX_GROUP_SIZE``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from repro.profiles.consensus import ConsensusMethod
 from repro.profiles.generator import GroupGenerator
 from repro.profiles.group import GroupProfile
 from repro.service.registry import CityRegistry
-from repro.service.schema import GroupSpec
+from repro.service.schema import MAX_GROUP_SIZE, GroupSpec
 
 specs = st.builds(
     GroupSpec,
@@ -76,7 +78,41 @@ class TestGeneratorMatchesOracle:
         does: the next groups match too."""
         gen = GroupGenerator(schema, seed=3)
         ref = profile_oracle.Generator(schema, seed=3)
-        for size, uniform in [(4, False), (7, True), (12, False), (1, True)]:
+        for size, uniform in [(4, False), (7, True), (12, False), (1, True),
+                              (MAX_GROUP_SIZE, False), (3, False)]:
             got = gen.group(size, uniform)
             expected = profile_oracle.group(ref, size, uniform)
             assert [_bytes(m) for m in got] == [_bytes(m) for m in expected]
+
+    @pytest.mark.parametrize("size", [40, MAX_GROUP_SIZE])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_non_uniform_groups(self, schema, size, seed):
+        """Up to the wire's largest group, the non-uniform member matrix
+        is the oracle's members stacked, and both streams end in the
+        same state."""
+        gen = GroupGenerator(schema, seed=seed)
+        ref = profile_oracle.Generator(schema, seed=seed)
+        members = gen.member_matrix(size, False)
+        expected = profile_oracle.group(ref, size, False)
+        assert (members.tobytes()
+                == np.vstack([m.concatenated() for m in expected]).tobytes())
+        assert gen._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+def test_integers_draws_what_choice_of_one_draws():
+    """The non-uniform generator picks a member's column with
+    ``integers(n)`` and skips its rating with ``random()``, where the
+    oracle calls ``choice(n, 1, replace=False)`` and ``uniform(4.0,
+    5.0)``.  Both pairs must draw the same values and leave the same
+    bit-generator state; a numpy release that changes either draw fails
+    here first."""
+    widths = [*range(1, 65), 20_000]
+    for seed in range(200):
+        fast = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        for width in widths:
+            pick = fast.integers(width)
+            assert pick == reference.choice(width, 1, replace=False)[0]
+            assert 4.0 + fast.random() == reference.uniform(4.0, 5.0)
+            assert (fast.bit_generator.state
+                    == reference.bit_generator.state), (seed, width)

@@ -208,6 +208,28 @@ class TestClusterStats:
             s["metrics"]["operations"].get("build", {}).get("count", 0)
             for s in stats["shards"])
 
+    def test_a_batch_line_counts_once(self, cluster):
+        """A batch line served by one shard is one operation there: the
+        request count rises by one, not once per element plus once for
+        the envelope."""
+        def counts():
+            metrics = cluster.stats()["metrics"]
+            return metrics["total_operations"], metrics["operations"]
+
+        total_before, before = counts()
+        reply = cluster.dispatch("batch", {"requests": [
+            {"city": "paris",
+             "group_spec": {"size": 5, "uniform": uniform, "seed": seed}}
+            for seed, uniform in ((9101, True), (9102, False), (9103, False))
+        ]})
+        assert all(r["error"] is None for r in reply["responses"])
+        total_after, after = counts()
+        assert total_after == total_before + 1
+        for op in set(before) | set(after):
+            grown = (after.get(op, {}).get("count", 0)
+                     - before.get(op, {}).get("count", 0))
+            assert grown == (op == "build_batch"), op
+
     def test_merged_sections_equal_the_shard_sums(self, app):
         """Under mixed cold/warm/session/mutate traffic on both shards,
         every merged event count is the sum of the shards' counts."""
