@@ -29,8 +29,7 @@ def registry(bench_ctx):
     app = bench_ctx.app("paris")
     registry = CityRegistry(seed=bench_ctx.config.seed,
                             scale=bench_ctx.config.scale,
-                            lda_iterations=bench_ctx.config.lda_iterations,
-                            k=bench_ctx.config.k)
+                            lda_iterations=bench_ctx.config.lda_iterations)
     registry.register(app.dataset, app.item_index, name="paris")
     return registry
 

@@ -20,7 +20,8 @@ Quickstart::
 
 For serving workloads (request/response wire format, per-city asset
 pooling, package caching, batched builds), see :mod:`repro.service` --
-``python -m repro.service`` runs a JSON-lines demo.  README.md has the
+``python -m repro.service serve --stdin --threads <
+examples/demo_requests.jsonl`` serves a two-city demo.  README.md has the
 architecture overview; ``repro.experiments`` reproduces the paper's
 tables and figures.
 """

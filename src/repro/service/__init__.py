@@ -29,9 +29,9 @@ counters/gauges/latency windows, the ``health`` wire op evaluates SLO
 burn rates over them (``ok|degraded|breached`` with reasons), and
 ``python -m repro.obs.top`` renders the live cluster view.
 
-``python -m repro.service`` runs a JSON-lines demo over two cities;
-``python -m repro.service serve`` / ``loadgen`` run the network tier --
-see :mod:`repro.service.__main__`.
+``python -m repro.service serve`` / ``loadgen`` run the network tier
+(see :mod:`repro.service.__main__`); ``serve --stdin --threads <
+examples/demo_requests.jsonl`` serves the two-city demo traffic.
 """
 
 from repro.service.cache import PackageCache, cache_key, profile_fingerprint

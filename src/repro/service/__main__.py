@@ -1,27 +1,22 @@
-"""Service CLI: ``python -m repro.service [serve|loadgen] ...``.
+"""Service CLI: ``python -m repro.service {serve,loadgen} ...``.
 
-Three entry points share the binary:
+Two entry points share the binary:
 
 * ``python -m repro.service serve`` -- the sharded asyncio NDJSON
   server (TCP or ``--stdin``); see :mod:`repro.service.server`.
 * ``python -m repro.service loadgen`` -- the deterministic workload
   generator driving a running server; see :mod:`repro.service.loadgen`.
-* ``python -m repro.service`` (no subcommand) -- the original
-  JSON-lines driver: one :class:`~repro.service.schema.BuildRequest`
-  dict per input line, one :class:`~repro.service.schema.PackageResponse`
-  per output line, and a cache/latency summary on stderr.
 
-Without ``--input`` the json-lines driver runs a built-in demo:
-spec-based build requests against two cities, including exact repeats,
-so the output shows both cold builds and warm-cache hits end to end::
+Without a subcommand the CLI prints its usage and exits 2.  The demo
+traffic lives in ``examples/demo_requests.jsonl`` -- spec-based build
+envelopes against two cities, including exact repeats, so the output
+shows both cold builds and warm-cache hits end to end::
 
-    python -m repro.service
-    python -m repro.service --cities paris,barcelona,rome --scale 0.5
-    python -m repro.service --input requests.jsonl
+    python -m repro.service serve --stdin --threads \
+        < examples/demo_requests.jsonl
     python -m repro.service serve --shards 2 --port 8642
     python -m repro.service serve --shards 2 --store ./assets
     python -m repro.service loadgen --port 8642 --actions 80 --check
-    python -m repro.service loadgen --store ./assets --store-build-only
     python -m repro.service loadgen --port 8642 --check --expect-hydrated
     python -m repro.service serve --shards 2 --obs-log events.ndjson
     python -m repro.service loadgen --port 8642 --trace --expect-traced \
@@ -39,156 +34,25 @@ discovered.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from collections.abc import Iterable, Iterator
 
-from repro.core.objective import ObjectiveWeights
-from repro.service.engine import PackageService
-from repro.service.registry import CityRegistry
-from repro.service.schema import BuildRequest
-
-
-def demo_request_lines(cities: list[str], per_city: int = 2) -> Iterator[str]:
-    """Raw JSON request lines for the built-in demo.
-
-    For each city: ``per_city`` distinct groups, then a repeat of the
-    first request (identical JSON) to demonstrate a warm-cache hit.
-    """
-    for city in cities:
-        lines = []
-        for index in range(per_city):
-            lines.append(json.dumps({
-                "city": city,
-                "query": {"counts": {"acco": 1, "trans": 1, "rest": 1,
-                                     "attr": 3}, "budget": None},
-                "group_spec": {"size": 5, "uniform": index % 2 == 0,
-                               "seed": 100 + index},
-                "request_id": f"{city}-{index}",
-            }))
-        lines.append(json.dumps({
-            "city": city,
-            "query": {"counts": {"acco": 1, "trans": 1, "rest": 1,
-                                 "attr": 3}, "budget": None},
-            "group_spec": {"size": 5, "uniform": True, "seed": 100},
-            "request_id": f"{city}-0-repeat",
-        }))
-        yield from lines
-
-
-def serve_lines(service: PackageService, lines: Iterable[str],
-                out=sys.stdout, summarize: bool = False) -> int:
-    """Serve JSON request lines, writing one response line each.
-
-    Returns the number of requests served.  With ``summarize`` the
-    response's package is reduced to POI names per CI (readable demo
-    output); otherwise the full wire format is emitted.
-    """
-    served = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = BuildRequest.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            payload = {"error": f"bad request line: {exc}"}
-            print(json.dumps(payload), file=out, flush=True)
-            continue
-        response = service.build(request)
-        payload = response.to_dict()
-        if summarize and response.package is not None:
-            payload["package"] = {
-                "days": [
-                    {"centroid": [round(c, 5) for c in ci.centroid],
-                     "pois": [f"{p.name} [{p.cat}]" for p in ci.pois]}
-                    for ci in response.package
-                ],
-            }
-        print(json.dumps(payload), file=out, flush=True)
-        served += 1
-    return served
+USAGE = ("usage: python -m repro.service {serve,loadgen} [options]\n"
+         "  serve    the sharded NDJSON server (TCP, or --stdin)\n"
+         "  loadgen  a deterministic workload against a running server\n"
+         "'python -m repro.service <command> -h' lists a command's options.")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "serve":
+    command = argv[0] if argv else None
+    if command == "serve":
         from repro.service.server import serve_main
         return serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
+    if command == "loadgen":
         from repro.service.loadgen import loadgen_main
         return loadgen_main(argv[1:])
-    return _jsonlines_main(argv)
-
-
-def _jsonlines_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="Serve GroupTravel package-build requests from JSON "
-                    "lines ('serve' and 'loadgen' subcommands run the "
-                    "sharded TCP tier and its workload driver).",
-    )
-    parser.add_argument("--cities", default="paris,barcelona",
-                        help="comma-separated demo cities (default: "
-                             "paris,barcelona)")
-    parser.add_argument("--input", default=None,
-                        help="JSON-lines request file, or '-' for stdin "
-                             "(default: run the built-in demo)")
-    parser.add_argument("--scale", type=float, default=0.35,
-                        help="synthetic city scale (default: 0.35)")
-    parser.add_argument("--lda-iterations", type=int, default=50,
-                        help="LDA sweeps when fitting item vectors")
-    parser.add_argument("--seed", type=int, default=2019,
-                        help="registry master seed")
-    parser.add_argument("--gamma", type=float, default=1.0,
-                        help="personalization weight of Equation 1")
-    parser.add_argument("--full", action="store_true",
-                        help="emit full package wire format instead of the "
-                             "readable per-day summary")
-    args = parser.parse_args(argv)
-
-    registry = CityRegistry(
-        seed=args.seed, scale=args.scale,
-        lda_iterations=args.lda_iterations,
-        weights=ObjectiveWeights(gamma=args.gamma),
-    )
-    service = PackageService(registry)
-
-    if args.input is None:
-        cities = [c.strip().lower() for c in args.cities.split(",") if c.strip()]
-        lines: Iterable[str] = demo_request_lines(cities)
-    elif args.input == "-":
-        lines = sys.stdin
-    else:
-        try:
-            lines = open(args.input, encoding="utf-8")
-        except OSError as exc:
-            parser.error(f"cannot read --input file: {exc}")
-
-    try:
-        served = serve_lines(service, lines, summarize=not args.full)
-    finally:
-        if args.input not in (None, "-"):
-            lines.close()
-
-    stats = service.stats()
-    cache = stats["cache"]
-    print(
-        f"served {served} requests over {len(stats['cities'])} cities "
-        f"({', '.join(stats['cities'])}); cache: {cache['hits']} hits / "
-        f"{cache['misses']} misses (hit rate {cache['hit_rate']:.0%})",
-        file=sys.stderr,
-    )
-    for op, numbers in sorted(stats["metrics"]["operations"].items()):
-        print(
-            f"  {op:<13} n={numbers['count']:<4} "
-            f"mean={numbers['mean_ms']:8.2f} ms  "
-            f"p95={numbers['p95_ms']:8.2f} ms  "
-            f"p99={numbers['p99_ms']:8.2f} ms",
-            file=sys.stderr,
-        )
-    return 0
+    print(USAGE, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -25,11 +25,10 @@ the serving tier, drawn from these traffic kinds:
 across build-type actions, sweeping CI sizes (and thus repair
 pressure) deterministically.
 
-With ``--store`` the CLI can also pre-populate a persistent
-:class:`~repro.store.AssetStore` before driving traffic (or instead of
-it, with ``--store-build-only``), and ``--expect-hydrated`` asserts
-post-run -- via the server's merged stats -- that no shard paid an LDA
-fit, i.e. the whole run was served from disk-hydrated assets.
+``--expect-hydrated`` asserts post-run -- via the server's merged
+stats -- that no shard paid an LDA fit, i.e. the whole run was served
+from disk-hydrated assets (``serve --store`` populates the store before
+its shards warm up).
 
 The observability hooks (:mod:`repro.obs`): ``--trace`` tags every
 envelope with a deterministic client-side trace id, ``--expect-traced``
@@ -744,21 +743,6 @@ def loadgen_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--attr-counts", default=None, metavar="N1,N2,...",
                         help="attraction-count sweep across build actions "
                              "(default: fixed at 3)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="pre-populate this persistent asset store for "
-                             "the workload's cities before driving traffic")
-    parser.add_argument("--store-seed", type=int, default=2019,
-                        help="registry seed the store entries are keyed "
-                             "under (must match the server's --seed)")
-    parser.add_argument("--store-scale", type=float, default=0.35,
-                        help="city scale for store entries (must match the "
-                             "server's --scale)")
-    parser.add_argument("--store-lda-iterations", type=int, default=50,
-                        help="LDA sweeps for store entries (must match the "
-                             "server's --lda-iterations)")
-    parser.add_argument("--store-build-only", action="store_true",
-                        help="populate --store and exit without sending "
-                             "traffic (no server needed)")
     parser.add_argument("--expect-hydrated", action="store_true",
                         help="after the run, fetch server stats and fail "
                              "unless every city was store-hydrated (zero "
@@ -795,24 +779,6 @@ def loadgen_main(argv: list[str] | None = None) -> int:
 
     cities = tuple(c.strip().lower() for c in args.cities.split(",")
                    if c.strip())
-
-    if args.store is not None:
-        from repro.service.registry import populate_store
-
-        print(f"populating asset store {args.store} for "
-              f"{', '.join(cities)} ...", file=sys.stderr)
-        failed = populate_store(
-            args.store, list(cities), seed=args.store_seed,
-            scale=args.store_scale,
-            lda_iterations=args.store_lda_iterations,
-        )
-        for city, reason in failed.items():
-            print(f"store populate failed for {city!r}: {reason}",
-                  file=sys.stderr)
-        if args.store_build_only:
-            return 1 if failed else 0
-    elif args.store_build_only:
-        parser.error("--store-build-only needs --store")
 
     mix = _parse_mix(args.mix) if args.mix else DEFAULT_MIX
     budgets = _parse_floats(args.budgets) if args.budgets else ()

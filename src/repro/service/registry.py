@@ -119,9 +119,7 @@ class CityRegistry:
         seed: Master seed for city generation, LDA and FCM.
         scale: City-size multiplier for generated cities.
         lda_iterations: Gibbs sweeps when fitting item vectors.
-        k: Default Composite Items per package.
         weights: Default Equation 1 weights for the builders.
-        candidate_pool: Assembly candidate cap per category.
         store: Optional persistent asset store (or its root path);
             template cities load from it before fitting and write back
             on a miss.
@@ -129,24 +127,19 @@ class CityRegistry:
     """
 
     def __init__(self, seed: int = 2019, scale: float = 1.0,
-                 lda_iterations: int = 120, k: int = 5,
+                 lda_iterations: int = 120,
                  weights: ObjectiveWeights = ObjectiveWeights(),
-                 candidate_pool: int = 60,
                  store: AssetStore | str | Path | None = None,
-                 max_cities: int | None = None,
-                 mutation_log_capacity: int = 1024) -> None:
+                 max_cities: int | None = None) -> None:
         if max_cities is not None and max_cities < 1:
             raise ValueError("max_cities must be at least 1")
         self.seed = seed
         self.scale = scale
         self.lda_iterations = lda_iterations
-        self.k = k
         self.weights = weights
-        self.candidate_pool = candidate_pool
         self.store = (AssetStore(store) if isinstance(store, (str, Path))
                       else store)
         self.max_cities = max_cities
-        self.mutation_log_capacity = mutation_log_capacity
         self._entries: OrderedDict[str, CityEntry] = OrderedDict()
         self._entry_bytes: dict[str, int] = {}
         self._profiles: OrderedDict[tuple, GroupProfile] = OrderedDict()
@@ -171,6 +164,10 @@ class CityRegistry:
     #: eight templates) distinct specs are client-controlled, so the
     #: cache must not grow with traffic.
     _MAX_PROFILES = 1024
+
+    #: Appends a city's mutation journal takes before it refuses more
+    #: (:meth:`~repro.live.mutations.MutationLog.raise_if_full`).
+    mutation_log_capacity = 1024
 
     # -- loading -----------------------------------------------------------
 
@@ -305,8 +302,7 @@ class CityRegistry:
         """The entry for the city's current epoch; its layout epoch is
         ``repriced`` epochs back (the trailing run of reprices)."""
         builder = KFCBuilder(
-            dataset, item_index, weights=self.weights, k=self.k,
-            seed=self.seed, candidate_pool=self.candidate_pool,
+            dataset, item_index, weights=self.weights, seed=self.seed,
             arrays=arrays,
         )
         with self._lock:
@@ -584,7 +580,9 @@ class CityRegistry:
 
         ``counters.fits`` counts LDA fits this registry actually paid;
         a warm-started registry serving only store hits reports zero --
-        the signal the store-smoke CI job asserts on.
+        the signal the store-smoke CI job asserts on.  ``store`` holds
+        the asset store's counters only: its directory census walks
+        every entry's files, too dear for a ``stats`` poll.
         """
         with self._lock:
             bytes_by_city = dict(self._entry_bytes)
@@ -599,7 +597,7 @@ class CityRegistry:
             "epochs": epochs,
         }
         if self.store is not None:
-            snapshot["store"] = self.store.stats()
+            snapshot["store"] = self.store.counters()
         return snapshot
 
     # -- synthetic groups ----------------------------------------------------

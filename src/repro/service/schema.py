@@ -4,7 +4,7 @@ Everything crossing the service boundary is a frozen dataclass with a
 complete JSON round trip (``to_dict``/``from_dict``), built on the
 serialization hooks of the core and profile classes.  A client can
 therefore be a separate process speaking JSON lines (see
-:mod:`repro.service.__main__`) without importing anything beyond the
+:mod:`repro.service.server`) without importing anything beyond the
 schema module.
 
 Two ways to name a group in a :class:`BuildRequest`:

@@ -81,9 +81,9 @@ DEFAULT_PORT = 8642
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
 #: Client-side bound on one reply line (loadgen, ``repro.obs.top``).
-#: ``stats`` and ``health`` carry every process's window rings, far
-#: past asyncio's 64 KiB default: a 2-shard cluster's ``stats`` reply
-#: measured ~0.4 MB once its rings filled.  A histogram window holds
+#: ``stats`` and ``health`` carry the merged cluster's and the front
+#: end's window rings, far past asyncio's 64 KiB default: a 2-shard
+#: cluster's ``stats`` reply measured ~0.15 MB once its rings filled.  A histogram window holds
 #: at most 257 buckets (~3 KB), so a full ring stays a few MB per process.
 REPLY_LIMIT_BYTES = 64 * 1024 * 1024
 
@@ -194,8 +194,7 @@ class PackageServer:
         op = envelope.get("op", "build")
         payload = envelope.get("request")
         if payload is None:
-            # Back-compat with the PR-1 json-lines format: a bare
-            # BuildRequest dict (no envelope) still builds.
+            # A bare BuildRequest dict (no envelope) still builds.
             payload = {k: v for k, v in envelope.items()
                        if k not in ("op", "id")}
         if not isinstance(op, str) or not isinstance(payload, dict):

@@ -48,6 +48,7 @@ services over pre-fitted registries.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
@@ -498,6 +499,14 @@ class ShardCluster:
         return self.submit(op, payload).result()
 
     def _submit_batch(self, payload: dict) -> Future:
+        """Split a batch per owning shard and reassemble it in order.
+
+        Each shard that serves part of the line records one operation
+        (its sub-batch's ``latency:build_batch``), as every process
+        counts what it serves: a line split over k shards adds k to
+        ``total_operations``, which counts shard operations, while the
+        front end's ``accepted`` counts it once, as a line.
+        """
         requests = payload.get("requests")
         if not isinstance(requests, list):
             return _completed(PackageResponse(
@@ -578,9 +587,10 @@ class ShardCluster:
     def _combine_stats(self, results: list[dict]) -> dict:
         # Every event count lives in the shards' metrics registries:
         # one exact merge of their snapshots yields the cluster's
-        # cache, assembly, live and metrics sections.
+        # cache, assembly, live and metrics sections.  The per-shard
+        # windows leave the reply once merged; readers take the merge.
         merged = merge_metrics_snapshots(
-            [r["metrics"]["windows"] for r in results])
+            [r["metrics"].pop("windows") for r in results])
         sections = stats_sections(merged)
         cache = {key: sum(r["cache"][key] for r in results)
                  for key in ("size", "capacity")}
@@ -596,29 +606,20 @@ class ShardCluster:
             shard_ops = result["metrics"]["total_operations"]
             result["utilization"] = (shard_ops / total_ops if total_ops
                                      else 0.0)
-        registry: dict = {"counters": {}, "total_bytes": 0}
-        store: dict = {}
+        # Registry and store counters are per-process event counts: the
+        # cluster figure is the shard sum.
+        counters: Counter = Counter()
+        store: Counter = Counter()
+        total_bytes = 0
         for result in results:
             shard_registry = result.get("registry", {})
-            registry["total_bytes"] += shard_registry.get("total_bytes", 0)
-            for name, value in shard_registry.get("counters", {}).items():
-                registry["counters"][name] = (
-                    registry["counters"].get(name, 0) + value
-                )
-            # Store provenance (hits, bytes_mapped, repairs, ...) sums
-            # across workers; the directory census (entries,
-            # disk_bytes) describes the one shared root, so the max is
-            # the honest cluster figure, not the sum.
-            for name, value in (shard_registry.get("store") or {}).items():
-                if isinstance(value, bool) \
-                        or not isinstance(value, (int, float)):
-                    continue
-                fold = max if name in ("entries", "disk_bytes") else \
-                    lambda a, b: a + b
-                store[name] = fold(store[name], value) \
-                    if name in store else value
+            total_bytes += shard_registry.get("total_bytes", 0)
+            counters.update(shard_registry.get("counters", {}))
+            store.update(shard_registry.get("store", {}))
+        registry: dict = {"counters": dict(counters),
+                          "total_bytes": total_bytes}
         if store:
-            registry["store"] = store
+            registry["store"] = dict(store)
         # Event-log counts are the one obs figure outside the registry
         # (the log writes under its lock); total the shards' own.
         logs = [r["obs"]["log"] for r in results if "log" in r["obs"]]

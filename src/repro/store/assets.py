@@ -719,11 +719,14 @@ class AssetStore:
 
     # -- observability -----------------------------------------------------
 
+    def counters(self) -> dict[str, int]:
+        """This process's event counts (hits, misses, writes, ...)."""
+        with self._lock:
+            return dict(self._counters)
+
     def stats(self) -> dict:
-        """Counters plus a cheap directory census."""
+        """Counters plus a directory census (walks every entry's files)."""
         entries = self.keys()
         total = sum(_tree_bytes(self.root / name) for name in entries)
-        with self._lock:
-            counters = dict(self._counters)
         return {"root": str(self.root), "entries": len(entries),
-                "disk_bytes": total, **counters}
+                "disk_bytes": total, **self.counters()}

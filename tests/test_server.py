@@ -230,6 +230,32 @@ class TestClusterStats:
                      - before.get(op, {}).get("count", 0))
             assert grown == (op == "build_batch"), op
 
+    def test_a_split_batch_counts_once_per_shard(self, cluster):
+        """A batch line split over two shards is one accepted line at
+        the front end and one operation on each shard serving part of
+        it: ``total_operations`` counts shard operations."""
+        server = PackageServer(cluster)
+        line = json.dumps({"op": "batch", "request": {"requests": [
+            spec_payload(city, seed=9201 + index)
+            for index, city in enumerate(("paris", "barcelona", "paris"))
+        ]}})
+
+        def counts():
+            return (cluster.stats()["metrics"]["total_operations"],
+                    server.stats()["accepted"])
+
+        try:
+            ops_before, accepted_before = counts()
+            reply = asyncio.run(server.handle_line(line))
+            ops_after, accepted_after = counts()
+        finally:
+            server.tracer.close()
+        assert [r["city"] for r in reply["responses"]] == [
+            "paris", "barcelona", "paris"]
+        assert all(r["error"] is None for r in reply["responses"])
+        assert ops_after - ops_before == 2
+        assert accepted_after - accepted_before == 1
+
     def test_merged_sections_equal_the_shard_sums(self, app):
         """Under mixed cold/warm/session/mutate traffic on both shards,
         every merged event count is the sum of the shards' counts."""
@@ -264,7 +290,9 @@ class TestClusterStats:
         assert cache["hit_rate"] == pytest.approx(
             cache["hits"] / (cache["hits"] + cache["misses"]))
         metrics = stats["metrics"]
-        assert set(metrics) == set(shards[0]["metrics"])
+        # Only the merged snapshot carries windows; a shard's leave the
+        # reply once merged.
+        assert set(metrics) == set(shards[0]["metrics"]) | {"windows"}
         assert metrics["total_operations"] == sum(
             s["metrics"]["total_operations"] for s in shards)
         for op, numbers in metrics["operations"].items():
@@ -657,7 +685,7 @@ class TestPackageServer:
             server = PackageServer(stub)
             host, port = await server.start(port=0)
             reader, writer = await _client(host, port)
-            # PR-1 json-lines format: a BuildRequest dict, no envelope.
+            # A bare BuildRequest dict, no envelope.
             await _send_line(writer, {"city": "paris",
                                       "group_spec": {"size": 3}})
             while not stub.pending:
@@ -712,8 +740,13 @@ class TestPackageServer:
     def test_stdin_mode_serves_envelopes(self, cluster, tmp_path):
         requests = tmp_path / "requests.jsonl"
         requests.write_text("\n".join([
-            json.dumps({"op": "build", "request": spec_payload("paris")}),
-            "",
+            json.dumps({"op": "build", "request": spec_payload(
+                "paris", seed=7301, request_id="a")}),
+            "",  # blank lines are skipped
+            "not json",  # a bad line gets an error line, not a crash
+            # A bare BuildRequest (no envelope) builds; a repeat hits.
+            json.dumps(spec_payload("paris", seed=7301,
+                                    request_id="a-again")),
             json.dumps({"op": "stats"}),
         ]) + "\n")
         out = tmp_path / "responses.jsonl"
@@ -723,10 +756,14 @@ class TestPackageServer:
             with requests.open() as stdin, out.open("w") as stdout:
                 return await serve_stdin(server, stdin=stdin, stdout=stdout)
 
-        assert asyncio.run(scenario()) == 2
+        assert asyncio.run(scenario()) == 4
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines[0]["error"] is None and lines[0]["city"] == "paris"
-        assert "server" in lines[1] and len(lines[1]["shards"]) == 2
+        assert lines[0]["request_id"] == "a" and not lines[0]["cached"]
+        assert lines[1]["code"] == ErrorCode.BAD_REQUEST.value
+        assert lines[2]["error"] is None and lines[2]["cached"]
+        assert lines[2]["request_id"] == "a-again"
+        assert "server" in lines[3] and len(lines[3]["shards"]) == 2
 
     def test_nan_weight_line_is_a_bad_request(self, cluster):
         """``json.loads`` accepts the ``NaN`` literal, so a NaN weight

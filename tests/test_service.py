@@ -1,5 +1,5 @@
 """The serving engine: cache behaviour, batching, sessions, wire round
-trips of requests/responses, and the JSON-lines driver."""
+trips of requests/responses, and the service CLI's entry point."""
 
 import json
 
@@ -22,7 +22,7 @@ from repro.service import (
     cache_key,
     profile_fingerprint,
 )
-from repro.service.__main__ import serve_lines
+from repro.service.__main__ import main
 
 
 @pytest.fixture(scope="module")
@@ -413,27 +413,11 @@ class TestWireFormats:
         assert not back.ok and back.error == "boom"
 
 
-class TestJsonLinesDriver:
-    def test_serve_lines(self, service, tmp_path, capsys):
-        lines = [
-            json.dumps({"city": "paris",
-                        "group_spec": {"size": 4, "seed": 5},
-                        "request_id": "a"}),
-            "",  # blank lines are skipped
-            "not json",  # bad lines produce an error line, not a crash
-            json.dumps({"city": "paris",
-                        "group_spec": {"size": 4, "seed": 5},
-                        "request_id": "a-again"}),
-        ]
-        out = tmp_path / "responses.jsonl"
-        with out.open("w") as handle:
-            served = serve_lines(service, lines, out=handle)
-        assert served == 2
-        payloads = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(payloads) == 3
-        assert payloads[0]["request_id"] == "a" and not payloads[0]["cached"]
-        assert "bad request line" in payloads[1]["error"]
-        assert payloads[2]["request_id"] == "a-again" and payloads[2]["cached"]
+class TestCli:
+    def test_no_subcommand_prints_usage_and_exits_2(self, capsys):
+        assert main([]) == 2
+        usage = capsys.readouterr().err
+        assert "serve" in usage and "loadgen" in usage
 
 
 class TestDispatch:
